@@ -130,16 +130,26 @@ def measure_chase(profile: MachineProfile, agent: Agent, kind: AllocatorKind,
                   size: int, seed: int = 0,
                   init_agent: Agent = Agent.CPU) -> LatencyPoint:
     """Allocate, first-touch, and evaluate the pointer chase at one size."""
-    spec = classify(kind, profile.xnack)
-    if agent is Agent.GPU and not spec.gpu_access:
-        raise AccessViolation(f"GPU cannot chase {kind.value} memory")
-    manager = MemoryManager(profile, seed=seed)
-    alloc = manager.allocate(kind, size)
-    if spec.physical is Policy.ON_DEMAND:
-        manager.touch(alloc, None, init_agent)
-    load = perf.channel_load(profile, manager, alloc)
+    _check_chase_access(profile, agent, kind)
+    load = _chase_load(profile, kind, size, seed, init_agent)
     breakdown = perf.chase_latency(profile, agent, size, load)
     return LatencyPoint(balance=load.balance, latency_ns=breakdown.weighted_ns)
+
+
+def _check_chase_access(profile: MachineProfile, agent: Agent,
+                        kind: AllocatorKind):
+    if agent is Agent.GPU and not classify(kind, profile.xnack).gpu_access:
+        raise AccessViolation(f"GPU cannot chase {kind.value} memory")
+
+
+def _chase_load(profile: MachineProfile, kind: AllocatorKind, size: int,
+                seed: int, init_agent: Agent = Agent.CPU) -> perf.ChannelLoad:
+    """Channel load of one allocation after its first touch."""
+    manager = MemoryManager(profile, seed=seed)
+    alloc = manager.allocate(kind, size)
+    if classify(kind, profile.xnack).physical is Policy.ON_DEMAND:
+        manager.touch(alloc, None, init_agent)
+    return perf.channel_load(profile, manager, alloc)
 
 
 @dataclass(frozen=True)
@@ -198,16 +208,22 @@ def _bench_latency(profile, spec):
     for kind in kinds:
         for size in sizes:
             idx += 1
-            seed = _point_seed(spec.seed, idx)
+            # Placement does not depend on the chasing agent: simulate the
+            # point once and evaluate every agent on the same load.
+            load = None
             for agent in agents:
                 keys = {"agent": agent.value, "kind": kind.value, "size": size}
                 try:
-                    point = measure_chase(profile, agent, kind, size, seed)
+                    _check_chase_access(profile, agent, kind)
                 except AccessViolation as exc:
                     rows.append(_error_row("latency", keys, exc))
                     continue
+                if load is None:
+                    load = _chase_load(profile, kind, size,
+                                       _point_seed(spec.seed, idx))
+                breakdown = perf.chase_latency(profile, agent, size, load)
                 rows.append(_row("latency", keys, "latency",
-                                 point.latency_ns, "ns"))
+                                 breakdown.weighted_ns, "ns"))
     return rows
 
 

@@ -432,9 +432,14 @@ def validate(profile: MachineProfile) -> list[str]:
         v.append("bw_model.walk_penalty: must be non-negative")
 
     pl = profile.placement
-    positive("placement.frame_block_pages", pl.frame_block_pages)
-    positive("placement.kernel_batch_pages", pl.kernel_batch_pages)
-    if pl.frame_block_pages % pl.kernel_batch_pages != 0:
+    sizes_ok = True
+    for name in ("frame_block_pages", "kernel_batch_pages"):
+        value = getattr(pl, name)
+        if value <= 0 or value & (value - 1):
+            v.append(f"placement.{name}: must be a positive power of two "
+                     f"({value!r})")
+            sizes_ok = False
+    if sizes_ok and pl.frame_block_pages % pl.kernel_batch_pages != 0:
         v.append("placement.frame_block_pages: must be a multiple of kernel_batch_pages")
     if not 0.0 <= pl.cpu_touch_scatter_degree <= 1.0:
         v.append("placement.cpu_touch_scatter_degree: outside [0, 1]")

@@ -21,7 +21,16 @@ behavior of the real allocators:
 
 Frames drawn for a batch but not yet mapped stay reserved for the rest of
 that batch's virtual block (they sit in the kernel's per-CPU cache, not in
-the free pool).
+the free pool). Each allocation keeps those reservations in an int64 array
+indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
+
+The pool keeps whole free blocks in a bytearray alive map. They are drawn
+from a boot-time permutation, read by a cursor from its end, after any
+released blocks, which a plain list returns last-released first; sequential
+draws use a heap built from the alive map. Runs smaller than a block sit
+in one dict per order, 16-page runs in one dict per channel group. A draw
+that runs out of frames part-way returns what it took, so a failed
+allocate or touch leaves the pool as it found it.
 """
 
 from __future__ import annotations
@@ -177,9 +186,13 @@ class FramePool:
         self.total_frames = self.n_blocks * self.block_pages
         self.used_frames = 0
         # Boot-time free-list order is not address-sorted; a deterministic
-        # shuffle stands in for it and keeps blocks non-adjacent.
-        self._block_stack = rng.permutation(self.n_blocks).tolist()
-        self._block_alive = set(range(self.n_blocks))
+        # shuffle stands in for it and keeps blocks non-adjacent. Blocks
+        # are drawn from its end; released blocks are drawn first, last
+        # released first.
+        self._boot_order = rng.permutation(self.n_blocks)
+        self._boot_left = self.n_blocks
+        self._released: list[int] = []
+        self._block_alive = bytearray(b"\x01") * self.n_blocks
         self._block_sorted: list[int] | None = None  # lazy, sequential draws
         self._runs: dict[int, dict[int, None]] = {
             o: {} for o in range(self.block_order) if o != self.batch_order}
@@ -199,21 +212,31 @@ class FramePool:
         return self._runs[order]
 
     def _pop_block(self) -> int | None:
-        while self._block_stack:
-            b = self._block_stack.pop()
-            if b in self._block_alive:
-                self._block_alive.discard(b)
+        alive = self._block_alive
+        while self._released:
+            b = self._released.pop()
+            if alive[b]:
+                alive[b] = 0
+                return b
+        while self._boot_left:
+            self._boot_left -= 1
+            b = int(self._boot_order[self._boot_left])
+            if alive[b]:
+                alive[b] = 0
                 return b
         return None
 
+    def _alive_blocks(self) -> np.ndarray:
+        return np.flatnonzero(np.frombuffer(self._block_alive, dtype=np.uint8))
+
     def _pop_block_sorted(self) -> int | None:
         if self._block_sorted is None:
-            self._block_sorted = sorted(self._block_alive)
-            heapq.heapify(self._block_sorted)
+            self._block_sorted = self._alive_blocks().tolist()  # a heap
+        alive = self._block_alive
         while self._block_sorted:
             b = heapq.heappop(self._block_sorted)
-            if b in self._block_alive:
-                self._block_alive.discard(b)
+            if alive[b]:
+                alive[b] = 0
                 return b
         return None
 
@@ -359,15 +382,16 @@ class FramePool:
                 self._store(order, start)[start] = None
                 return
         b = start >> self.block_order
-        self._block_alive.add(b)
-        self._block_stack.append(b)
+        self._block_alive[b] = 1
+        self._released.append(b)
         if self._block_sorted is not None:
             heapq.heappush(self._block_sorted, b)
 
     def free_intervals(self) -> list[tuple[int, int]]:
         """Sorted maximal (start, n_pages) intervals of free frames."""
         pieces: list[tuple[int, int]] = [
-            (b << self.block_order, self.block_pages) for b in self._block_alive]
+            (b << self.block_order, self.block_pages)
+            for b in self._alive_blocks().tolist()]
         for o, d in self._runs.items():
             pieces.extend((s, 1 << o) for s in d)
         for g in self._group_runs:
@@ -405,8 +429,9 @@ class Allocation:
     first_touch_agent: Agent | None = None
     mapped_pages: int = 0
     frame_runs: list = field(default_factory=list)
-    pending_cpu_batches: dict = field(default_factory=dict)
-    pending_gpu_blocks: dict = field(default_factory=dict)
+    # First frame reserved for each virtual batch / block, -1 if none yet.
+    pending_cpu_batches: np.ndarray | None = field(default=None, repr=False)
+    pending_gpu_blocks: np.ndarray | None = field(default=None, repr=False)
     cpu_chunk_pages: int | None = None
     cpu_chunks_mapped: set = field(default_factory=set)
     scatter_rng: np.random.Generator | None = field(default=None, repr=False)
@@ -459,20 +484,28 @@ class MemoryManager:
         n_pages = -(-size // page)
         spec = classify(kind, self.profile.xnack)
         frame_policy = policy or self._default_policy(kind)
-        va_base = self.table.reserve(n_pages, align_pages=512)
         alloc = Allocation(
-            id=self._next_id, kind=kind, va_base=va_base, n_pages=n_pages,
+            id=self._next_id, kind=kind, va_base=0, n_pages=n_pages,
             size=size, policy=spec.physical, frame_policy=frame_policy,
             creation_time_model=alloc_time_model(self.profile, kind, size,
                                                  self.profile.xnack))
         if frame_policy.seed:
             alloc.scatter_rng = np.random.default_rng(frame_policy.seed)
-        self._next_id += 1
         if spec.physical is Policy.UP_FRONT:
+            # Place first: a placement that fails leaves no frames, no
+            # virtual reservation and no used id behind.
             if n_pages > self.pool.free_frames:
                 raise OutOfMemory(
                     f"{n_pages} pages needed, {self.pool.free_frames} free")
-            frames = self._place_up_front(alloc, n_pages)
+            try:
+                frames = self._place_up_front(alloc, n_pages)
+            except OutOfMemory:
+                for start, n in alloc.frame_runs:
+                    self.pool.release_run(start, n)
+                raise
+        va_base = alloc.va_base = self.table.reserve(n_pages, align_pages=512)
+        self._next_id += 1
+        if spec.physical is Policy.UP_FRONT:
             self.table.map_range(pagetable.SYSTEM, va_base, frames)
             if spec.gpu_access:
                 self.table.propagate(va_base, n_pages)
@@ -523,23 +556,37 @@ class MemoryManager:
         """Draw count 16-page batch starts under the allocation's policy."""
         if count == 0:
             return np.empty(0, dtype=np.int64)
+        pool = self.pool
         degree = alloc.frame_policy.scatter_degree
         if alloc.frame_policy.mode is PlacementMode.INCREMENTAL_SCATTER \
                 and degree == 0.0:
-            starts = np.fromiter(
-                (self.pool.take_batch_sequential() for _ in range(count)),
-                dtype=np.int64, count=count)
+            starts = self._draw_runs(lambda _: pool.take_batch_sequential(),
+                                     range(count), pool.batch_pages)
         else:
             rng = alloc.scatter_rng or self._scatter_rng
             weights = self._group_weights(degree)
             if weights is None:
-                groups = rng.integers(0, self.pool.groups_n, size=count)
+                groups = rng.integers(0, pool.groups_n, size=count)
             else:
-                groups = rng.choice(self.pool.groups_n, size=count, p=weights)
-            starts = np.fromiter(
-                (self.pool.take_batch(int(g)) for g in groups),
-                dtype=np.int64, count=count)
-        alloc.frame_runs.extend((int(s), self.pool.batch_pages) for s in starts)
+                groups = rng.choice(pool.groups_n, size=count, p=weights)
+            starts = self._draw_runs(pool.take_batch, groups.tolist(),
+                                     pool.batch_pages)
+        batch = pool.batch_pages
+        alloc.frame_runs.extend([(start, batch) for start in starts])
+        return np.array(starts, dtype=np.int64)
+
+    def _draw_runs(self, take, args, run_pages: int) -> list[int]:
+        """[take(arg) for arg in args]; if one draw fails, the runs already
+        drawn go back to the pool before OutOfMemory propagates."""
+        starts: list[int] = []
+        append = starts.append
+        try:
+            for arg in args:
+                append(take(arg))
+        except OutOfMemory:
+            for start in starts:
+                self.pool.release_run(start, run_pages)
+            raise
         return starts
 
     # -- touch -----------------------------------------------------------
@@ -561,21 +608,21 @@ class MemoryManager:
         if agent is Agent.GPU and not spec.gpu_access:
             raise AccessViolation(
                 f"GPU access to {alloc.kind.value} is fatal here")
-        first_touch = alloc.first_touch_agent is None
-        if first_touch:
-            alloc.first_touch_agent = agent
         if lo == hi:
-            return FaultBatch()
-        if alloc.policy is Policy.ON_DEMAND:
+            batch = FaultBatch()
+        elif alloc.policy is Policy.ON_DEMAND:
             if agent is Agent.CPU:
                 batch = self._touch_on_demand_cpu(alloc, lo, hi)
             else:
                 batch = self._touch_on_demand_gpu(alloc, lo, hi)
+        elif agent is Agent.CPU:
+            batch = self._touch_up_front_cpu(alloc, lo, hi)
         else:
-            if agent is Agent.CPU:
-                batch = self._touch_up_front_cpu(alloc, lo, hi)
-            else:
-                batch = FaultBatch()
+            batch = FaultBatch()
+        # Set only once the touch has succeeded, so a failed one leaves
+        # no trace.
+        if alloc.first_touch_agent is None:
+            alloc.first_touch_agent = agent
         return batch
 
     def _region(self, alloc: Allocation):
@@ -649,27 +696,30 @@ class MemoryManager:
 
     def _frames_for_batches(self, alloc, offs: np.ndarray, grain: int,
                             gpu: bool) -> np.ndarray:
-        """Frames for scattered page offsets, reserving grain-sized runs
-        per virtual block so contiguity forms as blocks fill."""
+        """Frames for ascending scattered page offsets, reserving
+        grain-sized runs per virtual block so contiguity forms as blocks
+        fill."""
         pending = alloc.pending_gpu_blocks if gpu else alloc.pending_cpu_batches
+        if pending is None:
+            pending = np.full(-(-alloc.n_pages // grain), -1, dtype=np.int64)
+            if gpu:
+                alloc.pending_gpu_blocks = pending
+            else:
+                alloc.pending_cpu_batches = pending
         blocks = offs // grain
-        need = np.unique(blocks)
-        missing = [int(b) for b in need if int(b) not in pending]
-        if missing:
+        need = blocks[np.append(True, blocks[1:] != blocks[:-1])]
+        missing = need[pending[need] < 0]
+        if len(missing):
             if len(missing) * grain > self.pool.free_frames:
                 raise OutOfMemory("not enough frames for first touch")
             if gpu:
-                for b in missing:
-                    start = self.pool.take_block_run()
-                    alloc.frame_runs.append((start, grain))
-                    pending[b] = start
+                starts = self._draw_runs(lambda _: self.pool.take_block_run(),
+                                         range(len(missing)), grain)
+                alloc.frame_runs.extend([(start, grain) for start in starts])
             else:
                 starts = self._draw_batches(alloc, len(missing))
-                for b, s in zip(missing, starts):
-                    pending[b] = int(s)
-        base = np.fromiter((pending[int(b)] for b in blocks),
-                           dtype=np.int64, count=len(blocks))
-        return base + (offs - blocks * grain)
+            pending[missing] = starts
+        return pending[blocks] + (offs - blocks * grain)
 
     def _map_scattered(self, alloc, offs: np.ndarray, frames: np.ndarray):
         """System-map possibly non-contiguous page offsets (segment-wise)."""
@@ -693,8 +743,7 @@ class MemoryManager:
         for start, n in alloc.frame_runs:
             self.pool.release_run(start, n)
         alloc.frame_runs.clear()
-        alloc.pending_cpu_batches.clear()
-        alloc.pending_gpu_blocks.clear()
+        alloc.pending_cpu_batches = alloc.pending_gpu_blocks = None
         self._numa_bytes -= alloc.mapped_pages * page
         if alloc.policy is Policy.UP_FRONT:
             if alloc.kind is AllocatorKind.DEVICE_UP_FRONT:

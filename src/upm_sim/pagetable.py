@@ -8,7 +8,16 @@ the entry's page lies inside a run of 2^f pages that is contiguous and
 single TLB entry can cover the whole run.
 
 Fragments are recomputed eagerly on map/propagate/unmap over the affected
-runs, which keeps miss counting deterministic and order-independent.
+runs, which keeps miss counting deterministic and order-independent. The
+rule is the one of Linux ``amdgpu_vm_pte_fragment()``
+(drivers/gpu/drm/amd/amdgpu/amdgpu_vm_pt.c), in closed form: a page at
+virtual page x inside the run [s, e), whose frames sit at the constant
+offset d = frame - x, gets
+
+    min(bitlen(x ^ (s - 1)) - 1, bitlen(x ^ e) - 1, ctz(d), max_fragment)
+
+where the first two terms are the largest orders whose aligned block
+around x stays inside the run, and ctz(0) counts as max_fragment.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ class DualTable:
     # Virtual reservations start above zero so page number 0 stays invalid.
     _FIRST_VA_PAGE = 1 << 20
     _SCAN_STEP = 4096
+    _CHUNK = 1 << 16       # pages per fragment-evaluation chunk
 
     def __init__(self, max_fragment: int = 31):
         self.max_fragment = max_fragment
@@ -271,38 +281,36 @@ class DualTable:
         elif hi < n_total and flags[hi] != 0:
             hi = self._run_end(region, hi, table)
 
-        window_flags = flags[lo:hi]
+        # Closed form of amdgpu_vm_pte_fragment() (see the module
+        # docstring), evaluated in chunks of _CHUNK pages so that the
+        # per-page temporaries stay small on GiB-sized windows. A run
+        # breaks on an unmapped page, a frame jump or a flags change.
+        flags = flags[lo:hi]
         frames = region.frames[lo:hi]
-        frag = region.frag_of(table)
         n = hi - lo
-        present = window_flags != 0
-
-        # Run segmentation: a run breaks on absence, non-contiguous frames,
-        # or a flags change.
+        present = flags != 0
         start_of_run = np.ones(n, dtype=bool)
-        if n > 1:
-            same_run = (frames[1:] == frames[:-1] + 1) & present[1:] & present[:-1] \
-                & (window_flags[1:] == window_flags[:-1])
-            start_of_run[1:] = ~same_run
-        run_id = np.cumsum(start_of_run) - 1
-        run_starts = np.nonzero(start_of_run)[0]
-        run_ends = np.append(run_starts[1:], n)
-        my_start = run_starts[run_id]
-        my_end = run_ends[run_id]
-
-        va = region.va_base + lo + np.arange(n, dtype=np.int64)
-        delta = frames - va
-        result = np.full(n, -1, dtype=np.int8)
-        result[present] = 0
-        run_len_max = int((my_end - my_start).max()) if n else 0
-        f_cap = min(self.max_fragment, max(run_len_max, 1).bit_length() - 1)
-        for f in range(1, f_cap + 1):
-            size = 1 << f
-            block_lo = (va >> f) << f
-            rel_lo = block_lo - (region.va_base + lo)
-            ok = present \
-                & (delta % size == 0) \
-                & (rel_lo >= my_start) \
-                & (rel_lo + size <= my_end)
-            result[ok] = f
-        frag[lo:hi] = result
+        start_of_run[1:] = ~((frames[1:] == frames[:-1] + 1) & present[1:]
+                             & present[:-1] & (flags[1:] == flags[:-1]))
+        starts = np.flatnonzero(start_of_run)
+        ends = np.append(starts[1:], n)
+        base = region.va_base + lo
+        # ctz(d | 2^cap) = min(ctz(d), cap), and ctz(0) becomes cap; fragments
+        # above 62 cannot occur below 2^53 pages and would overflow int64.
+        cap = min(self.max_fragment, 62)
+        out = region.frag_of(table)
+        for a in range(0, n, self._CHUNK):
+            b = min(n, a + self._CHUNK)
+            # Run index of every page: the run holding page a, then one more
+            # at each run start after it.
+            first = int(np.searchsorted(starts, a, side="right")) - 1
+            run = np.cumsum(start_of_run[a:b]) + (first - int(start_of_run[a]))
+            x = np.arange(base + a, base + b, dtype=np.int64)
+            d = (frames[a:b] - x) | (1 << cap)
+            # bitlen is monotone, so the smallest of the three bit lengths
+            # is the bit length of the smallest operand; frexp's exponent
+            # is the bit length, exact below 2^53.
+            v = np.minimum(np.minimum(x ^ (starts[run] + (base - 1)),
+                                      x ^ (ends[run] + base)), d & -d)
+            frag = np.frexp(v.astype(np.float64))[1] - 1
+            out[lo + a:lo + b] = np.where(present[a:b], frag, -1)

@@ -129,3 +129,21 @@ def test_validate_reports_positive_counts():
 def test_validate_capacity_orderings():
     bad = machine._set_path(builtin_mi300a(), ("gpu", "l2_capacity"), 8 * KiB)
     assert any("capacity ordering" in v for v in validate(bad))
+
+
+@pytest.mark.parametrize("doc", [
+    "placement.frame_block_pages = 96\n",
+    "placement.kernel_batch_pages = 12\n",
+    "placement.kernel_batch_pages = 0\n",
+])
+def test_load_profile_rejects_non_power_of_two_placement_sizes(doc):
+    with pytest.raises(ProfileValidationError) as err:
+        load_profile(doc)
+    assert any("power of two" in v for v in err.value.violations)
+
+
+def test_power_of_two_placement_sizes_load():
+    p = load_profile("placement.frame_block_pages = 256\n"
+                     "placement.kernel_batch_pages = 32\n")
+    assert (p.placement.frame_block_pages, p.placement.kernel_batch_pages) \
+        == (256, 32)

@@ -156,6 +156,64 @@ def test_frame_conservation_counter():
     assert m.pool.free_frames == total
 
 
+# -- failed placements roll back ------------------------------------------
+
+def fragmented_manager(free_block=False):
+    """8 MiB pool whose free frames are every other page plus four whole
+    16-page runs (and, if asked, one whole block): enough frames for a
+    1 MiB request, but only four 16-page batches."""
+    from dataclasses import replace
+    profile = replace(builtin_mi300a(), hbm_capacity=8 * MiB)
+    m = MemoryManager(profile, seed=0)
+    pages = [m.allocate(K.PINNED_HOST, profile.page_size)
+             for _ in range(m.pool.total_frames)]
+    by_frame = {a.frame_runs[0][0]: a for a in pages}
+    free = set(range(0, len(pages), 2))
+    for run in (160, 512, 1040, 1600):
+        free.update(range(run, run + 16))
+    if free_block:
+        free.update(range(1792, 1792 + m.pool.block_pages))
+    for frame in sorted(free):
+        m.release(by_frame[frame])
+    return m
+
+
+def reserved_frames(m):
+    return sum(n for a in m.allocations.values() if a.live
+               for _, n in a.frame_runs)
+
+
+def test_failed_allocate_releases_partial_draws():
+    m = fragmented_manager()
+    snap = m.pool.snapshot()
+    next_va, n_allocs = m.table._next_va, len(m.allocations)
+    assert m.pool.free_frames > 256
+    with pytest.raises(OutOfMemory):
+        m.allocate(K.PINNED_HOST, 1 * MiB)
+    assert m.pool.used_frames == reserved_frames(m)
+    assert m.pool.snapshot() == snap
+    # No virtual reservation and no id is used up by the failed call.
+    assert (m.table._next_va, len(m.allocations)) == (next_va, n_allocs)
+    a = m.allocate(K.PINNED_HOST, 4 * KiB)
+    assert a.id == n_allocs + 1 and a.va_base >= next_va
+
+
+@pytest.mark.parametrize("agent", [Agent.CPU, Agent.GPU])
+def test_failed_touch_releases_partial_draws(agent):
+    # The GPU draws whole blocks: one is free, the touch needs two.
+    m = fragmented_manager(free_block=agent is Agent.GPU)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+    snap = m.pool.snapshot()
+    with pytest.raises(OutOfMemory):
+        m.touch(a, None, agent)
+    assert m.pool.used_frames == reserved_frames(m)
+    assert m.pool.snapshot() == snap
+    assert (a.mapped_pages, a.frame_runs, a.first_touch_agent) == (0, [], None)
+    # The allocation stays usable where frames do suffice.
+    assert len(m.touch(a, (0, 16), agent)) == 16
+    assert m.pool.used_frames == reserved_frames(m)
+
+
 def test_placement_determinism():
     def frames_of(seed):
         m = manager(seed=seed)

@@ -72,6 +72,76 @@ def test_fragment_oracle_large_mappings():
                 brute_fragment(region, int(off), SYSTEM, base, f_cap=12)
 
 
+def assert_fragments_match_oracle(t, base, offsets, table, f_cap):
+    region, _ = t._region_at(base)
+    flags = region.sys_flags if table == SYSTEM else region.gpu_flags
+    for off in offsets:
+        off = int(off)
+        expected = brute_fragment(region, off, table, base, f_cap=f_cap) \
+            if flags[off] else -1
+        assert int(region.frag_of(table)[off]) == expected, (table, off)
+
+
+def test_fragment_oracle_small_max_fragment():
+    rng = np.random.default_rng(303)
+    for _ in range(150):
+        t = DualTable(3)
+        n = int(rng.integers(2, 96))
+        base = random_mapping(rng, t, n)
+        assert_fragments_match_oracle(t, base, range(n), SYSTEM, f_cap=3)
+
+
+def test_fragment_oracle_gpu_table_after_partial_propagate_and_unmap():
+    rng = np.random.default_rng(515)
+    for _ in range(60):
+        t = DualTable(31)
+        n = int(rng.integers(64, 256))
+        base = t.reserve(n, align_pages=512)
+        start = int(rng.integers(0, 1 << 12)) << 4
+        frames = np.arange(start, start + n)
+        # A few frame jumps break the map into several runs.
+        for cut in rng.integers(1, n, size=int(rng.integers(0, 4))):
+            frames[cut:] += int(rng.integers(1, 64))
+        t.map_range(SYSTEM, base, frames)
+        lo = int(rng.integers(0, n - 1))
+        hi = int(rng.integers(lo + 1, n + 1))
+        t.propagate(base + lo, hi - lo)
+        a = int(rng.integers(1, n - 1))
+        b = int(rng.integers(a + 1, n))
+        # Pages next to each edge, plus a random sample.
+        near = {e + d for e in (0, lo, hi, a, b, n) for d in (-2, -1, 0, 1)}
+        sample = sorted({o for o in near if 0 <= o < n}
+                        | set(rng.integers(0, n, size=16).tolist()))
+        assert_fragments_match_oracle(t, base, sample, GPU, f_cap=12)
+        t.unmap_range(base + a, b - a)
+        for table in (SYSTEM, GPU):
+            assert_fragments_match_oracle(t, base, sample, table, f_cap=12)
+
+
+def test_fragment_oracle_across_recompute_chunks():
+    chunk = DualTable._CHUNK
+    t = DualTable(31)
+    n = 3 * chunk + 777
+    base = t.reserve(n + 1000, align_pages=1 << 18)
+    frames = np.arange(n, dtype=np.int64) + (5 << 18) + 1000
+    # Two frame jumps make three runs, so a chunk starts inside a run
+    # that began in an earlier chunk.
+    jumps = [k * chunk + 4096 for k in (1, 2)]
+    for j in jumps:
+        frames[j:] += 1 << 18
+    # The window starts 1000 pages into the reservation, so every chunk
+    # boundary falls inside a large aligned block.
+    t.map_range(SYSTEM, base + 1000, frames)
+    t.propagate(base + 1000, n)
+    edges = [k * chunk for k in range(4)] + jumps + [n]
+    offsets = sorted({1000 + e + d for e in edges for d in (-2, -1, 0, 1)
+                      if 0 <= 1000 + e + d < n + 1000})
+    for table in (SYSTEM, GPU):
+        assert_fragments_match_oracle(t, base, offsets, table, f_cap=18)
+    region, _ = t._region_at(base)
+    assert max(int(region.sys_frag[o]) for o in offsets) >= 12
+
+
 def test_frame_conservation_random_op_sequences():
     profile = small_profile()
     total_ops = 0

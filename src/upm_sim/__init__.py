@@ -13,8 +13,8 @@ from .machine import MachineProfile, builtin_mi300a, load_profile, \
 from .memmgr import (Agent, AllocatorKind, FramePolicy, MemoryManager,
                      Policy, UsageCounter, alloc_time_model, classify,
                      free_time_model)
-from .fault import FaultEvent, FaultKind, Scenario, latency_sample, \
-    prefault_pipeline, throughput as fault_throughput
+from .fault import FaultKind, Scenario, prefault_pipeline, \
+    throughput as fault_throughput
 from .perf import (ChannelLoad, LatencyBreakdown, channel_load, channel_of,
                    chase_latency, memcpy_bandwidth, triad_bandwidth)
 from .atomics import AtomicsResult, AtomicsWorkload, Dtype, collision_rate
@@ -26,8 +26,8 @@ __all__ = [
     "MachineProfile", "builtin_mi300a", "load_profile", "serialize_profile",
     "validate", "Agent", "AllocatorKind", "FramePolicy", "MemoryManager",
     "Policy", "UsageCounter", "alloc_time_model", "classify",
-    "free_time_model", "FaultEvent", "FaultKind", "Scenario",
-    "latency_sample", "prefault_pipeline", "fault_throughput", "ChannelLoad",
+    "free_time_model", "FaultKind", "Scenario", "prefault_pipeline",
+    "fault_throughput", "ChannelLoad",
     "LatencyBreakdown", "channel_load", "channel_of", "chase_latency",
     "memcpy_bandwidth", "triad_bandwidth", "AtomicsResult",
     "AtomicsWorkload", "Dtype", "collision_rate", "WorkloadSpec", "report",

@@ -5,7 +5,8 @@
     upm-sim verify [--profile FILE] [--seed N]
     upm-sim profile dump [--profile FILE]
 
-UPM_SIM_SEED sets the default seed. Exit codes: 0 success, 1 usage error,
+UPM_SIM_SEED sets the default seed. Exit codes: 0 success, 1 usage error
+(a bad profile or grid value, reported in one line on stderr),
 2 verification failure.
 """
 
@@ -16,8 +17,14 @@ import os
 import sys
 
 from . import harness, units
+from .atomics import InvalidWorkload
 from .machine import (ProfileParseError, ProfileValidationError,
                       builtin_mi300a, load_profile, serialize_profile)
+from .memmgr import OutOfMemory, ZeroSize
+
+# Errors a grid point can raise on bad input; each becomes one line, exit 1.
+# ValueError covers grid values out of range (an unknown scenario, 0 threads).
+_INPUT_ERRORS = (ValueError, OutOfMemory, ZeroSize, InvalidWorkload)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
             text = harness.report(rows, args.format)
         except harness.UsageError as exc:
             print(f"upm-sim: {exc}", file=sys.stderr)
+            return 1
+        except _INPUT_ERRORS as exc:
+            print(f"upm-sim: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

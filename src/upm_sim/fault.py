@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import FaultScenarioParams, MachineProfile
-
-_Z95 = 1.6448536269514722  # standard normal 95th percentile
+from .machine import Z95, FaultScenarioParams, MachineProfile, lognormal_misfit
 
 
 class FaultKind(enum.Enum):
@@ -36,13 +34,6 @@ class Scenario(enum.Enum):
     GPU_MAJOR = "gpu_major"
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    kind: FaultKind
-    page: int            # virtual page number
-    latency_us: float
-
-
 def scenario_params(profile: MachineProfile, scenario: Scenario) -> FaultScenarioParams:
     return getattr(profile.fault, scenario.value)
 
@@ -51,26 +42,17 @@ def _lognormal_params(mean: float, p95: float) -> tuple[float, float]:
     """Solve (mu, sigma) of a lognormal with the given mean and p95.
 
     mean = exp(mu + sigma^2/2), p95 = exp(mu + z*sigma). Takes the small
-    sigma root so the distribution stays unimodal near the mean.
+    sigma root so the distribution stays unimodal near the mean. Raises
+    ValueError when machine.lognormal_misfit finds no such lognormal.
     """
-    if p95 < mean:
-        raise ValueError("p95 below mean")
+    misfit = lognormal_misfit(mean, p95)
+    if misfit:
+        raise ValueError(misfit)
     if p95 == mean:
         return math.log(mean), 0.0
-    log_ratio = math.log(p95 / mean)
-    disc = _Z95 * _Z95 - 2.0 * log_ratio
-    if disc < 0:
-        raise ValueError("p95/mean ratio too large for a lognormal fit")
-    sigma = _Z95 - math.sqrt(disc)
+    sigma = Z95 - math.sqrt(Z95 * Z95 - 2.0 * math.log(p95 / mean))
     mu = math.log(mean) - sigma * sigma / 2.0
     return mu, sigma
-
-
-_KIND_TO_SCENARIO = {
-    FaultKind.CPU: Scenario.CPU1,
-    FaultKind.GPU_MINOR: Scenario.GPU_MINOR,
-    FaultKind.GPU_MAJOR: Scenario.GPU_MAJOR,
-}
 
 
 class LatencyModel:
@@ -87,16 +69,6 @@ class LatencyModel:
                size: int | None = None):
         mu, sigma = self._params[scenario]
         return rng.lognormal(mean=mu, sigma=sigma, size=size)
-
-    def sample_kind(self, kind: FaultKind, rng: np.random.Generator,
-                    size: int | None = None):
-        return self.sample(_KIND_TO_SCENARIO[kind], rng, size)
-
-
-def latency_sample(profile: MachineProfile, scenario: Scenario,
-                   rng: np.random.Generator) -> float:
-    """Draw one fault-resolution latency in microseconds."""
-    return float(LatencyModel(profile).sample(scenario, rng))
 
 
 def throughput(profile: MachineProfile, scenario: Scenario, n_pages: int) -> float:

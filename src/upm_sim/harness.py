@@ -244,23 +244,17 @@ def _bench_stream(profile, spec):
                             "init": init.value, "threads": threads}
                     try:
                         if agent is Agent.GPU:
-                            spec_a = classify(kind, profile.xnack)
-                            if not spec_a.gpu_access:
-                                raise AccessViolation(
-                                    f"GPU cannot stream {kind.value}")
-                            if kind is AllocatorKind.STATIC_MANAGED:
-                                bwv = profile.bw_model.static_managed_bw
-                                rows.append(_row("stream", keys, "bandwidth",
-                                                 bwv, "bytes/s"))
-                                continue
-                            ws = perf.build_triad_workset(profile, kind, init,
-                                                          spec.seed)
+                            ws = perf.gpu_triad_workset(profile, kind, init,
+                                                        spec.seed)
                             bwv = perf.triad_bandwidth(profile, agent, kind,
                                                        init, threads, ws)
                             rows.append(_row("stream", keys, "bandwidth",
                                              bwv, "bytes/s"))
-                            rows.append(_row("stream", keys, tlb.COUNTER_NAME,
-                                             float(ws.tlb_misses), "misses"))
+                            if ws is not None:
+                                rows.append(_row("stream", keys,
+                                                 tlb.COUNTER_NAME,
+                                                 float(ws.tlb_misses),
+                                                 "misses"))
                         else:
                             stats = build_cpu_stream_stats(profile, kind, init,
                                                            threads, spec.seed)
@@ -574,7 +568,7 @@ def evaluate_anchors(profile: MachineProfile, seed: int = 0) -> list[AnchorResul
     profile1 = replace(profile, xnack=True)
 
     def gpu_bw(prof, kind, init=cpu):
-        ws = perf.build_triad_workset(prof, kind, init, seed)
+        ws = perf.gpu_triad_workset(prof, kind, init, seed)
         return perf.triad_bandwidth(prof, gpu, kind, init, 1, ws)
 
     res.append(_between(Anchor("bw.gpu.device", 3.5e12, 3.6e12, "bytes/s",

@@ -6,19 +6,32 @@ MI300A-class part: 128 GiB HBM3 behind 8 stacks x 16 channels, a 256 MiB
 memory-side cache shared by CPU and GPU, 228 GPU compute units and 24 CPU
 cores, with dual page tables and optional fault replay (XNACK).
 
+Each leaf field's metadata declares its unit dimension, its check (byte,
+rate, time and count values default to positive) and its document key
+where that differs from the field name. The dotted-key table read by
+load_profile, serialize_profile and validate is derived from the fields
+once, at import; rules that span several fields live in validate.
+
 Profiles are immutable after construction and safe to share between
 concurrently running experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import math
+import typing
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
+                         replace)
 
 from . import units
+from .units import BYTES, COUNT, FLAG, RATE, SCALAR, TIME_NS, TIME_US
 
 KiB = 1024
 MiB = 1024**2
 GiB = 1024**3
+
+Z95 = 1.6448536269514722  # standard normal 95th percentile
 
 
 class ProfileParseError(ValueError):
@@ -37,29 +50,58 @@ class ProfileValidationError(ValueError):
         self.violations = violations
 
 
+# Per-field checks: (what a valid value is, predicate).
+POSITIVE = ("positive", lambda v: v > 0)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+POWER_OF_TWO = ("a positive power of two", lambda v: v > 0 and not v & (v - 1))
+
+_DEFAULT_CHECK = {BYTES: POSITIVE, RATE: POSITIVE, TIME_NS: POSITIVE,
+                  TIME_US: POSITIVE, COUNT: POSITIVE}
+
+
+def _key(dim, default=MISSING, check=None, key=None):
+    """A profile field: unit dimension, check and document key."""
+    return field(default=default, metadata={
+        "dim": dim, "check": check or _DEFAULT_CHECK.get(dim), "key": key})
+
+
 @dataclass(frozen=True)
 class GpuParams:
-    l1_capacity: int = 16 * KiB
-    l2_capacity: int = 4 * MiB
-    l1_latency: float = 57.0          # ns, dependent-load hit
-    l2_latency: float = 104.0
-    ic_latency: float = 212.0
-    hbm_latency: float = 350.0
-    cus: int = 228
-    tlb_entries: int = 32             # fragment-granular L1 TLB entries
+    l1_capacity: int = _key(BYTES, 16 * KiB)
+    l2_capacity: int = _key(BYTES, 4 * MiB)
+    l1_latency: float = _key(TIME_NS, 57.0)      # dependent-load hit
+    l2_latency: float = _key(TIME_NS, 104.0)
+    ic_latency: float = _key(TIME_NS, 212.0)
+    hbm_latency: float = _key(TIME_NS, 350.0)
+    cus: int = _key(COUNT, 228)
+    tlb_entries: int = _key(COUNT, 32)           # fragment-granular L1 entries
 
 
 @dataclass(frozen=True)
 class CpuParams:
-    l1_capacity: int = 32 * KiB
-    l2_capacity: int = 1 * MiB
-    l3_capacity: int = 96 * MiB
-    l1_latency: float = 1.0           # ns
-    l2_latency: float = 12.0
-    l3_latency: float = 175.0
-    ic_latency: float = 180.0
-    hbm_latency: float = 241.0
-    cores: int = 24
+    l1_capacity: int = _key(BYTES, 32 * KiB)
+    l2_capacity: int = _key(BYTES, 1 * MiB)
+    l3_capacity: int = _key(BYTES, 96 * MiB)
+    l1_latency: float = _key(TIME_NS, 1.0)
+    l2_latency: float = _key(TIME_NS, 12.0)
+    l3_latency: float = _key(TIME_NS, 175.0)
+    ic_latency: float = _key(TIME_NS, 180.0)
+    hbm_latency: float = _key(TIME_NS, 241.0)
+    cores: int = _key(COUNT, 24)
+
+
+def lognormal_misfit(mean: float, p95: float) -> str | None:
+    """Why no lognormal has this mean and 95th percentile (None if one does).
+
+    With mean = exp(mu + sigma^2/2) and p95 = exp(mu + z*sigma), the ratio
+    p95/mean = exp(z*sigma - sigma^2/2) is at most exp(z^2/2), about 3.87.
+    """
+    if p95 < mean:
+        return "p95 below mean"
+    if math.log(p95 / mean) > Z95 * Z95 / 2.0:
+        return "p95/mean ratio too large for a lognormal fit"
+    return None
 
 
 @dataclass(frozen=True)
@@ -71,10 +113,11 @@ class FaultScenarioParams:
     single-page rate matches the inverse mean latency exactly.
     """
 
-    mean_latency_us: float
-    p95_latency_us: float
-    plateau_pages_per_s: float
-    half_saturation_pages: float
+    mean_latency_us: float = _key(TIME_US, key="mean_latency")
+    p95_latency_us: float = _key(TIME_US, key="p95_latency")
+    plateau_pages_per_s: float = _key(SCALAR, check=POSITIVE, key="plateau")
+    half_saturation_pages: float = _key(SCALAR, check=POSITIVE,
+                                        key="half_saturation")
 
 
 @dataclass(frozen=True)
@@ -99,19 +142,19 @@ class BwModel:
     memory-side cache can serve for the allocation's channel balance.
     """
 
-    walk_penalty: float = 6390.0
-    gpu_peak_fraction: float = 0.5656
-    cpu_bw_upfront: float = 208e9       # bytes/s
-    cpu_bw_ondemand: float = 181e9
-    cpu_per_thread_bw: float = 9e9
-    static_managed_bw: float = 103e9
-    memcpy_sdma_bw: float = 58e9
-    memcpy_nosdma_bw: float = 850e9
-    memcpy_d2d_bw: float = 1900e9
-    gpu_stream_array_bytes: int = 256 * MiB
-    cpu_stream_array_bytes: int = 610 * MiB
-    stream_element_bytes: int = 8
-    triad_iterations: int = 103
+    walk_penalty: float = _key(SCALAR, 6390.0, NON_NEGATIVE)
+    gpu_peak_fraction: float = _key(SCALAR, 0.5656, POSITIVE)
+    cpu_bw_upfront: float = _key(RATE, 208e9)
+    cpu_bw_ondemand: float = _key(RATE, 181e9)
+    cpu_per_thread_bw: float = _key(RATE, 9e9)
+    static_managed_bw: float = _key(RATE, 103e9)
+    memcpy_sdma_bw: float = _key(RATE, 58e9)
+    memcpy_nosdma_bw: float = _key(RATE, 850e9)
+    memcpy_d2d_bw: float = _key(RATE, 1900e9)
+    gpu_stream_array_bytes: int = _key(BYTES, 256 * MiB)
+    cpu_stream_array_bytes: int = _key(BYTES, 610 * MiB)
+    stream_element_bytes: int = _key(BYTES, 8)
+    triad_iterations: int = _key(COUNT, 103)
 
 
 @dataclass(frozen=True)
@@ -122,50 +165,52 @@ class AtomicsModel:
     scale is a free calibration, only ratios and orderings are anchored.
     """
 
-    cpu_native_rate: float = 1e8
-    cpu_cas_rate: float = 1e8 / 3.0
-    gpu_unit_rate: float = 2.5e7
-    contention_alpha: float = 2.0       # CPU line ping-pong cost per collider
-    cas_beta: float = 1.0               # extra CAS-loop cost per collider
-    hybrid_gamma: float = 0.05          # CPU coherence penalty when co-running
-    gpu_contention_alpha: float = 1.0
-    gpu_atomic_width: int = 2048        # concurrent ops the L2 atomic units take
-    cas_retry_cap: float = 16.0
-    cpu_l2_span: int = 24 * MiB         # aggregate L2 reach for atomics data
-    gpu_l2_span: int = 24 * MiB
-    cpu_l2_cost_factor: float = 1.5
-    cpu_mem_cost_factor: float = 4.0
-    gpu_mem_cost_factor: float = 3.0
+    cpu_native_rate: float = _key(SCALAR, 1e8, POSITIVE)
+    cpu_cas_rate: float = _key(SCALAR, 1e8 / 3.0, POSITIVE)
+    gpu_unit_rate: float = _key(SCALAR, 2.5e7, POSITIVE)
+    # Contention costs: CPU line ping-pong and extra CAS loops per collider,
+    # CPU coherence penalty when co-running, GPU cost per collider.
+    contention_alpha: float = _key(SCALAR, 2.0, NON_NEGATIVE)
+    cas_beta: float = _key(SCALAR, 1.0, NON_NEGATIVE)
+    hybrid_gamma: float = _key(SCALAR, 0.05, NON_NEGATIVE)
+    gpu_contention_alpha: float = _key(SCALAR, 1.0, NON_NEGATIVE)
+    gpu_atomic_width: int = _key(COUNT, 2048)    # ops the L2 atomic units take
+    cas_retry_cap: float = _key(SCALAR, 16.0, POSITIVE)
+    cpu_l2_span: int = _key(BYTES, 24 * MiB)     # aggregate L2 reach for data
+    gpu_l2_span: int = _key(BYTES, 24 * MiB)
+    cpu_l2_cost_factor: float = _key(SCALAR, 1.5, POSITIVE)
+    cpu_mem_cost_factor: float = _key(SCALAR, 4.0, POSITIVE)
+    gpu_mem_cost_factor: float = _key(SCALAR, 3.0, POSITIVE)
 
 
 @dataclass(frozen=True)
 class AllocTimeModel:
     """Anchors of the allocation/free cost curves (piecewise models)."""
 
-    libc_small_ns: float = 14.0
-    libc_mmap_threshold: int = 128 * KiB
-    libc_1gib_us: float = 6.0
-    upfront_granularity: int = 16 * KiB
-    device_small_us: float = 10.0
-    device_1gib_ms: float = 37.0
-    pinned_small_us: float = 15.0
-    pinned_1gib_ms: float = 200.0
-    managed0_small_us: float = 34.0
-    managed0_1gib_ms: float = 400.0
-    registered_small_us: float = 20.0
-    registered_1gib_ms: float = 250.0
-    managed1_const_us: float = 20.0
-    static_const_us: float = 1.0
-    libc_free_small_factor: float = 0.7
-    libc_free_crossover: int = 16 * MiB
-    libc_free_slow_factor: float = 6.0   # free/alloc ratio at 2x crossover
-    libc_free_cap: float = 9.0
-    device_free_small_factor: float = 0.7
-    device_free_crossover: int = 2 * MiB
-    device_free_cap: float = 22.0        # reached at 256 MiB
-    pinned_free_small_us: float = 220.0
-    pinned_free_1gib_ms: float = 67.0
-    managed1_free_us: float = 12.0
+    libc_small_ns: float = _key(SCALAR, 14.0, NON_NEGATIVE)
+    libc_mmap_threshold: int = _key(BYTES, 128 * KiB)
+    libc_1gib_us: float = _key(SCALAR, 6.0, NON_NEGATIVE)
+    upfront_granularity: int = _key(BYTES, 16 * KiB)
+    device_small_us: float = _key(SCALAR, 10.0, NON_NEGATIVE)
+    device_1gib_ms: float = _key(SCALAR, 37.0, NON_NEGATIVE)
+    pinned_small_us: float = _key(SCALAR, 15.0, NON_NEGATIVE)
+    pinned_1gib_ms: float = _key(SCALAR, 200.0, NON_NEGATIVE)
+    managed0_small_us: float = _key(SCALAR, 34.0, NON_NEGATIVE)
+    managed0_1gib_ms: float = _key(SCALAR, 400.0, NON_NEGATIVE)
+    registered_small_us: float = _key(SCALAR, 20.0, NON_NEGATIVE)
+    registered_1gib_ms: float = _key(SCALAR, 250.0, NON_NEGATIVE)
+    managed1_const_us: float = _key(SCALAR, 20.0, NON_NEGATIVE)
+    static_const_us: float = _key(SCALAR, 1.0, NON_NEGATIVE)
+    libc_free_small_factor: float = _key(SCALAR, 0.7, NON_NEGATIVE)
+    libc_free_crossover: int = _key(BYTES, 16 * MiB)
+    libc_free_slow_factor: float = _key(SCALAR, 6.0, NON_NEGATIVE)  # at 2x
+    libc_free_cap: float = _key(SCALAR, 9.0, NON_NEGATIVE)
+    device_free_small_factor: float = _key(SCALAR, 0.7, NON_NEGATIVE)
+    device_free_crossover: int = _key(BYTES, 2 * MiB)
+    device_free_cap: float = _key(SCALAR, 22.0, NON_NEGATIVE)  # at 256 MiB
+    pinned_free_small_us: float = _key(SCALAR, 220.0, NON_NEGATIVE)
+    pinned_free_1gib_ms: float = _key(SCALAR, 67.0, NON_NEGATIVE)
+    managed1_free_us: float = _key(SCALAR, 12.0, NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -181,28 +226,28 @@ class PlacementModel:
     memory.
     """
 
-    frame_block_pages: int = 128
-    kernel_batch_pages: int = 16
-    cpu_touch_scatter_degree: float = 0.75
-    host_upfront_scatter_degree: float = 1.0
-    scatter_zipf_scale: float = 4.2
-    gpu_init_cpu_map_pages: int = 56    # CPU mapping grain after GPU first touch
-    runtime_baseline_pages: int = 200   # process startup residency in fault counts
+    frame_block_pages: int = _key(COUNT, 128, POWER_OF_TWO)
+    kernel_batch_pages: int = _key(COUNT, 16, POWER_OF_TWO)
+    cpu_touch_scatter_degree: float = _key(SCALAR, 0.75, FRACTION)
+    host_upfront_scatter_degree: float = _key(SCALAR, 1.0, FRACTION)
+    scatter_zipf_scale: float = _key(SCALAR, 4.2, NON_NEGATIVE)
+    gpu_init_cpu_map_pages: int = _key(COUNT, 56)    # CPU map grain, GPU-init
+    runtime_baseline_pages: int = _key(COUNT, 200)   # startup residency
 
 
 @dataclass(frozen=True)
 class MachineProfile:
-    hbm_capacity: int = 128 * GiB
-    hbm_peak_bw: float = 5.3e12
-    ic_capacity: int = 256 * MiB
-    ic_peak_bw: float = 17.2e12
-    stacks: int = 8
-    channels_per_stack: int = 16
-    interleave_granularity: int = 4096
-    page_size: int = 4096
-    fragment_field_bits: int = 5
-    xnack: bool = True
-    hip_cpu_map_granularity: int = 512 * KiB
+    hbm_capacity: int = _key(BYTES, 128 * GiB)
+    hbm_peak_bw: float = _key(RATE, 5.3e12)
+    ic_capacity: int = _key(BYTES, 256 * MiB)
+    ic_peak_bw: float = _key(RATE, 17.2e12)
+    stacks: int = _key(COUNT, 8)
+    channels_per_stack: int = _key(COUNT, 16)
+    interleave_granularity: int = _key(BYTES, 4096)
+    page_size: int = _key(BYTES, 4096)
+    fragment_field_bits: int = _key(COUNT, 5)
+    xnack: bool = _key(FLAG, True)
+    hip_cpu_map_granularity: int = _key(BYTES, 512 * KiB)
     gpu: GpuParams = field(default_factory=GpuParams)
     cpu: CpuParams = field(default_factory=CpuParams)
     fault: FaultParams = field(default_factory=FaultParams)
@@ -230,120 +275,40 @@ def builtin_mi300a() -> MachineProfile:
 
 
 # --------------------------------------------------------------------------
-# Profile documents: dotted-key registry, parser, serializer, validation
+# Profile documents: dotted-key table, parser, serializer, validation
 # --------------------------------------------------------------------------
 
-# (dotted key, attribute path, dimension)
-_KEYS: list[tuple[str, tuple[str, ...], str]] = []
+def _key_table(cls, path=(), prefix=""):
+    """(dotted key, attribute path, dimension, check) of every leaf field."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _key_table(hints[f.name], path + (f.name,),
+                                  f"{prefix}{f.name}.")
+        else:
+            yield (prefix + (f.metadata["key"] or f.name), path + (f.name,),
+                   f.metadata["dim"], f.metadata["check"])
 
 
-def _reg(key, path, dim):
-    _KEYS.append((key, path, dim))
-
-
-_reg("hbm_capacity", ("hbm_capacity",), units.BYTES)
-_reg("hbm_peak_bw", ("hbm_peak_bw",), units.RATE)
-_reg("ic_capacity", ("ic_capacity",), units.BYTES)
-_reg("ic_peak_bw", ("ic_peak_bw",), units.RATE)
-_reg("stacks", ("stacks",), units.COUNT)
-_reg("channels_per_stack", ("channels_per_stack",), units.COUNT)
-_reg("interleave_granularity", ("interleave_granularity",), units.BYTES)
-_reg("page_size", ("page_size",), units.BYTES)
-_reg("fragment_field_bits", ("fragment_field_bits",), units.COUNT)
-_reg("xnack", ("xnack",), units.FLAG)
-_reg("hip_cpu_map_granularity", ("hip_cpu_map_granularity",), units.BYTES)
-
-for _f, _dim in [("l1_capacity", units.BYTES), ("l2_capacity", units.BYTES),
-                 ("l1_latency", units.TIME_NS), ("l2_latency", units.TIME_NS),
-                 ("ic_latency", units.TIME_NS), ("hbm_latency", units.TIME_NS),
-                 ("cus", units.COUNT), ("tlb_entries", units.COUNT)]:
-    _reg(f"gpu.{_f}", ("gpu", _f), _dim)
-
-for _f, _dim in [("l1_capacity", units.BYTES), ("l2_capacity", units.BYTES),
-                 ("l3_capacity", units.BYTES), ("l1_latency", units.TIME_NS),
-                 ("l2_latency", units.TIME_NS), ("l3_latency", units.TIME_NS),
-                 ("ic_latency", units.TIME_NS), ("hbm_latency", units.TIME_NS),
-                 ("cores", units.COUNT)]:
-    _reg(f"cpu.{_f}", ("cpu", _f), _dim)
-
-for _s in ("cpu1", "cpu12", "gpu_minor", "gpu_major"):
-    _reg(f"fault.{_s}.mean_latency", ("fault", _s, "mean_latency_us"), units.TIME_US)
-    _reg(f"fault.{_s}.p95_latency", ("fault", _s, "p95_latency_us"), units.TIME_US)
-    _reg(f"fault.{_s}.plateau", ("fault", _s, "plateau_pages_per_s"), units.SCALAR)
-    _reg(f"fault.{_s}.half_saturation", ("fault", _s, "half_saturation_pages"), units.SCALAR)
-
-for _f, _dim in [("walk_penalty", units.SCALAR), ("gpu_peak_fraction", units.SCALAR),
-                 ("cpu_bw_upfront", units.RATE), ("cpu_bw_ondemand", units.RATE),
-                 ("cpu_per_thread_bw", units.RATE), ("static_managed_bw", units.RATE),
-                 ("memcpy_sdma_bw", units.RATE), ("memcpy_nosdma_bw", units.RATE),
-                 ("memcpy_d2d_bw", units.RATE),
-                 ("gpu_stream_array_bytes", units.BYTES),
-                 ("cpu_stream_array_bytes", units.BYTES),
-                 ("stream_element_bytes", units.BYTES),
-                 ("triad_iterations", units.COUNT)]:
-    _reg(f"bw_model.{_f}", ("bw_model", _f), _dim)
-
-for _f, _dim in [("cpu_native_rate", units.SCALAR), ("cpu_cas_rate", units.SCALAR),
-                 ("gpu_unit_rate", units.SCALAR), ("contention_alpha", units.SCALAR),
-                 ("cas_beta", units.SCALAR), ("hybrid_gamma", units.SCALAR),
-                 ("gpu_contention_alpha", units.SCALAR),
-                 ("gpu_atomic_width", units.COUNT), ("cas_retry_cap", units.SCALAR),
-                 ("cpu_l2_span", units.BYTES), ("gpu_l2_span", units.BYTES),
-                 ("cpu_l2_cost_factor", units.SCALAR),
-                 ("cpu_mem_cost_factor", units.SCALAR),
-                 ("gpu_mem_cost_factor", units.SCALAR)]:
-    _reg(f"atomics.{_f}", ("atomics", _f), _dim)
-
-for _f, _dim in [("libc_small_ns", units.SCALAR), ("libc_mmap_threshold", units.BYTES),
-                 ("libc_1gib_us", units.SCALAR), ("upfront_granularity", units.BYTES),
-                 ("device_small_us", units.SCALAR), ("device_1gib_ms", units.SCALAR),
-                 ("pinned_small_us", units.SCALAR), ("pinned_1gib_ms", units.SCALAR),
-                 ("managed0_small_us", units.SCALAR), ("managed0_1gib_ms", units.SCALAR),
-                 ("registered_small_us", units.SCALAR), ("registered_1gib_ms", units.SCALAR),
-                 ("managed1_const_us", units.SCALAR), ("static_const_us", units.SCALAR),
-                 ("libc_free_small_factor", units.SCALAR),
-                 ("libc_free_crossover", units.BYTES),
-                 ("libc_free_slow_factor", units.SCALAR), ("libc_free_cap", units.SCALAR),
-                 ("device_free_small_factor", units.SCALAR),
-                 ("device_free_crossover", units.BYTES),
-                 ("device_free_cap", units.SCALAR),
-                 ("pinned_free_small_us", units.SCALAR),
-                 ("pinned_free_1gib_ms", units.SCALAR),
-                 ("managed1_free_us", units.SCALAR)]:
-    _reg(f"alloc_model.{_f}", ("alloc_model", _f), _dim)
-
-for _f, _dim in [("frame_block_pages", units.COUNT), ("kernel_batch_pages", units.COUNT),
-                 ("cpu_touch_scatter_degree", units.SCALAR),
-                 ("host_upfront_scatter_degree", units.SCALAR),
-                 ("scatter_zipf_scale", units.SCALAR),
-                 ("gpu_init_cpu_map_pages", units.COUNT),
-                 ("runtime_baseline_pages", units.COUNT)]:
-    _reg(f"placement.{_f}", ("placement", _f), _dim)
-
-_KEY_INDEX = {key: (path, dim) for key, path, dim in _KEYS}
+_KEYS = tuple(_key_table(MachineProfile))
+_KEY_INDEX = {key: (path, dim) for key, path, dim, _ in _KEYS}
 
 
 def _get_path(profile, path):
-    obj = profile
-    for name in path:
-        obj = getattr(obj, name)
-    return obj
+    return functools.reduce(getattr, path, profile)
 
 
 def _set_path(profile, path, value):
     """Return a copy of profile with path replaced (profiles are frozen)."""
-    if len(path) == 1:
-        return replace(profile, **{path[0]: value})
-    inner = getattr(profile, path[0])
-    new_inner = _set_path(inner, path[1:], value)
-    return replace(profile, **{path[0]: new_inner})
+    if len(path) > 1:
+        value = _set_path(getattr(profile, path[0]), path[1:], value)
+    return replace(profile, **{path[0]: value})
 
 
 def serialize_profile(profile: MachineProfile) -> str:
-    lines = []
-    for key, path, dim in _KEYS:
-        lines.append(f"{key} = {units.format_value(_get_path(profile, path), dim)}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {units.format_value(_get_path(profile, path), dim)}\n"
+        for key, path, dim, _ in _KEYS)
 
 
 def load_profile(text: str) -> MachineProfile:
@@ -358,7 +323,8 @@ def load_profile(text: str) -> MachineProfile:
         if not line:
             continue
         if "=" not in line:
-            raise ProfileParseError(line_no, f"expected 'key = value', got {raw!r}")
+            raise ProfileParseError(line_no,
+                                    f"expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _KEY_INDEX:
@@ -376,21 +342,13 @@ def load_profile(text: str) -> MachineProfile:
 
 
 def validate(profile: MachineProfile) -> list[str]:
-    """Return the list of violated invariants (empty when valid)."""
+    """Return the list of violated invariants (empty when valid); the
+    cross-field rules run only once every field check passes."""
     v: list[str] = []
-
-    def positive(name, value):
-        if value <= 0:
-            v.append(f"{name}: positive counts ({value!r})")
-
-    for name in ("hbm_capacity", "hbm_peak_bw", "ic_capacity", "ic_peak_bw",
-                 "stacks", "channels_per_stack", "interleave_granularity",
-                 "page_size", "fragment_field_bits", "hip_cpu_map_granularity"):
-        positive(name, getattr(profile, name))
-    for name in ("l1_capacity", "l2_capacity", "cus", "tlb_entries"):
-        positive(f"gpu.{name}", getattr(profile.gpu, name))
-    for name in ("l1_capacity", "l2_capacity", "l3_capacity", "cores"):
-        positive(f"cpu.{name}", getattr(profile.cpu, name))
+    for key, path, _, check in _KEYS:
+        value = _get_path(profile, path)
+        if check is not None and not check[1](value):
+            v.append(f"{key}: must be {check[0]} ({value!r})")
     if v:
         return v
 
@@ -412,38 +370,18 @@ def validate(profile: MachineProfile) -> list[str]:
         v.append("interleave_granularity: must equal page_size")
     if profile.hbm_capacity % profile.page_size != 0:
         v.append("hbm_capacity: must be a whole number of pages")
-
-    for rate_name in ("hbm_peak_bw", "ic_peak_bw"):
-        positive(rate_name, getattr(profile, rate_name))
-    for scen_name in ("cpu1", "cpu12", "gpu_minor", "gpu_major"):
-        scen = getattr(profile.fault, scen_name)
-        for f in ("mean_latency_us", "p95_latency_us", "plateau_pages_per_s",
-                  "half_saturation_pages"):
-            positive(f"fault.{scen_name}.{f}", getattr(scen, f))
-        if scen.p95_latency_us < scen.mean_latency_us:
-            v.append(f"fault.{scen_name}: p95 below mean")
-
+    if profile.hip_cpu_map_granularity % profile.page_size != 0:
+        v.append("hip_cpu_map_granularity: must be a whole number of pages")
     bw = profile.bw_model
-    for f in ("gpu_peak_fraction", "cpu_bw_upfront", "cpu_bw_ondemand",
-              "cpu_per_thread_bw", "static_managed_bw", "memcpy_sdma_bw",
-              "memcpy_nosdma_bw", "memcpy_d2d_bw", "triad_iterations"):
-        positive(f"bw_model.{f}", getattr(bw, f))
-    if bw.walk_penalty < 0:
-        v.append("bw_model.walk_penalty: must be non-negative")
-
+    if bw.gpu_stream_array_bytes < bw.stream_element_bytes:
+        v.append("bw_model.gpu_stream_array_bytes: must hold one stream element")
+    for f in fields(profile.fault):
+        scen = getattr(profile.fault, f.name)
+        misfit = lognormal_misfit(scen.mean_latency_us, scen.p95_latency_us)
+        if misfit:
+            v.append(f"fault.{f.name}.p95_latency: {misfit}")
     pl = profile.placement
-    sizes_ok = True
-    for name in ("frame_block_pages", "kernel_batch_pages"):
-        value = getattr(pl, name)
-        if value <= 0 or value & (value - 1):
-            v.append(f"placement.{name}: must be a positive power of two "
-                     f"({value!r})")
-            sizes_ok = False
-    if sizes_ok and pl.frame_block_pages % pl.kernel_batch_pages != 0:
-        v.append("placement.frame_block_pages: must be a multiple of kernel_batch_pages")
-    if not 0.0 <= pl.cpu_touch_scatter_degree <= 1.0:
-        v.append("placement.cpu_touch_scatter_degree: outside [0, 1]")
-    if not 0.0 <= pl.host_upfront_scatter_degree <= 1.0:
-        v.append("placement.host_upfront_scatter_degree: outside [0, 1]")
-
+    if pl.frame_block_pages % pl.kernel_batch_pages != 0:
+        v.append("placement.frame_block_pages: must be a multiple of "
+                 "kernel_batch_pages")
     return v

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pagetable
-from .fault import FaultEvent, FaultKind, LatencyModel, Scenario
+from .fault import FaultKind, LatencyModel, Scenario
 from .machine import MachineProfile
 
 
@@ -131,11 +131,10 @@ class FramePolicy:
 
 
 class FaultBatch:
-    """Vectorized list of FaultEvents produced by one touch call."""
+    """Vectorized faults (kind, virtual page, latency) of one touch call."""
 
     _KIND_CODES = {FaultKind.CPU: 0, FaultKind.GPU_MINOR: 1,
                    FaultKind.GPU_MAJOR: 2}
-    _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
     def __init__(self, kinds=None, pages=None, latencies_us=None):
         self.kinds = np.asarray(kinds if kinds is not None else [], dtype=np.uint8)
@@ -148,14 +147,6 @@ class FaultBatch:
 
     def count(self, kind: FaultKind) -> int:
         return int(np.count_nonzero(self.kinds == self._KIND_CODES[kind]))
-
-    def __iter__(self):
-        for code, page, lat in zip(self.kinds, self.pages, self.latencies_us):
-            yield FaultEvent(kind=self._CODE_KINDS[int(code)], page=int(page),
-                             latency_us=float(lat))
-
-    def to_list(self) -> list[FaultEvent]:
-        return list(self)
 
     @classmethod
     def merge(cls, batches) -> "FaultBatch":
@@ -435,10 +426,6 @@ class Allocation:
     cpu_chunk_pages: int | None = None
     cpu_chunks_mapped: set = field(default_factory=set)
     scatter_rng: np.random.Generator | None = field(default=None, repr=False)
-
-    @property
-    def length(self) -> int:
-        return self.size
 
     def page_range(self) -> tuple[int, int]:
         return self.va_base, self.va_base + self.n_pages

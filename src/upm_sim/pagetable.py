@@ -219,18 +219,6 @@ class DualTable:
             raise Unmapped("range not fully mapped in gpu table")
         return region.frames[sel], region.gpu_frag[sel]
 
-    def dump(self, va_page: int, n_pages: int, table: str = GPU) -> str:
-        """Debug text: one `va_page frame fragment` triple per mapped page."""
-        region, off = self._region_at(va_page)
-        lines = []
-        flags = region.flags_of(table)
-        frag = region.frag_of(table)
-        for i in range(off, min(off + n_pages, region.n_pages)):
-            if flags[i]:
-                lines.append(f"{region.va_base + i} {int(region.frames[i])} "
-                             f"{int(frag[i])}")
-        return "\n".join(lines)
-
     # -- fragment recomputation ----------------------------------------
 
     def _run_start(self, region: _Region, idx: int, table: str) -> int:

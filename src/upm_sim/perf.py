@@ -163,6 +163,18 @@ def build_triad_workset(profile: MachineProfile, kind: AllocatorKind,
                         tlb_misses=misses, miss_per_access=miss_rate)
 
 
+def gpu_triad_workset(profile: MachineProfile, kind: AllocatorKind,
+                      init_agent: Agent, seed: int = 0) -> TriadWorkset | None:
+    """The GPU streaming rules: AccessViolation when the GPU cannot reach
+    kind, None when its rate is fixed (static managed data), else the
+    workset the TRIAD model reads."""
+    if not classify(kind, profile.xnack).gpu_access:
+        raise AccessViolation(f"GPU cannot stream {kind.value} memory")
+    if kind is AllocatorKind.STATIC_MANAGED:
+        return None
+    return build_triad_workset(profile, kind, init_agent, seed)
+
+
 def gpu_stream_bandwidth(profile: MachineProfile, balance: float,
                          miss_per_access: float, working_bytes: int) -> float:
     """GPU TRIAD model: cache-blended peak over translation stalls."""
@@ -177,15 +189,16 @@ def triad_bandwidth(profile: MachineProfile, agent: Agent,
                     kind: AllocatorKind, init_agent: Agent = Agent.CPU,
                     threads: int = 1,
                     workset: TriadWorkset | None = None) -> float:
-    """Achievable TRIAD bandwidth (bytes/s) for one agent and allocator."""
+    """Achievable TRIAD bandwidth (bytes/s) for one agent and allocator.
+
+    A GPU workset, when given, comes from gpu_triad_workset for kind.
+    """
     spec = classify(kind, profile.xnack)
     if agent is Agent.GPU:
-        if not spec.gpu_access:
-            raise AccessViolation(f"GPU cannot stream {kind.value} memory")
-        if kind is AllocatorKind.STATIC_MANAGED:
-            return profile.bw_model.static_managed_bw
         if workset is None:
-            workset = build_triad_workset(profile, kind, init_agent)
+            workset = gpu_triad_workset(profile, kind, init_agent)
+            if workset is None:
+                return profile.bw_model.static_managed_bw
         return gpu_stream_bandwidth(profile, workset.balance,
                                     workset.miss_per_access,
                                     3 * workset.array_bytes)

@@ -28,11 +28,6 @@ class FragmentTlb:
         self.hits = 0
         self.misses = 0
 
-    def reset(self):
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
     def access_run(self, run_base: int, fragment: int) -> bool:
         """Translate one access whose page lies in the given fragment run.
 

@@ -26,10 +26,9 @@ def test_latency_distribution_moments(profile, scenario, mean, p95):
 
 
 def test_latency_sampling_deterministic(profile):
-    a = fault.latency_sample(profile, Scenario.CPU1,
-                             np.random.default_rng(7))
-    b = fault.latency_sample(profile, Scenario.CPU1,
-                             np.random.default_rng(7))
+    model = LatencyModel(profile)
+    a = model.sample(Scenario.CPU1, np.random.default_rng(7))
+    b = model.sample(Scenario.CPU1, np.random.default_rng(7))
     assert a == b
 
 

@@ -1,8 +1,9 @@
 """Byte-for-byte golden outputs at seed 0.
 
-The expected files are the benchmark's reference outputs in
-perfbench/reference/, read in place: `verify` text, the CSV of the
-latency, stream and usage grids, and the built-in profile document.
+The benchmark's reference outputs in perfbench/reference/ are read in
+place: `verify` text, the CSV of the latency, stream and usage grids, and
+the built-in profile document. The CSV of the other four grids (alloc,
+fault, atomics, memcpy) lives in tests/golden/.
 """
 
 from pathlib import Path
@@ -13,6 +14,7 @@ from upm_sim import harness
 from upm_sim.machine import builtin_mi300a, serialize_profile
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def reference(name: str) -> str:
@@ -24,10 +26,16 @@ def test_verify_text_matches_golden(profile):
     assert text == reference("verify.txt")
 
 
-@pytest.mark.parametrize("bench", ["latency", "stream", "usage"])
-def test_grid_csv_matches_golden(profile, bench):
+@pytest.mark.parametrize("directory,bench", [
+    *(pytest.param(REFERENCE, b, id=b)
+      for b in ("latency", "stream", "usage")),
+    *(pytest.param(GOLDEN, b, id=b)
+      for b in ("alloc", "fault", "atomics", "memcpy")),
+])
+def test_grid_csv_matches_golden(profile, directory, bench):
     rows = harness.run(profile, harness.WorkloadSpec(benchmark=bench, seed=0))
-    assert harness.report(rows, "csv") == reference(f"{bench}.csv")
+    expected = (directory / f"{bench}.csv").read_text(encoding="utf-8")
+    assert harness.report(rows, "csv") == expected
 
 
 def test_profile_dump_matches_golden():

@@ -150,6 +150,22 @@ def test_cli_usage_errors_exit_one(capsys):
     assert cli.main(["run", "alloc", "--grid", "kind=warp_drive"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "alloc", "--grid", "size=0"],
+    ["run", "latency", "--grid", "size=200GiB", "--grid", "kind=device",
+     "--grid", "agent=gpu"],
+    ["run", "atomics", "--grid", "gpu_threads=65"],
+    ["run", "fault", "--grid", "scenario=nope"],
+    ["run", "stream", "--grid", "agent=cpu", "--grid", "threads=0"],
+], ids=["zero-size", "out-of-memory", "gpu-threads", "scenario", "threads"])
+def test_cli_bad_grid_value_is_one_line(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("upm-sim: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_profile_dump_round_trips(tmp_path, capsys):
     assert cli.main(["profile", "dump"]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,43 @@
+import math
+
 import pytest
 
-from upm_sim import machine
+from upm_sim import harness, machine
+from upm_sim.fault import LatencyModel
 from upm_sim.machine import (GiB, KiB, MiB, ProfileParseError,
                              ProfileValidationError, builtin_mi300a,
                              load_profile, serialize_profile, validate)
+
+# (dotted key, check) of every checked key, read from the derived table.
+CHECKED_KEYS = [(key, check) for key, _, _, check in machine._KEYS if check]
+
+# A value each check rejects.
+BAD_VALUE = {machine.POSITIVE: "0", machine.POWER_OF_TWO: "0",
+             machine.NON_NEGATIVE: "-1", machine.FRACTION: "1.5"}
+
+# One-line documents that used to load and then crash `verify` with a
+# traceback (division by zero, zero-size allocations, lognormal fit).
+CRASH_DOCS = [
+    "bw_model.gpu_stream_array_bytes = 0",
+    "bw_model.cpu_stream_array_bytes = -1",
+    "bw_model.stream_element_bytes = 0",
+    "bw_model.gpu_stream_array_bytes = 1",
+    "atomics.cpu_native_rate = 0",
+    "atomics.cpu_cas_rate = 0",
+    "atomics.gpu_unit_rate = 0",
+    "atomics.contention_alpha = -1",
+    "atomics.hybrid_gamma = -1",
+    "atomics.gpu_atomic_width = 0",
+    "atomics.cas_retry_cap = -1",
+    "atomics.cpu_l2_cost_factor = 0",
+    "atomics.cpu_mem_cost_factor = 0",
+    "atomics.gpu_mem_cost_factor = 0",
+    "alloc_model.libc_free_crossover = 0",
+    "placement.gpu_init_cpu_map_pages = 0",
+    "placement.runtime_baseline_pages = 0",
+    "hip_cpu_map_granularity = 1KiB",
+    "fault.cpu1.p95_latency = 200us",
+]
 
 
 def test_builtin_headline_values():
@@ -147,3 +181,55 @@ def test_power_of_two_placement_sizes_load():
                      "placement.kernel_batch_pages = 32\n")
     assert (p.placement.frame_block_pages, p.placement.kernel_batch_pages) \
         == (256, 32)
+
+
+def test_key_table_has_every_check_kind():
+    assert {check for _, check in CHECKED_KEYS} == set(BAD_VALUE)
+    unchecked = [key for key, _, _, check in machine._KEYS if not check]
+    assert unchecked == ["xnack"]
+
+
+@pytest.mark.parametrize("key,check", CHECKED_KEYS,
+                         ids=[key for key, _ in CHECKED_KEYS])
+def test_field_check_rejects_bad_value(key, check):
+    with pytest.raises(ProfileValidationError) as err:
+        load_profile(f"{key} = {BAD_VALUE[check]}\n")
+    assert any(v.startswith(f"{key}: must be {check[0]}")
+               for v in err.value.violations)
+
+
+@pytest.mark.parametrize("doc", CRASH_DOCS)
+def test_crash_documents_are_rejected(doc):
+    key = doc.partition(" = ")[0]
+    with pytest.raises(ProfileValidationError) as err:
+        load_profile(doc)
+    assert any(v.startswith(f"{key}:") for v in err.value.violations)
+
+
+def test_hip_map_granularity_must_be_whole_pages():
+    for doc in ("hip_cpu_map_granularity = 6KiB",
+                "page_size = 8KiB\ninterleave_granularity = 8KiB\n"
+                "hip_cpu_map_granularity = 12KiB"):
+        with pytest.raises(ProfileValidationError) as err:
+            load_profile(doc)
+        assert any(v.startswith("hip_cpu_map_granularity:")
+                   for v in err.value.violations)
+    p = load_profile("hip_cpu_map_granularity = 8KiB")
+    rows = harness.run(p, harness.WorkloadSpec(
+        benchmark="usage", grid={"kind": ["managed"], "size": [1 * MiB]}))
+    assert all(r["metric"] == "bytes_used" for r in rows)
+
+
+def test_fault_p95_must_admit_a_lognormal():
+    widest = 9.0 * math.exp(machine.Z95 ** 2 / 2.0)
+    p = load_profile(f"fault.cpu1.p95_latency = {widest * (1 - 1e-9)!r}")
+    LatencyModel(p)
+    rows = harness.run(p, harness.WorkloadSpec(
+        benchmark="fault", grid={"scenario": ["cpu1"], "pages": [1],
+                                 "samples": [100]}))
+    assert all(r["metric"] != "error" for r in rows)
+    for p95 in (widest * (1 + 1e-9), 8.0):
+        with pytest.raises(ProfileValidationError) as err:
+            load_profile(f"fault.cpu1.p95_latency = {p95!r}")
+        assert any(v.startswith("fault.cpu1.p95_latency:")
+                   for v in err.value.violations)

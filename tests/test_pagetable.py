@@ -216,14 +216,3 @@ def test_fragment_order_independence():
                         for i in range(32)])
     assert results[0] == results[1] == results[2]
     assert results[0] == [5] * 32
-
-
-def test_dump_lists_triples():
-    t = fresh_table()
-    base = t.reserve(16)
-    t.map_range(SYSTEM, base, np.arange(64, 68))
-    t.propagate(base, 4)
-    lines = t.dump(base, 4).splitlines()
-    assert len(lines) == 4
-    va, frame, frag = map(int, lines[0].split())
-    assert (va, frame, frag) == (base, 64, 2)

@@ -685,7 +685,9 @@ def evaluate_anchors(profile: MachineProfile, seed: int = 0) -> list[AnchorResul
     for kind in (dev, pin, reg):
         times = np.array([alloc_time_model(profile, kind, s, xn)
                           for s in small_sizes])
-        worst_cv = max(worst_cv, float(times.std() / times.mean()))
+        # An all-zero series is flat: its CV counts as 0, not 0/0.
+        if times.any():
+            worst_cv = max(worst_cv, float(times.std() / times.mean()))
     res.append(_between(Anchor("alloc.upfront_flat", 0.0, 0.01, "cv",
                                "up-front cost constant below the minimum "
                                "physical allocation granularity"),

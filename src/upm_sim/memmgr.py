@@ -27,15 +27,20 @@ indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
 The pool keeps whole free blocks in a bytearray alive map. They are drawn
 from a boot-time permutation, read by a cursor from its end, after any
 released blocks, which a plain list returns last-released first; sequential
-draws use a heap built from the alive map. Runs smaller than a block sit
-in one dict per order, 16-page runs in one dict per channel group. A draw
-that runs out of frames part-way returns what it took, so a failed
-allocate or touch leaves the pool as it found it.
+draws use a heap built from the alive map. The permutation is computed
+once per seed and pool size and shared, read-only, by every pool of that
+seed; only the latest one is kept. Runs smaller than a block sit in one
+dict per order, 16-page runs in one dict per channel group. All scattered
+batches of one placement are drawn in a single ``take_batches`` call. A
+draw that runs out of frames part-way returns what it took and restores
+the scatter generator, so a failed allocate or touch leaves the pool and
+the group stream as it found them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 from dataclasses import dataclass, field
 
@@ -162,8 +167,19 @@ class FaultBatch:
 # Frame pool: buddy structure over power-of-two runs, largest order = block
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _boot_order(entropy: int, spawn_key: tuple, n_blocks: int) -> np.ndarray:
+    """Read-only boot-time block order of the pool seeded by
+    SeedSequence(entropy, spawn_key). Every pool of one seed shares it;
+    only the latest is kept, so a sweep over seeds keeps memory flat."""
+    ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    order = np.random.default_rng(ss).permutation(n_blocks)
+    order.flags.writeable = False
+    return order
+
+
 class FramePool:
-    def __init__(self, profile: MachineProfile, rng: np.random.Generator):
+    def __init__(self, profile: MachineProfile, ss: np.random.SeedSequence):
         self.block_pages = profile.placement.frame_block_pages
         self.batch_pages = profile.placement.kernel_batch_pages
         self.block_order = self.block_pages.bit_length() - 1
@@ -180,7 +196,8 @@ class FramePool:
         # shuffle stands in for it and keeps blocks non-adjacent. Blocks
         # are drawn from its end; released blocks are drawn first, last
         # released first.
-        self._boot_order = rng.permutation(self.n_blocks)
+        self._boot_order = _boot_order(ss.entropy, ss.spawn_key,
+                                       self.n_blocks)
         self._boot_left = self.n_blocks
         self._released: list[int] = []
         self._block_alive = bytearray(b"\x01") * self.n_blocks
@@ -285,36 +302,53 @@ class FramePool:
             raise
         return runs
 
-    def take_batch(self, group: int) -> int:
-        """One 16-page aligned run whose channels lie in the given group."""
-        store = self._group_runs[group]
-        if not store:
-            b = self._pop_block()
-            if b is not None:
-                base = b << self.block_order
-                for g in range(self.groups_n):
-                    slot = base + (g << self.batch_order)
-                    self._group_runs[g][slot] = None
-            else:
-                # Fall back on whatever 16-page runs remain anywhere.
-                for o in range(self.batch_order + 1, self.block_order):
-                    if self._runs.get(o):
-                        start, _ = self._runs[o].popitem()
-                        for k in range(1 << (o - self.batch_order)):
-                            slot = start + (k << self.batch_order)
-                            self._store(self.batch_order, slot)[slot] = None
-                        break
-        if not store:
-            for g in range(self.groups_n):
-                alt = self._group_runs[(group + g) % self.groups_n]
-                if alt:
-                    store = alt
-                    break
-        if not store:
-            raise OutOfMemory("no 16-page run available")
-        start, _ = store.popitem()
-        self.used_frames += self.batch_pages
-        return start
+    def take_batches(self, groups: list[int]) -> list[int]:
+        """One 16-page aligned run per listed channel group, in order.
+
+        A dry group store is refilled by splitting the next free block
+        into one slot per group; with no block left, by splitting the
+        32- and 64-page runs, then from the other groups. If one draw
+        fails, the runs already drawn go back to the pool before
+        OutOfMemory propagates.
+        """
+        group_runs = self._group_runs
+        slots = [g << self.batch_order for g in range(self.groups_n)]
+        starts: list[int] = []
+        append = starts.append
+        try:
+            for group in groups:
+                store = group_runs[group]
+                if not store:
+                    b = self._pop_block()
+                    if b is not None:
+                        base = b << self.block_order
+                        for run, slot in zip(group_runs, slots):
+                            run[base + slot] = None
+                    else:
+                        store = self._refill_dry(group)
+                append(store.popitem()[0])
+        except OutOfMemory:
+            self.used_frames += len(starts) * self.batch_pages
+            for start in starts:
+                self.release_run(start, self.batch_pages)
+            raise
+        self.used_frames += len(starts) * self.batch_pages
+        return starts
+
+    def _refill_dry(self, group: int) -> dict[int, None]:
+        """A non-empty 16-page store for group once no block is left."""
+        for o in range(self.batch_order + 1, self.block_order):
+            if self._runs.get(o):
+                start, _ = self._runs[o].popitem()
+                for k in range(1 << (o - self.batch_order)):
+                    slot = start + (k << self.batch_order)
+                    self._store(self.batch_order, slot)[slot] = None
+                break
+        for g in range(self.groups_n):
+            alt = self._group_runs[(group + g) % self.groups_n]
+            if alt:
+                return alt
+        raise OutOfMemory("no 16-page run available")
 
     def take_block_run(self) -> int:
         """One whole block (128 pages), split from higher stores if needed."""
@@ -440,7 +474,7 @@ class MemoryManager:
         pool_ss, scatter_ss, fault_ss = ss.spawn(3)
         self._scatter_rng = np.random.default_rng(scatter_ss)
         self._fault_rng = np.random.default_rng(fault_ss)
-        self.pool = FramePool(profile, np.random.default_rng(pool_ss))
+        self.pool = FramePool(profile, pool_ss)
         self.table = pagetable.DualTable(profile.max_fragment)
         self.allocations: dict[int, Allocation] = {}
         self._next_id = 1
@@ -551,13 +585,18 @@ class MemoryManager:
                                      range(count), pool.batch_pages)
         else:
             rng = alloc.scatter_rng or self._scatter_rng
+            state = rng.bit_generator.state
             weights = self._group_weights(degree)
             if weights is None:
                 groups = rng.integers(0, pool.groups_n, size=count)
             else:
                 groups = rng.choice(pool.groups_n, size=count, p=weights)
-            starts = self._draw_runs(pool.take_batch, groups.tolist(),
-                                     pool.batch_pages)
+            try:
+                starts = pool.take_batches(groups.tolist())
+            except OutOfMemory:
+                # A failed draw leaves the group stream as it found it.
+                rng.bit_generator.state = state
+                raise
         batch = pool.batch_pages
         alloc.frame_runs.extend([(start, batch) for start in starts])
         return np.array(starts, dtype=np.int64)

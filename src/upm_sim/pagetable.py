@@ -10,14 +10,18 @@ single TLB entry can cover the whole run.
 Fragments are recomputed eagerly on map/propagate/unmap over the affected
 runs, which keeps miss counting deterministic and order-independent. The
 rule is the one of Linux ``amdgpu_vm_pte_fragment()``
-(drivers/gpu/drm/amd/amdgpu/amdgpu_vm_pt.c), in closed form: a page at
-virtual page x inside the run [s, e), whose frames sit at the constant
-offset d = frame - x, gets
+(drivers/gpu/drm/amd/amdgpu/amdgpu_vm_pt.c), evaluated per run rather
+than per page. A run [s, e) of mapped pages whose frames sit at the
+constant offset d = frame - x splits greedily into maximal aligned
+blocks: from x = s, a block has order min(ctz(x), floor(log2(e - x))),
+and the next one starts where it ends. Every page of a block gets
 
-    min(bitlen(x ^ (s - 1)) - 1, bitlen(x ^ e) - 1, ctz(d), max_fragment)
+    min(order, ctz(d), max_fragment)
 
-where the first two terms are the largest orders whose aligned block
-around x stays inside the run, and ctz(0) counts as max_fragment.
+with ctz(0) counted as max_fragment. All runs of the affected window
+take these steps together, so a run that is itself one aligned
+power-of-two block costs one step; unmapped pages belong to no run and
+keep fragment -1.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ class DualTable:
     # Virtual reservations start above zero so page number 0 stays invalid.
     _FIRST_VA_PAGE = 1 << 20
     _SCAN_STEP = 4096
-    _CHUNK = 1 << 16       # pages per fragment-evaluation chunk
 
     def __init__(self, max_fragment: int = 31):
         self.max_fragment = max_fragment
@@ -269,36 +272,49 @@ class DualTable:
         elif hi < n_total and flags[hi] != 0:
             hi = self._run_end(region, hi, table)
 
-        # Closed form of amdgpu_vm_pte_fragment() (see the module
-        # docstring), evaluated in chunks of _CHUNK pages so that the
-        # per-page temporaries stay small on GiB-sized windows. A run
-        # breaks on an unmapped page, a frame jump or a flags change.
+        # A run is a maximal stretch of mapped pages with consecutive
+        # frames and equal flags; unmapped pages belong to no run.
         flags = flags[lo:hi]
         frames = region.frames[lo:hi]
-        n = hi - lo
         present = flags != 0
-        start_of_run = np.ones(n, dtype=bool)
-        start_of_run[1:] = ~((frames[1:] == frames[:-1] + 1) & present[1:]
-                             & present[:-1] & (flags[1:] == flags[:-1]))
-        starts = np.flatnonzero(start_of_run)
-        ends = np.append(starts[1:], n)
+        link = (frames[1:] == frames[:-1] + 1) & present[1:] & present[:-1] \
+            & (flags[1:] == flags[:-1])
+        first = present.copy()
+        first[1:] &= ~link
+        last = present.copy()
+        last[:-1] &= ~link
+        starts = np.flatnonzero(first)
         base = region.va_base + lo
-        # ctz(d | 2^cap) = min(ctz(d), cap), and ctz(0) becomes cap; fragments
-        # above 62 cannot occur below 2^53 pages and would overflow int64.
+        x = starts + base
+        e = np.flatnonzero(last) + (base + 1)
+        # min(ctz(d), cap) with d the run's frame offset: ctz(d | 2^cap);
+        # fragments above 62 cannot occur below 2^53 pages and would
+        # overflow int64.
         cap = min(self.max_fragment, 62)
-        out = region.frag_of(table)
-        for a in range(0, n, self._CHUNK):
-            b = min(n, a + self._CHUNK)
-            # Run index of every page: the run holding page a, then one more
-            # at each run start after it.
-            first = int(np.searchsorted(starts, a, side="right")) - 1
-            run = np.cumsum(start_of_run[a:b]) + (first - int(start_of_run[a]))
-            x = np.arange(base + a, base + b, dtype=np.int64)
-            d = (frames[a:b] - x) | (1 << cap)
-            # bitlen is monotone, so the smallest of the three bit lengths
-            # is the bit length of the smallest operand; frexp's exponent
-            # is the bit length, exact below 2^53.
-            v = np.minimum(np.minimum(x ^ (starts[run] + (base - 1)),
-                                      x ^ (ends[run] + base)), d & -d)
-            frag = np.frexp(v.astype(np.float64))[1] - 1
-            out[lo + a:lo + b] = np.where(present[a:b], frag, -1)
+        d = (frames[starts] - starts - base) | (1 << cap)
+        ctz_d = _bitlen(d & -d) - 1
+        # Walk every run's greedy maximal aligned blocks at once: from x a
+        # block has order min(ctz(x), floor(log2(e - x))), and its pages
+        # get that order capped by ctz(d). A run that is itself an aligned
+        # power-of-two block ends after the first step.
+        pos, size, frag = [], [], []
+        while len(x):
+            order = np.minimum(_bitlen(x & -x), _bitlen(e - x)) - 1
+            step = np.left_shift(1, order, dtype=np.int64)
+            pos.append(x)
+            size.append(step)
+            frag.append(np.minimum(order, ctz_d))
+            x = x + step
+            more = x < e
+            x, e, ctz_d = x[more], e[more], ctz_d[more]
+        # Unmapped pages keep the -1 that unmap_range or _Region gave them.
+        if pos:
+            at = np.argsort(np.concatenate(pos))
+            region.frag_of(table)[lo:hi][present] = np.repeat(
+                np.concatenate(frag)[at], np.concatenate(size)[at])
+
+
+def _bitlen(v: np.ndarray) -> np.ndarray:
+    """Bit length of positive int64 values; frexp's exponent is exact
+    below 2^53."""
+    return np.frexp(v.astype(np.float64))[1]

@@ -8,6 +8,8 @@ tag supplied by the caller.
 
 from __future__ import annotations
 
+import math
+
 # Dimension tags for profile keys.
 BYTES = "bytes"
 RATE = "rate"          # bytes/s
@@ -40,8 +42,8 @@ def parse_value(text: str, dimension: str):
     """Parse one profile value according to its dimension.
 
     Returns int where the dimension is integral (bytes, counts), float
-    otherwise. Raises UnitError on malformed input or a suffix that does
-    not fit the dimension.
+    otherwise. Raises UnitError on malformed input, a number that is not
+    finite or a suffix that does not fit the dimension.
     """
     text = text.strip()
     if dimension == FLAG:
@@ -59,6 +61,8 @@ def parse_value(text: str, dimension: str):
         value = float(num)
     except ValueError as exc:
         raise UnitError(f"bad number {num!r}") from exc
+    if not math.isfinite(value):
+        raise UnitError(f"number {num!r} is not finite")
 
     if dimension == BYTES:
         scale = _BYTE_SUFFIXES.get(suffix, None) if suffix else 1

@@ -1,5 +1,7 @@
+import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -118,6 +120,18 @@ def test_verify_negative_control_walk_penalty(profile):
     assert rep.hard_failures > 0
 
 
+def test_verify_zero_small_allocation_cost_is_flat(profile):
+    # Every small pinned allocation then costs 0 s: a flat series, whose
+    # CV must be 0 and not the 0/0 of a division.
+    free = replace(profile, alloc_model=replace(profile.alloc_model,
+                                                pinned_small_us=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify(free, seed=0)
+    flat = next(r for r in rep.results if r.anchor.id == "alloc.upfront_flat")
+    assert math.isfinite(flat.value) and flat.passed
+
+
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_run_csv(tmp_path, capsys):
@@ -180,6 +194,16 @@ def test_cli_bad_profile_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.profile"
     path.write_text("nonsense == 3\n")
     assert cli.main(["verify", "--profile", str(path)]) == 1
+
+
+def test_cli_overflowing_count_is_a_profile_error(tmp_path, capsys):
+    path = tmp_path / "huge.profile"
+    path.write_text("stacks = 1e400\n")
+    assert cli.main(["profile", "dump", "--profile", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("upm-sim: profile error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_seed_env(monkeypatch, capsys):

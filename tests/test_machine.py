@@ -130,6 +130,13 @@ def test_suffix_parsing():
     assert p.fault.cpu1.mean_latency_us == 9.0
 
 
+@pytest.mark.parametrize("value", ["1e400", "-1e400"])
+def test_non_finite_numbers_are_rejected(value):
+    with pytest.raises(ProfileParseError) as err:
+        load_profile(f"hbm_peak_bw = {value}\n")
+    assert "line 1" in str(err.value) and "not finite" in str(err.value)
+
+
 def test_unknown_key_reports_line():
     with pytest.raises(ProfileParseError) as err:
         load_profile("hbm_capacity = 128GiB\nnot.a.key = 3\n")

@@ -186,12 +186,15 @@ def reserved_frames(m):
 def test_failed_allocate_releases_partial_draws():
     m = fragmented_manager()
     snap = m.pool.snapshot()
+    rng_state = m._scatter_rng.bit_generator.state
     next_va, n_allocs = m.table._next_va, len(m.allocations)
     assert m.pool.free_frames > 256
     with pytest.raises(OutOfMemory):
         m.allocate(K.PINNED_HOST, 1 * MiB)
     assert m.pool.used_frames == reserved_frames(m)
     assert m.pool.snapshot() == snap
+    # The group draws of the failed call are undone too.
+    assert m._scatter_rng.bit_generator.state == rng_state
     # No virtual reservation and no id is used up by the failed call.
     assert (m.table._next_va, len(m.allocations)) == (next_va, n_allocs)
     a = m.allocate(K.PINNED_HOST, 4 * KiB)
@@ -204,10 +207,12 @@ def test_failed_touch_releases_partial_draws(agent):
     m = fragmented_manager(free_block=agent is Agent.GPU)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
     snap = m.pool.snapshot()
+    rng_state = m._scatter_rng.bit_generator.state
     with pytest.raises(OutOfMemory):
         m.touch(a, None, agent)
     assert m.pool.used_frames == reserved_frames(m)
     assert m.pool.snapshot() == snap
+    assert m._scatter_rng.bit_generator.state == rng_state
     assert (a.mapped_pages, a.frame_runs, a.first_touch_agent) == (0, [], None)
     # The allocation stays usable where frames do suffice.
     assert len(m.touch(a, (0, 16), agent)) == 16
@@ -225,6 +230,19 @@ def test_placement_determinism():
     f1, f2 = frames_of(11), frames_of(11)
     assert np.array_equal(f1, f2)
     assert not np.array_equal(f1, frames_of(12))
+
+
+def test_managers_of_one_seed_share_a_read_only_boot_order():
+    a, b = manager(seed=3), manager(seed=3)
+    order = a.pool._boot_order
+    assert b.pool._boot_order is order
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = order[1]
+    # A draw moves each pool's own cursor, not the shared order.
+    a.allocate(K.DEVICE_UP_FRONT, 1 * MiB)
+    assert b.pool._boot_left == b.pool.n_blocks
+    assert not np.array_equal(manager(seed=4).pool._boot_order, order)
 
 
 def test_policy_seed_controls_scatter_stream():

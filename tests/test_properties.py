@@ -119,18 +119,20 @@ def test_fragment_oracle_gpu_table_after_partial_propagate_and_unmap():
 
 
 def test_fragment_oracle_across_recompute_chunks():
-    chunk = DualTable._CHUNK
+    # A map of 3 x 64 Ki + 777 pages in three long runs, so fragments
+    # of order 12 and more occur.
+    chunk = 1 << 16
     t = DualTable(31)
     n = 3 * chunk + 777
     base = t.reserve(n + 1000, align_pages=1 << 18)
     frames = np.arange(n, dtype=np.int64) + (5 << 18) + 1000
-    # Two frame jumps make three runs, so a chunk starts inside a run
-    # that began in an earlier chunk.
+    # Two frame jumps make three runs, each starting inside a 64 Ki-page
+    # stretch that an earlier run began.
     jumps = [k * chunk + 4096 for k in (1, 2)]
     for j in jumps:
         frames[j:] += 1 << 18
-    # The window starts 1000 pages into the reservation, so every chunk
-    # boundary falls inside a large aligned block.
+    # The window starts 1000 pages into the reservation, so every 64 Ki
+    # mark falls inside a large aligned block.
     t.map_range(SYSTEM, base + 1000, frames)
     t.propagate(base + 1000, n)
     edges = [k * chunk for k in range(4)] + jumps + [n]
@@ -140,6 +142,48 @@ def test_fragment_oracle_across_recompute_chunks():
         assert_fragments_match_oracle(t, base, offsets, table, f_cap=18)
     region, _ = t._region_at(base)
     assert max(int(region.sys_frag[o]) for o in offsets) >= 12
+
+
+def test_fragment_oracle_windows_on_unmapped_edges():
+    # Unmap windows whose first or last page is already unmapped: the
+    # recompute window then starts or ends on a page that is in no run.
+    rng = np.random.default_rng(616)
+    for _ in range(80):
+        t = DualTable(31)
+        n = int(rng.integers(8, 96))
+        base = random_mapping(rng, t, n)
+        region, _ = t._region_at(base)
+        mapped = region.sys_flags[:n] != 0
+        for off in np.flatnonzero(mapped):
+            if rng.random() < 0.7:
+                t.propagate(base + int(off), 1)
+        holes = np.flatnonzero(~mapped)
+        if not len(holes):
+            continue
+        for _ in range(2):
+            edge = int(rng.choice(holes))
+            other = int(rng.integers(0, n))
+            lo, hi = min(edge, other), max(edge, other) + 1
+            t.unmap_range(base + lo, hi - lo)
+            for table in (SYSTEM, GPU):
+                assert_fragments_match_oracle(t, base, range(n), table,
+                                              f_cap=7)
+
+
+@pytest.mark.parametrize("max_fragment", [3, 5])
+def test_fragment_oracle_run_beyond_max_fragment_odd_delta(max_fragment):
+    # One run of several times 2^max_fragment pages whose frame offset is
+    # an odd multiple of 2^k: fragments are capped by k and max_fragment.
+    for k in range(max_fragment + 2):
+        t = DualTable(max_fragment)
+        n = 5 * (1 << max_fragment) + 3
+        base = t.reserve(n + 7, align_pages=512)
+        delta = (2 * k + 3) << k
+        t.map_range(SYSTEM, base + 7, base + 7 + delta + np.arange(n))
+        t.propagate(base + 7, n)
+        for table in (SYSTEM, GPU):
+            assert_fragments_match_oracle(t, base, range(n + 7), table,
+                                          f_cap=max_fragment)
 
 
 def test_frame_conservation_random_op_sequences():
@@ -246,6 +290,20 @@ def test_bit_identical_reruns(seed):
             texts.append(harness.report(harness.run(profile, spec)))
         outputs.append("".join(texts))
     assert outputs[0] == outputs[1]
+
+
+def test_stream_seed_sweep_reruns_bit_identical():
+    # Pools of one seed share a cached boot order; running another seed
+    # in between must not change what the first seed gives.
+    profile = builtin_mi300a()
+    outputs = {}
+    for run, seed in enumerate((1, 2, 1)):
+        perf.build_triad_workset.cache_clear()
+        harness.build_cpu_stream_stats.cache_clear()
+        spec = harness.WorkloadSpec("stream", {}, seed=seed)
+        outputs[run] = harness.report(harness.run(profile, spec))
+    assert outputs[0] == outputs[2]
+    assert outputs[0] != outputs[1]
 
 
 def test_classify_total_and_exact():

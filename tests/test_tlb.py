@@ -166,3 +166,34 @@ def test_triad_cross_pass_reuse_when_reach_suffices():
     t, base = table_with_runs(16, 16, 64)  # 16 runs fit in 32 entries
     arrays = [(base, 256)] * 3
     assert triad_misses(t, arrays, 10, 32) == 16
+
+
+def few_run_operand(rng, t, pages):
+    """Map pages in at most four stretches of aligned frames, so a pass
+    touches only a few fragment runs; returns (va_base, pages)."""
+    base = t.reserve(pages, align_pages=512)
+    cuts = sorted(rng.choice(np.arange(1, pages), size=min(3, pages - 1),
+                             replace=False).tolist()) if pages > 1 else []
+    for lo, hi in zip([0] + cuts, cuts + [pages]):
+        start = int(rng.integers(1, 1 << 10)) << 9
+        t.map_range(SYSTEM, base + lo, np.arange(start, start + hi - lo))
+    t.propagate(base, pages)
+    return base, pages
+
+
+def test_triad_misses_against_replay_oracle_random():
+    rng = np.random.default_rng(2025)
+    for _ in range(150):
+        t = DualTable(31)
+        n_ops = int(rng.integers(1, 5))
+        pages = int(rng.integers(1, 97))
+        arrays = [few_run_operand(rng, t, pages) for _ in range(n_ops)]
+        if rng.random() < 0.25:
+            arrays = [arrays[0]] * n_ops       # identical operands
+        capacity = int(rng.integers(1, 65))
+        iterations = int(rng.integers(1, 6))
+        bases = [run_bases(t, vb, np_) for vb, np_ in arrays]
+        stream = [int(b[p]) for p in range(pages) for b in bases]
+        expected = lru_replay(stream * iterations, capacity)
+        assert triad_misses(t, arrays, iterations, capacity) == expected, \
+            (n_ops, pages, capacity, iterations)

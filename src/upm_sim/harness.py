@@ -443,14 +443,16 @@ def _bench_usage(profile, spec):
     return rows
 
 
+# Each benchmark's function and the grid keys it reads.
 _BENCHES = {
-    "latency": _bench_latency,
-    "stream": _bench_stream,
-    "alloc": _bench_alloc,
-    "fault": _bench_fault,
-    "atomics": _bench_atomics,
-    "memcpy": _bench_memcpy,
-    "usage": _bench_usage,
+    "latency": (_bench_latency, ("agent", "kind", "size")),
+    "stream": (_bench_stream, ("agent", "kind", "init", "threads")),
+    "alloc": (_bench_alloc, ("kind", "size", "chunks")),
+    "fault": (_bench_fault, ("scenario", "pages", "samples")),
+    "atomics": (_bench_atomics, ("array_len", "dtype", "cpu_threads",
+                                 "gpu_threads")),
+    "memcpy": (_bench_memcpy, ("pair", "sdma")),
+    "usage": (_bench_usage, ("kind", "size")),
 }
 
 
@@ -460,7 +462,12 @@ def run(profile: MachineProfile, spec: WorkloadSpec) -> list[dict]:
     if name not in _BENCHES:
         raise UsageError(f"unknown benchmark {spec.benchmark!r}; "
                          f"choose from {', '.join(BENCHMARK_NAMES)}")
-    return _BENCHES[name](profile, spec)
+    bench, keys = _BENCHES[name]
+    unknown = [k for k in spec.grid if k not in keys]
+    if unknown:
+        raise UsageError(f"unknown grid key {unknown[0]!r} for {name}; "
+                         f"choose from {', '.join(keys)}")
+    return bench(profile, spec)
 
 
 def report(rows: list[dict], fmt: str = "csv") -> str:

@@ -30,11 +30,22 @@ released blocks, which a plain list returns last-released first; sequential
 draws use a heap built from the alive map. The permutation is computed
 once per seed and pool size and shared, read-only, by every pool of that
 seed; only the latest one is kept. Runs smaller than a block sit in one
-dict per order, 16-page runs in one dict per channel group. All scattered
-batches of one placement are drawn in a single ``take_batches`` call. A
-draw that runs out of frames part-way returns what it took and restores
-the scatter generator, so a failed allocate or touch leaves the pool and
-the group stream as it found them.
+dict per order, 16-page runs in one dict per channel group. Every free
+frame is in the alive map or in one of these stores: a sequential draw
+leaves the rest of its block's slots in the group stores and takes the
+next slot from there while it is still free. All scattered batches of one
+placement are drawn in a single ``take_batches`` call.
+
+Frames go back through ``release_runs`` only, one call per release or
+failed draw. A block that the call frees entirely (its runs plus the free
+pieces it already holds fill it) goes back whole, at its last run: its
+pieces leave the stores and it joins the released blocks. The other runs
+merge with their free buddies one by one, in order. This is the state
+that freeing run by run gives, at a cost that grows with the runs and the
+free pieces of their blocks, not with the pool. A draw that runs out of
+frames part-way returns what it took and restores the scatter generator,
+so a failed allocate or touch leaves the pool and the group stream as it
+found them. ``MemoryManager.check`` asserts the manager's invariants.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,7 +218,8 @@ class FramePool:
             o: {} for o in range(self.block_order) if o != self.batch_order}
         self._group_runs: list[dict[int, None]] = [
             {} for _ in range(self.groups_n)]
-        self._seq_pending: list[int] = []
+        # The slot after the last sequential draw, taken next if still free.
+        self._seq_next: int | None = None
 
     @property
     def free_frames(self) -> int:
@@ -297,8 +310,7 @@ class FramePool:
                 self.used_frames += size
                 left -= size
         except OutOfMemory:
-            for start, size in runs:
-                self.release_run(start, size)
+            self.release_runs(runs)
             raise
         return runs
 
@@ -328,9 +340,7 @@ class FramePool:
                         store = self._refill_dry(group)
                 append(store.popitem()[0])
         except OutOfMemory:
-            self.used_frames += len(starts) * self.batch_pages
-            for start in starts:
-                self.release_run(start, self.batch_pages)
+            self._give_back(starts, self.batch_pages)
             raise
         self.used_frames += len(starts) * self.batch_pages
         return starts
@@ -350,30 +360,178 @@ class FramePool:
                 return alt
         raise OutOfMemory("no 16-page run available")
 
-    def take_block_run(self) -> int:
-        """One whole block (128 pages), split from higher stores if needed."""
-        start = self._take_run(self.block_order)
-        self.used_frames += self.block_pages
-        return start
+    def take_blocks(self, count: int) -> list[int]:
+        """count whole blocks (128 pages each)."""
+        return self._take_each(lambda: self._take_run(self.block_order),
+                               count, self.block_pages)
 
-    def take_batch_sequential(self) -> int:
-        """Next 16-page run in ascending frame order."""
-        if not self._seq_pending:
+    def take_batches_sequential(self, count: int) -> list[int]:
+        """count 16-page runs in ascending frame order."""
+        return self._take_each(self._take_sequential, count,
+                               self.batch_pages)
+
+    def _take_sequential(self) -> int:
+        """The slot after the previous sequential draw if it is still free,
+        else the first slot of the lowest free block, whose other slots go
+        to the group stores, where every draw and merge can reach them."""
+        start = self._seq_next
+        if start is not None and start in self._store(self.batch_order,
+                                                       start):
+            del self._store(self.batch_order, start)[start]
+        else:
             b = self._pop_block_sorted()
             if b is None:
                 raise OutOfMemory("no contiguous block available")
-            base = b << self.block_order
-            self._seq_pending = [
-                base + (g << self.batch_order)
-                for g in range(self.groups_n - 1, -1, -1)]
-        start = self._seq_pending.pop()
-        self.used_frames += self.batch_pages
+            start = b << self.block_order
+            for g in range(1, self.groups_n):
+                self._group_runs[g][start + (g << self.batch_order)] = None
+        nxt = start + self.batch_pages
+        self._seq_next = nxt if nxt & (self.block_pages - 1) else None
         return start
+
+    def _take_each(self, take, count: int, run_pages: int) -> list[int]:
+        """[take() for _ in range(count)], runs of run_pages each; if one
+        draw fails, the runs already drawn go back to the pool before
+        OutOfMemory propagates."""
+        starts: list[int] = []
+        try:
+            for _ in range(count):
+                starts.append(take())
+        except OutOfMemory:
+            self._give_back(starts, run_pages)
+            raise
+        self.used_frames += count * run_pages
+        return starts
+
+    def _give_back(self, starts: list[int], run_pages: int):
+        """Return the runs of a failed draw, not yet counted as used."""
+        self.used_frames += len(starts) * run_pages
+        self.release_runs([(start, run_pages) for start in starts])
 
     # -- release -----------------------------------------------------------
 
+    def release_runs(self, runs) -> None:
+        """Return (start, n_pages) runs, each inside one block, to the pool.
+
+        The pool ends in the state that release_run on each run in list
+        order gives. A block that the runs and the free pieces it already
+        holds fill entirely goes back whole: its pieces leave the stores,
+        and it joins the released blocks in the order of its last run in
+        runs. Per-run release does the same, because a block cannot be
+        whole before its last run is freed, the merge then always
+        assembles it, and merges below a block never leave it. Runs in
+        every other block merge one by one, in list order.
+        """
+        if not runs:
+            return
+        flat = np.fromiter(itertools.chain.from_iterable(runs),
+                           dtype=np.int64, count=2 * len(runs))
+        starts, sizes = flat[0::2], flat[1::2]
+        bo, bp = self.block_order, self.block_pages
+        # Runs grouped by block, ascending within each.
+        at = np.argsort(starts, kind="stable")
+        s, e = starts[at], starts[at] + sizes[at]
+        base = s >> bo << bo
+        if np.any(e > base + bp):
+            raise ValueError("a released run crosses a block boundary")
+        self.used_frames -= int(sizes.sum())
+        first = np.ones(len(s), dtype=bool)
+        first[1:] = base[1:] != base[:-1]
+        last = np.ones(len(s), dtype=bool)
+        last[:-1] = first[1:]
+        group = np.cumsum(first) - 1
+        # The pages of a block between its runs and after its last run.
+        prev_end = np.empty_like(s)
+        prev_end[1:] = e[:-1]
+        prev_end[first] = base[first]
+        head = s > prev_end
+        tail = last & (e < base + bp)
+        whole = self._claim_gaps(np.concatenate((prev_end[head], e[tail])),
+                                 np.concatenate((s[head], base[tail] + bp)),
+                                 np.concatenate((group[head], group[tail])),
+                                 int(group[-1]) + 1)
+        # Whole blocks, ordered by the index of their last run.
+        last_run = np.maximum.reduceat(at, np.flatnonzero(first))
+        blocks = (base[first] >> bo)[whole][np.argsort(last_run[whole])]
+        if len(blocks):
+            np.frombuffer(self._block_alive, dtype=np.uint8)[blocks] = 1
+            blocks = blocks.tolist()
+            self._released.extend(blocks)
+            if self._block_sorted is not None:
+                for b in blocks:
+                    heapq.heappush(self._block_sorted, b)
+        merge = np.empty(len(s), dtype=bool)
+        merge[at] = ~whole[group]
+        for start, n in zip(starts[merge].tolist(), sizes[merge].tolist()):
+            self._merge_run(start, n)
+
+    def _claim_gaps(self, lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
+                    n_groups: int) -> np.ndarray:
+        """Which of n_groups blocks have every gap [lo, hi) tiled by free
+        pieces; the pieces of those blocks leave the stores.
+
+        Most gaps are whole 16-page slots of a split block: their slots
+        are looked up in one pass per channel group. Blocks with another
+        gap or a slot not free are probed piece by piece.
+        """
+        bto, groups_n = self.batch_order, self.groups_n
+        odd = ((lo | hi) & (self.batch_pages - 1)) != 0
+        n = np.where(odd, 0, (hi - lo) >> bto)
+        offset = np.repeat(np.cumsum(n) - n, n)
+        slots = np.repeat(lo, n) + (np.arange(len(offset)) - offset << bto)
+        slot_group = np.repeat(group, n)
+        channel = slots >> bto & (groups_n - 1)
+        by_channel = [np.flatnonzero(channel == c) for c in range(groups_n)]
+        free = np.empty(len(slots), dtype=bool)
+        for store, at in zip(self._group_runs, by_channel):
+            free[at] = np.fromiter(map(store.__contains__, slots[at].tolist()),
+                                   dtype=bool, count=len(at))
+        probe = np.zeros(n_groups, dtype=bool)
+        probe[group[odd]] = True
+        probe[slot_group[~free]] = True
+        whole = np.ones(n_groups, dtype=bool)
+        found = []
+        near = probe[group]
+        for a, b, g in zip(lo[near].tolist(), hi[near].tolist(),
+                           group[near].tolist()):
+            if whole[g]:
+                pieces = self._pieces_tiling(a, b)
+                if pieces is None:
+                    whole[g] = False
+                else:
+                    found.append((g, pieces))
+        for g, pieces in found:
+            if whole[g]:
+                for store, start in pieces:
+                    del store[start]
+        drop = ~probe[slot_group]
+        for store, at in zip(self._group_runs, by_channel):
+            for start in slots[at[drop[at]]].tolist():
+                del store[start]
+        return whole
+
+    def _pieces_tiling(self, lo: int, hi: int) -> list | None:
+        """(store, start) of the free pieces that tile [lo, hi) inside one
+        block, or None if a page there is not in a store."""
+        found = []
+        top = self.block_order - 1
+        while lo < hi:
+            order = min((lo & -lo).bit_length() - 1 if lo else top,
+                        (hi - lo).bit_length() - 1, top)
+            while lo not in self._store(order, lo):
+                order -= 1
+                if order < 0:
+                    return None
+            found.append((self._store(order, lo), lo))
+            lo += 1 << order
+        return found
+
     def release_run(self, start: int, n_pages: int):
+        """Return one run, merging it piece by piece with free buddies."""
         self.used_frames -= n_pages
+        self._merge_run(start, n_pages)
+
+    def _merge_run(self, start: int, n_pages: int):
         while n_pages:
             max_align = (start & -start).bit_length() - 1 if start else self.block_order
             order = min(self.block_order, max_align, n_pages.bit_length() - 1)
@@ -412,24 +570,28 @@ class FramePool:
         if self._block_sorted is not None:
             heapq.heappush(self._block_sorted, b)
 
+    def free_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, n_pages) of every free piece: the whole blocks, then
+        each store's runs."""
+        stores = [(d, 1 << o) for o, d in self._runs.items() if d]
+        stores += [(d, self.batch_pages) for d in self._group_runs if d]
+        blocks = self._alive_blocks() << self.block_order
+        starts = np.concatenate(
+            [blocks] + [np.fromiter(d, dtype=np.int64, count=len(d))
+                        for d, _ in stores])
+        sizes = np.repeat([self.block_pages] + [n for _, n in stores],
+                          [len(blocks)] + [len(d) for d, _ in stores])
+        return starts, sizes
+
     def free_intervals(self) -> list[tuple[int, int]]:
         """Sorted maximal (start, n_pages) intervals of free frames."""
-        pieces: list[tuple[int, int]] = [
-            (b << self.block_order, self.block_pages)
-            for b in self._alive_blocks().tolist()]
-        for o, d in self._runs.items():
-            pieces.extend((s, 1 << o) for s in d)
-        for g in self._group_runs:
-            pieces.extend((s, self.batch_pages) for s in g)
-        pieces.extend((s, self.batch_pages) for s in self._seq_pending)
-        pieces.sort()
-        merged: list[list[int]] = []
-        for s, n in pieces:
-            if merged and merged[-1][0] + merged[-1][1] == s:
-                merged[-1][1] += n
-            else:
-                merged.append([s, n])
-        return [(s, n) for s, n in merged]
+        starts, sizes = self.free_pieces()
+        at = np.argsort(starts)
+        s, e = starts[at], starts[at] + sizes[at]
+        first = np.ones(len(s), dtype=bool)
+        first[1:] = s[1:] != e[:-1]
+        ends = np.maximum.reduceat(e, np.flatnonzero(first)) if len(s) else e
+        return list(zip(s[first].tolist(), (ends - s[first]).tolist()))
 
     def snapshot(self):
         """Canonical free-set contents for conservation tests."""
@@ -463,6 +625,11 @@ class Allocation:
 
     def page_range(self) -> tuple[int, int]:
         return self.va_base, self.va_base + self.n_pages
+
+
+def _expect(holds, invariant: str):
+    if not holds:
+        raise AssertionError(invariant)
 
 
 class MemoryManager:
@@ -518,11 +685,13 @@ class MemoryManager:
             if n_pages > self.pool.free_frames:
                 raise OutOfMemory(
                     f"{n_pages} pages needed, {self.pool.free_frames} free")
+            rng = alloc.scatter_rng or self._scatter_rng
+            state = rng.bit_generator.state
             try:
                 frames = self._place_up_front(alloc, n_pages)
             except OutOfMemory:
-                for start, n in alloc.frame_runs:
-                    self.pool.release_run(start, n)
+                self.pool.release_runs(alloc.frame_runs)
+                rng.bit_generator.state = state
                 raise
         va_base = alloc.va_base = self.table.reserve(n_pages, align_pages=512)
         self._next_id += 1
@@ -581,8 +750,7 @@ class MemoryManager:
         degree = alloc.frame_policy.scatter_degree
         if alloc.frame_policy.mode is PlacementMode.INCREMENTAL_SCATTER \
                 and degree == 0.0:
-            starts = self._draw_runs(lambda _: pool.take_batch_sequential(),
-                                     range(count), pool.batch_pages)
+            starts = pool.take_batches_sequential(count)
         else:
             rng = alloc.scatter_rng or self._scatter_rng
             state = rng.bit_generator.state
@@ -600,20 +768,6 @@ class MemoryManager:
         batch = pool.batch_pages
         alloc.frame_runs.extend([(start, batch) for start in starts])
         return np.array(starts, dtype=np.int64)
-
-    def _draw_runs(self, take, args, run_pages: int) -> list[int]:
-        """[take(arg) for arg in args]; if one draw fails, the runs already
-        drawn go back to the pool before OutOfMemory propagates."""
-        starts: list[int] = []
-        append = starts.append
-        try:
-            for arg in args:
-                append(take(arg))
-        except OutOfMemory:
-            for start in starts:
-                self.pool.release_run(start, run_pages)
-            raise
-        return starts
 
     # -- touch -----------------------------------------------------------
 
@@ -739,8 +893,7 @@ class MemoryManager:
             if len(missing) * grain > self.pool.free_frames:
                 raise OutOfMemory("not enough frames for first touch")
             if gpu:
-                starts = self._draw_runs(lambda _: self.pool.take_block_run(),
-                                         range(len(missing)), grain)
+                starts = self.pool.take_blocks(len(missing))
                 alloc.frame_runs.extend([(start, grain) for start in starts])
             else:
                 starts = self._draw_batches(alloc, len(missing))
@@ -766,8 +919,7 @@ class MemoryManager:
         alloc.live = False
         page = self.profile.page_size
         self.table.unmap_range(alloc.va_base, alloc.n_pages)
-        for start, n in alloc.frame_runs:
-            self.pool.release_run(start, n)
+        self.pool.release_runs(alloc.frame_runs)
         alloc.frame_runs.clear()
         alloc.pending_cpu_batches = alloc.pending_gpu_blocks = None
         self._numa_bytes -= alloc.mapped_pages * page
@@ -789,6 +941,48 @@ class MemoryManager:
         if counter is UsageCounter.PROCESS_RSS:
             return self._rss_bytes
         raise ValueError(f"unknown counter {counter!r}")
+
+    def check(self):
+        """Raise AssertionError, naming the invariant, unless every
+        invariant of the manager holds."""
+        pool, page = self.pool, self.profile.page_size
+        live = [a for a in self.allocations.values() if a.live]
+        runs = [run for a in live for run in a.frame_runs]
+        flat = np.fromiter(itertools.chain.from_iterable(runs),
+                           dtype=np.int64, count=2 * len(runs))
+        _expect(pool.used_frames == int(flat[1::2].sum()),
+                "used frames differ from the live allocations' frame runs")
+        free_starts, free_sizes = pool.free_pieces()
+        _expect(int(free_sizes.sum()) == pool.free_frames,
+                "a free frame sits in no store")
+        small = free_sizes < pool.block_pages
+        starts = np.concatenate((free_starts[small], flat[0::2]))
+        ends = starts + np.concatenate((free_sizes[small], flat[1::2]))
+        alive = np.frombuffer(pool._block_alive, dtype=np.uint8)
+        _expect(not alive[starts >> pool.block_order].any(),
+                "a free piece or a live run lies inside a whole free block")
+        at = np.argsort(starts)
+        _expect(np.all(starts[at][1:] >= ends[at][:-1]),
+                "free pieces and live runs overlap")
+        if live:
+            regions = [self._region(a) for a in live]
+            sys_flags = np.concatenate([r.sys_flags for r in regions])
+            gpu_flags = np.concatenate([r.gpu_flags for r in regions])
+            _expect(not np.any((gpu_flags != 0) & (gpu_flags != sys_flags)),
+                    "a GPU entry mirrors no system entry")
+            offsets = np.cumsum([0] + [r.n_pages for r in regions[:-1]])
+            mapped = np.add.reduceat(sys_flags != 0, offsets, dtype=np.int64)
+            _expect(mapped.tolist() == [a.mapped_pages for a in live],
+                    "mapped pages differ from the allocations' counters")
+        numa = sum(a.mapped_pages for a in live) * page
+        hip = sum(a.mapped_pages for a in live
+                  if a.kind is AllocatorKind.DEVICE_UP_FRONT) * page
+        expected = {UsageCounter.LIBNUMA: numa, UsageCounter.MEMINFO: numa,
+                    UsageCounter.HIP_MEM_GET_INFO: hip,
+                    UsageCounter.PROCESS_RSS: numa - hip}
+        for counter, value in expected.items():
+            _expect(self.usage_view(counter) == value,
+                    f"usage counter {counter.value} differs from the live sum")
 
 
 # --------------------------------------------------------------------------

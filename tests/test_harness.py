@@ -180,6 +180,16 @@ def test_cli_bad_grid_value_is_one_line(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bench", harness.BENCHMARK_NAMES)
+def test_cli_unknown_grid_key_is_one_line(capsys, bench):
+    assert cli.main(["run", bench, "--grid", "bogus=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"upm-sim: unknown grid key 'bogus' for "
+                            f"{bench}; choose from "
+                            f"{', '.join(harness._BENCHES[bench][1])}\n")
+
+
 def test_cli_profile_dump_round_trips(tmp_path, capsys):
     assert cli.main(["profile", "dump"]) == 0
     out = capsys.readouterr().out

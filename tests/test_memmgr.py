@@ -357,3 +357,84 @@ def test_free_crossovers():
     ratio256 = free_time_model(p, K.DEVICE_UP_FRONT, 256 * MiB, True) / \
         alloc_time_model(p, K.DEVICE_UP_FRONT, 256 * MiB, True)
     assert ratio256 == pytest.approx(22.0, rel=0.01)
+
+
+def test_sequential_leftovers_stay_reachable():
+    # 256 frames in two blocks; nine ascending batches leave 112 free
+    # frames, the last seven slots of the second block.
+    from dataclasses import replace
+    profile = replace(builtin_mi300a(), hbm_capacity=1 * MiB)
+    m = MemoryManager(profile, seed=0)
+    sequential = FramePolicy(PlacementMode.INCREMENTAL_SCATTER, 0, 0.0)
+    allocs = [m.allocate(K.PINNED_HOST, 9 * 16 * profile.page_size,
+                         policy=sequential)]
+    assert m.pool.free_frames == 112
+    allocs.append(m.allocate(K.PINNED_HOST, 64 * KiB))   # a scattered batch
+    allocs.append(m.allocate(K.PINNED_HOST, 12 * KiB))   # a sub-batch tail
+    m.check()
+    for a in allocs:
+        m.release(a)
+    m.check()
+    assert np.count_nonzero(m.pool._block_alive) == m.pool.n_blocks
+    assert m.pool.free_intervals() == [(0, m.pool.total_frames)]
+
+
+def test_failed_tail_restores_scatter_stream(monkeypatch):
+    m = manager(seed=2)
+    snap = m.pool.snapshot()
+    rng_state = m._scatter_rng.bit_generator.state
+
+    def no_tail(n_pages):
+        raise OutOfMemory("free frames too fragmented")
+
+    monkeypatch.setattr(m.pool, "take_contiguous", no_tail)
+    with pytest.raises(OutOfMemory):
+        m.allocate(K.PINNED_HOST, 1 * MiB + 4 * KiB)
+    assert m.pool.snapshot() == snap
+    assert m._scatter_rng.bit_generator.state == rng_state
+    assert m.allocations == {}
+
+
+def _leak_a_free_slot(m, a, b):
+    store = next(d for d in m.pool._group_runs if d)
+    store.popitem()
+
+
+def _free_a_live_run(m, a, b):
+    # Swap a free slot for one of b's: the free frame count still adds up.
+    _leak_a_free_slot(m, a, b)
+    start, _ = b.frame_runs[0]
+    m.pool._store(m.pool.batch_order, start)[start] = None
+
+
+def _swap_a_whole_block_for_a_live_one(m, a, b):
+    alive = m.pool._block_alive
+    alive[alive.index(1)] = 0
+    alive[b.frame_runs[0][0] >> m.pool.block_order] = 1
+
+
+def _gpu_entry_without_system_entry(m, a, b):
+    m._region(a).gpu_flags[-1] = 3
+
+
+@pytest.mark.parametrize("damage, invariant", [
+    (lambda m, a, b: setattr(m.pool, "used_frames", m.pool.used_frames + 16),
+     "used frames"),
+    (_leak_a_free_slot, "in no store"),
+    (_free_a_live_run, "overlap"),
+    (_swap_a_whole_block_for_a_live_one, "whole free block"),
+    (_gpu_entry_without_system_entry, "GPU entry"),
+    (lambda m, a, b: setattr(a, "mapped_pages", a.mapped_pages + 1),
+     "mapped pages"),
+    (lambda m, a, b: setattr(m, "_hip_bytes", m._hip_bytes + 4096),
+     "hip_mem_get_info"),
+], ids=["used", "leak", "overlap", "alive", "mirror", "mapped", "counter"])
+def test_check_names_a_broken_invariant(damage, invariant):
+    m = manager(seed=1)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+    m.touch(a, (0, 64), Agent.CPU)
+    b = m.allocate(K.PINNED_HOST, 1 * MiB)
+    m.check()
+    damage(m, a, b)
+    with pytest.raises(AssertionError, match=invariant):
+        m.check()

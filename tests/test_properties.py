@@ -8,7 +8,8 @@ import pytest
 
 from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
-from upm_sim.memmgr import (Agent, AllocatorKind, MemoryManager, classify)
+from upm_sim.memmgr import (Agent, AllocatorKind, FramePolicy, MemoryManager,
+                            OutOfMemory, PlacementMode, classify)
 from upm_sim.pagetable import GPU, SYSTEM, AlreadyMapped, DualTable
 from upm_sim.tlb import FragmentTlb
 from tests.test_pagetable import brute_fragment
@@ -186,6 +187,58 @@ def test_fragment_oracle_run_beyond_max_fragment_odd_delta(max_fragment):
                                           f_cap=max_fragment)
 
 
+SEQUENTIAL = FramePolicy(PlacementMode.INCREMENTAL_SCATTER, 0, 0.0)
+
+
+def random_op(rng, profile, live, tails=False, sequential=False):
+    """One random operation on a manager whose live allocations are live:
+    ("allocate", kind, size, policy), ("touch", index, pages, agent),
+    ("release", index), or None for a touch that does nothing. With tails,
+    sizes are not whole 16-page batches; with sequential, some
+    allocations use the ascending sequential policy."""
+    op = rng.random()
+    if op < 0.45 or not live:
+        kind = list(K)[int(rng.integers(0, 6))]
+        size = int(rng.integers(1, 64)) * profile.page_size * 16
+        if tails:
+            size += int(rng.integers(0, 16)) * profile.page_size
+        policy = SEQUENTIAL if sequential and rng.random() < 0.3 else None
+        return "allocate", kind, size, policy
+    if op < 0.8:
+        index = int(rng.integers(0, len(live)))
+        alloc = live[index]
+        blocks = alloc.n_pages // 16
+        if blocks and alloc.policy.value == "on_demand":
+            b0 = int(rng.integers(0, blocks))
+            b1 = int(rng.integers(b0, blocks)) + 1
+            agent = Agent.CPU if rng.random() < 0.7 else Agent.GPU
+            spec = classify(alloc.kind, profile.xnack)
+            if agent is Agent.CPU or spec.gpu_access:
+                return "touch", index, (b0 * 16, b1 * 16), agent
+        return None
+    return "release", int(rng.integers(0, len(live)))
+
+
+def apply_op(m, live, op) -> bool:
+    """Apply a random_op to m and its live list; False if it ran out of
+    memory."""
+    if op is None:
+        return True
+    name, *args = op
+    try:
+        if name == "allocate":
+            kind, size, policy = args
+            live.append(m.allocate(kind, size, policy))
+        elif name == "touch":
+            index, pages, agent = args
+            m.touch(live[index], pages, agent)
+        else:
+            m.release(live.pop(args[0]))
+    except OutOfMemory:
+        return False
+    return True
+
+
 def test_frame_conservation_random_op_sequences():
     profile = small_profile()
     total_ops = 0
@@ -197,29 +250,10 @@ def test_frame_conservation_random_op_sequences():
         live = []
         for _ in range(250):
             total_ops += 1
-            op = rng.random()
-            if op < 0.45 or not live:
-                kind = list(K)[int(rng.integers(0, 6))]
-                size = int(rng.integers(1, 64)) * profile.page_size * 16
-                alloc = m.allocate(kind, size)
-                live.append(alloc)
-            elif op < 0.8:
-                alloc = live[int(rng.integers(0, len(live)))]
-                blocks = alloc.n_pages // 16
-                if blocks and alloc.policy.value == "on_demand":
-                    b0 = int(rng.integers(0, blocks))
-                    b1 = int(rng.integers(b0, blocks)) + 1
-                    agent = Agent.CPU if rng.random() < 0.7 else Agent.GPU
-                    spec = classify(alloc.kind, profile.xnack)
-                    if agent is Agent.CPU or spec.gpu_access:
-                        m.touch(alloc, (b0 * 16, b1 * 16), agent)
-            else:
-                alloc = live.pop(int(rng.integers(0, len(live))))
-                m.release(alloc)
-            # Invariant: every frame is either free or owned by a live
-            # allocation's reservation.
-            reserved = sum(n for a in live for (_, n) in a.frame_runs)
-            assert m.pool.used_frames == reserved
+            assert apply_op(m, live, random_op(rng, profile, live))
+            # Every frame is either free or owned by a live allocation's
+            # reservation, with no overlap; and the rest of check().
+            m.check()
             assert m.pool.used_frames + m.pool.free_frames == total
         # No frame is ever double-mapped across live allocations.
         mapped_frames = np.concatenate(
@@ -232,6 +266,81 @@ def test_frame_conservation_random_op_sequences():
         assert m.pool.snapshot() == start_snapshot
         assert m.pool.free_frames == total
     assert total_ops >= 10_000
+
+
+def per_run_release(m):
+    """m, with its pool returning frames by one release_run per run, in
+    list order: the reference for FramePool.release_runs."""
+    pool = m.pool
+
+    def release_runs(runs):
+        for start, n in list(runs):
+            pool.release_run(start, n)
+
+    pool.release_runs = release_runs
+    return m
+
+
+def pool_state(pool):
+    """Everything a later draw can see: free set, used frames, each
+    store's keys in order, released blocks, cursors."""
+    return (pool.snapshot(), [list(d) for d in pool._runs.values()],
+            [list(d) for d in pool._group_runs], pool._released,
+            pool._block_sorted, pool._boot_left, pool._seq_next)
+
+
+def test_bulk_release_matches_per_run_release_random_op_sequences():
+    # A 32 MiB pool (64 blocks) runs out of memory now and then, so failed
+    # draws give their runs back too.
+    profile = replace(builtin_mi300a(), hbm_capacity=32 * MiB)
+    failed = 0
+    for seq in range(16):
+        rng = np.random.default_rng(5000 + seq)
+        bulk = MemoryManager(profile, seed=seq)
+        ref = per_run_release(MemoryManager(profile, seed=seq))
+        live_bulk, live_ref = [], []
+        for _ in range(150):
+            op = random_op(rng, profile, live_bulk, tails=True,
+                           sequential=True)
+            done = apply_op(bulk, live_bulk, op)
+            assert apply_op(ref, live_ref, op) == done
+            failed += not done
+            bulk.check()
+            ref.check()
+            assert pool_state(bulk.pool) == pool_state(ref.pool)
+        while live_bulk:
+            bulk.release(live_bulk.pop())
+            ref.release(live_ref.pop())
+            assert pool_state(bulk.pool) == pool_state(ref.pool)
+        assert bulk.pool.free_intervals() == [(0, bulk.pool.total_frames)]
+    assert failed > 50
+
+
+@pytest.mark.parametrize("heap", [False, True], ids=["alone", "heap"])
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+def test_bulk_release_matches_per_run_release_usage_matrix(kind, heap):
+    # The 1 GiB allocate, touch, release of harness.usage_matrix, then the
+    # three stream arrays it allocates next; optionally beside a live
+    # 100 MiB heap that holds part of some of the released blocks.
+    profile = builtin_mi300a()
+    states = []
+    for m in (MemoryManager(profile, seed=3),
+              per_run_release(MemoryManager(profile, seed=3))):
+        if heap:
+            h = m.allocate(K.LIBC_ON_DEMAND, 100 * MiB)
+            m.touch(h, (0, h.n_pages // 2), Agent.CPU)
+        alloc = m.allocate(kind, 1 * GiB)
+        m.touch(alloc, (0, alloc.n_pages // 2), Agent.CPU)
+        m.touch(alloc, None, Agent.CPU)
+        m.release(alloc)
+        m.check()
+        state = pool_state(m.pool)
+        arrays = [m.allocate(kind, profile.bw_model.gpu_stream_array_bytes)
+                  for _ in range(3)]
+        for a in arrays:
+            m.touch(a, None, Agent.CPU)
+        states.append((state, [a.frame_runs for a in arrays]))
+    assert states[0] == states[1]
 
 
 def test_block_granular_touch_keeps_mapped_equals_reserved():

@@ -11,6 +11,7 @@ status, soft anchors only warn.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -194,15 +195,14 @@ _LATENCY_SIZES = [1 * KiB, 4 * KiB, 16 * KiB, 64 * KiB, 256 * KiB,
                   256 * MiB, 512 * MiB, 1 * GiB, 2 * GiB, 4 * GiB]
 
 
-def _bench_latency(profile, spec):
-    agents = [parse_agent(a) if isinstance(a, str) else a
-              for a in spec.grid.get("agent", [Agent.GPU, Agent.CPU])]
-    kinds = [parse_kind(k) if isinstance(k, str) else k
-             for k in spec.grid.get("kind",
-                                    [AllocatorKind.DEVICE_UP_FRONT,
-                                     AllocatorKind.LIBC_ON_DEMAND,
-                                     AllocatorKind.PINNED_HOST])]
-    sizes = spec.grid.get("size", _LATENCY_SIZES)
+def _bench_latency(profile, seed, agent=(Agent.GPU, Agent.CPU),
+                   kind=(AllocatorKind.DEVICE_UP_FRONT,
+                         AllocatorKind.LIBC_ON_DEMAND,
+                         AllocatorKind.PINNED_HOST),
+                   size=_LATENCY_SIZES):
+    agents = [parse_agent(a) if isinstance(a, str) else a for a in agent]
+    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
+    sizes = size
     rows = []
     idx = 0
     for kind in kinds:
@@ -220,21 +220,20 @@ def _bench_latency(profile, spec):
                     continue
                 if load is None:
                     load = _chase_load(profile, kind, size,
-                                       _point_seed(spec.seed, idx))
+                                       _point_seed(seed, idx))
                 breakdown = perf.chase_latency(profile, agent, size, load)
                 rows.append(_row("latency", keys, "latency",
                                  breakdown.weighted_ns, "ns"))
     return rows
 
 
-def _bench_stream(profile, spec):
-    agents = [parse_agent(a) if isinstance(a, str) else a
-              for a in spec.grid.get("agent", [Agent.GPU, Agent.CPU])]
-    kinds = [parse_kind(k) if isinstance(k, str) else k
-             for k in spec.grid.get("kind", list(AllocatorKind))]
-    inits = [parse_agent(a) if isinstance(a, str) else a
-             for a in spec.grid.get("init", [Agent.CPU, Agent.GPU])]
-    threads_list = spec.grid.get("threads", [profile.cpu.cores])
+def _bench_stream(profile, seed, agent=(Agent.GPU, Agent.CPU),
+                  kind=tuple(AllocatorKind), init=(Agent.CPU, Agent.GPU),
+                  threads=None):
+    agents = [parse_agent(a) if isinstance(a, str) else a for a in agent]
+    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
+    inits = [parse_agent(a) if isinstance(a, str) else a for a in init]
+    threads_list = threads if threads is not None else [profile.cpu.cores]
     rows = []
     for agent in agents:
         for kind in kinds:
@@ -245,7 +244,7 @@ def _bench_stream(profile, spec):
                     try:
                         if agent is Agent.GPU:
                             ws = perf.gpu_triad_workset(profile, kind, init,
-                                                        spec.seed)
+                                                        seed)
                             bwv = perf.triad_bandwidth(profile, agent, kind,
                                                        init, threads, ws)
                             rows.append(_row("stream", keys, "bandwidth",
@@ -257,7 +256,7 @@ def _bench_stream(profile, spec):
                                                  "misses"))
                         else:
                             stats = build_cpu_stream_stats(profile, kind, init,
-                                                           threads, spec.seed)
+                                                           threads, seed)
                             rows.append(_row("stream", keys, "bandwidth",
                                              stats.bandwidth, "bytes/s"))
                             rows.append(_row("stream", keys, "cpu_page_faults",
@@ -272,11 +271,11 @@ _ALLOC_SIZES = [2, 8, 32, 128, 512, 2 * KiB, 8 * KiB, 16 * KiB, 64 * KiB,
                 128 * MiB, 512 * MiB, 1 * GiB]
 
 
-def _bench_alloc(profile, spec):
-    kinds = [parse_kind(k) if isinstance(k, str) else k
-             for k in spec.grid.get("kind", list(AllocatorKind))]
-    sizes = spec.grid.get("size", _ALLOC_SIZES)
-    chunks = int(spec.grid.get("chunks", [100])[0])
+def _bench_alloc(profile, seed, kind=tuple(AllocatorKind),
+                 size=_ALLOC_SIZES, chunks=(100,)):
+    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
+    sizes = size
+    chunks = int(chunks[0])
     rows = []
     for kind in kinds:
         for size in sizes:
@@ -293,18 +292,19 @@ def _bench_alloc(profile, spec):
 _FAULT_PAGES = [1, 10, 100, 1000, 10_000, 100_000, 1_000_000, 10_000_000]
 
 
-def _bench_fault(profile, spec):
+def _bench_fault(profile, seed, scenario=tuple(fault_mod.Scenario),
+                 pages=_FAULT_PAGES, samples=(100_000,)):
     scenarios = [fault_mod.Scenario(s) if isinstance(s, str) else s
-                 for s in spec.grid.get("scenario", list(fault_mod.Scenario))]
-    pages_list = spec.grid.get("pages", _FAULT_PAGES)
-    sample_count = int(spec.grid.get("samples", [100_000])[0])
+                 for s in scenario]
+    pages_list = pages
+    sample_count = int(samples[0])
     rows = []
     model = fault_mod.LatencyModel(profile)
     od_ok = classify(AllocatorKind.LIBC_ON_DEMAND, profile.xnack).gpu_access
     for si, scenario in enumerate(scenarios):
         gpu_side = scenario in (fault_mod.Scenario.GPU_MINOR,
                                 fault_mod.Scenario.GPU_MAJOR)
-        rng = np.random.default_rng(_point_seed(spec.seed, 1000 + si))
+        rng = np.random.default_rng(_point_seed(seed, 1000 + si))
         for pages in pages_list:
             keys = {"scenario": scenario.value, "pages": pages}
             if gpu_side and not od_ok:
@@ -335,13 +335,13 @@ _ATOMIC_GPU_THREADS = [64, 320, 1280, 3328, 6400, 13312]
 _ATOMIC_CPU_THREADS = [1, 2, 3, 6, 12, 24]
 
 
-def _bench_atomics(profile, spec):
-    arrays = spec.grid.get("array_len", [1, 1 << 10, 1 << 20, 1 << 30])
+def _bench_atomics(profile, seed, array_len=(1, 1 << 10, 1 << 20, 1 << 30),
+                   dtype=tuple(atomics_mod.Dtype),
+                   cpu_threads=_ATOMIC_CPU_THREADS,
+                   gpu_threads=_ATOMIC_GPU_THREADS):
     dtypes = [atomics_mod.Dtype(d) if isinstance(d, str) else d
-              for d in spec.grid.get("dtype", list(atomics_mod.Dtype))]
-    cpu_list = spec.grid.get("cpu_threads", _ATOMIC_CPU_THREADS)
-    gpu_list = spec.grid.get("gpu_threads", _ATOMIC_GPU_THREADS)
-    hybrid_arrays = [n for n in arrays if n in (1 << 10, 1 << 20)]
+              for d in dtype]
+    hybrid_arrays = [n for n in array_len if n in (1 << 10, 1 << 20)]
     rows = []
 
     def emit(n, dtype, c, g):
@@ -359,30 +359,32 @@ def _bench_atomics(profile, spec):
         rows.append(_row("atomics", keys, "collision_probability",
                          res.collision_probability, "p"))
 
-    for n in arrays:
+    for n in array_len:
         for dtype in dtypes:
-            for c in cpu_list:
+            for c in cpu_threads:
                 emit(n, dtype, c, 0)
-            for g in gpu_list:
+            for g in gpu_threads:
                 emit(n, dtype, 0, g)
     for n in hybrid_arrays:
         for dtype in dtypes:
-            for c in cpu_list:
-                for g in gpu_list:
+            for c in cpu_threads:
+                for g in gpu_threads:
                     emit(n, dtype, c, g)
     return rows
 
 
-def _bench_memcpy(profile, spec):
-    pairs = spec.grid.get("pair", [
-        (AllocatorKind.LIBC_ON_DEMAND, AllocatorKind.DEVICE_UP_FRONT),
-        (AllocatorKind.DEVICE_UP_FRONT, AllocatorKind.LIBC_ON_DEMAND),
-        (AllocatorKind.PINNED_HOST, AllocatorKind.DEVICE_UP_FRONT),
-        (AllocatorKind.DEVICE_UP_FRONT, AllocatorKind.DEVICE_UP_FRONT),
-    ])
-    sdma_list = spec.grid.get("sdma", [True, False])
+_MEMCPY_PAIRS = (
+    (AllocatorKind.LIBC_ON_DEMAND, AllocatorKind.DEVICE_UP_FRONT),
+    (AllocatorKind.DEVICE_UP_FRONT, AllocatorKind.LIBC_ON_DEMAND),
+    (AllocatorKind.PINNED_HOST, AllocatorKind.DEVICE_UP_FRONT),
+    (AllocatorKind.DEVICE_UP_FRONT, AllocatorKind.DEVICE_UP_FRONT),
+)
+
+
+def _bench_memcpy(profile, seed, pair=_MEMCPY_PAIRS, sdma=(True, False)):
+    sdma_list = sdma
     rows = []
-    for src, dst in pairs:
+    for src, dst in pair:
         if isinstance(src, str):
             src = parse_kind(src)
         if isinstance(dst, str):
@@ -427,13 +429,12 @@ def usage_matrix(profile: MachineProfile, kind: AllocatorKind,
     return out
 
 
-def _bench_usage(profile, spec):
-    kinds = [parse_kind(k) if isinstance(k, str) else k
-             for k in spec.grid.get("kind", list(AllocatorKind))]
-    size = int(spec.grid.get("size", [1 * GiB])[0])
+def _bench_usage(profile, seed, kind=tuple(AllocatorKind), size=(1 * GiB,)):
+    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
+    size = int(size[0])
     rows = []
     for i, kind in enumerate(kinds):
-        table = usage_matrix(profile, kind, size, _point_seed(spec.seed, i))
+        table = usage_matrix(profile, kind, size, _point_seed(seed, i))
         for stage in _USAGE_STAGES:
             for counter in _USAGE_COUNTERS:
                 keys = {"kind": kind.value, "stage": stage,
@@ -443,17 +444,23 @@ def _bench_usage(profile, spec):
     return rows
 
 
-# Each benchmark's function and the grid keys it reads.
+# Each driver takes (profile, seed) and one keyword argument per grid
+# key, whose default is the default grid.
 _BENCHES = {
-    "latency": (_bench_latency, ("agent", "kind", "size")),
-    "stream": (_bench_stream, ("agent", "kind", "init", "threads")),
-    "alloc": (_bench_alloc, ("kind", "size", "chunks")),
-    "fault": (_bench_fault, ("scenario", "pages", "samples")),
-    "atomics": (_bench_atomics, ("array_len", "dtype", "cpu_threads",
-                                 "gpu_threads")),
-    "memcpy": (_bench_memcpy, ("pair", "sdma")),
-    "usage": (_bench_usage, ("kind", "size")),
+    "latency": _bench_latency,
+    "stream": _bench_stream,
+    "alloc": _bench_alloc,
+    "fault": _bench_fault,
+    "atomics": _bench_atomics,
+    "memcpy": _bench_memcpy,
+    "usage": _bench_usage,
 }
+
+
+def grid_keys(benchmark: str) -> tuple[str, ...]:
+    """The grid keys a benchmark reads: its driver's keyword arguments."""
+    params = inspect.signature(_BENCHES[benchmark]).parameters
+    return tuple(params)[2:]
 
 
 def run(profile: MachineProfile, spec: WorkloadSpec) -> list[dict]:
@@ -462,12 +469,12 @@ def run(profile: MachineProfile, spec: WorkloadSpec) -> list[dict]:
     if name not in _BENCHES:
         raise UsageError(f"unknown benchmark {spec.benchmark!r}; "
                          f"choose from {', '.join(BENCHMARK_NAMES)}")
-    bench, keys = _BENCHES[name]
+    keys = grid_keys(name)
     unknown = [k for k in spec.grid if k not in keys]
     if unknown:
         raise UsageError(f"unknown grid key {unknown[0]!r} for {name}; "
                          f"choose from {', '.join(keys)}")
-    return bench(profile, spec)
+    return _BENCHES[name](profile, spec.seed, **spec.grid)
 
 
 def report(rows: list[dict], fmt: str = "csv") -> str:

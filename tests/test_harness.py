@@ -187,7 +187,13 @@ def test_cli_unknown_grid_key_is_one_line(capsys, bench):
     assert captured.out == ""
     assert captured.err == (f"upm-sim: unknown grid key 'bogus' for "
                             f"{bench}; choose from "
-                            f"{', '.join(harness._BENCHES[bench][1])}\n")
+                            f"{', '.join(harness.grid_keys(bench))}\n")
+
+
+def test_grid_keys_are_the_driver_arguments():
+    assert harness.grid_keys("usage") == ("kind", "size")
+    assert harness.grid_keys("alloc") == ("kind", "size", "chunks")
+    assert harness.grid_keys("memcpy") == ("pair", "sdma")
 
 
 def test_cli_profile_dump_round_trips(tmp_path, capsys):

@@ -273,8 +273,10 @@ def per_run_release(m):
     list order: the reference for FramePool.release_runs."""
     pool = m.pool
 
-    def release_runs(runs):
+    def release_runs(runs, counted=True):
         for start, n in list(runs):
+            if not counted:
+                pool.used_frames += n
             pool.release_run(start, n)
 
     pool.release_runs = release_runs

@@ -5,9 +5,11 @@
     upm-sim verify [--profile FILE] [--seed N]
     upm-sim profile dump [--profile FILE]
 
-UPM_SIM_SEED sets the default seed. Exit codes: 0 success, 1 usage error
-(a bad profile or grid value, reported in one line on stderr),
-2 verification failure.
+Each --grid key is given once; size values take B/KiB/MiB/GiB, counts
+are whole numbers and a memcpy pair is SRC:DST. UPM_SIM_SEED sets the
+default seed. Exit codes: 0 success, 1 usage error (a bad profile, grid
+key or grid value, reported in one line on stderr), 2 verification
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import os
 import sys
 
-from . import harness, units
+from . import harness
 from .atomics import InvalidWorkload
 from .machine import (ProfileParseError, ProfileValidationError,
                       builtin_mi300a, load_profile, serialize_profile)
@@ -41,26 +43,18 @@ def _load(path: str | None):
         return load_profile(fh.read())
 
 
-def _parse_grid_value(text: str):
-    for caster in (int, float):
-        try:
-            return caster(text)
-        except ValueError:
-            pass
-    try:
-        return units.parse_value(text, units.BYTES)
-    except units.UnitError:
-        return text
-
-
 def _parse_grid(items: list[str]) -> dict:
+    """--grid items as {key: [text, ...]}; run() parses the text."""
     grid: dict = {}
     for item in items:
-        if "=" not in item:
+        key, sep, values = item.partition("=")
+        key = key.strip()
+        if not sep:
             raise harness.UsageError(
                 f"grid item {item!r} must look like KEY=V1,V2,...")
-        key, _, values = item.partition("=")
-        grid[key.strip()] = [_parse_grid_value(v) for v in values.split(",")]
+        if key in grid:
+            raise harness.UsageError(f"grid key {key!r} given twice")
+        grid[key] = values.split(",")
     return grid
 
 
@@ -107,11 +101,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         try:
-            spec = harness.WorkloadSpec(benchmark=args.benchmark,
-                                        grid=_parse_grid(args.grid),
-                                        seed=args.seed)
-            rows = harness.run(profile, spec)
-            text = harness.report(rows, args.format)
+            spec = harness.WorkloadSpec(args.benchmark, _parse_grid(args.grid),
+                                        args.seed)
+            text = harness.report(harness.run(profile, spec), args.format)
         except harness.UsageError as exc:
             print(f"upm-sim: {exc}", file=sys.stderr)
             return 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import atomics as atomics_mod
 from . import fault as fault_mod
-from . import perf, tlb
+from . import perf, tlb, units
 from .machine import KiB, MiB, GiB, MachineProfile
 from .memmgr import (AccessViolation, Agent, AllocatorKind, FaultKind,
                      MemoryManager, Policy, UsageCounter, alloc_time_model,
@@ -75,41 +75,31 @@ class WorkloadSpec:
     seed: int = 0
 
 
-BENCH_KEYS = {
-    "latency": ("agent", "kind", "size"),
-    "stream": ("agent", "kind", "init", "threads"),
-    "alloc": ("kind", "size"),
-    "fault": ("scenario", "pages"),
-    "atomics": ("array_len", "dtype", "cpu_threads", "gpu_threads"),
-    "memcpy": ("src", "dst", "sdma"),
-    "usage": ("kind", "stage", "counter"),
+def parse_pair(text: str) -> tuple[AllocatorKind, AllocatorKind]:
+    src, sep, dst = text.partition(":")
+    if not sep:
+        raise UsageError(f"expected SRC:DST, got {text!r}")
+    return parse_kind(src), parse_kind(dst)
+
+
+def _in(dimension: str):
+    return functools.partial(units.parse_value, dimension=dimension)
+
+
+# The parser of a text grid value, by key name. Values that are not text
+# reach the drivers unchanged.
+_GRID_PARSERS = {
+    "kind": parse_kind, "agent": parse_agent, "init": parse_agent,
+    "scenario": fault_mod.Scenario, "dtype": atomics_mod.Dtype,
+    "pair": parse_pair, "size": _in(units.BYTES), "sdma": _in(units.FLAG),
+    **dict.fromkeys(("pages", "samples", "chunks", "threads", "array_len",
+                     "cpu_threads", "gpu_threads"), _in(units.COUNT)),
 }
-
-BENCHMARK_NAMES = tuple(BENCH_KEYS)
-
-# Long names accepted on the CLI next to the short ones.
-BENCHMARK_ALIASES = {
-    "latencysweep": "latency",
-    "allocbench": "alloc",
-    "faultbench": "fault",
-    "atomicsbench": "atomics",
-    "memcpybench": "memcpy",
-    "usagereport": "usage",
-}
-
-
-def canonical_benchmark(name: str) -> str:
-    low = name.strip().lower()
-    return BENCHMARK_ALIASES.get(low, low)
 
 
 def _row(benchmark, keys: dict, metric: str, value: float, unit: str) -> dict:
-    row = {"benchmark": benchmark}
-    row.update(keys)
-    row["metric"] = metric
-    row["value"] = value
-    row["unit"] = unit
-    return row
+    return {"benchmark": benchmark, **keys, "metric": metric, "value": value,
+            "unit": unit}
 
 
 def _error_row(benchmark, keys: dict, exc: Exception) -> dict:
@@ -200,9 +190,7 @@ def _bench_latency(profile, seed, agent=(Agent.GPU, Agent.CPU),
                          AllocatorKind.LIBC_ON_DEMAND,
                          AllocatorKind.PINNED_HOST),
                    size=_LATENCY_SIZES):
-    agents = [parse_agent(a) if isinstance(a, str) else a for a in agent]
-    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
-    sizes = size
+    agents, kinds, sizes = agent, kind, size
     rows = []
     idx = 0
     for kind in kinds:
@@ -229,11 +217,10 @@ def _bench_latency(profile, seed, agent=(Agent.GPU, Agent.CPU),
 
 def _bench_stream(profile, seed, agent=(Agent.GPU, Agent.CPU),
                   kind=tuple(AllocatorKind), init=(Agent.CPU, Agent.GPU),
-                  threads=None):
-    agents = [parse_agent(a) if isinstance(a, str) else a for a in agent]
-    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
-    inits = [parse_agent(a) if isinstance(a, str) else a for a in init]
-    threads_list = threads if threads is not None else [profile.cpu.cores]
+                  threads=()):
+    agents, kinds, inits = agent, kind, init
+    # No threads given means the profile's core count.
+    threads_list = threads or [profile.cpu.cores]
     rows = []
     for agent in agents:
         for kind in kinds:
@@ -272,10 +259,8 @@ _ALLOC_SIZES = [2, 8, 32, 128, 512, 2 * KiB, 8 * KiB, 16 * KiB, 64 * KiB,
 
 
 def _bench_alloc(profile, seed, kind=tuple(AllocatorKind),
-                 size=_ALLOC_SIZES, chunks=(100,)):
-    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
-    sizes = size
-    chunks = int(chunks[0])
+                 size=_ALLOC_SIZES, chunks=100):
+    kinds, sizes = kind, size
     rows = []
     for kind in kinds:
         for size in sizes:
@@ -293,11 +278,10 @@ _FAULT_PAGES = [1, 10, 100, 1000, 10_000, 100_000, 1_000_000, 10_000_000]
 
 
 def _bench_fault(profile, seed, scenario=tuple(fault_mod.Scenario),
-                 pages=_FAULT_PAGES, samples=(100_000,)):
-    scenarios = [fault_mod.Scenario(s) if isinstance(s, str) else s
-                 for s in scenario]
-    pages_list = pages
-    sample_count = int(samples[0])
+                 pages=_FAULT_PAGES, samples=100_000):
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    scenarios, pages_list = scenario, pages
     rows = []
     model = fault_mod.LatencyModel(profile)
     od_ok = classify(AllocatorKind.LIBC_ON_DEMAND, profile.xnack).gpu_access
@@ -315,12 +299,12 @@ def _bench_fault(profile, seed, scenario=tuple(fault_mod.Scenario),
             rows.append(_row("fault", keys, "throughput", rate, "pages/s"))
         if gpu_side and not od_ok:
             continue
-        samples = model.sample(scenario, rng, sample_count)
+        lat = model.sample(scenario, rng, samples)
         keys = {"scenario": scenario.value, "pages": 1}
         rows.append(_row("fault", keys, "latency_mean",
-                         float(samples.mean()), "us"))
+                         float(lat.mean()), "us"))
         rows.append(_row("fault", keys, "latency_p95",
-                         float(np.percentile(samples, 95)), "us"))
+                         float(np.percentile(lat, 95)), "us"))
     for pages in pages_list:
         for overlap in (False, True):
             res = fault_mod.prefault_pipeline(profile, pages, overlap)
@@ -339,8 +323,6 @@ def _bench_atomics(profile, seed, array_len=(1, 1 << 10, 1 << 20, 1 << 30),
                    dtype=tuple(atomics_mod.Dtype),
                    cpu_threads=_ATOMIC_CPU_THREADS,
                    gpu_threads=_ATOMIC_GPU_THREADS):
-    dtypes = [atomics_mod.Dtype(d) if isinstance(d, str) else d
-              for d in dtype]
     hybrid_arrays = [n for n in array_len if n in (1 << 10, 1 << 20)]
     rows = []
 
@@ -360,16 +342,16 @@ def _bench_atomics(profile, seed, array_len=(1, 1 << 10, 1 << 20, 1 << 30),
                          res.collision_probability, "p"))
 
     for n in array_len:
-        for dtype in dtypes:
+        for d in dtype:
             for c in cpu_threads:
-                emit(n, dtype, c, 0)
+                emit(n, d, c, 0)
             for g in gpu_threads:
-                emit(n, dtype, 0, g)
+                emit(n, d, 0, g)
     for n in hybrid_arrays:
-        for dtype in dtypes:
+        for d in dtype:
             for c in cpu_threads:
                 for g in gpu_threads:
-                    emit(n, dtype, c, g)
+                    emit(n, d, c, g)
     return rows
 
 
@@ -382,16 +364,13 @@ _MEMCPY_PAIRS = (
 
 
 def _bench_memcpy(profile, seed, pair=_MEMCPY_PAIRS, sdma=(True, False)):
-    sdma_list = sdma
     rows = []
     for src, dst in pair:
-        if isinstance(src, str):
-            src = parse_kind(src)
-        if isinstance(dst, str):
-            dst = parse_kind(dst)
-        for sdma in sdma_list:
-            keys = {"src": src.value, "dst": dst.value, "sdma": int(sdma)}
-            bwv = perf.memcpy_bandwidth(profile, src, dst, sdma)
+        # A pair may hold kinds or their values, e.g. "device_up_front".
+        src, dst = AllocatorKind(src), AllocatorKind(dst)
+        for flag in sdma:
+            keys = {"src": src.value, "dst": dst.value, "sdma": int(flag)}
+            bwv = perf.memcpy_bandwidth(profile, src, dst, flag)
             rows.append(_row("memcpy", keys, "bandwidth", bwv, "bytes/s"))
     return rows
 
@@ -429,63 +408,90 @@ def usage_matrix(profile: MachineProfile, kind: AllocatorKind,
     return out
 
 
-def _bench_usage(profile, seed, kind=tuple(AllocatorKind), size=(1 * GiB,)):
-    kinds = [parse_kind(k) if isinstance(k, str) else k for k in kind]
-    size = int(size[0])
+def _bench_usage(profile, seed, kind=tuple(AllocatorKind), size=1 * GiB):
     rows = []
-    for i, kind in enumerate(kinds):
-        table = usage_matrix(profile, kind, size, _point_seed(seed, i))
+    for i, k in enumerate(kind):
+        table = usage_matrix(profile, k, size, _point_seed(seed, i))
         for stage in _USAGE_STAGES:
             for counter in _USAGE_COUNTERS:
-                keys = {"kind": kind.value, "stage": stage,
+                keys = {"kind": k.value, "stage": stage,
                         "counter": counter.value}
                 rows.append(_row("usage", keys, "bytes_used",
                                  float(table[(stage, counter)]), "bytes"))
     return rows
 
 
-# Each driver takes (profile, seed) and one keyword argument per grid
-# key, whose default is the default grid.
-_BENCHES = {
-    "latency": _bench_latency,
-    "stream": _bench_stream,
-    "alloc": _bench_alloc,
-    "fault": _bench_fault,
-    "atomics": _bench_atomics,
-    "memcpy": _bench_memcpy,
-    "usage": _bench_usage,
+# Each benchmark: its driver and the long names the CLI accepts next to
+# the short one. A driver takes (profile, seed) and one keyword argument
+# per grid key, whose default is the default grid: a tuple or list of
+# values, or a single value for a key that takes exactly one.
+_BENCHMARKS = {
+    "latency": (_bench_latency, ("latencysweep",)),
+    "stream": (_bench_stream, ()),
+    "alloc": (_bench_alloc, ("allocbench",)),
+    "fault": (_bench_fault, ("faultbench",)),
+    "atomics": (_bench_atomics, ("atomicsbench",)),
+    "memcpy": (_bench_memcpy, ("memcpybench",)),
+    "usage": (_bench_usage, ("usagereport",)),
 }
+
+BENCHMARK_NAMES = tuple(_BENCHMARKS)
+
+
+def canonical_benchmark(name: str) -> str:
+    low = name.strip().lower()
+    return next((bench for bench, (_, aliases) in _BENCHMARKS.items()
+                 if low in aliases), low)
+
+
+def _grid_defaults(benchmark: str) -> dict:
+    params = inspect.signature(_BENCHMARKS[benchmark][0]).parameters
+    return {key: p.default for key, p in list(params.items())[2:]}
 
 
 def grid_keys(benchmark: str) -> tuple[str, ...]:
     """The grid keys a benchmark reads: its driver's keyword arguments."""
-    params = inspect.signature(_BENCHES[benchmark]).parameters
-    return tuple(params)[2:]
+    return tuple(_grid_defaults(benchmark))
+
+
+def _parse_text(key: str, text: str):
+    try:
+        return _GRID_PARSERS[key](text)
+    except ValueError as exc:
+        raise UsageError(f"bad value {text!r} for grid key {key!r}: "
+                         f"{exc}") from None
 
 
 def run(profile: MachineProfile, spec: WorkloadSpec) -> list[dict]:
-    """Evaluate one benchmark grid; one row per (point, metric)."""
+    """Evaluate one benchmark grid; one row per (point, metric). Text values
+    are parsed by key; a key with a single-value default takes one value."""
     name = canonical_benchmark(spec.benchmark)
-    if name not in _BENCHES:
+    if name not in _BENCHMARKS:
         raise UsageError(f"unknown benchmark {spec.benchmark!r}; "
                          f"choose from {', '.join(BENCHMARK_NAMES)}")
-    keys = grid_keys(name)
-    unknown = [k for k in spec.grid if k not in keys]
-    if unknown:
-        raise UsageError(f"unknown grid key {unknown[0]!r} for {name}; "
-                         f"choose from {', '.join(keys)}")
-    return _BENCHES[name](profile, spec.seed, **spec.grid)
+    defaults = _grid_defaults(name)
+    grid = {}
+    for key, values in spec.grid.items():
+        if key not in defaults:
+            raise UsageError(f"unknown grid key {key!r} for {name}; "
+                             f"choose from {', '.join(defaults)}")
+        values = [_parse_text(key, v) if isinstance(v, str) else v
+                  for v in values]
+        if not isinstance(defaults[key], (tuple, list)):
+            if len(values) != 1:
+                raise UsageError(f"grid key {key!r} of {name} takes one "
+                                 f"value, got {len(values)}")
+            values = values[0]
+        grid[key] = values
+    return _BENCHMARKS[name][0](profile, spec.seed, **grid)
 
 
 def report(rows: list[dict], fmt: str = "csv") -> str:
-    """Render rows with a stable column order."""
+    """Render rows; the columns are the first row's keys, in order."""
     if fmt not in ("csv", "table"):
         raise UsageError(f"unknown format {fmt!r}")
-    if not rows:
-        header = ["benchmark", "metric", "value", "unit"]
-    else:
-        bench = rows[0]["benchmark"]
-        header = ["benchmark", *BENCH_KEYS[bench], "metric", "value", "unit"]
+    header = (list(rows[0]) if rows
+              else ["benchmark", "metric", "value", "unit"])
     table = [header]
     for row in rows:
         cells = []

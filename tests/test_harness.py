@@ -1,8 +1,11 @@
+import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -171,7 +174,14 @@ def test_cli_usage_errors_exit_one(capsys):
     ["run", "atomics", "--grid", "gpu_threads=65"],
     ["run", "fault", "--grid", "scenario=nope"],
     ["run", "stream", "--grid", "agent=cpu", "--grid", "threads=0"],
-], ids=["zero-size", "out-of-memory", "gpu-threads", "scenario", "threads"])
+    ["run", "latency", "--grid", "size=abc"],
+    ["run", "fault", "--grid", "samples=0"],
+    ["run", "stream", "--grid", "agent=cpu", "--grid", "threads=1.5"],
+    ["run", "fault", "--grid", "pages=1.5"],
+    ["run", "memcpy", "--grid", "sdma=2"],
+], ids=["zero-size", "out-of-memory", "gpu-threads", "scenario", "threads",
+        "text-size", "zero-samples", "fractional-threads", "fractional-pages",
+        "sdma-not-a-flag"])
 def test_cli_bad_grid_value_is_one_line(capsys, argv):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -188,6 +198,65 @@ def test_cli_unknown_grid_key_is_one_line(capsys, bench):
     assert captured.err == (f"upm-sim: unknown grid key 'bogus' for "
                             f"{bench}; choose from "
                             f"{', '.join(harness.grid_keys(bench))}\n")
+
+
+def test_cli_memcpy_pair_is_src_colon_dst(capsys):
+    assert cli.main(["run", "memcpy", "--grid", "pair=malloc:device"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[1:4] for r in rows] == [
+        ["libc_on_demand", "device_up_front", "1"],
+        ["libc_on_demand", "device_up_front", "0"]]
+    for pair in ("malloc", "ab"):
+        assert cli.main(["run", "memcpy", "--grid", f"pair={pair}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"upm-sim: bad value {pair!r} for grid key "
+                                f"'pair': expected SRC:DST, got {pair!r}\n")
+
+
+@pytest.mark.parametrize("bench,item", [
+    ("usage", "size=1MiB,2MiB"),
+    ("alloc", "chunks=1,1000"),
+    ("fault", "samples=10,20"),
+])
+def test_cli_one_value_key_rejects_two(capsys, bench, item):
+    assert cli.main(["run", bench, "--grid", item]) == 1
+    captured = capsys.readouterr()
+    key = item.partition("=")[0]
+    assert captured.out == ""
+    assert captured.err == (f"upm-sim: grid key {key!r} of {bench} takes "
+                            f"one value, got 2\n")
+
+
+def test_cli_repeated_grid_key_is_one_line(capsys):
+    assert cli.main(["run", "alloc", "--grid", "kind=device",
+                     "--grid", "kind=malloc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "upm-sim: grid key 'kind' given twice\n"
+
+
+@pytest.mark.parametrize("bench,key", [
+    (bench, key) for bench in harness.BENCHMARK_NAMES
+    for key in harness.grid_keys(bench)])
+def test_every_grid_key_parses_its_text(profile, bench, key):
+    # A key without a parser would pass "?" to its driver as text.
+    with pytest.raises(harness.UsageError,
+                       match=f"^bad value '\\?' for grid key '{key}': "):
+        run(profile, WorkloadSpec(bench, {key: ["?"]}))
+
+
+def test_readme_grid_key_table_matches_the_drivers():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| Benchmark | Grid keys |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda x: x.startswith("|"),
+                                    lines[start:]):
+        bench, keys = line.strip("|").split("|")
+        table[bench.strip(" `")] = tuple(re.findall(r"`(\w+)`", keys))
+    assert table == {b: harness.grid_keys(b) for b in harness.BENCHMARK_NAMES}
 
 
 def test_grid_keys_are_the_driver_arguments():

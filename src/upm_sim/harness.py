@@ -86,11 +86,17 @@ def _in(dimension: str):
     return functools.partial(units.parse_value, dimension=dimension)
 
 
+def _any_case(parse):
+    """parse, ignoring case and surrounding space, as kinds and agents do."""
+    return lambda text: parse(text.strip().lower())
+
+
 # The parser of a text grid value, by key name. Values that are not text
 # reach the drivers unchanged.
 _GRID_PARSERS = {
     "kind": parse_kind, "agent": parse_agent, "init": parse_agent,
-    "scenario": fault_mod.Scenario, "dtype": atomics_mod.Dtype,
+    "scenario": _any_case(fault_mod.Scenario),
+    "dtype": _any_case(atomics_mod.Dtype),
     "pair": parse_pair, "size": _in(units.BYTES), "sdma": _in(units.FLAG),
     **dict.fromkeys(("pages", "samples", "chunks", "threads", "array_len",
                      "cpu_threads", "gpu_threads"), _in(units.COUNT)),

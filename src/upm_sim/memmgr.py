@@ -24,17 +24,24 @@ that batch's virtual block (they sit in the kernel's per-CPU cache, not in
 the free pool). Each allocation keeps those reservations in an int64 array
 indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
 
-The pool keeps whole free blocks in a bytearray alive map. They are drawn
-from a boot-time permutation, read by a cursor from its end, after any
-released blocks, which a plain list returns last-released first; sequential
-draws use a heap built from the alive map. The permutation is computed
-once per seed and pool size and shared, read-only, by every pool of that
-seed; only the latest one is kept. Runs smaller than a block sit in one
-dict per order, 16-page runs in one dict per channel group. Every free
-frame is in the alive map or in one of these stores: a sequential draw
-leaves the rest of its block's slots in the group stores and takes the
-next slot from there while it is still free. All scattered batches of one
-placement are drawn in a single ``take_batches`` call.
+The pool keeps whole free blocks in a bytearray alive map. Released
+blocks, last-released first, then a boot-time permutation read from its
+end are the one source of blocks: ``_next_blocks`` takes the next k alive
+ones in a pass. Sequential draws use a heap built from the alive map. The
+permutation is shared, read-only, by every pool of one seed and size, and
+only the latest is kept. Runs smaller than a block sit in one dict per
+order, 16-page runs in one dict per channel group, each a stack. Every
+free frame is in the alive map or in one of these stores: a sequential
+draw leaves the rest of its block's slots in the group stores and takes
+the next slot from there while it is still free.
+
+All scattered batches of one placement are drawn in one ``take_batches``
+call, in closed form. A draw from an empty group first splits the next
+block into one slot per group, so the blocks split up to each draw are a
+running maximum over the groups' demand, and the slot each draw takes
+follows from matching the pops and pushes of each group's stack by
+position. Only a pool with too few blocks left draws one batch at a time,
+refilling dry stores from smaller runs.
 
 Frames go back through ``release_runs`` only, one call per release or
 failed draw. A block that the call frees entirely (its runs plus the free
@@ -234,19 +241,43 @@ class FramePool:
         return self._runs[order]
 
     def _pop_block(self) -> int | None:
-        alive = self._block_alive
-        while self._released:
-            b = self._released.pop()
-            if alive[b]:
-                alive[b] = 0
-                return b
-        while self._boot_left:
-            self._boot_left -= 1
-            b = int(self._boot_order[self._boot_left])
-            if alive[b]:
-                alive[b] = 0
-                return b
-        return None
+        b = self._next_blocks(1)
+        if b is None:  # neither source holds a free block: both run out
+            self._released.clear()
+            self._boot_left = 0
+            return None
+        return int(b[0])
+
+    def _next_blocks(self, k: int) -> np.ndarray | None:
+        """Take the next k blocks that _pop_block would return; None, with
+        nothing taken, if fewer than k are left."""
+        alive = np.frombuffer(self._block_alive, dtype=np.uint8)
+        got, rel = self._scan(alive, self._released, k, len(self._released))
+        boot, left = self._scan(alive, self._boot_order, k - len(got),
+                                self._boot_left)
+        blocks = np.concatenate((got, boot))
+        if len(blocks) < k:
+            alive[blocks] = 1
+            return None
+        del self._released[rel:]
+        self._boot_left = left
+        return blocks
+
+    @staticmethod
+    def _scan(alive, source, k: int, end: int):
+        """Up to k alive blocks of source[:end], read backwards, each once,
+        marked taken (a released block may also lie ahead of the boot
+        cursor); and where the reading stopped."""
+        got = [np.empty(0, dtype=np.int64)]
+        while k and end:
+            window = np.array(source[max(0, end - 2 * k - 16):end])[::-1]
+            _, first = np.unique(window, return_index=True)
+            at = np.sort(first[alive[window[first]] != 0])[:k]
+            alive[window[at]] = 0
+            got.append(window[at])
+            k -= len(at)
+            end -= int(at[-1]) + 1 if not k else len(window)
+        return np.concatenate(got), end
 
     def _alive_blocks(self) -> np.ndarray:
         return np.flatnonzero(np.frombuffer(self._block_alive, dtype=np.uint8))
@@ -269,16 +300,10 @@ class FramePool:
             if b is None:
                 raise OutOfMemory("no contiguous block available")
             return b << self.block_order
-        if order == self.batch_order:
-            for g in range(self.groups_n):
-                if self._group_runs[g]:
-                    start, _ = self._group_runs[g].popitem()
-                    return start
-        else:
-            store = self._runs[order]
+        for store in (self._group_runs if order == self.batch_order
+                      else [self._runs[order]]):
             if store:
-                start, _ = store.popitem()
-                return start
+                return store.popitem()[0]
         upper = self._take_run(order + 1)
         half = 1 << order
         self._store(order, upper + half)[upper + half] = None
@@ -291,64 +316,106 @@ class FramePool:
         if n_pages > self.free_frames:
             raise OutOfMemory(f"{n_pages} pages requested, "
                               f"{self.free_frames} free")
-        runs: list[tuple[int, int]] = []
-        left = n_pages
+        blocks = self._next_blocks(n_pages >> self.block_order)
+        runs: list[tuple[int, int]] = [] if blocks is None else list(zip(
+            (blocks << self.block_order).tolist(),
+            itertools.repeat(self.block_pages)))
+        left = n_pages - len(runs) * self.block_pages
         try:
             while left:
-                order = min(self.block_order, left.bit_length() - 1)
-                start = None
-                for o in range(order, -1, -1):
-                    try:
-                        start = self._take_run(o)
-                    except OutOfMemory:
-                        continue
-                    order = o
-                    break
-                if start is None:
+                for order in range(min(self.block_order,
+                                       left.bit_length() - 1), -1, -1):
+                    with contextlib.suppress(OutOfMemory):
+                        runs.append((self._take_run(order), 1 << order))
+                        break
+                else:
                     raise OutOfMemory("free frames too fragmented")
-                size = 1 << order
-                runs.append((start, size))
-                left -= size
+                left -= 1 << order
         except OutOfMemory:
             self.release_runs(runs, counted=False)
             raise
         self.used_frames += n_pages
         return runs
 
-    def take_batches(self, groups: list[int]) -> list[int]:
-        """One 16-page aligned run per listed channel group, in order.
+    def take_batches(self, groups) -> np.ndarray:
+        """One 16-page aligned run per listed channel group, in order: the
+        runs _take_batch gives one draw at a time, found in one pass.
 
-        A dry group store is refilled by splitting the next free block
-        into one slot per group; with no block left, by splitting the
-        32- and 64-page runs, then from the other groups. If one draw
-        fails, the runs already drawn go back to the pool before
-        OutOfMemory propagates.
-        """
-        group_runs = self._group_runs
-        slots = [g << self.batch_order for g in range(self.groups_n)]
-        starts: list[int] = []
-        append = starts.append
-        try:
-            for group in groups:
-                store = group_runs[group]
-                if not store:
-                    b = self._pop_block()
-                    if b is not None:
-                        base = b << self.block_order
-                        for run, slot in zip(group_runs, slots):
-                            run[base + slot] = None
-                    else:
-                        store = self._refill_dry(group)
-                append(store.popitem()[0])
-        except OutOfMemory:
-            self.release_runs([(start, self.batch_pages) for start in starts],
-                              counted=False)
-            raise
-        self.used_frames += len(starts) * self.batch_pages
+        With prior the earlier draws of a draw's group and depth the size
+        of its store, the blocks split up to draw i are the running
+        maximum of prior + 1 - depth. Split j, at draw at[j], pushes one
+        slot on each store g, at stack position depth + j - (draws of g
+        before at[j]); draw i pops position depth + split - prior - 1.
+        Ordered by (group, position, draw), the pushes and pops at one
+        position alternate, so a pop takes the push just before it or,
+        if none, one of the entries on top of the store."""
+        groups = np.asarray(groups, dtype=np.int64)
+        n, gn, stores = len(groups), self.groups_n, self._group_runs
+        depth = np.fromiter(map(len, stores), dtype=np.int64, count=gn)
+        by_group = np.argsort(groups.astype(np.min_scalar_type(gn)),
+                              kind="stable")
+        first = np.searchsorted(groups[by_group], np.arange(gn))
+        prior = np.empty(n, dtype=np.int64)
+        prior[by_group] = np.arange(n) - first[groups[by_group]]
+        split = np.maximum.accumulate(np.maximum(prior + 1 - depth[groups],
+                                                 0))
+        k = int(split.max(initial=0))
+        blocks = self._next_blocks(k)
+        if blocks is None:
+            return np.array(self._take_each(
+                map(self._take_batch, groups.tolist()), self.batch_pages))
+        at = np.searchsorted(split, np.arange(1, k + 1))
+        g = np.arange(gn)[:, None]
+        popped = np.searchsorted(groups[by_group] * (n + 1) + by_group,
+                                 g * (n + 1) + at) - first[:, None]
+        # Keys store positions less depth plus n, so none is negative, and
+        # sort a split's pushes before its draw's pop.
+        span, period, pushes = n + k + 1, 2 * n + 1, gn * k
+        key = np.concatenate((
+            ((g * span + n + np.arange(k) - popped) * period
+             + 2 * at).reshape(-1),
+            (groups * span + n + split - prior - 1) * period
+            + 2 * np.arange(n) + 1))
+        del popped
+        order = np.argsort(key)
+        key = key[order] // period
+        own = (order[1:] >= pushes) & (order[:-1] < pushes)
+        own &= key[1:] == key[:-1]
+        hit, drawn = order[:-1][own], order[1:][own] - pushes
+        del key, order, own
+        slots = (blocks << self.block_order) + (g << self.batch_order)
+        taken = np.zeros(gn, dtype=np.int64)
+        np.maximum.at(taken, groups, prior - split + 1)
+        kept = np.ones(pushes, dtype=bool)
+        kept[hit] = False
+        tops = []
+        for store, m, row, keep in zip(stores, taken.tolist(), slots,
+                                       kept.reshape(gn, k)):
+            tops += [store.popitem()[0] for _ in range(m)]
+            store.update(zip(row[keep].tolist(), itertools.repeat(None)))
+        # Each draw's index into the pushed slots, then the popped tops.
+        index = pushes + (np.cumsum(taken) - taken)[groups] + prior - split
+        index[drawn] = hit
+        starts = np.append(slots, np.array(tops, dtype=np.int64))[index]
+        self.used_frames += n * self.batch_pages
         return starts
 
+    def _take_batch(self, group: int) -> int:
+        """One draw of take_batches; with no block left, _refill_dry."""
+        store = self._group_runs[group]
+        if not store:
+            b = self._pop_block()
+            if b is None:
+                store = self._refill_dry(group)
+            else:
+                base = b << self.block_order
+                for g, run in enumerate(self._group_runs):
+                    run[base + (g << self.batch_order)] = None
+        return store.popitem()[0]
+
     def _refill_dry(self, group: int) -> dict[int, None]:
-        """A non-empty 16-page store for group once no block is left."""
+        """A non-empty 16-page store for group once no block is left: the
+        32- and 64-page runs are split first, then other groups serve."""
         for o in range(self.batch_order + 1, self.block_order):
             if self._runs.get(o):
                 start, _ = self._runs[o].popitem()
@@ -364,12 +431,16 @@ class FramePool:
 
     def take_blocks(self, count: int) -> list[int]:
         """count whole blocks (128 pages each)."""
-        return self._take_each(lambda: self._take_run(self.block_order),
-                               count, self.block_pages)
+        blocks = self._next_blocks(count)
+        if blocks is None:
+            return self._take_each(map(self._take_run, itertools.repeat(
+                self.block_order, count)), self.block_pages)
+        self.used_frames += count * self.block_pages
+        return (blocks << self.block_order).tolist()
 
     def take_batches_sequential(self, count: int) -> list[int]:
         """count 16-page runs in ascending frame order."""
-        return self._take_each(self._take_sequential, count,
+        return self._take_each((self._take_sequential() for _ in range(count)),
                                self.batch_pages)
 
     def _take_sequential(self) -> int:
@@ -391,19 +462,19 @@ class FramePool:
         self._seq_next = nxt if nxt & (self.block_pages - 1) else None
         return start
 
-    def _take_each(self, take, count: int, run_pages: int) -> list[int]:
-        """[take() for _ in range(count)], runs of run_pages each; if one
-        draw fails, the runs already drawn go back to the pool before
+    def _take_each(self, draws, run_pages: int) -> list[int]:
+        """The starts that the lazy draws give, runs of run_pages each; if
+        one draw fails, the runs already drawn go back to the pool before
         OutOfMemory propagates."""
         starts: list[int] = []
         try:
-            for _ in range(count):
-                starts.append(take())
+            for start in draws:
+                starts.append(start)
         except OutOfMemory:
             self.release_runs([(start, run_pages) for start in starts],
                               counted=False)
             raise
-        self.used_frames += count * run_pages
+        self.used_frames += len(starts) * run_pages
         return starts
 
     # -- release -----------------------------------------------------------
@@ -413,14 +484,15 @@ class FramePool:
         counted=False for the runs of a failed draw, not yet counted as
         used.
 
-        The pool ends in the state that release_run on each run in list
-        order gives. A block that the runs and the free pieces it already
-        holds fill entirely goes back whole: its pieces leave the stores,
-        and it joins the released blocks in the order of its last run in
-        runs. Per-run release does the same, because a block cannot be
-        whole before its last run is freed, the merge then always
-        assembles it, and merges below a block never leave it. Runs in
-        every other block merge one by one, in list order.
+        The pool ends in the state that freeing the runs one by one in list
+        order, each merged piece by piece with its free buddies, gives. A
+        block that the runs and the free pieces it already holds fill
+        entirely goes back whole: its pieces leave the stores, and it
+        joins the released blocks in the order of its last run in runs.
+        Per-run release does the same, because a block cannot be whole
+        before its last run is freed, the merge then always assembles it,
+        and merges below a block never leave it. Runs in every other block
+        merge one by one, in list order.
         """
         if not runs:
             return
@@ -533,11 +605,6 @@ class FramePool:
             lo += 1 << order
         return found
 
-    def release_run(self, start: int, n_pages: int):
-        """Return one run, merging it piece by piece with free buddies."""
-        self.used_frames -= n_pages
-        self._merge_run(start, n_pages)
-
     def _merge_run(self, start: int, n_pages: int):
         while n_pages:
             max_align = (start & -start).bit_length() - 1 if start else self.block_order
@@ -590,20 +657,6 @@ class FramePool:
                           [len(blocks)] + [len(d) for d, _ in stores])
         return starts, sizes
 
-    def free_intervals(self) -> list[tuple[int, int]]:
-        """Sorted maximal (start, n_pages) intervals of free frames."""
-        starts, sizes = self.free_pieces()
-        at = np.argsort(starts)
-        s, e = starts[at], starts[at] + sizes[at]
-        first = np.ones(len(s), dtype=bool)
-        first[1:] = s[1:] != e[:-1]
-        ends = np.maximum.reduceat(e, np.flatnonzero(first)) if len(s) else e
-        return list(zip(s[first].tolist(), (ends - s[first]).tolist()))
-
-    def snapshot(self):
-        """Canonical free-set contents for conservation tests."""
-        return tuple(self.free_intervals()), self.used_frames
-
 
 # --------------------------------------------------------------------------
 # Allocations and the manager
@@ -629,9 +682,6 @@ class Allocation:
     cpu_chunk_pages: int | None = None
     cpu_chunks_mapped: set = field(default_factory=set)
     scatter_rng: np.random.Generator | None = field(default=None, repr=False)
-
-    def page_range(self) -> tuple[int, int]:
-        return self.va_base, self.va_base + self.n_pages
 
 
 def _expect(holds, invariant: str):
@@ -731,32 +781,23 @@ class MemoryManager:
             raise
 
     def _place_up_front(self, alloc: Allocation, n_pages: int) -> np.ndarray:
-        if alloc.frame_policy.mode is PlacementMode.CONTIGUOUS_BEST_EFFORT:
-            runs = self.pool.take_contiguous(n_pages)
-            alloc.frame_runs.extend(runs)
-            return np.concatenate([
-                np.arange(start, start + size, dtype=np.int64)
-                for start, size in runs])
         batch = self.pool.batch_pages
-        full = n_pages // batch
-        tail = n_pages - full * batch
-        starts = self._draw_batches(alloc, full)
-        parts = []
-        if full:
-            parts.append((starts[:, None] + np.arange(batch)).reshape(-1))
-        if tail:
-            runs = self.pool.take_contiguous(tail)
-            alloc.frame_runs.extend(runs)
-            parts.extend(np.arange(s, s + n, dtype=np.int64) for s, n in runs)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def _group_weights(self, degree: float) -> np.ndarray | None:
-        theta = self.profile.placement.scatter_zipf_scale * (1.0 - degree)
-        if theta <= 0:
-            return None
-        g = self.pool.groups_n
-        w = np.arange(1, g + 1, dtype=np.float64) ** (-theta)
-        return w / w.sum()
+        full = 0
+        if alloc.frame_policy.mode is PlacementMode.INCREMENTAL_SCATTER:
+            full = n_pages // batch
+            self._draw_batches(alloc, full)
+        if n_pages > full * batch:
+            alloc.frame_runs.extend(
+                self.pool.take_contiguous(n_pages - full * batch))
+        # The frames of its runs in order: steps of one, with a jump at
+        # each run's first page, summed in place.
+        flat = np.fromiter(itertools.chain.from_iterable(alloc.frame_runs),
+                           dtype=np.int64, count=2 * len(alloc.frame_runs))
+        starts, sizes = flat[0::2], flat[1::2]
+        heads = np.cumsum(sizes) - sizes
+        frames = np.ones(n_pages, dtype=np.int64)
+        frames[heads] = np.diff(starts - heads, prepend=1) + 1
+        return np.cumsum(frames, out=frames)
 
     def _draw_batches(self, alloc: Allocation, count: int) -> np.ndarray:
         """Draw count 16-page batch starts under the allocation's policy."""
@@ -769,15 +810,17 @@ class MemoryManager:
             starts = pool.take_batches_sequential(count)
         else:
             rng = alloc.scatter_rng or self._scatter_rng
-            weights = self._group_weights(degree)
-            if weights is None:
+            theta = self.profile.placement.scatter_zipf_scale * (1.0 - degree)
+            if theta <= 0:
                 groups = rng.integers(0, pool.groups_n, size=count)
             else:
-                groups = rng.choice(pool.groups_n, size=count, p=weights)
-            starts = pool.take_batches(groups.tolist())
-        batch = pool.batch_pages
-        alloc.frame_runs.extend([(start, batch) for start in starts])
-        return np.array(starts, dtype=np.int64)
+                w = np.arange(1, pool.groups_n + 1, dtype=np.float64) ** -theta
+                groups = rng.choice(pool.groups_n, size=count, p=w / w.sum())
+            starts = pool.take_batches(groups)
+        starts = np.asarray(starts, dtype=np.int64)
+        alloc.frame_runs.extend(zip(starts.tolist(),
+                                    itertools.repeat(pool.batch_pages)))
+        return starts
 
     # -- touch -----------------------------------------------------------
 
@@ -826,13 +869,7 @@ class MemoryManager:
         if not len(fresh):
             return FaultBatch()
         offs = fresh + lo
-        frames = self._frames_for_batches(alloc, offs, self.pool.batch_pages,
-                                          gpu=False)
-        self._map_scattered(alloc, offs, frames)
-        page = self.profile.page_size
-        alloc.mapped_pages += len(offs)
-        self._numa_bytes += len(offs) * page
-        self._rss_bytes += len(offs) * page
+        self._map_fresh(alloc, offs, gpu=False)
         lat = self._latency.sample(Scenario.CPU1, self._fault_rng, len(offs))
         return FaultBatch(np.zeros(len(offs), dtype=np.uint8),
                           alloc.va_base + offs, lat)
@@ -844,13 +881,7 @@ class MemoryManager:
         minor = np.nonzero(sys_mask & ~gpu_mask)[0] + lo
         major = np.nonzero(~sys_mask)[0] + lo
         if len(major):
-            frames = self._frames_for_batches(alloc, major,
-                                              self.pool.block_pages, gpu=True)
-            self._map_scattered(alloc, major, frames)
-            page = self.profile.page_size
-            alloc.mapped_pages += len(major)
-            self._numa_bytes += len(major) * page
-            self._rss_bytes += len(major) * page
+            self._map_fresh(alloc, major, gpu=True)
         if len(major) or len(minor):
             self.table.propagate(alloc.va_base + lo, hi - lo)
         batches = []
@@ -884,11 +915,11 @@ class MemoryManager:
         lat = self._latency.sample(Scenario.CPU1, self._fault_rng, len(fresh))
         return FaultBatch(np.zeros(len(fresh), dtype=np.uint8), pages, lat)
 
-    def _frames_for_batches(self, alloc, offs: np.ndarray, grain: int,
-                            gpu: bool) -> np.ndarray:
-        """Frames for ascending scattered page offsets, reserving
-        grain-sized runs per virtual block so contiguity forms as blocks
-        fill."""
+    def _map_fresh(self, alloc, offs: np.ndarray, gpu: bool):
+        """System-map ascending unmapped page offsets of alloc, segment by
+        segment, reserving one batch (CPU) or block (GPU) of frames per
+        virtual batch or block so contiguity forms as they fill."""
+        grain = self.pool.block_pages if gpu else self.pool.batch_pages
         pending = alloc.pending_gpu_blocks if gpu else alloc.pending_cpu_batches
         if pending is None:
             pending = np.full(-(-alloc.n_pages // grain), -1, dtype=np.int64)
@@ -905,23 +936,20 @@ class MemoryManager:
             with self._undo_on_failure(alloc):
                 if gpu:
                     starts = self.pool.take_blocks(len(missing))
-                    alloc.frame_runs.extend([(start, grain)
-                                             for start in starts])
+                    alloc.frame_runs.extend(zip(starts,
+                                                itertools.repeat(grain)))
                 else:
                     starts = self._draw_batches(alloc, len(missing))
             pending[missing] = starts
-        return pending[blocks] + (offs - blocks * grain)
-
-    def _map_scattered(self, alloc, offs: np.ndarray, frames: np.ndarray):
-        """System-map possibly non-contiguous page offsets (segment-wise)."""
-        if not len(offs):
-            return
-        cuts = np.nonzero(np.diff(offs) != 1)[0] + 1
-        seg_bounds = np.concatenate(([0], cuts, [len(offs)]))
-        for a, b in zip(seg_bounds[:-1], seg_bounds[1:]):
+        frames = pending[blocks] + (offs - blocks * grain)
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(offs) != 1) + 1,
+                               [len(offs)]))
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             self.table.map_range(pagetable.SYSTEM,
-                                 alloc.va_base + int(offs[a]),
-                                 frames[a:b])
+                                 alloc.va_base + int(offs[a]), frames[a:b])
+        alloc.mapped_pages += len(offs)
+        self._numa_bytes += len(offs) * self.profile.page_size
+        self._rss_bytes += len(offs) * self.profile.page_size
 
     # -- release & usage ---------------------------------------------------
 

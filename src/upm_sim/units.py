@@ -43,7 +43,8 @@ def parse_value(text: str, dimension: str):
 
     Returns int where the dimension is integral (bytes, counts), float
     otherwise. Raises UnitError on malformed input, a number that is not
-    finite or a suffix that does not fit the dimension.
+    finite, a suffix that does not fit the dimension, or a byte value or
+    count that is not a whole number.
     """
     text = text.strip()
     if dimension == FLAG:
@@ -68,7 +69,11 @@ def parse_value(text: str, dimension: str):
         scale = _BYTE_SUFFIXES.get(suffix, None) if suffix else 1
         if scale is None:
             raise UnitError(f"suffix {suffix!r} not valid for a byte value")
-        return int(round(value * scale))
+        value *= scale
+        if value != int(value):
+            raise UnitError(f"byte value must be a whole number of bytes, "
+                            f"got {text!r}")
+        return int(value)
     if dimension == RATE:
         scale = _RATE_SUFFIXES.get(suffix, None) if suffix else 1
         if scale is None:

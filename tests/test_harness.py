@@ -179,15 +179,32 @@ def test_cli_usage_errors_exit_one(capsys):
     ["run", "stream", "--grid", "agent=cpu", "--grid", "threads=1.5"],
     ["run", "fault", "--grid", "pages=1.5"],
     ["run", "memcpy", "--grid", "sdma=2"],
+    ["run", "alloc", "--grid", "kind=malloc", "--grid", "size=1.5"],
+    ["run", "alloc", "--grid", "kind=malloc", "--grid", "size=0.4"],
 ], ids=["zero-size", "out-of-memory", "gpu-threads", "scenario", "threads",
         "text-size", "zero-samples", "fractional-threads", "fractional-pages",
-        "sdma-not-a-flag"])
+        "sdma-not-a-flag", "fractional-size", "fraction-of-a-byte"])
 def test_cli_bad_grid_value_is_one_line(capsys, argv):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("upm-sim: ")
     assert captured.err.count("\n") == 1
+    if argv[-1].startswith("size=0."):
+        assert captured.err.startswith("upm-sim: bad value '0.4' for grid "
+                                       "key 'size': byte value must be a "
+                                       "whole number")
+
+
+@pytest.mark.parametrize("bench,item,column", [
+    ("fault", "scenario= CPU1 ", "cpu1"),
+    ("atomics", "dtype=FP64", "fp64"),
+])
+def test_cli_enum_grid_values_ignore_case(capsys, bench, item, column):
+    assert cli.main(["run", bench, "--grid", item]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    at = header.split(",").index(item.partition("=")[0])
+    assert rows[0].split(",")[at] == column
 
 
 @pytest.mark.parametrize("bench", harness.BENCHMARK_NAMES)

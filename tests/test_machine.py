@@ -130,6 +130,15 @@ def test_suffix_parsing():
     assert p.fault.cpu1.mean_latency_us == 9.0
 
 
+def test_fractional_byte_values_are_rejected():
+    with pytest.raises(ProfileParseError) as err:
+        load_profile("ic_capacity = 1.5\n")
+    assert "line 1" in str(err.value) and "whole number" in str(err.value)
+    p = load_profile("bw_model.stream_element_bytes = 1.5KiB\n"
+                     "ic_capacity = 0.5GiB\n")
+    assert (p.bw_model.stream_element_bytes, p.ic_capacity) == (1536, GiB // 2)
+
+
 @pytest.mark.parametrize("value", ["1e400", "-1e400"])
 def test_non_finite_numbers_are_rejected(value):
     with pytest.raises(ProfileParseError) as err:

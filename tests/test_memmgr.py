@@ -7,6 +7,7 @@ from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             FramePolicy, MemoryManager, OutOfMemory,
                             PlacementMode, Policy, UsageCounter, ZeroSize,
                             alloc_time_model, classify, free_time_model)
+from tests.test_properties import free_intervals, snapshot
 
 K = AllocatorKind
 
@@ -128,11 +129,11 @@ def test_up_front_gpu_first_touch_makes_cpu_chunks_finer():
 
 def test_release_restores_free_set():
     m = manager(seed=3)
-    snap = m.pool.snapshot()
+    snap = snapshot(m.pool)
     allocs = [m.allocate(K.DEVICE_UP_FRONT, 1 * MiB) for _ in range(1000)]
     for a in allocs:
         m.release(a)
-    assert m.pool.snapshot() == snap
+    assert snapshot(m.pool) == snap
 
 
 def test_double_free_rejected():
@@ -185,14 +186,14 @@ def reserved_frames(m):
 
 def test_failed_allocate_releases_partial_draws():
     m = fragmented_manager()
-    snap = m.pool.snapshot()
+    snap = snapshot(m.pool)
     rng_state = m._scatter_rng.bit_generator.state
     next_va, n_allocs = m.table._next_va, len(m.allocations)
     assert m.pool.free_frames > 256
     with pytest.raises(OutOfMemory):
         m.allocate(K.PINNED_HOST, 1 * MiB)
     assert m.pool.used_frames == reserved_frames(m)
-    assert m.pool.snapshot() == snap
+    assert snapshot(m.pool) == snap
     # The group draws of the failed call are undone too.
     assert m._scatter_rng.bit_generator.state == rng_state
     # No virtual reservation and no id is used up by the failed call.
@@ -206,12 +207,12 @@ def test_failed_touch_releases_partial_draws(agent):
     # The GPU draws whole blocks: one is free, the touch needs two.
     m = fragmented_manager(free_block=agent is Agent.GPU)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
-    snap = m.pool.snapshot()
+    snap = snapshot(m.pool)
     rng_state = m._scatter_rng.bit_generator.state
     with pytest.raises(OutOfMemory):
         m.touch(a, None, agent)
     assert m.pool.used_frames == reserved_frames(m)
-    assert m.pool.snapshot() == snap
+    assert snapshot(m.pool) == snap
     assert m._scatter_rng.bit_generator.state == rng_state
     assert (a.mapped_pages, a.frame_runs, a.first_touch_agent) == (0, [], None)
     # The allocation stays usable where frames do suffice.
@@ -376,12 +377,12 @@ def test_sequential_leftovers_stay_reachable():
         m.release(a)
     m.check()
     assert np.count_nonzero(m.pool._block_alive) == m.pool.n_blocks
-    assert m.pool.free_intervals() == [(0, m.pool.total_frames)]
+    assert free_intervals(m.pool) == [(0, m.pool.total_frames)]
 
 
 def test_failed_tail_restores_scatter_stream(monkeypatch):
     m = manager(seed=2)
-    snap = m.pool.snapshot()
+    snap = snapshot(m.pool)
     rng_state = m._scatter_rng.bit_generator.state
 
     def no_tail(n_pages):
@@ -390,7 +391,7 @@ def test_failed_tail_restores_scatter_stream(monkeypatch):
     monkeypatch.setattr(m.pool, "take_contiguous", no_tail)
     with pytest.raises(OutOfMemory):
         m.allocate(K.PINNED_HOST, 1 * MiB + 4 * KiB)
-    assert m.pool.snapshot() == snap
+    assert snapshot(m.pool) == snap
     assert m._scatter_rng.bit_generator.state == rng_state
     assert m.allocations == {}
 

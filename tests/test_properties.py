@@ -8,8 +8,9 @@ import pytest
 
 from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
-from upm_sim.memmgr import (Agent, AllocatorKind, FramePolicy, MemoryManager,
-                            OutOfMemory, PlacementMode, classify)
+from upm_sim.memmgr import (Agent, AllocatorKind, FramePolicy, FramePool,
+                            MemoryManager, OutOfMemory, PlacementMode,
+                            classify)
 from upm_sim.pagetable import GPU, SYSTEM, AlreadyMapped, DualTable
 from upm_sim.tlb import FragmentTlb
 from tests.test_pagetable import brute_fragment
@@ -245,7 +246,7 @@ def test_frame_conservation_random_op_sequences():
     for seq in range(40):
         rng = np.random.default_rng(1000 + seq)
         m = MemoryManager(profile, seed=seq)
-        start_snapshot = m.pool.snapshot()
+        start_snapshot = snapshot(m.pool)
         total = m.pool.total_frames
         live = []
         for _ in range(250):
@@ -263,9 +264,31 @@ def test_frame_conservation_random_op_sequences():
         assert len(np.unique(mapped_frames)) == len(mapped_frames)
         for alloc in live:
             m.release(alloc)
-        assert m.pool.snapshot() == start_snapshot
+        assert snapshot(m.pool) == start_snapshot
         assert m.pool.free_frames == total
     assert total_ops >= 10_000
+
+
+def free_intervals(pool):
+    """Sorted maximal (start, n_pages) intervals of free frames."""
+    starts, sizes = pool.free_pieces()
+    at = np.argsort(starts)
+    s, e = starts[at], starts[at] + sizes[at]
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != e[:-1]
+    ends = np.maximum.reduceat(e, np.flatnonzero(first)) if len(s) else e
+    return list(zip(s[first].tolist(), (ends - s[first]).tolist()))
+
+
+def snapshot(pool):
+    """Canonical free-set contents for conservation tests."""
+    return tuple(free_intervals(pool)), pool.used_frames
+
+
+def release_run(pool, start, n_pages):
+    """Return one run, merging it piece by piece with free buddies."""
+    pool.used_frames -= n_pages
+    pool._merge_run(start, n_pages)
 
 
 def per_run_release(m):
@@ -277,7 +300,7 @@ def per_run_release(m):
         for start, n in list(runs):
             if not counted:
                 pool.used_frames += n
-            pool.release_run(start, n)
+            release_run(pool, start, n)
 
     pool.release_runs = release_runs
     return m
@@ -286,7 +309,7 @@ def per_run_release(m):
 def pool_state(pool):
     """Everything a later draw can see: free set, used frames, each
     store's keys in order, released blocks, cursors."""
-    return (pool.snapshot(), [list(d) for d in pool._runs.values()],
+    return (snapshot(pool), [list(d) for d in pool._runs.values()],
             [list(d) for d in pool._group_runs], pool._released,
             pool._block_sorted, pool._boot_left, pool._seq_next)
 
@@ -314,8 +337,98 @@ def test_bulk_release_matches_per_run_release_random_op_sequences():
             bulk.release(live_bulk.pop())
             ref.release(live_ref.pop())
             assert pool_state(bulk.pool) == pool_state(ref.pool)
-        assert bulk.pool.free_intervals() == [(0, bulk.pool.total_frames)]
+        assert free_intervals(bulk.pool) == [(0, bulk.pool.total_frames)]
     assert failed > 50
+
+
+def one_by_one(pool):
+    """pool, drawing batches and blocks one at a time, each block popped
+    from the released list, then the boot order: the reference for the
+    whole-array draws of take_batches, take_blocks and take_contiguous."""
+    alive = pool._block_alive
+
+    def pop_block():
+        while pool._released:
+            b = pool._released.pop()
+            if alive[b]:
+                alive[b] = 0
+                return b
+        while pool._boot_left:
+            pool._boot_left -= 1
+            b = int(pool._boot_order[pool._boot_left])
+            if alive[b]:
+                alive[b] = 0
+                return b
+        return None
+
+    pool._next_blocks = lambda k: None
+    pool._pop_block = pop_block
+    return pool
+
+
+def random_draw(rng, pool, held):
+    """One random pool call: scattered batches in uniform or Zipf groups,
+    sequential batches, whole blocks, a contiguous run, or the release of
+    a random part of the held runs, largest draws enough to run dry."""
+    gn, op = pool.groups_n, rng.random()
+    # One draw in ten may ask for more than is free.
+    free = int(pool.free_frames * (2.0 if rng.random() < 0.1 else 0.3)) + 1
+    if op < 0.4:
+        count = int(rng.integers(1, free // pool.batch_pages + 2))
+        w = np.arange(1, gn + 1) ** -float(rng.choice([0.0, 1.5]))
+        groups = rng.choice(gn, size=count, p=w / w.sum()).tolist()
+        return "take_batches", groups, pool.batch_pages
+    if op < 0.5:
+        count = int(rng.integers(1, free // pool.batch_pages + 2))
+        return "take_batches_sequential", count, pool.batch_pages
+    if op < 0.6:
+        count = int(rng.integers(1, free // pool.block_pages + 2))
+        return "take_blocks", count, pool.block_pages
+    if op < 0.75:
+        return "take_contiguous", int(rng.integers(1, free + 1)), None
+    keep = rng.random(len(held)) < rng.random()
+    return "release_runs", [r for r, k in zip(held, keep) if not k], None
+
+
+def apply_draw(pool, held, draw):
+    """Apply a random_draw to pool and its held runs; the starts drawn, or
+    None if it ran out of memory."""
+    name, arg, pages = draw
+    if name == "release_runs":
+        pool.release_runs(arg)
+        gone = set(arg)
+        held[:] = [run for run in held if run not in gone]
+        return []
+    try:
+        got = getattr(pool, name)(arg)
+    except OutOfMemory:
+        return None
+    got = [run if pages is None else (int(run), pages) for run in got]
+    held.extend(got)
+    return got
+
+
+@pytest.mark.parametrize("block,batch", [(128, 16), (32, 4), (64, 1)])
+def test_whole_array_draws_match_one_by_one(block, batch):
+    profile = builtin_mi300a()
+    profile = replace(profile, hbm_capacity=24 * block * profile.page_size,
+                      placement=replace(profile.placement,
+                                        frame_block_pages=block,
+                                        kernel_batch_pages=batch))
+    failed = scattered = 0
+    for seq in range(12):
+        rng = np.random.default_rng(7000 + seq)
+        ss = np.random.SeedSequence(seq)
+        pool, ref = FramePool(profile, ss), one_by_one(FramePool(profile, ss))
+        held, held_ref = [], []
+        for _ in range(80):
+            draw = random_draw(rng, pool, held)
+            got = apply_draw(pool, held, draw)
+            assert apply_draw(ref, held_ref, draw) == got
+            assert pool_state(pool) == pool_state(ref)
+            failed += got is None
+            scattered += draw[0] == "take_batches" and got is not None
+    assert failed > 20 and scattered > 100
 
 
 @pytest.mark.parametrize("heap", [False, True], ids=["alone", "heap"])

@@ -353,7 +353,7 @@ class FramePool:
         n, gn, stores = len(groups), self.groups_n, self._group_runs
         depth = np.fromiter(map(len, stores), dtype=np.int64, count=gn)
         by_group = np.argsort(groups.astype(np.min_scalar_type(gn)),
-                              kind="stable")
+                              kind="stable")  # a radix sort
         first = np.searchsorted(groups[by_group], np.arange(gn))
         prior = np.empty(n, dtype=np.int64)
         prior[by_group] = np.arange(n) - first[groups[by_group]]
@@ -376,7 +376,7 @@ class FramePool:
              + 2 * at).reshape(-1),
             (groups * span + n + split - prior - 1) * period
             + 2 * np.arange(n) + 1))
-        del popped
+        del popped  # these dels keep the call's peak memory down
         order = np.argsort(key)
         key = key[order] // period
         own = (order[1:] >= pushes) & (order[:-1] < pushes)
@@ -789,8 +789,8 @@ class MemoryManager:
         if n_pages > full * batch:
             alloc.frame_runs.extend(
                 self.pool.take_contiguous(n_pages - full * batch))
-        # The frames of its runs in order: steps of one, with a jump at
-        # each run's first page, summed in place.
+        # The frames of the new allocation's runs, in order: steps of one
+        # with a jump at each run's first page, summed in place.
         flat = np.fromiter(itertools.chain.from_iterable(alloc.frame_runs),
                            dtype=np.int64, count=2 * len(alloc.frame_runs))
         starts, sizes = flat[0::2], flat[1::2]

@@ -363,7 +363,8 @@ class FramePool:
         blocks = self._next_blocks(k)
         if blocks is None:
             return np.array(self._take_each(
-                map(self._take_batch, groups.tolist()), self.batch_pages))
+                map(self._take_batch, groups.tolist()), self.batch_pages),
+                dtype=np.int64)
         at = np.searchsorted(split, np.arange(1, k + 1))
         g = np.arange(gn)[:, None]
         popped = np.searchsorted(groups[by_group] * (n + 1) + by_group,

@@ -341,14 +341,12 @@ class FramePool:
         """One 16-page aligned run per listed channel group, in order: the
         runs _take_batch gives one draw at a time, found in one pass.
 
-        With prior the earlier draws of a draw's group and depth the size
-        of its store, the blocks split up to draw i are the running
-        maximum of prior + 1 - depth. Split j, at draw at[j], pushes one
-        slot on each store g, at stack position depth + j - (draws of g
-        before at[j]); draw i pops position depth + split - prior - 1.
-        Ordered by (group, position, draw), the pushes and pops at one
-        position alternate, so a pop takes the push just before it or,
-        if none, one of the entries on top of the store."""
+        With prior a draw's earlier draws in its group and depth the size
+        of its store, blocks split up to draw i = running max of prior + 1
+        - depth. Split j, at draw at[j], pushes on store g at depth + j -
+        (draws of g before at[j]); draw i pops depth + split - prior - 1.
+        By (group, position, draw), pushes and pops at one position
+        alternate: a pop takes the push before it, else a top entry."""
         groups = np.asarray(groups, dtype=np.int64)
         n, gn, stores = len(groups), self.groups_n, self._group_runs
         depth = np.fromiter(map(len, stores), dtype=np.int64, count=gn)
@@ -866,10 +864,10 @@ class MemoryManager:
 
     def _touch_on_demand_cpu(self, alloc, lo, hi) -> FaultBatch:
         region = self._region(alloc)
-        fresh = np.nonzero(region.sys_flags[lo:hi] == 0)[0]
-        if not len(fresh):
+        offs = np.flatnonzero(region.sys_flags[lo:hi] == 0)
+        if not len(offs):
             return FaultBatch()
-        offs = fresh + lo
+        offs += lo
         self._map_fresh(alloc, offs, gpu=False)
         lat = self._latency.sample(Scenario.CPU1, self._fault_rng, len(offs))
         return FaultBatch(np.zeros(len(offs), dtype=np.uint8),
@@ -942,7 +940,12 @@ class MemoryManager:
                 else:
                     starts = self._draw_batches(alloc, len(missing))
             pending[missing] = starts
-        frames = pending[blocks] + (offs - blocks * grain)
+        # In place, without temporaries: a large touch's memory peaks here.
+        frames = pending[blocks]
+        frames += offs
+        blocks *= grain
+        frames -= blocks
+        del blocks
         cuts = np.concatenate(([0], np.flatnonzero(np.diff(offs) != 1) + 1,
                                [len(offs)]))
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):

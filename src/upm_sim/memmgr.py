@@ -241,7 +241,7 @@ class FramePool:
         return self._runs[order]
 
     def _pop_block(self) -> int | None:
-        b = self._next_blocks(1)
+        b = self._next_blocks(1) if self._released or self._boot_left else None
         if b is None:  # neither source holds a free block: both run out
             self._released.clear()
             self._boot_left = 0

@@ -249,8 +249,8 @@ class FramePool:
         return int(b[0])
 
     def _next_blocks(self, k: int) -> np.ndarray | None:
-        """Take the next k blocks that _pop_block would return; None, with
-        nothing taken, if fewer than k are left."""
+        """Take the next k free blocks, released ones (last first) before
+        the boot order's; None, with nothing taken, if fewer are left."""
         alive = np.frombuffer(self._block_alive, dtype=np.uint8)
         got, rel = self._scan(alive, self._released, k, len(self._released))
         boot, left = self._scan(alive, self._boot_order, k - len(got),

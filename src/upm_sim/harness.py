@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -139,9 +140,11 @@ def _check_chase_access(profile: MachineProfile, agent: Agent,
         raise AccessViolation(f"GPU cannot chase {kind.value} memory")
 
 
+@functools.lru_cache(maxsize=64)
 def _chase_load(profile: MachineProfile, kind: AllocatorKind, size: int,
                 seed: int, init_agent: Agent = Agent.CPU) -> perf.ChannelLoad:
-    """Channel load of one allocation after its first touch."""
+    """Channel load of one allocation after its first touch; placement does
+    not depend on the chasing agent, so every agent shares one load."""
     manager = MemoryManager(profile, seed=seed)
     alloc = manager.allocate(kind, size)
     if classify(kind, profile.xnack).physical is Policy.ON_DEMAND:
@@ -202,9 +205,6 @@ def _bench_latency(profile, seed, agent=(Agent.GPU, Agent.CPU),
     for kind in kinds:
         for size in sizes:
             idx += 1
-            # Placement does not depend on the chasing agent: simulate the
-            # point once and evaluate every agent on the same load.
-            load = None
             for agent in agents:
                 keys = {"agent": agent.value, "kind": kind.value, "size": size}
                 try:
@@ -212,9 +212,7 @@ def _bench_latency(profile, seed, agent=(Agent.GPU, Agent.CPU),
                 except AccessViolation as exc:
                     rows.append(_error_row("latency", keys, exc))
                     continue
-                if load is None:
-                    load = _chase_load(profile, kind, size,
-                                       _point_seed(seed, idx))
+                load = _chase_load(profile, kind, size, _point_seed(seed, idx))
                 breakdown = perf.chase_latency(profile, agent, size, load)
                 rows.append(_row("latency", keys, "latency",
                                  breakdown.weighted_ns, "ns"))
@@ -231,7 +229,9 @@ def _bench_stream(profile, seed, agent=(Agent.GPU, Agent.CPU),
     for agent in agents:
         for kind in kinds:
             for init in inits:
-                for threads in threads_list:
+                # Threads set only CPU bandwidth: one row per GPU point.
+                for threads in (threads_list if agent is Agent.CPU
+                                else threads_list[:1]):
                     keys = {"agent": agent.value, "kind": kind.value,
                             "init": init.value, "threads": threads}
                     try:
@@ -387,30 +387,37 @@ _USAGE_COUNTERS = (UsageCounter.LIBNUMA, UsageCounter.MEMINFO,
                    UsageCounter.HIP_MEM_GET_INFO, UsageCounter.PROCESS_RSS)
 
 
-def usage_matrix(profile: MachineProfile, kind: AllocatorKind,
-                 size: int = 1 * GiB, seed: int = 0) -> dict[tuple[str, UsageCounter], int]:
-    """Counter deltas per stage for one allocator kind."""
-    manager = MemoryManager(profile, seed=seed)
-    base = {c: manager.usage_view(c) for c in _USAGE_COUNTERS}
-    out = {}
-
-    def snap(stage):
-        for c in _USAGE_COUNTERS:
-            out[(stage, c)] = manager.usage_view(c) - base[c]
-
+def _usage_stages(profile: MachineProfile, manager: MemoryManager,
+                  kind: AllocatorKind, size: int):
+    """Simulate the usage stages in order, yielding each one's name when
+    it is done."""
     alloc = manager.allocate(kind, size)
-    snap("after_alloc")
+    yield "after_alloc"
     manager.touch(alloc, (0, alloc.n_pages // 2), Agent.CPU)
-    snap("after_half_touch")
+    yield "after_half_touch"
     manager.touch(alloc, None, Agent.CPU)
-    snap("after_full_touch")
+    yield "after_full_touch"
     manager.release(alloc)
-    snap("after_release")
+    yield "after_release"
     arrays = [manager.allocate(kind, profile.bw_model.gpu_stream_array_bytes)
               for _ in range(3)]
     for a in arrays:
         manager.touch(a, None, Agent.CPU)
-    snap("stream_setup")
+    yield "stream_setup"
+
+
+def usage_matrix(profile: MachineProfile, kind: AllocatorKind,
+                 size: int = 1 * GiB, seed: int = 0,
+                 stages: int = len(_USAGE_STAGES)) -> dict[tuple[str, UsageCounter], int]:
+    """Counter deltas per stage for one allocator kind, over its first
+    `stages` stages; the later ones are not simulated."""
+    manager = MemoryManager(profile, seed=seed)
+    base = {c: manager.usage_view(c) for c in _USAGE_COUNTERS}
+    out = {}
+    for stage in itertools.islice(
+            _usage_stages(profile, manager, kind, size), stages):
+        for c in _USAGE_COUNTERS:
+            out[(stage, c)] = manager.usage_view(c) - base[c]
     return out
 
 
@@ -842,12 +849,11 @@ def expected_usage(profile: MachineProfile, kind: AllocatorKind,
 
 def check_usage_matrix(profile: MachineProfile, seed: int = 0) -> bool:
     size = 1 * GiB
+    checked = (("after_alloc", 0), ("after_half_touch", size // 2),
+               ("after_full_touch", size), ("after_release", 0))
     for kind in AllocatorKind:
-        table = usage_matrix(profile, kind, size, seed)
-        for stage, touched in (("after_alloc", 0),
-                               ("after_half_touch", size // 2),
-                               ("after_full_touch", size),
-                               ("after_release", 0)):
+        table = usage_matrix(profile, kind, size, seed, stages=len(checked))
+        for stage, touched in checked:
             for counter in _USAGE_COUNTERS:
                 if table[(stage, counter)] != expected_usage(
                         profile, kind, stage, counter, size, touched):

@@ -156,16 +156,26 @@ class FramePolicy:
 
 
 class FaultBatch:
-    """Vectorized faults (kind, virtual page, latency) of one touch call."""
+    """Vectorized faults (kind, virtual page, latency) of one touch call.
+
+    Kinds come in code order: CPU faults, or GPU minor faults before GPU
+    major ones. Latencies are drawn on the first read of `latencies_us`,
+    one lognormal draw per kind in that order, from a generator seeded by
+    the child of the manager's fault SeedSequence that the touch spawned.
+    A touch whose latencies nobody reads draws none, and the values depend
+    only on the seed and the order of the manager's successful touches.
+    """
 
     _KIND_CODES = {FaultKind.CPU: 0, FaultKind.GPU_MINOR: 1,
                    FaultKind.GPU_MAJOR: 2}
+    _SCENARIOS = (Scenario.CPU1, Scenario.GPU_MINOR, Scenario.GPU_MAJOR)
 
-    def __init__(self, kinds=None, pages=None, latencies_us=None):
-        self.kinds = np.asarray(kinds if kinds is not None else [], dtype=np.uint8)
-        self.pages = np.asarray(pages if pages is not None else [], dtype=np.int64)
-        self.latencies_us = np.asarray(
-            latencies_us if latencies_us is not None else [], dtype=np.float64)
+    def __init__(self, kinds, pages, latency: LatencyModel,
+                 seed: np.random.SeedSequence):
+        self.kinds = np.asarray(kinds, dtype=np.uint8)
+        self.pages = np.asarray(pages, dtype=np.int64)
+        self._latency, self._seed = latency, seed
+        self._latencies_us = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -173,14 +183,15 @@ class FaultBatch:
     def count(self, kind: FaultKind) -> int:
         return int(np.count_nonzero(self.kinds == self._KIND_CODES[kind]))
 
-    @classmethod
-    def merge(cls, batches) -> "FaultBatch":
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return cls()
-        return cls(np.concatenate([b.kinds for b in batches]),
-                   np.concatenate([b.pages for b in batches]),
-                   np.concatenate([b.latencies_us for b in batches]))
+    @property
+    def latencies_us(self) -> np.ndarray:
+        if self._latencies_us is None:
+            rng = np.random.default_rng(self._seed)
+            counts = np.bincount(self.kinds, minlength=len(self._SCENARIOS))
+            self._latencies_us = np.concatenate([np.empty(0)] + [
+                self._latency.sample(scenario, rng, n)
+                for scenario, n in zip(self._SCENARIOS, counts.tolist()) if n])
+        return self._latencies_us
 
 
 # --------------------------------------------------------------------------
@@ -252,9 +263,10 @@ class FramePool:
         """Take the next k free blocks, released ones (last first) before
         the boot order's; None, with nothing taken, if fewer are left."""
         alive = np.frombuffer(self._block_alive, dtype=np.uint8)
-        got, rel = self._scan(alive, self._released, k, len(self._released))
+        got, rel = self._scan(alive, self._released, k, len(self._released),
+                              repeats=True)
         boot, left = self._scan(alive, self._boot_order, k - len(got),
-                                self._boot_left)
+                                self._boot_left, repeats=False)
         blocks = np.concatenate((got, boot))
         if len(blocks) < k:
             alive[blocks] = 1
@@ -264,15 +276,19 @@ class FramePool:
         return blocks
 
     @staticmethod
-    def _scan(alive, source, k: int, end: int):
+    def _scan(alive, source, k: int, end: int, repeats: bool):
         """Up to k alive blocks of source[:end], read backwards, each once,
         marked taken (a released block may also lie ahead of the boot
-        cursor); and where the reading stopped."""
+        cursor); and where the reading stopped. Only the released list
+        repeats a block; the boot order is a permutation."""
         got = [np.empty(0, dtype=np.int64)]
         while k and end:
-            window = np.array(source[max(0, end - 2 * k - 16):end])[::-1]
-            _, first = np.unique(window, return_index=True)
-            at = np.sort(first[alive[window[first]] != 0])[:k]
+            window = np.asarray(source[max(0, end - 2 * k - 16):end])[::-1]
+            if repeats:
+                _, first = np.unique(window, return_index=True)
+                at = np.sort(first[alive[window[first]] != 0])[:k]
+            else:
+                at = np.flatnonzero(alive[window])[:k]
             alive[window[at]] = 0
             got.append(window[at])
             k -= len(at)
@@ -694,9 +710,8 @@ class MemoryManager:
     def __init__(self, profile: MachineProfile, seed: int = 0):
         self.profile = profile
         ss = np.random.SeedSequence(seed)
-        pool_ss, scatter_ss, fault_ss = ss.spawn(3)
+        pool_ss, scatter_ss, self._fault_ss = ss.spawn(3)
         self._scatter_rng = np.random.default_rng(scatter_ss)
-        self._fault_rng = np.random.default_rng(fault_ss)
         self.pool = FramePool(profile, pool_ss)
         self.table = pagetable.DualTable(profile.max_fragment)
         self.allocations: dict[int, Allocation] = {}
@@ -841,39 +856,37 @@ class MemoryManager:
             raise AccessViolation(
                 f"GPU access to {alloc.kind.value} is fatal here")
         if lo == hi:
-            batch = FaultBatch()
+            faults = (), ()
         elif alloc.policy is Policy.ON_DEMAND:
             if agent is Agent.CPU:
-                batch = self._touch_on_demand_cpu(alloc, lo, hi)
+                faults = self._touch_on_demand_cpu(alloc, lo, hi)
             else:
-                batch = self._touch_on_demand_gpu(alloc, lo, hi)
+                faults = self._touch_on_demand_gpu(alloc, lo, hi)
         elif agent is Agent.CPU:
-            batch = self._touch_up_front_cpu(alloc, lo, hi)
+            faults = self._touch_up_front_cpu(alloc, lo, hi)
         else:
-            batch = FaultBatch()
-        # Set only once the touch has succeeded, so a failed one leaves
-        # no trace.
+            faults = (), ()
+        # Set, and the latency seed spawned, only once the touch has
+        # succeeded, so a failed one leaves no trace.
         if alloc.first_touch_agent is None:
             alloc.first_touch_agent = agent
-        return batch
+        return FaultBatch(*faults, self._latency, self._fault_ss.spawn(1)[0])
 
     def _region(self, alloc: Allocation):
         region, off = self.table._region_at(alloc.va_base)
         assert off == 0
         return region
 
-    def _touch_on_demand_cpu(self, alloc, lo, hi) -> FaultBatch:
-        region = self._region(alloc)
-        offs = np.flatnonzero(region.sys_flags[lo:hi] == 0)
-        if not len(offs):
-            return FaultBatch()
-        offs += lo
-        self._map_fresh(alloc, offs, gpu=False)
-        lat = self._latency.sample(Scenario.CPU1, self._fault_rng, len(offs))
-        return FaultBatch(np.zeros(len(offs), dtype=np.uint8),
-                          alloc.va_base + offs, lat)
+    # Each touch path maps what it must; it returns its faults' (kinds, pages).
 
-    def _touch_on_demand_gpu(self, alloc, lo, hi) -> FaultBatch:
+    def _touch_on_demand_cpu(self, alloc, lo, hi):
+        region = self._region(alloc)
+        offs = np.flatnonzero(region.sys_flags[lo:hi] == 0) + lo
+        if len(offs):
+            self._map_fresh(alloc, offs, gpu=False)
+        return np.zeros(len(offs), dtype=np.uint8), alloc.va_base + offs
+
+    def _touch_on_demand_gpu(self, alloc, lo, hi):
         region = self._region(alloc)
         sys_mask = region.sys_flags[lo:hi] != 0
         gpu_mask = region.gpu_flags[lo:hi] != 0
@@ -883,20 +896,10 @@ class MemoryManager:
             self._map_fresh(alloc, major, gpu=True)
         if len(major) or len(minor):
             self.table.propagate(alloc.va_base + lo, hi - lo)
-        batches = []
-        if len(minor):
-            lat = self._latency.sample(Scenario.GPU_MINOR, self._fault_rng,
-                                       len(minor))
-            batches.append(FaultBatch(np.full(len(minor), 1, dtype=np.uint8),
-                                      alloc.va_base + minor, lat))
-        if len(major):
-            lat = self._latency.sample(Scenario.GPU_MAJOR, self._fault_rng,
-                                       len(major))
-            batches.append(FaultBatch(np.full(len(major), 2, dtype=np.uint8),
-                                      alloc.va_base + major, lat))
-        return FaultBatch.merge(batches)
+        return (np.repeat([1, 2], (len(minor), len(major))),
+                alloc.va_base + np.concatenate((minor, major)))
 
-    def _touch_up_front_cpu(self, alloc, lo, hi) -> FaultBatch:
+    def _touch_up_front_cpu(self, alloc, lo, hi):
         # Device and host up-front memory becomes CPU-visible in coarse
         # chunks; after GPU first touch the mapping grain is finer.
         if alloc.cpu_chunk_pages is None:
@@ -907,12 +910,9 @@ class MemoryManager:
         grain = alloc.cpu_chunk_pages
         c0, c1 = lo // grain, -(-hi // grain)
         fresh = [c for c in range(c0, c1) if c not in alloc.cpu_chunks_mapped]
-        if not fresh:
-            return FaultBatch()
         alloc.cpu_chunks_mapped.update(fresh)
         pages = alloc.va_base + np.asarray(fresh, dtype=np.int64) * grain
-        lat = self._latency.sample(Scenario.CPU1, self._fault_rng, len(fresh))
-        return FaultBatch(np.zeros(len(fresh), dtype=np.uint8), pages, lat)
+        return np.zeros(len(fresh), dtype=np.uint8), pages
 
     def _map_fresh(self, alloc, offs: np.ndarray, gpu: bool):
         """System-map ascending unmapped page offsets of alloc, segment by

@@ -12,6 +12,7 @@ import pytest
 from upm_sim import cli, harness
 from upm_sim.harness import WorkloadSpec, report, run, verify
 from upm_sim.machine import GiB, MiB, builtin_mi300a, serialize_profile
+from upm_sim.memmgr import AllocatorKind, MemoryManager
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,16 @@ def test_stream_reports_five_allocator_miss_counts(profile):
     assert by_kind["device_up_front"] == min(by_kind.values())
 
 
+def test_stream_gpu_rows_once_per_kind_and_init(profile):
+    spec = WorkloadSpec("stream", {"agent": ["gpu", "cpu"], "kind": ["device"],
+                                   "init": ["cpu"], "threads": ["1", "96"]})
+    rows = [(r["agent"], r["threads"], r["metric"]) for r in run(profile, spec)]
+    assert rows == [("gpu", 1, "bandwidth"),
+                    ("gpu", 1, "TCP_UTCL1_TRANSLATION_MISS"),
+                    ("cpu", 1, "bandwidth"), ("cpu", 1, "cpu_page_faults"),
+                    ("cpu", 96, "bandwidth"), ("cpu", 96, "cpu_page_faults")]
+
+
 def test_fault_bench_reports_access_violation_without_replay(profile):
     p0 = replace(profile, xnack=False)
     rows = run(p0, WorkloadSpec("fault", {"pages": [1, 100]}))
@@ -112,6 +123,34 @@ def test_verify_builtin_all_hard_pass(profile):
     assert rep.hard_failures == 0
     lines = rep.lines()
     assert any(line.startswith("PASS") for line in lines)
+
+
+def test_verify_loads_each_chase_once(profile):
+    # Ten chases; the GPU and CPU chases of device memory at 1 KiB and at
+    # 4 GiB share their loads.
+    harness._chase_load.cache_clear()
+    verify(profile, seed=0)
+    info = harness._chase_load.cache_info()
+    assert (info.misses, info.hits) == (8, 2)
+
+
+@pytest.mark.parametrize("kind", list(AllocatorKind), ids=lambda k: k.value)
+def test_usage_matrix_simulates_only_the_stages_asked_for(profile, kind,
+                                                          monkeypatch):
+    full = harness.usage_matrix(profile, kind, 1 * GiB)
+    allocate = MemoryManager.allocate
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return allocate(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoryManager, "allocate", counted)
+    four = harness.usage_matrix(profile, kind, 1 * GiB, stages=4)
+    assert four == {key: value for key, value in full.items()
+                    if key[0] != "stream_setup"}
+    assert len(four) == 4 * len(harness._USAGE_COUNTERS)
+    assert calls == [kind]  # the stream arrays are never allocated
 
 
 def test_verify_negative_control_walk_penalty(profile):

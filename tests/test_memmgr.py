@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from upm_sim.fault import FaultKind
+from upm_sim.fault import FaultKind, LatencyModel, Scenario
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             FramePolicy, MemoryManager, OutOfMemory,
@@ -100,6 +100,46 @@ def test_gpu_touch_of_fresh_page_is_major():
     a = m.allocate(K.LIBC_ON_DEMAND, 4 * MiB)
     events = m.touch(a, (0, 5), Agent.GPU)
     assert events.count(FaultKind.GPU_MAJOR) == 5
+
+
+# -- fault latencies, drawn on first read ---------------------------------
+
+def three_touches(seed):
+    m = manager(seed=seed)
+    a = m.allocate(K.LIBC_ON_DEMAND, 4 * MiB)
+    return [m.touch(a, (0, 100), Agent.CPU), m.touch(a, (50, 300), Agent.GPU),
+            m.touch(a, (0, 300), Agent.GPU)]
+
+
+def test_latencies_do_not_depend_on_read_order():
+    forward = [b.latencies_us for b in three_touches(5)]
+    backward = [b.latencies_us for b in reversed(three_touches(5))][::-1]
+    assert [len(x) for x in forward] == [100, 250, 50]
+    for f, b in zip(forward, backward):
+        np.testing.assert_array_equal(f, b)
+    other = three_touches(6)[0].latencies_us
+    assert not np.array_equal(forward[0], other)
+
+
+def test_second_read_returns_the_same_latencies():
+    batch = three_touches(5)[1]
+    assert batch.latencies_us is batch.latencies_us
+
+
+def test_gpu_touch_lists_minor_faults_before_major_ones():
+    m = manager(seed=4)
+    a = m.allocate(K.LIBC_ON_DEMAND, 4 * MiB)
+    m.touch(a, (10, 20), Agent.CPU)
+    batch = m.touch(a, (0, 30), Agent.GPU)
+    assert batch.kinds.tolist() == [1] * 10 + [2] * 20
+    assert (batch.pages - a.va_base).tolist() == \
+        list(range(10, 20)) + list(range(10)) + list(range(20, 30))
+    # The second touch's seed: the second child of the fault stream.
+    _, seed = np.random.SeedSequence(4).spawn(3)[2].spawn(2)
+    rng, model = np.random.default_rng(seed), LatencyModel(m.profile)
+    expected = np.concatenate([model.sample(Scenario.GPU_MINOR, rng, 10),
+                               model.sample(Scenario.GPU_MAJOR, rng, 20)])
+    np.testing.assert_array_equal(batch.latencies_us, expected)
 
 
 def test_gpu_touch_without_replay_is_fatal():
@@ -218,6 +258,21 @@ def test_failed_touch_releases_partial_draws(agent):
     # The allocation stays usable where frames do suffice.
     assert len(m.touch(a, (0, 16), agent)) == 16
     assert m.pool.used_frames == reserved_frames(m)
+
+
+@pytest.mark.parametrize("agent", [Agent.CPU, Agent.GPU])
+def test_failed_touch_draws_no_latency_seed(agent):
+    def touch_after(fail):
+        m = fragmented_manager(free_block=agent is Agent.GPU)
+        a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+        if fail:
+            with pytest.raises(OutOfMemory):
+                m.touch(a, None, agent)
+        return m.touch(a, (0, 16), agent).latencies_us
+
+    after_failure = touch_after(fail=True)
+    assert len(after_failure) == 16
+    np.testing.assert_array_equal(after_failure, touch_after(fail=False))
 
 
 def test_placement_determinism():

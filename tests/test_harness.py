@@ -149,7 +149,6 @@ def test_usage_matrix_simulates_only_the_stages_asked_for(profile, kind,
     four = harness.usage_matrix(profile, kind, 1 * GiB, stages=4)
     assert four == {key: value for key, value in full.items()
                     if key[0] != "stream_setup"}
-    assert len(four) == 4 * len(harness._USAGE_COUNTERS)
     assert calls == [kind]  # the stream arrays are never allocated
 
 

@@ -261,7 +261,7 @@ def test_failed_touch_releases_partial_draws(agent):
 
 
 @pytest.mark.parametrize("agent", [Agent.CPU, Agent.GPU])
-def test_failed_touch_draws_no_latency_seed(agent):
+def test_failed_touch_spawns_no_latency_seed(agent):
     def touch_after(fail):
         m = fragmented_manager(free_block=agent is Agent.GPU)
         a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)

@@ -14,6 +14,7 @@ import functools
 import inspect
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -118,50 +119,31 @@ def _error_row(benchmark, keys: dict, exc: Exception) -> dict:
 # Shared experiment builders (cached; deterministic per profile/seed)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatencyPoint:
-    balance: float
-    latency_ns: float
-
-
 def measure_chase(profile: MachineProfile, agent: Agent, kind: AllocatorKind,
-                  size: int, seed: int = 0,
-                  init_agent: Agent = Agent.CPU) -> LatencyPoint:
-    """Allocate, first-touch, and evaluate the pointer chase at one size."""
-    _check_chase_access(profile, agent, kind)
-    load = _chase_load(profile, kind, size, seed, init_agent)
-    breakdown = perf.chase_latency(profile, agent, size, load)
-    return LatencyPoint(balance=load.balance, latency_ns=breakdown.weighted_ns)
-
-
-def _check_chase_access(profile: MachineProfile, agent: Agent,
-                        kind: AllocatorKind):
+                  size: int, seed: int = 0) -> float:
+    """Allocate, first-touch on the CPU, and evaluate the pointer chase at
+    one size; returns the dependent-load latency in ns."""
     if agent is Agent.GPU and not classify(kind, profile.xnack).gpu_access:
         raise AccessViolation(f"GPU cannot chase {kind.value} memory")
+    load = _chase_load(profile, kind, size, seed)
+    return perf.chase_latency(profile, agent, size, load).weighted_ns
 
 
 @functools.lru_cache(maxsize=64)
 def _chase_load(profile: MachineProfile, kind: AllocatorKind, size: int,
-                seed: int, init_agent: Agent = Agent.CPU) -> perf.ChannelLoad:
+                seed: int) -> perf.ChannelLoad:
     """Channel load of one allocation after its first touch; placement does
     not depend on the chasing agent, so every agent shares one load."""
     manager = MemoryManager(profile, seed=seed)
     alloc = manager.allocate(kind, size)
     if classify(kind, profile.xnack).physical is Policy.ON_DEMAND:
-        manager.touch(alloc, None, init_agent)
+        manager.touch(alloc, None, Agent.CPU)
     return perf.channel_load(profile, manager, alloc)
-
-
-@dataclass(frozen=True)
-class CpuStreamStats:
-    cpu_faults: int
-    bandwidth: float
 
 
 @functools.lru_cache(maxsize=64)
 def build_cpu_stream_stats(profile: MachineProfile, kind: AllocatorKind,
-                           init_agent: Agent, threads: int,
-                           seed: int = 0) -> CpuStreamStats:
+                           init_agent: Agent, seed: int = 0) -> int:
     """Simulate the CPU streaming setup and count CPU-side page faults.
 
     The fault count covers the process baseline residency, the first-touch
@@ -180,9 +162,7 @@ def build_cpu_stream_stats(profile: MachineProfile, kind: AllocatorKind,
         arr = manager.allocate(kind, array_bytes)
         faults += manager.touch(arr, None, init_agent).count(FaultKind.CPU)
         faults += manager.touch(arr, None, Agent.CPU).count(FaultKind.CPU)
-    bandwidth = perf.triad_bandwidth(profile, Agent.CPU, kind, init_agent,
-                                     threads)
-    return CpuStreamStats(cpu_faults=faults, bandwidth=bandwidth)
+    return faults
 
 
 # --------------------------------------------------------------------------
@@ -208,14 +188,12 @@ def _bench_latency(profile, seed, agent=(Agent.GPU, Agent.CPU),
             for agent in agents:
                 keys = {"agent": agent.value, "kind": kind.value, "size": size}
                 try:
-                    _check_chase_access(profile, agent, kind)
+                    value = measure_chase(profile, agent, kind, size,
+                                          _point_seed(seed, idx))
                 except AccessViolation as exc:
                     rows.append(_error_row("latency", keys, exc))
                     continue
-                load = _chase_load(profile, kind, size, _point_seed(seed, idx))
-                breakdown = perf.chase_latency(profile, agent, size, load)
-                rows.append(_row("latency", keys, "latency",
-                                 breakdown.weighted_ns, "ns"))
+                rows.append(_row("latency", keys, "latency", value, "ns"))
     return rows
 
 
@@ -238,24 +216,22 @@ def _bench_stream(profile, seed, agent=(Agent.GPU, Agent.CPU),
                         if agent is Agent.GPU:
                             ws = perf.gpu_triad_workset(profile, kind, init,
                                                         seed)
-                            bwv = perf.triad_bandwidth(profile, agent, kind,
-                                                       init, threads, ws)
-                            rows.append(_row("stream", keys, "bandwidth",
-                                             bwv, "bytes/s"))
-                            if ws is not None:
-                                rows.append(_row("stream", keys,
-                                                 tlb.COUNTER_NAME,
-                                                 float(ws.tlb_misses),
-                                                 "misses"))
+                            extra = [] if ws is None else [
+                                (tlb.COUNTER_NAME, ws.tlb_misses, "misses")]
                         else:
-                            stats = build_cpu_stream_stats(profile, kind, init,
-                                                           threads, seed)
-                            rows.append(_row("stream", keys, "bandwidth",
-                                             stats.bandwidth, "bytes/s"))
-                            rows.append(_row("stream", keys, "cpu_page_faults",
-                                             float(stats.cpu_faults), "faults"))
+                            ws = None
+                            faults = build_cpu_stream_stats(profile, kind,
+                                                            init, seed)
+                            extra = [("cpu_page_faults", faults, "faults")]
+                        bwv = perf.triad_bandwidth(profile, agent, kind, init,
+                                                   threads, ws)
                     except AccessViolation as exc:
                         rows.append(_error_row("stream", keys, exc))
+                        continue
+                    rows.append(_row("stream", keys, "bandwidth", bwv,
+                                     "bytes/s"))
+                    rows += [_row("stream", keys, metric, float(value), unit)
+                             for metric, value, unit in extra]
     return rows
 
 
@@ -280,6 +256,13 @@ def _bench_alloc(profile, seed, kind=tuple(AllocatorKind),
     return rows
 
 
+def _latency_stats(model: fault_mod.LatencyModel, scenario: fault_mod.Scenario,
+                   seed: int, samples: int) -> tuple[float, float]:
+    """Mean and p95, in us, of `samples` fault latencies drawn at seed."""
+    lat = model.sample(scenario, np.random.default_rng(seed), samples)
+    return float(lat.mean()), float(np.percentile(lat, 95))
+
+
 _FAULT_PAGES = [1, 10, 100, 1000, 10_000, 100_000, 1_000_000, 10_000_000]
 
 
@@ -294,7 +277,6 @@ def _bench_fault(profile, seed, scenario=tuple(fault_mod.Scenario),
     for si, scenario in enumerate(scenarios):
         gpu_side = scenario in (fault_mod.Scenario.GPU_MINOR,
                                 fault_mod.Scenario.GPU_MAJOR)
-        rng = np.random.default_rng(_point_seed(seed, 1000 + si))
         for pages in pages_list:
             keys = {"scenario": scenario.value, "pages": pages}
             if gpu_side and not od_ok:
@@ -305,12 +287,11 @@ def _bench_fault(profile, seed, scenario=tuple(fault_mod.Scenario),
             rows.append(_row("fault", keys, "throughput", rate, "pages/s"))
         if gpu_side and not od_ok:
             continue
-        lat = model.sample(scenario, rng, samples)
+        mean, p95 = _latency_stats(model, scenario,
+                                   _point_seed(seed, 1000 + si), samples)
         keys = {"scenario": scenario.value, "pages": 1}
-        rows.append(_row("fault", keys, "latency_mean",
-                         float(lat.mean()), "us"))
-        rows.append(_row("fault", keys, "latency_p95",
-                         float(np.percentile(lat, 95)), "us"))
+        rows.append(_row("fault", keys, "latency_mean", mean, "us"))
+        rows.append(_row("fault", keys, "latency_p95", p95, "us"))
     for pages in pages_list:
         for overlap in (False, True):
             res = fault_mod.prefault_pipeline(profile, pages, overlap)
@@ -528,6 +509,18 @@ def report(rows: list[dict], fmt: str = "csv") -> str:
 # Anchors and verify
 # --------------------------------------------------------------------------
 
+_DEV, _LIBC = AllocatorKind.DEVICE_UP_FRONT, AllocatorKind.LIBC_ON_DEMAND
+_PIN, _REG = AllocatorKind.PINNED_HOST, AllocatorKind.REGISTERED_HOST
+_MAN = AllocatorKind.MANAGED_UNIFIED
+_CPU, _GPU = Agent.CPU, Agent.GPU
+_U64, _F64 = atomics_mod.Dtype.UINT64, atomics_mod.Dtype.FP64
+
+# Scenario: (expected mean, expected p95) fault latency in us.
+_FAULT_LATENCY = {fault_mod.Scenario.CPU1: (9.0, 11.0),
+                  fault_mod.Scenario.GPU_MINOR: (16.0, 20.0),
+                  fault_mod.Scenario.GPU_MAJOR: (18.0, 22.0)}
+
+
 @dataclass(frozen=True)
 class Anchor:
     id: str
@@ -535,6 +528,7 @@ class Anchor:
     hi: float
     unit: str
     basis: str           # which measured quantity this reproduces
+    measure: Callable[[_Measurements], float]
     hard: bool = True
 
 
@@ -545,289 +539,287 @@ class AnchorResult:
     passed: bool
 
 
-def _between(anchor: Anchor, value: float) -> AnchorResult:
-    return AnchorResult(anchor, value, anchor.lo <= value <= anchor.hi)
+class _Measurements:
+    """What the anchors of one verify call read: the profile, the seed, the
+    profile with xnack off and on, and the values several anchors share,
+    each measured once, when first read."""
+
+    def __init__(self, profile: MachineProfile, seed: int):
+        self.profile, self.seed = profile, seed
+        self.xnack_off = replace(profile, xnack=False)
+        self.xnack_on = replace(profile, xnack=True)
+
+    def chase(self, agent: Agent, kind: AllocatorKind, size: int) -> float:
+        return measure_chase(self.profile, agent, kind, size, self.seed)
+
+    def gpu_bw(self, profile: MachineProfile, kind: AllocatorKind) -> float:
+        ws = perf.gpu_triad_workset(profile, kind, _CPU, self.seed)
+        return perf.triad_bandwidth(profile, _GPU, kind, _CPU, 1, ws)
+
+    def cpu_bw(self, kind: AllocatorKind, init: Agent) -> float:
+        return perf.triad_bandwidth(self.profile, _CPU, kind, init,
+                                    self.profile.cpu.cores)
+
+    def atomics(self, n: int, dtype: atomics_mod.Dtype, c: int,
+                g: int) -> atomics_mod.AtomicsResult:
+        w = atomics_mod.AtomicsWorkload(c, g, n, dtype)
+        return atomics_mod.throughput(self.profile, w)
+
+    def alloc_time(self, kind: AllocatorKind, size: int) -> float:
+        return alloc_time_model(self.profile, kind, size, self.profile.xnack)
+
+    @functools.cached_property
+    def heap_chase_512mib(self) -> float:
+        return self.chase(_CPU, _LIBC, 512 * MiB)
+
+    @functools.cached_property
+    def device_workset(self) -> perf.TriadWorkset:
+        return perf.build_triad_workset(self.profile, _DEV, _CPU, self.seed)
+
+    @functools.cached_property
+    def fault_latency(self) -> dict[fault_mod.Scenario, tuple[float, float]]:
+        """(mean, p95) in us of 100,000 draws per scenario."""
+        model = fault_mod.LatencyModel(self.profile)
+        return {scenario: _latency_stats(model, scenario,
+                                         _point_seed(self.seed, 7000 + i),
+                                         100_000)
+                for i, scenario in enumerate(_FAULT_LATENCY)}
+
+    @functools.cached_property
+    def hybrid_cpu_ratios(self) -> list[float]:
+        """Co-running over isolated CPU atomic rate on a small array, per
+        CPU thread count."""
+        return [self.atomics(1 << 10, _U64, c, 3328).cpu_rate
+                / self.atomics(1 << 10, _U64, c, 0).cpu_rate
+                for c in range(1, self.profile.cpu.cores + 1)]
+
+
+def _upfront_small_cv(m: _Measurements) -> float:
+    """Worst coefficient of variation of the up-front kinds' cost over
+    sizes below the allocation granularity."""
+    times = np.array([[m.alloc_time(kind, s)
+                       for s in (2, 32, 512, 4 * KiB, 16 * KiB)]
+                      for kind in (_DEV, _PIN, _REG)])
+    # An all-zero series is flat: its CV counts as 0, not 0/0.
+    return max([0.0] + [float(t.std() / t.mean()) for t in times if t.any()])
+
+
+def _free_alloc_crossover(m: _Measurements, kind: AllocatorKind,
+                          below: tuple[int, ...], above: int) -> float:
+    """1 when freeing costs less than allocating at every size in below
+    and more at above, else 0."""
+    def diff(size):
+        return free_time_model(m.profile, kind, size, m.profile.xnack) \
+            - m.alloc_time(kind, size)
+
+    return float(all(diff(s) < 0 for s in below) and diff(above) > 0)
+
+
+def _gpu_hybrid_ratios(m: _Measurements, sizes: tuple[int, ...],
+                       dtypes: tuple[atomics_mod.Dtype, ...]) -> list[float]:
+    """Co-running over isolated GPU atomic rate, for every array size,
+    element type, CPU and GPU thread count of the atomics grid."""
+    return [m.atomics(n, dtype, c, g).gpu_rate
+            / m.atomics(n, dtype, 0, g).gpu_rate
+            for n in sizes for dtype in dtypes
+            for c in _ATOMIC_CPU_THREADS for g in _ATOMIC_GPU_THREADS]
+
+
+# Every anchored expectation, in the order verify reports them.
+ANCHORS = (
+    # 1. dependent-load latency plateaus
+    Anchor("latency.gpu.1kib", 57.0, 57.0, "ns",
+           "GPU chase at 1 KiB (L1 plateau)",
+           lambda m: m.chase(_GPU, _DEV, 1 * KiB)),
+    Anchor("latency.gpu.1mib", 100.0, 108.0, "ns",
+           "GPU chase at 1 MiB (L2 plateau)",
+           lambda m: m.chase(_GPU, _DEV, 1 * MiB)),
+    Anchor("latency.gpu.128mib", 205.0, 218.0, "ns",
+           "GPU chase at 128 MiB (memory-side cache)",
+           lambda m: m.chase(_GPU, _DEV, 128 * MiB)),
+    Anchor("latency.gpu.4gib", 333.0, 350.0, "ns",
+           "GPU chase at 4 GiB (HBM)",
+           lambda m: m.chase(_GPU, _DEV, 4 * GiB)),
+    Anchor("latency.cpu.1kib", 1.0, 1.0, "ns",
+           "CPU chase at 1 KiB (L1 plateau)",
+           lambda m: m.chase(_CPU, _DEV, 1 * KiB)),
+    Anchor("latency.cpu.4gib.device", 236.0, 241.0, "ns",
+           "CPU chase at 4 GiB, device memory",
+           lambda m: m.chase(_CPU, _DEV, 4 * GiB)),
+    Anchor("latency.cpu.4gib.ondemand", 236.0, 241.0, "ns",
+           "CPU chase at 4 GiB, heap memory",
+           lambda m: m.chase(_CPU, _LIBC, 4 * GiB)),
+    Anchor("latency.cpu.512mib.ondemand", 225.0, float("inf"), "ns",
+           "CPU chase at 512 MiB, CPU-touched heap",
+           lambda m: m.heap_chase_512mib),
+    Anchor("latency.cpu.512mib.separation", 15.0, float("inf"), "ns",
+           "up-front kinds beat CPU-touched heap at 512 MiB",
+           lambda m: m.heap_chase_512mib - max(
+               m.chase(_CPU, _PIN, 512 * MiB), m.chase(_CPU, _DEV, 512 * MiB))),
+
+    # 2. streaming bandwidth tiers
+    Anchor("bw.gpu.device", 3.5e12, 3.6e12, "bytes/s",
+           "GPU TRIAD on device memory",
+           lambda m: m.gpu_bw(m.profile, _DEV)),
+    Anchor("bw.gpu.pinned", 2.1e12, 2.2e12, "bytes/s",
+           "GPU TRIAD on pinned host memory",
+           lambda m: m.gpu_bw(m.profile, _PIN)),
+    Anchor("bw.gpu.registered", 2.1e12, 2.2e12, "bytes/s",
+           "GPU TRIAD on registered host memory",
+           lambda m: m.gpu_bw(m.profile, _REG)),
+    Anchor("bw.gpu.managed.upfront", 2.1e12, 2.2e12, "bytes/s",
+           "GPU TRIAD on managed memory, replay off",
+           lambda m: m.gpu_bw(m.xnack_off, _MAN)),
+    Anchor("bw.gpu.libc", 1.8e12, 1.9e12, "bytes/s",
+           "GPU TRIAD on CPU-touched heap memory",
+           lambda m: m.gpu_bw(m.xnack_on, _LIBC)),
+    Anchor("bw.gpu.managed.ondemand", 1.8e12, 1.9e12, "bytes/s",
+           "GPU TRIAD on managed memory, replay on",
+           lambda m: m.gpu_bw(m.xnack_on, _MAN)),
+    Anchor("bw.gpu.static", 103e9 * 0.95, 103e9 * 1.05, "bytes/s",
+           "GPU TRIAD on static managed data",
+           lambda m: perf.triad_bandwidth(m.profile, _GPU,
+                                          AllocatorKind.STATIC_MANAGED)),
+    Anchor("bw.cpu.upfront", 208e9 * 0.97, 208e9 * 1.03, "bytes/s",
+           "CPU TRIAD on up-front memory",
+           lambda m: m.cpu_bw(_DEV, _CPU)),
+    Anchor("bw.cpu.gpu_init", 208e9 * 0.97, 208e9 * 1.03, "bytes/s",
+           "CPU TRIAD on GPU-touched heap",
+           lambda m: m.cpu_bw(_LIBC, _GPU)),
+    Anchor("bw.cpu.ondemand", 179e9, 182e9, "bytes/s",
+           "CPU TRIAD on CPU-touched heap",
+           lambda m: m.cpu_bw(_LIBC, _CPU)),
+
+    # 3. explicit-copy bandwidth
+    Anchor("memcpy.sdma", 58e9, 58e9, "bytes/s",
+           "host-device copy via DMA engine",
+           lambda m: perf.memcpy_bandwidth(m.profile, _LIBC, _DEV, True)),
+    Anchor("memcpy.nosdma", 850e9, 850e9, "bytes/s",
+           "host-device copy without DMA engine",
+           lambda m: perf.memcpy_bandwidth(m.profile, _LIBC, _DEV, False)),
+    Anchor("memcpy.d2d", 1900e9, 1900e9, "bytes/s",
+           "device-to-device copy",
+           lambda m: perf.memcpy_bandwidth(m.profile, _DEV, _DEV, True)),
+
+    # 4. translation misses
+    Anchor("tlb.miss_ratio", 5.0, 10.0, "x",
+           "scattered vs contiguous TRIAD miss ratio",
+           lambda m: perf.build_triad_workset(m.xnack_on, _LIBC, _CPU,
+                                              m.seed).tlb_misses
+           / m.device_workset.tlb_misses),
+    Anchor("tlb.device_misses", 158e3 * 0.8, 158e3 * 1.2, "misses",
+           "TRIAD misses on device memory (calibrated iteration count)",
+           lambda m: float(m.device_workset.tlb_misses), hard=False),
+
+    # 5. fault throughput
+    *(Anchor(f"fault.throughput.{scenario.value}", plateau * 0.9,
+             plateau * 1.1, "pages/s",
+             f"{scenario.value} fault rate at saturation",
+             lambda m, scenario=scenario, pages=pages:
+             fault_mod.throughput(m.profile, scenario, pages))
+      for scenario, (pages, plateau) in (
+          (fault_mod.Scenario.CPU1, (1_000, 872e3)),
+          (fault_mod.Scenario.CPU12, (10_000, 3.7e6)),
+          (fault_mod.Scenario.GPU_MAJOR, (10_000, 1.1e6)),
+          (fault_mod.Scenario.GPU_MINOR, (10_000_000, 9.0e6)))),
+    Anchor("fault.prefault.speedup", 2.2 * 0.85, 2.2 * 1.15, "x",
+           "prefault-then-fault gain at 10M pages",
+           lambda m: fault_mod.prefault_pipeline(
+               m.profile, 10_000_000, overlap=False).speedup_vs_gpu_major),
+    Anchor("fault.prefault.single_page", 0.0, 1.0, "x",
+           "single-page prefault is slower than faulting",
+           lambda m: fault_mod.prefault_pipeline(
+               m.profile, 1, overlap=False).speedup_vs_gpu_major),
+
+    # 6. fault latency distributions
+    *(anchor for scenario, (mean, p95) in _FAULT_LATENCY.items()
+      for anchor in (
+          Anchor(f"fault.latency_mean.{scenario.value}", mean * 0.98,
+                 mean * 1.02, "us", f"mean {scenario.value} fault latency",
+                 lambda m, scenario=scenario: m.fault_latency[scenario][0]),
+          Anchor(f"fault.latency_p95.{scenario.value}", p95 * 0.95,
+                 p95 * 1.05, "us", f"tail {scenario.value} fault latency",
+                 lambda m, scenario=scenario: m.fault_latency[scenario][1]))),
+
+    # 7. allocation cost
+    *(Anchor(aid, expect * 0.9, expect * 1.1, "s", "allocation cost anchor",
+             lambda m, kind=kind, size=size: m.alloc_time(kind, size))
+      for aid, kind, size, expect in (
+          ("alloc.libc.32b", _LIBC, 32, 14e-9),
+          ("alloc.libc.1gib", _LIBC, 1 * GiB, 6e-6),
+          ("alloc.device.16kib", _DEV, 16 * KiB, 10e-6),
+          ("alloc.device.1gib", _DEV, 1 * GiB, 37e-3))),
+    Anchor("alloc.upfront_flat", 0.0, 0.01, "cv",
+           "up-front cost constant below the minimum physical allocation "
+           "granularity", _upfront_small_cv),
+    Anchor("alloc.libc_free_crossover", 1.0, 1.0, "bool",
+           "free/alloc cost crossover at 16 MiB",
+           lambda m: _free_alloc_crossover(m, _LIBC, (16 * MiB, 8 * MiB),
+                                           32 * MiB)),
+    Anchor("alloc.device_free_crossover", 1.0, 1.0, "bool",
+           "free/alloc cost crossover at 2 MiB",
+           lambda m: _free_alloc_crossover(m, _DEV, (2 * MiB, 1 * MiB),
+                                           4 * MiB)),
+
+    # 8. CPU-side fault counts in the streaming setup
+    Anchor("faults.stream.libc", 472e3 * 0.98, 472e3 * 1.02, "faults",
+           "CPU faults, CPU-init heap operands",
+           lambda m: float(build_cpu_stream_stats(m.xnack_on, _LIBC, _CPU,
+                                                  m.seed))),
+    Anchor("faults.stream.upfront", 3700.0, 4600.0, "faults",
+           "CPU faults, CPU-init up-front operands",
+           lambda m: float(build_cpu_stream_stats(m.profile, _DEV, _CPU,
+                                                  m.seed))),
+    Anchor("faults.stream.gpu_init", 8000.0, 8900.0, "faults",
+           "CPU faults, GPU-init up-front operands",
+           lambda m: float(build_cpu_stream_stats(m.profile, _DEV, _GPU,
+                                                  m.seed))),
+
+    # 9. atomics trends
+    Anchor("atomics.cpu_dtype_ratio", 3.0 * 0.85, 3.0 * 1.15, "x",
+           "CPU integer/floating atomic rate ratio at low contention",
+           lambda m: m.atomics(1 << 20, _U64, 1, 0).cpu_rate
+           / m.atomics(1 << 20, _F64, 1, 0).cpu_rate),
+    Anchor("atomics.gpu_dtype_equal", 0.0, 0.0, "updates/s",
+           "GPU atomic rate is element-type independent",
+           lambda m: abs(m.atomics(1 << 20, _U64, 0, 3328).gpu_rate
+                         - m.atomics(1 << 20, _F64, 0, 3328).gpu_rate)),
+    Anchor("atomics.hybrid_cpu_min", 0.11, 0.25, "x",
+           "co-running CPU slowdown window, small array",
+           lambda m: min(m.hybrid_cpu_ratios)),
+    Anchor("atomics.hybrid_cpu_max", 0.11, 0.25, "x",
+           "co-running CPU slowdown window, small array",
+           lambda m: max(m.hybrid_cpu_ratios)),
+    Anchor("atomics.gpu_floor", 0.79, 1.1, "x",
+           "co-running GPU throughput floor",
+           lambda m: min(1.0, *_gpu_hybrid_ratios(m, (1 << 10, 1 << 20),
+                                                  tuple(atomics_mod.Dtype)))),
+    Anchor("atomics.one_element_decreasing", 1.0, 1.0, "bool",
+           "single-element CPU rate decreases with threads",
+           lambda m: float(all(a > b for a, b in itertools.pairwise(
+               [m.atomics(1, _U64, c, 0).cpu_rate
+                for c in range(2, m.profile.cpu.cores + 1)])))),
+    Anchor("atomics.hybrid_gpu_geomean", 0.99, 1.03, "x",
+           "co-running GPU geometric-mean ratio, mid array",
+           lambda m: float(np.exp(np.mean(np.log(
+               _gpu_hybrid_ratios(m, (1 << 20,), (_U64,))))))),
+    Anchor("atomics.hybrid_cpu_pocket", 1.0, 1.0, "bool",
+           "co-running CPU speedup pocket (not forced by the model)",
+           lambda m: float(any(r > 1.0 for r in m.hybrid_cpu_ratios)),
+           hard=False),
+
+    # 11. usage-counter visibility matrix
+    Anchor("usage.matrix", 1.0, 1.0, "bool",
+           "counter visibility matrix across kinds",
+           lambda m: float(check_usage_matrix(m.profile, m.seed))),
+)
 
 
 def evaluate_anchors(profile: MachineProfile, seed: int = 0) -> list[AnchorResult]:
     """Run every anchored expectation against the simulator."""
-    res: list[AnchorResult] = []
-    dev = AllocatorKind.DEVICE_UP_FRONT
-    libc = AllocatorKind.LIBC_ON_DEMAND
-    pin = AllocatorKind.PINNED_HOST
-    reg = AllocatorKind.REGISTERED_HOST
-    man = AllocatorKind.MANAGED_UNIFIED
-    cpu, gpu = Agent.CPU, Agent.GPU
-
-    def chase(agent, kind, size, s=seed):
-        return measure_chase(profile, agent, kind, size, s).latency_ns
-
-    # 1. dependent-load latency plateaus
-    res.append(_between(Anchor("latency.gpu.1kib", 57.0, 57.0, "ns",
-                               "GPU chase at 1 KiB (L1 plateau)"),
-                        chase(gpu, dev, 1 * KiB)))
-    res.append(_between(Anchor("latency.gpu.1mib", 100.0, 108.0, "ns",
-                               "GPU chase at 1 MiB (L2 plateau)"),
-                        chase(gpu, dev, 1 * MiB)))
-    res.append(_between(Anchor("latency.gpu.128mib", 205.0, 218.0, "ns",
-                               "GPU chase at 128 MiB (memory-side cache)"),
-                        chase(gpu, dev, 128 * MiB)))
-    res.append(_between(Anchor("latency.gpu.4gib", 333.0, 350.0, "ns",
-                               "GPU chase at 4 GiB (HBM)"),
-                        chase(gpu, dev, 4 * GiB)))
-    res.append(_between(Anchor("latency.cpu.1kib", 1.0, 1.0, "ns",
-                               "CPU chase at 1 KiB (L1 plateau)"),
-                        chase(cpu, dev, 1 * KiB)))
-    res.append(_between(Anchor("latency.cpu.4gib.device", 236.0, 241.0, "ns",
-                               "CPU chase at 4 GiB, device memory"),
-                        chase(cpu, dev, 4 * GiB)))
-    res.append(_between(Anchor("latency.cpu.4gib.ondemand", 236.0, 241.0, "ns",
-                               "CPU chase at 4 GiB, heap memory"),
-                        chase(cpu, libc, 4 * GiB)))
-    od512 = chase(cpu, libc, 512 * MiB)
-    pin512 = chase(cpu, pin, 512 * MiB)
-    dev512 = chase(cpu, dev, 512 * MiB)
-    res.append(_between(Anchor("latency.cpu.512mib.ondemand", 225.0,
-                               float("inf"), "ns",
-                               "CPU chase at 512 MiB, CPU-touched heap"),
-                        od512))
-    res.append(_between(Anchor("latency.cpu.512mib.separation", 15.0,
-                               float("inf"), "ns",
-                               "up-front kinds beat CPU-touched heap at 512 MiB"),
-                        od512 - max(pin512, dev512)))
-
-    # 2. streaming bandwidth tiers
-    profile0 = replace(profile, xnack=False)
-    profile1 = replace(profile, xnack=True)
-
-    def gpu_bw(prof, kind, init=cpu):
-        ws = perf.gpu_triad_workset(prof, kind, init, seed)
-        return perf.triad_bandwidth(prof, gpu, kind, init, 1, ws)
-
-    res.append(_between(Anchor("bw.gpu.device", 3.5e12, 3.6e12, "bytes/s",
-                               "GPU TRIAD on device memory"),
-                        gpu_bw(profile, dev)))
-    res.append(_between(Anchor("bw.gpu.pinned", 2.1e12, 2.2e12, "bytes/s",
-                               "GPU TRIAD on pinned host memory"),
-                        gpu_bw(profile, pin)))
-    res.append(_between(Anchor("bw.gpu.registered", 2.1e12, 2.2e12, "bytes/s",
-                               "GPU TRIAD on registered host memory"),
-                        gpu_bw(profile, reg)))
-    res.append(_between(Anchor("bw.gpu.managed.upfront", 2.1e12, 2.2e12,
-                               "bytes/s",
-                               "GPU TRIAD on managed memory, replay off"),
-                        gpu_bw(profile0, man)))
-    res.append(_between(Anchor("bw.gpu.libc", 1.8e12, 1.9e12, "bytes/s",
-                               "GPU TRIAD on CPU-touched heap memory"),
-                        gpu_bw(profile1, libc)))
-    res.append(_between(Anchor("bw.gpu.managed.ondemand", 1.8e12, 1.9e12,
-                               "bytes/s",
-                               "GPU TRIAD on managed memory, replay on"),
-                        gpu_bw(profile1, man)))
-    res.append(_between(Anchor("bw.gpu.static", 103e9 * 0.95, 103e9 * 1.05,
-                               "bytes/s", "GPU TRIAD on static managed data"),
-                        perf.triad_bandwidth(profile, gpu,
-                                             AllocatorKind.STATIC_MANAGED)))
-    threads = profile.cpu.cores
-    res.append(_between(Anchor("bw.cpu.upfront", 208e9 * 0.97, 208e9 * 1.03,
-                               "bytes/s", "CPU TRIAD on up-front memory"),
-                        perf.triad_bandwidth(profile, cpu, dev, cpu, threads)))
-    res.append(_between(Anchor("bw.cpu.gpu_init", 208e9 * 0.97, 208e9 * 1.03,
-                               "bytes/s", "CPU TRIAD on GPU-touched heap"),
-                        perf.triad_bandwidth(profile, cpu, libc, gpu, threads)))
-    res.append(_between(Anchor("bw.cpu.ondemand", 179e9, 182e9, "bytes/s",
-                               "CPU TRIAD on CPU-touched heap"),
-                        perf.triad_bandwidth(profile, cpu, libc, cpu, threads)))
-
-    # 3. explicit-copy bandwidth
-    res.append(_between(Anchor("memcpy.sdma", 58e9, 58e9, "bytes/s",
-                               "host-device copy via DMA engine"),
-                        perf.memcpy_bandwidth(profile, libc, dev, True)))
-    res.append(_between(Anchor("memcpy.nosdma", 850e9, 850e9, "bytes/s",
-                               "host-device copy without DMA engine"),
-                        perf.memcpy_bandwidth(profile, libc, dev, False)))
-    res.append(_between(Anchor("memcpy.d2d", 1900e9, 1900e9, "bytes/s",
-                               "device-to-device copy"),
-                        perf.memcpy_bandwidth(profile, dev, dev, True)))
-
-    # 4. translation misses
-    ws_dev = perf.build_triad_workset(profile, dev, cpu, seed)
-    ws_libc = perf.build_triad_workset(profile1, libc, cpu, seed)
-    ratio = ws_libc.tlb_misses / ws_dev.tlb_misses
-    res.append(_between(Anchor("tlb.miss_ratio", 5.0, 10.0, "x",
-                               "scattered vs contiguous TRIAD miss ratio"),
-                        ratio))
-    res.append(_between(Anchor("tlb.device_misses", 158e3 * 0.8, 158e3 * 1.2,
-                               "misses",
-                               "TRIAD misses on device memory (calibrated "
-                               "iteration count)", hard=False),
-                        float(ws_dev.tlb_misses)))
-
-    # 5. fault throughput
-    sat = {fault_mod.Scenario.CPU1: (1_000, 872e3),
-           fault_mod.Scenario.CPU12: (10_000, 3.7e6),
-           fault_mod.Scenario.GPU_MAJOR: (10_000, 1.1e6),
-           fault_mod.Scenario.GPU_MINOR: (10_000_000, 9.0e6)}
-    for scenario, (pages, plateau) in sat.items():
-        value = fault_mod.throughput(profile, scenario, pages)
-        res.append(_between(Anchor(f"fault.throughput.{scenario.value}",
-                                   plateau * 0.9, plateau * 1.1, "pages/s",
-                                   f"{scenario.value} fault rate at saturation"),
-                            value))
-    pipe = fault_mod.prefault_pipeline(profile, 10_000_000, overlap=False)
-    res.append(_between(Anchor("fault.prefault.speedup", 2.2 * 0.85, 2.2 * 1.15,
-                               "x", "prefault-then-fault gain at 10M pages"),
-                        pipe.speedup_vs_gpu_major))
-    single = fault_mod.prefault_pipeline(profile, 1, overlap=False)
-    res.append(_between(Anchor("fault.prefault.single_page", 0.0, 1.0, "x",
-                               "single-page prefault is slower than faulting"),
-                        single.speedup_vs_gpu_major))
-
-    # 6. fault latency distributions
-    model = fault_mod.LatencyModel(profile)
-    lat_expect = {fault_mod.Scenario.CPU1: (9.0, 11.0),
-                  fault_mod.Scenario.GPU_MINOR: (16.0, 20.0),
-                  fault_mod.Scenario.GPU_MAJOR: (18.0, 22.0)}
-    for i, (scenario, (mean, p95)) in enumerate(lat_expect.items()):
-        rng = np.random.default_rng(_point_seed(seed, 7000 + i))
-        samples = model.sample(scenario, rng, 100_000)
-        res.append(_between(Anchor(f"fault.latency_mean.{scenario.value}",
-                                   mean * 0.98, mean * 1.02, "us",
-                                   f"mean {scenario.value} fault latency"),
-                            float(samples.mean())))
-        res.append(_between(Anchor(f"fault.latency_p95.{scenario.value}",
-                                   p95 * 0.95, p95 * 1.05, "us",
-                                   f"tail {scenario.value} fault latency"),
-                            float(np.percentile(samples, 95))))
-
-    # 7. allocation cost
-    xn = profile.xnack
-    anchors7 = [
-        ("alloc.libc.32b", libc, 32, 14e-9),
-        ("alloc.libc.1gib", libc, 1 * GiB, 6e-6),
-        ("alloc.device.16kib", dev, 16 * KiB, 10e-6),
-        ("alloc.device.1gib", dev, 1 * GiB, 37e-3),
-    ]
-    for aid, kind, size, expect in anchors7:
-        value = alloc_time_model(profile, kind, size, xn)
-        res.append(_between(Anchor(aid, expect * 0.9, expect * 1.1, "s",
-                                   "allocation cost anchor"),
-                            value))
-    small_sizes = [2, 32, 512, 4 * KiB, 16 * KiB]
-    worst_cv = 0.0
-    for kind in (dev, pin, reg):
-        times = np.array([alloc_time_model(profile, kind, s, xn)
-                          for s in small_sizes])
-        # An all-zero series is flat: its CV counts as 0, not 0/0.
-        if times.any():
-            worst_cv = max(worst_cv, float(times.std() / times.mean()))
-    res.append(_between(Anchor("alloc.upfront_flat", 0.0, 0.01, "cv",
-                               "up-front cost constant below the minimum "
-                               "physical allocation granularity"),
-                        worst_cv))
-
-    def diff(kind, size):
-        return free_time_model(profile, kind, size, xn) \
-            - alloc_time_model(profile, kind, size, xn)
-
-    below = diff(libc, 16 * MiB) < 0 and diff(libc, 8 * MiB) < 0
-    above = diff(libc, 32 * MiB) > 0
-    res.append(_between(Anchor("alloc.libc_free_crossover", 1.0, 1.0, "bool",
-                               "free/alloc cost crossover at 16 MiB"),
-                        1.0 if (below and above) else 0.0))
-    below = diff(dev, 2 * MiB) < 0 and diff(dev, 1 * MiB) < 0
-    above = diff(dev, 4 * MiB) > 0
-    res.append(_between(Anchor("alloc.device_free_crossover", 1.0, 1.0, "bool",
-                               "free/alloc cost crossover at 2 MiB"),
-                        1.0 if (below and above) else 0.0))
-
-    # 8. CPU-side fault counts in the streaming setup
-    libc_stats = build_cpu_stream_stats(profile1, libc, cpu, threads, seed)
-    res.append(_between(Anchor("faults.stream.libc", 472e3 * 0.98, 472e3 * 1.02,
-                               "faults", "CPU faults, CPU-init heap operands"),
-                        float(libc_stats.cpu_faults)))
-    dev_stats = build_cpu_stream_stats(profile, dev, cpu, threads, seed)
-    res.append(_between(Anchor("faults.stream.upfront", 3700.0, 4600.0,
-                               "faults",
-                               "CPU faults, CPU-init up-front operands"),
-                        float(dev_stats.cpu_faults)))
-    dev_gpu_stats = build_cpu_stream_stats(profile, dev, gpu, threads, seed)
-    res.append(_between(Anchor("faults.stream.gpu_init", 8000.0, 8900.0,
-                               "faults",
-                               "CPU faults, GPU-init up-front operands"),
-                        float(dev_gpu_stats.cpu_faults)))
-
-    # 9. atomics trends
-    def rates(n, dtype, c, g):
-        w = atomics_mod.AtomicsWorkload(c, g, n, dtype)
-        return atomics_mod.throughput(profile, w)
-
-    low_uint = rates(1 << 20, atomics_mod.Dtype.UINT64, 1, 0).cpu_rate
-    low_fp = rates(1 << 20, atomics_mod.Dtype.FP64, 1, 0).cpu_rate
-    res.append(_between(Anchor("atomics.cpu_dtype_ratio", 3.0 * 0.85,
-                               3.0 * 1.15, "x",
-                               "CPU integer/floating atomic rate ratio at "
-                               "low contention"),
-                        low_uint / low_fp))
-    gu = rates(1 << 20, atomics_mod.Dtype.UINT64, 0, 3328).gpu_rate
-    gf = rates(1 << 20, atomics_mod.Dtype.FP64, 0, 3328).gpu_rate
-    res.append(_between(Anchor("atomics.gpu_dtype_equal", 0.0, 0.0,
-                               "updates/s",
-                               "GPU atomic rate is element-type independent"),
-                        abs(gu - gf)))
-    hybrid_ratios = []
-    for c in range(1, profile.cpu.cores + 1):
-        iso = rates(1 << 10, atomics_mod.Dtype.UINT64, c, 0).cpu_rate
-        hyb = rates(1 << 10, atomics_mod.Dtype.UINT64, c, 3328).cpu_rate
-        hybrid_ratios.append(hyb / iso)
-    res.append(_between(Anchor("atomics.hybrid_cpu_min", 0.11, 0.25, "x",
-                               "co-running CPU slowdown window, small array"),
-                        min(hybrid_ratios)))
-    res.append(_between(Anchor("atomics.hybrid_cpu_max", 0.11, 0.25, "x",
-                               "co-running CPU slowdown window, small array"),
-                        max(hybrid_ratios)))
-    gpu_floor = 1.0
-    for n in (1 << 10, 1 << 20):
-        for dtype in atomics_mod.Dtype:
-            for c in _ATOMIC_CPU_THREADS:
-                for g in _ATOMIC_GPU_THREADS:
-                    iso = rates(n, dtype, 0, g).gpu_rate
-                    hyb = rates(n, dtype, c, g).gpu_rate
-                    gpu_floor = min(gpu_floor, hyb / iso)
-    res.append(_between(Anchor("atomics.gpu_floor", 0.79, 1.1, "x",
-                               "co-running GPU throughput floor"),
-                        gpu_floor))
-    one_elem = [rates(1, atomics_mod.Dtype.UINT64, c, 0).cpu_rate
-                for c in range(2, profile.cpu.cores + 1)]
-    monotone = all(a > b for a, b in zip(one_elem, one_elem[1:]))
-    res.append(_between(Anchor("atomics.one_element_decreasing", 1.0, 1.0,
-                               "bool",
-                               "single-element CPU rate decreases with "
-                               "threads"),
-                        1.0 if monotone else 0.0))
-    gm = []
-    for dtype in [atomics_mod.Dtype.UINT64]:
-        for c in _ATOMIC_CPU_THREADS:
-            for g in _ATOMIC_GPU_THREADS:
-                iso = rates(1 << 20, dtype, 0, g).gpu_rate
-                hyb = rates(1 << 20, dtype, c, g).gpu_rate
-                gm.append(hyb / iso)
-    geomean = float(np.exp(np.mean(np.log(gm))))
-    res.append(_between(Anchor("atomics.hybrid_gpu_geomean", 0.99, 1.03, "x",
-                               "co-running GPU geometric-mean ratio, mid "
-                               "array"),
-                        geomean))
-    pocket = any(r > 1.0 for r in hybrid_ratios)
-    res.append(_between(Anchor("atomics.hybrid_cpu_pocket", 1.0, 1.0, "bool",
-                               "co-running CPU speedup pocket (not forced "
-                               "by the model)", hard=False),
-                        1.0 if pocket else 0.0))
-
-    # 11. usage-counter visibility matrix
-    res.append(_between(Anchor("usage.matrix", 1.0, 1.0, "bool",
-                               "counter visibility matrix across kinds"),
-                        1.0 if check_usage_matrix(profile, seed) else 0.0))
-    return res
+    measurements = _Measurements(profile, seed)
+    return [AnchorResult(a, value, a.lo <= value <= a.hi)
+            for a in ANCHORS for value in (a.measure(measurements),)]
 
 
 def expected_usage(profile: MachineProfile, kind: AllocatorKind,

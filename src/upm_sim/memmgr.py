@@ -686,7 +686,6 @@ class Allocation:
     size: int                      # requested bytes
     policy: Policy
     frame_policy: FramePolicy
-    creation_time_model: float     # seconds, from alloc_time_model
     live: bool = True
     first_touch_agent: Agent | None = None
     mapped_pages: int = 0
@@ -745,9 +744,7 @@ class MemoryManager:
         frame_policy = policy or self._default_policy(kind)
         alloc = Allocation(
             id=self._next_id, kind=kind, va_base=0, n_pages=n_pages,
-            size=size, policy=spec.physical, frame_policy=frame_policy,
-            creation_time_model=alloc_time_model(self.profile, kind, size,
-                                                 self.profile.xnack))
+            size=size, policy=spec.physical, frame_policy=frame_policy)
         if frame_policy.seed:
             alloc.scatter_rng = np.random.default_rng(frame_policy.seed)
         if spec.physical is Policy.UP_FRONT:

@@ -97,8 +97,6 @@ class DualTable:
         self._bases: list[int] = []
         self._regions: list[_Region] = []
         self._next_va = self._FIRST_VA_PAGE
-        self.sys_mapped = 0
-        self.gpu_mapped = 0
 
     # -- virtual space ------------------------------------------------
 
@@ -143,10 +141,8 @@ class DualTable:
                 raise MirrorViolation("gpu entries only mirror system entries")
             if np.any(region.frames[sel] != frames):
                 raise MirrorViolation("gpu entry frame differs from system entry")
-            self.gpu_mapped += n
         else:
             region.frames[sel] = frames
-            self.sys_mapped += n
         tflags[sel] = flags
         self._recompute(region, off, off + n, table)
 
@@ -167,7 +163,6 @@ class DualTable:
         count = int(np.count_nonzero(fresh))
         if count:
             gpu_view[fresh] = region.sys_flags[sel][fresh]
-            self.gpu_mapped += count
             self._recompute(region, off, off + n_pages, GPU)
         return count
 
@@ -176,8 +171,6 @@ class DualTable:
         region, off = self._region_at(va_page)
         lo, hi = off, min(off + n_pages, region.n_pages)
         sel = slice(lo, hi)
-        self.gpu_mapped -= int(np.count_nonzero(region.gpu_flags[sel]))
-        self.sys_mapped -= int(np.count_nonzero(region.sys_flags[sel]))
         region.gpu_flags[sel] = 0
         region.sys_flags[sel] = 0
         region.frames[sel] = -1

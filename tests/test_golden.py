@@ -1,9 +1,10 @@
-"""Byte-for-byte golden outputs at seed 0.
+"""Byte-for-byte golden outputs at seed 0, and `verify` at seed 7.
 
 The benchmark's reference outputs in perfbench/reference/ are read in
 place: `verify` text, the CSV of the latency, stream and usage grids, and
 the built-in profile document. The CSV of the other four grids (alloc,
-fault, atomics, memcpy) lives in tests/golden/.
+fault, atomics, memcpy) and the `verify` text at seed 7 live in
+tests/golden/. A second seed catches a measurement that ignores the seed.
 """
 
 from pathlib import Path
@@ -24,6 +25,11 @@ def reference(name: str) -> str:
 def test_verify_text_matches_golden(profile):
     text = "\n".join(harness.verify(profile, seed=0).lines()) + "\n"
     assert text == reference("verify.txt")
+
+
+def test_verify_text_at_seed_7_matches_golden(profile):
+    text = "\n".join(harness.verify(profile, seed=7).lines()) + "\n"
+    assert text == (GOLDEN / "verify_seed7.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("directory,bench", [

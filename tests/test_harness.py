@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from upm_sim import cli, harness
+from upm_sim import cli, fault, harness
 from upm_sim.harness import WorkloadSpec, report, run, verify
 from upm_sim.machine import GiB, MiB, builtin_mi300a, serialize_profile
 from upm_sim.memmgr import AllocatorKind, MemoryManager
@@ -132,6 +132,26 @@ def test_verify_loads_each_chase_once(profile):
     verify(profile, seed=0)
     info = harness._chase_load.cache_info()
     assert (info.misses, info.hits) == (8, 2)
+
+
+def test_anchor_table_orders_verify_and_draws_each_latency_once(
+        profile, monkeypatch):
+    # Each fault-latency scenario is drawn once and read by both its mean
+    # and its p95 anchor.
+    sample = fault.LatencyModel.sample
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(fault.LatencyModel, "sample", counted)
+    lines = verify(profile, seed=0).lines()
+    ids = [a.id for a in harness.ANCHORS]
+    assert len(ids) == len(set(ids)) == 55
+    assert ids == [line.split()[1] for line in lines[:-1]]
+    assert calls == [fault.Scenario.CPU1, fault.Scenario.GPU_MINOR,
+                     fault.Scenario.GPU_MAJOR]
 
 
 @pytest.mark.parametrize("kind", list(AllocatorKind), ids=lambda k: k.value)

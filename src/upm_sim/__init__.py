@@ -10,13 +10,12 @@ model against its anchored expectations.
 
 from .machine import MachineProfile, builtin_mi300a, load_profile, \
     serialize_profile, validate
-from .memmgr import (Agent, AllocatorKind, FramePolicy, MemoryManager,
-                     Policy, UsageCounter, alloc_time_model, classify,
-                     free_time_model)
+from .memmgr import (Agent, AllocatorKind, MemoryManager, Policy,
+                     UsageCounter, alloc_time_model, classify, free_time_model)
 from .fault import FaultKind, Scenario, prefault_pipeline, \
     throughput as fault_throughput
-from .perf import (ChannelLoad, LatencyBreakdown, channel_load, channel_of,
-                   chase_latency, memcpy_bandwidth, triad_bandwidth)
+from .perf import (ChannelLoad, LatencyBreakdown, channel_load, chase_latency,
+                   memcpy_bandwidth, triad_bandwidth)
 from .atomics import AtomicsResult, AtomicsWorkload, Dtype, collision_rate
 from .harness import WorkloadSpec, report, run, verify
 
@@ -24,11 +23,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MachineProfile", "builtin_mi300a", "load_profile", "serialize_profile",
-    "validate", "Agent", "AllocatorKind", "FramePolicy", "MemoryManager",
+    "validate", "Agent", "AllocatorKind", "MemoryManager",
     "Policy", "UsageCounter", "alloc_time_model", "classify",
     "free_time_model", "FaultKind", "Scenario", "prefault_pipeline",
     "fault_throughput", "ChannelLoad",
-    "LatencyBreakdown", "channel_load", "channel_of", "chase_latency",
+    "LatencyBreakdown", "channel_load", "chase_latency",
     "memcpy_bandwidth", "triad_bandwidth", "AtomicsResult",
     "AtomicsWorkload", "Dtype", "collision_rate", "WorkloadSpec", "report",
     "run", "verify", "__version__",

@@ -27,7 +27,7 @@ indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
 The pool keeps whole free blocks in a bytearray alive map. Released
 blocks, last-released first, then a boot-time permutation read from its
 end are the one source of blocks: ``_next_blocks`` takes the next k alive
-ones in a pass. Sequential draws use a heap built from the alive map. The
+ones in a pass. Sequential draws take the lowest alive block instead. The
 permutation is shared, read-only, by every pool of one seed and size, and
 only the latest is kept. Runs smaller than a block sit in one dict per
 order, 16-page runs in one dict per channel group, each a stack. Every
@@ -60,7 +60,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -95,11 +94,6 @@ class UsageCounter(enum.Enum):
     MEMINFO = "meminfo"
     HIP_MEM_GET_INFO = "hip_mem_get_info"
     PROCESS_RSS = "process_rss"
-
-
-class PlacementMode(enum.Enum):
-    CONTIGUOUS_BEST_EFFORT = "contiguous_best_effort"
-    INCREMENTAL_SCATTER = "incremental_scatter"
 
 
 class OutOfMemory(Exception):
@@ -146,13 +140,6 @@ def classify(kind: AllocatorKind, xnack: bool) -> AccessSpec:
     if kind is AllocatorKind.STATIC_MANAGED:
         return AccessSpec(True, True, Policy.UP_FRONT)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class FramePolicy:
-    mode: PlacementMode = PlacementMode.INCREMENTAL_SCATTER
-    seed: int = 0
-    scatter_degree: float = 1.0
 
 
 class FaultBatch:
@@ -232,7 +219,6 @@ class FramePool:
         self._boot_left = self.n_blocks
         self._released: list[int] = []
         self._block_alive = bytearray(b"\x01") * self.n_blocks
-        self._block_sorted: list[int] | None = None  # lazy, sequential draws
         self._runs: dict[int, dict[int, None]] = {
             o: {} for o in range(self.block_order) if o != self.batch_order}
         self._group_runs: list[dict[int, None]] = [
@@ -297,17 +283,6 @@ class FramePool:
 
     def _alive_blocks(self) -> np.ndarray:
         return np.flatnonzero(np.frombuffer(self._block_alive, dtype=np.uint8))
-
-    def _pop_block_sorted(self) -> int | None:
-        if self._block_sorted is None:
-            self._block_sorted = self._alive_blocks().tolist()  # a heap
-        alive = self._block_alive
-        while self._block_sorted:
-            b = heapq.heappop(self._block_sorted)
-            if alive[b]:
-                alive[b] = 0
-                return b
-        return None
 
     def _take_run(self, order: int) -> int:
         """Remove and return one free run of 2^order pages (may split)."""
@@ -467,9 +442,10 @@ class FramePool:
                                                        start):
             del self._store(self.batch_order, start)[start]
         else:
-            b = self._pop_block_sorted()
-            if b is None:
+            b = self._block_alive.find(1)
+            if b < 0:
                 raise OutOfMemory("no contiguous block available")
+            self._block_alive[b] = 0
             start = b << self.block_order
             for g in range(1, self.groups_n):
                 self._group_runs[g][start + (g << self.batch_order)] = None
@@ -543,11 +519,7 @@ class FramePool:
         blocks = (base[first] >> bo)[whole][np.argsort(last_run[whole])]
         if len(blocks):
             np.frombuffer(self._block_alive, dtype=np.uint8)[blocks] = 1
-            blocks = blocks.tolist()
-            self._released.extend(blocks)
-            if self._block_sorted is not None:
-                for b in blocks:
-                    heapq.heappush(self._block_sorted, b)
+            self._released.extend(blocks.tolist())
         merge = np.empty(len(s), dtype=bool)
         merge[at] = ~whole[group]
         for start, n in zip(starts[merge].tolist(), sizes[merge].tolist()):
@@ -656,8 +628,6 @@ class FramePool:
         b = start >> self.block_order
         self._block_alive[b] = 1
         self._released.append(b)
-        if self._block_sorted is not None:
-            heapq.heappush(self._block_sorted, b)
 
     def free_pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, n_pages) of every free piece: the whole blocks, then
@@ -685,7 +655,6 @@ class Allocation:
     n_pages: int
     size: int                      # requested bytes
     policy: Policy
-    frame_policy: FramePolicy
     live: bool = True
     first_touch_agent: Agent | None = None
     mapped_pages: int = 0
@@ -695,7 +664,6 @@ class Allocation:
     pending_gpu_blocks: np.ndarray | None = field(default=None, repr=False)
     cpu_chunk_pages: int | None = None
     cpu_chunks_mapped: set = field(default_factory=set)
-    scatter_rng: np.random.Generator | None = field(default=None, repr=False)
 
 
 def _expect(holds, invariant: str):
@@ -719,34 +687,18 @@ class MemoryManager:
         self._numa_bytes = 0
         self._hip_bytes = 0
         self._rss_bytes = 0
-        self._static_alloc: Allocation | None = None
         self._chunk_pages = profile.hip_cpu_map_granularity // profile.page_size
 
     # -- allocation ------------------------------------------------------
 
-    def _default_policy(self, kind: AllocatorKind) -> FramePolicy:
-        if kind is AllocatorKind.DEVICE_UP_FRONT:
-            return FramePolicy(PlacementMode.CONTIGUOUS_BEST_EFFORT, 0, 0.0)
-        spec = classify(kind, self.profile.xnack)
-        if spec.physical is Policy.UP_FRONT:
-            degree = self.profile.placement.host_upfront_scatter_degree
-        else:
-            degree = self.profile.placement.cpu_touch_scatter_degree
-        return FramePolicy(PlacementMode.INCREMENTAL_SCATTER, 0, degree)
-
-    def allocate(self, kind: AllocatorKind, size: int,
-                 policy: FramePolicy | None = None) -> Allocation:
+    def allocate(self, kind: AllocatorKind, size: int) -> Allocation:
         if size <= 0:
             raise ZeroSize(f"allocation size must be positive, got {size}")
         page = self.profile.page_size
         n_pages = -(-size // page)
         spec = classify(kind, self.profile.xnack)
-        frame_policy = policy or self._default_policy(kind)
-        alloc = Allocation(
-            id=self._next_id, kind=kind, va_base=0, n_pages=n_pages,
-            size=size, policy=spec.physical, frame_policy=frame_policy)
-        if frame_policy.seed:
-            alloc.scatter_rng = np.random.default_rng(frame_policy.seed)
+        alloc = Allocation(id=self._next_id, kind=kind, va_base=0,
+                           n_pages=n_pages, size=size, policy=spec.physical)
         if spec.physical is Policy.UP_FRONT:
             # Place first: a placement that fails leaves no frames, no
             # virtual reservation and no used id behind.
@@ -770,31 +722,24 @@ class MemoryManager:
         self.allocations[alloc.id] = alloc
         return alloc
 
-    def static_managed(self, size: int) -> Allocation:
-        """The singleton static allocation of the simulated program."""
-        if self._static_alloc is None or not self._static_alloc.live:
-            self._static_alloc = self.allocate(AllocatorKind.STATIC_MANAGED, size)
-        return self._static_alloc
-
     @contextlib.contextmanager
     def _undo_on_failure(self, alloc: Allocation):
         """Undo the draws of a placement that runs out of frames: the runs
         it added to alloc go back and the scatter stream rewinds."""
-        rng = alloc.scatter_rng or self._scatter_rng
-        state = rng.bit_generator.state
+        state = self._scatter_rng.bit_generator.state
         n_runs = len(alloc.frame_runs)
         try:
             yield
         except OutOfMemory:
             self.pool.release_runs(alloc.frame_runs[n_runs:])
             del alloc.frame_runs[n_runs:]
-            rng.bit_generator.state = state
+            self._scatter_rng.bit_generator.state = state
             raise
 
     def _place_up_front(self, alloc: Allocation, n_pages: int) -> np.ndarray:
         batch = self.pool.batch_pages
         full = 0
-        if alloc.frame_policy.mode is PlacementMode.INCREMENTAL_SCATTER:
+        if alloc.kind is not AllocatorKind.DEVICE_UP_FRONT:
             full = n_pages // batch
             self._draw_batches(alloc, full)
         if n_pages > full * batch:
@@ -811,17 +756,20 @@ class MemoryManager:
         return np.cumsum(frames, out=frames)
 
     def _draw_batches(self, alloc: Allocation, count: int) -> np.ndarray:
-        """Draw count 16-page batch starts under the allocation's policy."""
+        """Draw count 16-page batch starts, scattered by the profile's
+        degree for the allocation's policy; degree 0 draws ascending."""
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        pool = self.pool
-        degree = alloc.frame_policy.scatter_degree
-        if alloc.frame_policy.mode is PlacementMode.INCREMENTAL_SCATTER \
-                and degree == 0.0:
+        pool, placement = self.pool, self.profile.placement
+        if alloc.policy is Policy.UP_FRONT:
+            degree = placement.host_upfront_scatter_degree
+        else:
+            degree = placement.cpu_touch_scatter_degree
+        if degree == 0.0:
             starts = pool.take_batches_sequential(count)
         else:
-            rng = alloc.scatter_rng or self._scatter_rng
-            theta = self.profile.placement.scatter_zipf_scale * (1.0 - degree)
+            rng = self._scatter_rng
+            theta = placement.scatter_zipf_scale * (1.0 - degree)
             if theta <= 0:
                 groups = rng.integers(0, pool.groups_n, size=count)
             else:

@@ -27,8 +27,6 @@ keep fragment -1.
 from __future__ import annotations
 
 import bisect
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +48,6 @@ class Unmapped(Exception):
 
 class MirrorViolation(Exception):
     """GPU-table mutation without a matching system entry."""
-
-
-class GpuAccess(enum.Enum):
-    HIT = "hit"
-    REPLAYABLE_FAULT = "replayable_fault"
-    FATAL_FAULT = "fatal_fault"
-
-
-@dataclass(frozen=True)
-class PageTableEntry:
-    frame: int
-    flags: int
-    fragment: int
 
 
 class _Region:
@@ -122,10 +107,6 @@ class DualTable:
 
     # -- mapping ------------------------------------------------------
 
-    def map(self, table: str, va_page: int, frame: int, flags: int = FLAG_RW):
-        """Install a single entry. The target page must be unmapped there."""
-        self.map_range(table, va_page, np.asarray([frame], dtype=np.int64), flags)
-
     def map_range(self, table: str, va_page: int, frames, flags: int = FLAG_RW):
         frames = np.asarray(frames, dtype=np.int64)
         n = len(frames)
@@ -180,32 +161,6 @@ class DualTable:
         self._recompute(region, lo, hi, GPU)
 
     # -- queries ------------------------------------------------------
-
-    def lookup(self, table: str, va_page: int) -> PageTableEntry | None:
-        try:
-            region, off = self._region_at(va_page)
-        except Unmapped:
-            return None
-        if region.flags_of(table)[off] == 0:
-            return None
-        return PageTableEntry(frame=int(region.frames[off]),
-                              flags=int(region.flags_of(table)[off]),
-                              fragment=int(region.frag_of(table)[off]))
-
-    def compute_fragment(self, va_page: int, table: str = GPU) -> int:
-        region, off = self._region_at(va_page)
-        if region.flags_of(table)[off] == 0:
-            raise Unmapped(f"page {va_page} not mapped in {table} table")
-        return int(region.frag_of(table)[off])
-
-    def gpu_access(self, va_page: int, xnack: bool) -> GpuAccess:
-        try:
-            region, off = self._region_at(va_page)
-        except Unmapped:
-            return GpuAccess.REPLAYABLE_FAULT if xnack else GpuAccess.FATAL_FAULT
-        if region.gpu_flags[off] != 0:
-            return GpuAccess.HIT
-        return GpuAccess.REPLAYABLE_FAULT if xnack else GpuAccess.FATAL_FAULT
 
     def run_arrays(self, va_page: int, n_pages: int):
         """(frames, fragments) of a GPU-mapped range, for the TLB simulator."""

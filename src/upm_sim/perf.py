@@ -26,28 +26,13 @@ from .memmgr import (AccessViolation, Agent, Allocation, AllocatorKind,
                      MemoryManager, Policy, classify)
 
 
-class OutOfRange(Exception):
-    pass
-
-
 class UnmappedPages(Exception):
     pass
-
-
-def channel_of(profile: MachineProfile, address: int) -> int:
-    """Memory channel serving a physical address (page-granular rotation)."""
-    if not 0 <= address < profile.hbm_capacity:
-        raise OutOfRange(f"address {address:#x} outside physical memory")
-    return (address // profile.interleave_granularity) % profile.channels
 
 
 @dataclass(frozen=True)
 class ChannelLoad:
     bytes_per_channel: tuple[int, ...]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes_per_channel)
 
     @property
     def balance(self) -> float:
@@ -60,7 +45,8 @@ class ChannelLoad:
 
 def channel_load(profile: MachineProfile, manager: MemoryManager,
                  allocs: Allocation | list[Allocation]) -> ChannelLoad:
-    """Per-channel byte load of fully mapped allocations."""
+    """Per-channel byte load of fully mapped allocations: channels take
+    interleave_granularity (= page_size) pieces of memory in rotation."""
     if isinstance(allocs, Allocation):
         allocs = [allocs]
     counts = np.zeros(profile.channels, dtype=np.int64)

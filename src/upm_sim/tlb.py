@@ -20,7 +20,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .pagetable import GPU, DualTable, Unmapped
+from .pagetable import DualTable
 
 COUNTER_NAME = "TCP_UTCL1_TRANSLATION_MISS"
 
@@ -33,7 +33,6 @@ class FragmentTlb:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[int, int], None] = OrderedDict()
-        self.hits = 0
         self.misses = 0
 
     def access_run(self, run_base: int, fragment: int) -> bool:
@@ -45,22 +44,12 @@ class FragmentTlb:
         key = (run_base, fragment)
         if key in self._entries:
             self._entries.move_to_end(key)
-            self.hits += 1
             return True
         self.misses += 1
         self._entries[key] = None
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return False
-
-    def access(self, table: DualTable, va_page: int) -> bool:
-        """Translate va_page against the GPU table (must be mapped there)."""
-        entry = table.lookup(GPU, va_page)
-        if entry is None:
-            raise Unmapped(f"page {va_page} not mapped in gpu table")
-        frag = entry.fragment
-        run_base = va_page & ~((1 << frag) - 1)
-        return self.access_run(run_base, frag)
 
 
 def run_bases(table: DualTable, va_base: int, n_pages: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from upm_sim import cli, fault, harness
+from upm_sim import cli, fault, harness, perf
 from upm_sim.harness import WorkloadSpec, report, run, verify
 from upm_sim.machine import GiB, MiB, builtin_mi300a, serialize_profile
 from upm_sim.memmgr import AllocatorKind, MemoryManager
@@ -170,6 +170,25 @@ def test_usage_matrix_simulates_only_the_stages_asked_for(profile, kind,
     assert four == {key: value for key, value in full.items()
                     if key[0] != "stream_setup"}
     assert calls == [kind]  # the stream arrays are never allocated
+
+
+def test_sequential_placement_profile_runs_verify_and_usage(profile):
+    # With both scatter degrees 0 every batch draw is ascending
+    # sequential, which no other profile reaches. Hard anchors may fail;
+    # nothing may raise, and a run with cold caches repeats every byte.
+    sequential = replace(profile, placement=replace(
+        profile.placement, cpu_touch_scatter_degree=0.0,
+        host_upfront_scatter_degree=0.0))
+    outputs = []
+    for _ in range(2):
+        for cache in (harness._chase_load, harness.build_cpu_stream_stats,
+                      perf.build_triad_workset):
+            cache.cache_clear()
+        rep = verify(sequential, seed=0)
+        usage = run(sequential, WorkloadSpec("usage", {}, seed=0))
+        outputs.append("\n".join(rep.lines()) + report(usage))
+    assert len(rep.results) == 55
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_negative_control_walk_penalty(profile):

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from upm_sim.fault import FaultKind, LatencyModel, Scenario
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
-                            FramePolicy, MemoryManager, OutOfMemory,
-                            PlacementMode, Policy, UsageCounter, ZeroSize,
-                            alloc_time_model, classify, free_time_model)
+                            MemoryManager, OutOfMemory, Policy, UsageCounter,
+                            ZeroSize, alloc_time_model, classify,
+                            free_time_model)
 from tests.test_properties import free_intervals, snapshot
 
 K = AllocatorKind
@@ -301,38 +303,41 @@ def test_managers_of_one_seed_share_a_read_only_boot_order():
     assert not np.array_equal(manager(seed=4).pool._boot_order, order)
 
 
-def test_policy_seed_controls_scatter_stream():
-    # Same manager seed: the policy seed alone decides the group draws.
-    def groups_of(policy_seed):
-        m = manager(seed=4)
-        policy = FramePolicy(PlacementMode.INCREMENTAL_SCATTER,
-                             policy_seed, 0.75)
-        a = m.allocate(K.LIBC_ON_DEMAND, 4 * MiB, policy=policy)
-        m.touch(a, None, Agent.CPU)
-        region = m._region(a)
-        return (region.frames[:a.n_pages] // 16 % 8).tolist()
-
-    assert groups_of(1) == groups_of(1)
-    assert groups_of(1) != groups_of(2)
+def with_degrees(profile, **degrees):
+    """profile with the given placement scatter degrees; 0 draws batches
+    in ascending frame order."""
+    return replace(profile, placement=replace(profile.placement, **degrees))
 
 
 def test_scatter_degree_zero_is_sequential():
-    m = manager()
-    policy = FramePolicy(PlacementMode.INCREMENTAL_SCATTER, 0, 0.0)
-    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB, policy=policy)
+    m = MemoryManager(with_degrees(builtin_mi300a(),
+                                   cpu_touch_scatter_degree=0.0,
+                                   host_upfront_scatter_degree=0.0))
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
     m.touch(a, None, Agent.CPU)
-    region = m._region(a)
-    frames = region.frames[:a.n_pages]
-    assert np.all(np.diff(frames) == 1)
+    b = m.allocate(K.PINNED_HOST, 1 * MiB)
+    for alloc in (a, b):
+        frames = m._region(alloc).frames[:alloc.n_pages]
+        assert np.all(np.diff(frames) == 1)
+    assert m._region(a).frames[0] == 0
 
 
-def test_static_managed_is_singleton():
-    m = manager()
-    a = m.static_managed(64 * MiB)
-    b = m.static_managed(64 * MiB)
-    assert a is b
-    assert a.kind is K.STATIC_MANAGED
-    assert a.mapped_pages == a.n_pages
+def test_sequential_draw_after_release_takes_lowest_free_block():
+    # Blocks 0-2 go in order; block 0 is released before block 2, so the
+    # released list alone would give block 2 first.
+    profile = with_degrees(replace(builtin_mi300a(), hbm_capacity=4 * MiB),
+                           host_upfront_scatter_degree=0.0)
+    m = MemoryManager(profile, seed=0)
+    block = m.pool.block_pages * profile.page_size
+    allocs = [m.allocate(K.PINNED_HOST, block) for _ in range(3)]
+    assert [a.frame_runs[0][0] for a in allocs] == [0, 128, 256]
+    m.release(allocs[0])
+    m.release(allocs[2])
+    assert m.pool._released == [0, 2]
+    again = m.allocate(K.PINNED_HOST, 2 * block)
+    assert [start for start, _ in again.frame_runs] == \
+        list(range(0, 128, 16)) + list(range(256, 384, 16))
+    m.check()
 
 
 # -- usage counters --------------------------------------------------------
@@ -418,14 +423,13 @@ def test_free_crossovers():
 def test_sequential_leftovers_stay_reachable():
     # 256 frames in two blocks; nine ascending batches leave 112 free
     # frames, the last seven slots of the second block.
-    from dataclasses import replace
-    profile = replace(builtin_mi300a(), hbm_capacity=1 * MiB)
+    profile = with_degrees(replace(builtin_mi300a(), hbm_capacity=1 * MiB),
+                           host_upfront_scatter_degree=0.0)
     m = MemoryManager(profile, seed=0)
-    sequential = FramePolicy(PlacementMode.INCREMENTAL_SCATTER, 0, 0.0)
-    allocs = [m.allocate(K.PINNED_HOST, 9 * 16 * profile.page_size,
-                         policy=sequential)]
+    allocs = [m.allocate(K.PINNED_HOST, 9 * 16 * profile.page_size)]
     assert m.pool.free_frames == 112
-    allocs.append(m.allocate(K.PINNED_HOST, 64 * KiB))   # a scattered batch
+    allocs.append(m.allocate(K.LIBC_ON_DEMAND, 64 * KiB))
+    m.touch(allocs[-1], None, Agent.CPU)                 # a scattered batch
     allocs.append(m.allocate(K.PINNED_HOST, 12 * KiB))   # a sub-batch tail
     m.check()
     for a in allocs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from upm_sim.pagetable import (GPU, SYSTEM, AlreadyMapped, DualTable,
-                               GpuAccess, MirrorViolation, Unmapped)
+                               MirrorViolation, Unmapped)
 
 
 def brute_fragment(region, off, table, va_base, f_cap=12):
@@ -34,36 +34,43 @@ def fresh_table():
     return DualTable(max_fragment=31)
 
 
+def fragment(t, va_page, table=GPU):
+    """The fragment field of a mapped page in one table."""
+    region, off = t._region_at(va_page)
+    assert region.flags_of(table)[off] != 0
+    return int(region.frag_of(table)[off])
+
+
 def test_map_and_lookup_single_page():
     t = fresh_table()
     base = t.reserve(16)
-    t.map(SYSTEM, base, 4096)
+    t.map_range(SYSTEM, base, [4096])
     t.propagate(base, 1)
-    entry = t.lookup(GPU, base)
-    assert entry is not None and entry.frame == 4096
+    region, off = t._region_at(base)
+    assert region.gpu_flags[off] != 0 and region.frames[off] == 4096
 
 
 def test_double_map_rejected():
     t = fresh_table()
     base = t.reserve(16)
-    t.map(SYSTEM, base, 100)
+    t.map_range(SYSTEM, base, [100])
     with pytest.raises(AlreadyMapped):
-        t.map(SYSTEM, base, 101)
+        t.map_range(SYSTEM, base, [101])
 
 
 def test_gpu_map_requires_system_entry():
     t = fresh_table()
     base = t.reserve(16)
     with pytest.raises(MirrorViolation):
-        t.map(GPU, base, 100)
+        t.map_range(GPU, base, [100])
 
 
 def test_gpu_mirror_frame_must_match():
     t = fresh_table()
     base = t.reserve(16)
-    t.map(SYSTEM, base, 100)
+    t.map_range(SYSTEM, base, [100])
     with pytest.raises(MirrorViolation):
-        t.map(GPU, base, 101)
+        t.map_range(GPU, base, [101])
 
 
 def test_aligned_1024_run_gets_fragment_10():
@@ -71,9 +78,9 @@ def test_aligned_1024_run_gets_fragment_10():
     base = t.reserve(2048)
     t.map_range(SYSTEM, base, np.arange(1 << 17, (1 << 17) + 1024))
     t.propagate(base, 1024)
-    frags = {t.compute_fragment(base + i) for i in range(1024)}
+    frags = {fragment(t, base + i) for i in range(1024)}
     assert frags == {10}
-    assert {t.compute_fragment(base + i, SYSTEM) for i in range(1024)} == {10}
+    assert {fragment(t, base + i, SYSTEM) for i in range(1024)} == {10}
 
 
 def test_sixteen_page_aligned_run_gets_fragment_4():
@@ -81,7 +88,7 @@ def test_sixteen_page_aligned_run_gets_fragment_4():
     base = t.reserve(64)
     t.map_range(SYSTEM, base, np.arange(1 << 12, (1 << 12) + 16))
     t.propagate(base, 16)
-    assert [t.compute_fragment(base + i) for i in range(16)] == [4] * 16
+    assert [fragment(t, base + i) for i in range(16)] == [4] * 16
 
 
 def test_three_page_run_fragments():
@@ -89,14 +96,14 @@ def test_three_page_run_fragments():
     base = t.reserve(64)
     t.map_range(SYSTEM, base, base + np.arange(3))  # delta 0, aligned start
     t.propagate(base, 3)
-    assert [t.compute_fragment(base + i) for i in range(3)] == [1, 1, 0]
+    assert [fragment(t, base + i) for i in range(3)] == [1, 1, 0]
 
 
 def test_isolated_page_fragment_zero():
     t = fresh_table()
     base = t.reserve(16)
-    t.map(SYSTEM, base + 3, 777)
-    assert t.compute_fragment(base + 3, SYSTEM) == 0
+    t.map_range(SYSTEM, base + 3, [777])
+    assert fragment(t, base + 3, SYSTEM) == 0
 
 
 def test_scattered_frames_leave_fragment_zero():
@@ -107,7 +114,7 @@ def test_scattered_frames_leave_fragment_zero():
     t.propagate(base, 8)
     region, off = t._region_at(base)
     for i in range(8):
-        assert t.compute_fragment(base + i) == 0
+        assert fragment(t, base + i) == 0
         assert brute_fragment(region, i, GPU, base) == 0
 
 
@@ -126,17 +133,6 @@ def test_propagate_requires_system_mapping():
         t.propagate(base, 4)
 
 
-def test_gpu_access_trichotomy():
-    t = fresh_table()
-    base = t.reserve(16)
-    t.map(SYSTEM, base, 512)
-    assert t.gpu_access(base, xnack=True) is GpuAccess.REPLAYABLE_FAULT
-    assert t.gpu_access(base, xnack=False) is GpuAccess.FATAL_FAULT
-    t.propagate(base, 1)
-    assert t.gpu_access(base, xnack=True) is GpuAccess.HIT
-    assert t.gpu_access(base + 1, xnack=False) is GpuAccess.FATAL_FAULT
-
-
 def test_fragment_partial_propagation_is_smaller():
     # GPU table mirrors a subset, so its fragments may be finer than the
     # system table's.
@@ -144,8 +140,8 @@ def test_fragment_partial_propagation_is_smaller():
     base = t.reserve(64)
     t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
     t.propagate(base, 8)
-    assert t.compute_fragment(base, SYSTEM) == 4
-    assert t.compute_fragment(base, GPU) == 3
+    assert fragment(t, base, SYSTEM) == 4
+    assert fragment(t, base, GPU) == 3
 
 
 def test_unmap_splits_runs():
@@ -154,10 +150,10 @@ def test_unmap_splits_runs():
     t.map_range(SYSTEM, base, np.arange(8192, 8192 + 16))
     t.propagate(base, 16)
     t.unmap_range(base + 8, 1)
-    assert t.lookup(GPU, base + 8) is None
     region, _ = t._region_at(base)
+    assert region.gpu_flags[8] == 0 and region.sys_flags[8] == 0
     for i in list(range(8)) + list(range(9, 16)):
-        assert t.compute_fragment(base + i) == brute_fragment(
+        assert fragment(t, base + i) == brute_fragment(
             region, i, GPU, base)
 
 
@@ -197,7 +193,7 @@ def test_fragment_oracle_random_maps():
         region, _ = t._region_at(base)
         mapped = np.nonzero(region.sys_flags[:n])[0]
         for i in mapped:
-            assert t.compute_fragment(base + int(i), SYSTEM) == \
+            assert fragment(t, base + int(i), SYSTEM) == \
                 brute_fragment(region, int(i), SYSTEM, base), \
                 f"page {i} of map with n={n}"
 
@@ -211,8 +207,8 @@ def test_fragment_order_independence():
         t = fresh_table()
         base = t.reserve(64)
         for i in order:
-            t.map(SYSTEM, base + int(i), int(frames[i]))
-        results.append([t.compute_fragment(base + i, SYSTEM)
+            t.map_range(SYSTEM, base + int(i), [frames[i]])
+        results.append([fragment(t, base + i, SYSTEM)
                         for i in range(32)])
     assert results[0] == results[1] == results[2]
     assert results[0] == [5] * 32

@@ -14,26 +14,12 @@ def profile():
     return builtin_mi300a()
 
 
-def test_channel_of_basic(profile):
-    assert perf.channel_of(profile, 0) == 0
-    assert perf.channel_of(profile, 4096) == 1
-    assert perf.channel_of(profile, 128 * 4096) == 0
-    assert perf.channel_of(profile, 4095) == 0
-
-
-def test_channel_of_out_of_range(profile):
-    with pytest.raises(perf.OutOfRange):
-        perf.channel_of(profile, profile.hbm_capacity)
-    with pytest.raises(perf.OutOfRange):
-        perf.channel_of(profile, -1)
-
-
 def test_channel_load_contiguous_block_balanced(profile):
     m = MemoryManager(profile, seed=0)
     a = m.allocate(K.DEVICE_UP_FRONT, 512 * KiB)  # exactly one block
     load = perf.channel_load(profile, m, a)
     assert load.balance == 1.0
-    assert load.total_bytes == 512 * KiB
+    assert sum(load.bytes_per_channel) == 512 * KiB
 
 
 def test_channel_load_single_page(profile):

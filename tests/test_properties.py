@@ -8,9 +8,8 @@ import pytest
 
 from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
-from upm_sim.memmgr import (Agent, AllocatorKind, FramePolicy, FramePool,
-                            MemoryManager, OutOfMemory, PlacementMode,
-                            classify)
+from upm_sim.memmgr import (Agent, AllocatorKind, FramePool, MemoryManager,
+                            OutOfMemory, classify)
 from upm_sim.pagetable import GPU, SYSTEM, AlreadyMapped, DualTable
 from upm_sim.tlb import FragmentTlb
 from tests.test_pagetable import brute_fragment
@@ -54,7 +53,7 @@ def test_fragment_oracle_equivalence_thousand_mappings():
         sample = mapped if len(mapped) <= 6 else \
             rng.choice(mapped, size=6, replace=False)
         for off in sample:
-            assert t.compute_fragment(base + int(off), SYSTEM) == \
+            assert region.sys_frag[off] == \
                 brute_fragment(region, int(off), SYSTEM, base)
             checked += 1
     assert checked > 2000
@@ -70,7 +69,7 @@ def test_fragment_oracle_large_mappings():
         t.map_range(SYSTEM, base, np.arange(start, start + n))
         region, _ = t._region_at(base)
         for off in rng.integers(0, n, size=8):
-            assert t.compute_fragment(base + int(off), SYSTEM) == \
+            assert region.sys_frag[off] == \
                 brute_fragment(region, int(off), SYSTEM, base, f_cap=12)
 
 
@@ -188,23 +187,18 @@ def test_fragment_oracle_run_beyond_max_fragment_odd_delta(max_fragment):
                                           f_cap=max_fragment)
 
 
-SEQUENTIAL = FramePolicy(PlacementMode.INCREMENTAL_SCATTER, 0, 0.0)
-
-
-def random_op(rng, profile, live, tails=False, sequential=False):
+def random_op(rng, profile, live, tails=False):
     """One random operation on a manager whose live allocations are live:
-    ("allocate", kind, size, policy), ("touch", index, pages, agent),
+    ("allocate", kind, size), ("touch", index, pages, agent),
     ("release", index), or None for a touch that does nothing. With tails,
-    sizes are not whole 16-page batches; with sequential, some
-    allocations use the ascending sequential policy."""
+    sizes are not whole 16-page batches."""
     op = rng.random()
     if op < 0.45 or not live:
         kind = list(K)[int(rng.integers(0, 6))]
         size = int(rng.integers(1, 64)) * profile.page_size * 16
         if tails:
             size += int(rng.integers(0, 16)) * profile.page_size
-        policy = SEQUENTIAL if sequential and rng.random() < 0.3 else None
-        return "allocate", kind, size, policy
+        return "allocate", kind, size
     if op < 0.8:
         index = int(rng.integers(0, len(live)))
         alloc = live[index]
@@ -228,8 +222,7 @@ def apply_op(m, live, op) -> bool:
     name, *args = op
     try:
         if name == "allocate":
-            kind, size, policy = args
-            live.append(m.allocate(kind, size, policy))
+            live.append(m.allocate(*args))
         elif name == "touch":
             index, pages, agent = args
             m.touch(live[index], pages, agent)
@@ -311,13 +304,17 @@ def pool_state(pool):
     store's keys in order, released blocks, cursors."""
     return (snapshot(pool), [list(d) for d in pool._runs.values()],
             [list(d) for d in pool._group_runs], pool._released,
-            pool._block_sorted, pool._boot_left, pool._seq_next)
+            pool._boot_left, pool._seq_next)
 
 
 def test_bulk_release_matches_per_run_release_random_op_sequences():
     # A 32 MiB pool (64 blocks) runs out of memory now and then, so failed
-    # draws give their runs back too.
-    profile = replace(builtin_mi300a(), hbm_capacity=32 * MiB)
+    # draws give their runs back too. Host up-front kinds draw ascending
+    # (degree 0) between the scattered CPU touches.
+    profile = builtin_mi300a()
+    profile = replace(profile, hbm_capacity=32 * MiB,
+                      placement=replace(profile.placement,
+                                        host_upfront_scatter_degree=0.0))
     failed = 0
     for seq in range(16):
         rng = np.random.default_rng(5000 + seq)
@@ -325,8 +322,7 @@ def test_bulk_release_matches_per_run_release_random_op_sequences():
         ref = per_run_release(MemoryManager(profile, seed=seq))
         live_bulk, live_ref = [], []
         for _ in range(150):
-            op = random_op(rng, profile, live_bulk, tails=True,
-                           sequential=True)
+            op = random_op(rng, profile, live_bulk, tails=True)
             done = apply_op(bulk, live_bulk, op)
             assert apply_op(ref, live_ref, op) == done
             failed += not done

@@ -33,30 +33,36 @@ def table_with_runs(n_runs, run_pages, pa_stride):
     return t, base
 
 
+def accesses(t, base, pages, offsets, capacity):
+    """Misses of a TLB of capacity over the pages base + offsets of a
+    GPU-mapped range of pages."""
+    bases = run_bases(t, base, pages)
+    tlb = FragmentTlb(capacity)
+    return sum(0 if tlb.access_run(int(bases[v]), 0) else 1 for v in offsets)
+
+
 def test_second_access_hits():
     t, base = table_with_runs(4, 16, 64)
+    bases = run_bases(t, base, 64)
     tlb = FragmentTlb(8)
-    assert tlb.access(t, base) is False
-    assert tlb.access(t, base) is True
-    assert tlb.access(t, base + 7) is True  # same fragment run
+    assert tlb.access_run(int(bases[0]), 0) is False
+    assert tlb.access_run(int(bases[0]), 0) is True
+    assert tlb.access_run(int(bases[7]), 0) is True  # same fragment run
 
 
 def test_access_requires_gpu_mapping():
     t = DualTable(31)
     base = t.reserve(16)
-    t.map(SYSTEM, base, 99)
-    tlb = FragmentTlb(4)
+    t.map_range(SYSTEM, base, [99])
     with pytest.raises(Unmapped):
-        tlb.access(t, base)
+        run_bases(t, base, 1)
 
 
 def test_single_fragment_array_one_miss():
     t, base = table_with_runs(1, 256, 256)
-    tlb = FragmentTlb(4)
     rng = np.random.default_rng(0)
     stream = rng.integers(0, 256, size=2000)
-    misses = sum(0 if tlb.access(t, base + int(v)) else 1 for v in stream)
-    assert misses == 1
+    assert accesses(t, base, 256, stream, 4) == 1
 
 
 def test_sequential_sweep_64mib_2mib_runs():
@@ -67,9 +73,7 @@ def test_sequential_sweep_64mib_2mib_runs():
     t, base = table_with_runs(pages // run_pages, run_pages, 2 * run_pages)
     frags = {int(f) for f in t.run_arrays(base, pages)[1]}
     assert frags == {9}
-    tlb = FragmentTlb(32)
-    misses = sum(0 if tlb.access(t, base + i) else 1 for i in range(pages))
-    assert misses == 32
+    assert accesses(t, base, pages, range(pages), 32) == 32
     # brute-force LRU replay on the run-base stream agrees
     bases = run_bases(t, base, pages)
     assert lru_replay([int(b) for b in bases], 32) == 32
@@ -81,8 +85,7 @@ def test_lru_against_replay_oracle_random_streams():
     bases = run_bases(t, base, 32 * 8)
     for capacity in (1, 2, 4, 7):
         stream = rng.integers(0, 32 * 8, size=1500)
-        tlb = FragmentTlb(capacity)
-        misses = sum(0 if tlb.access(t, base + int(v)) else 1 for v in stream)
+        misses = accesses(t, base, 32 * 8, stream, capacity)
         ref = lru_replay([int(bases[v]) for v in stream], capacity)
         assert misses == ref
 
@@ -93,8 +96,7 @@ def test_miss_count_non_increasing_in_capacity():
     stream = rng.integers(0, 64 * 4, size=4000)
     previous = None
     for capacity in (1, 2, 4, 8, 16, 32, 64):
-        tlb = FragmentTlb(capacity)
-        misses = sum(0 if tlb.access(t, base + int(v)) else 1 for v in stream)
+        misses = accesses(t, base, 64 * 4, stream, capacity)
         if previous is not None:
             assert misses <= previous
         previous = misses
@@ -108,9 +110,7 @@ def test_miss_count_non_increasing_with_fragment_growth():
     results = []
     for run_pages in (1, 4, 16, 64):
         t, base = table_with_runs(pages // run_pages, run_pages, 2 * run_pages)
-        tlb = FragmentTlb(16)
-        results.append(sum(0 if tlb.access(t, base + int(v)) else 1
-                           for v in stream))
+        results.append(accesses(t, base, pages, stream, 16))
     assert all(a >= b for a, b in zip(results, results[1:]))
 
 
@@ -119,7 +119,7 @@ def test_triad_single_fragment_arrays_three_misses():
     arrays = []
     for i in range(3):
         base = t.reserve(1)
-        t.map(SYSTEM, base, 1000 + i)
+        t.map_range(SYSTEM, base, [1000 + i])
         t.propagate(base, 1)
         arrays.append((base, 1))
     assert triad_misses(t, arrays, iterations=1, capacity=32) == 3

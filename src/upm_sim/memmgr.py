@@ -30,10 +30,11 @@ end are the one source of blocks: ``_next_blocks`` takes the next k alive
 ones in a pass. Sequential draws take the lowest alive block instead. The
 permutation is shared, read-only, by every pool of one seed and size, and
 only the latest is kept. Runs smaller than a block sit in one dict per
-order, 16-page runs in one dict per channel group, each a stack. Every
-free frame is in the alive map or in one of these stores: a sequential
-draw leaves the rest of its block's slots in the group stores and takes
-the next slot from there while it is still free.
+order, 16-page runs (slots) in one int64 stack per channel group, and a
+one-byte slot map tells which slots the stacks hold. Every free frame is
+in the alive map or in one of these stores: a sequential draw leaves the
+rest of its block's slots in the group stores and takes the next slot
+from there while it is still free.
 
 All scattered batches of one placement are drawn in one ``take_batches``
 call, in closed form. A draw from an empty group first splits the next
@@ -47,7 +48,9 @@ Frames go back through ``release_runs`` only, one call per release or
 failed draw. A block that the call frees entirely (its runs plus the free
 pieces it already holds fill it) goes back whole, at its last run: its
 pieces leave the stores and it joins the released blocks. The other runs
-merge with their free buddies one by one, in order. This is the state
+merge with their free buddies one by one, in order. A slot that leaves
+the middle of a group stack is only marked deleted in the slot map; each
+stack is compacted once, at the end of the pool call. This is the state
 that freeing run by run gives, at a cost that grows with the runs and the
 free pieces of their blocks, not with the pool. A draw that runs out of
 frames part-way returns what it took and restores the scatter generator,
@@ -196,7 +199,45 @@ def _boot_order(entropy: int, spawn_key: tuple, n_blocks: int) -> np.ndarray:
     return order
 
 
+class Runs:
+    """Frame runs in append order, as int64 rows grown by doubling: the
+    starts, then (unless rows=1) the page counts. array is the (rows, n)
+    view; iterating yields one tuple of Python ints per run, made by one
+    tolist()."""
+
+    def __init__(self, rows: int = 2):
+        self.n, self._buf = 0, np.empty((rows, 0), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return zip(*self.array.tolist())
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._buf[:, :self.n]
+
+    def extend(self, starts, sizes=None) -> None:
+        """Append runs at starts, of sizes pages (an array or one int)."""
+        n = self.n + len(starts)
+        if n > self._buf.shape[1]:
+            grown = np.empty((len(self._buf), max(n, 2 * self.n)),
+                             dtype=np.int64)
+            grown[:, :self.n] = self.array
+            self._buf = grown
+        self._buf[0, self.n:n] = starts
+        if sizes is not None:
+            self._buf[1, self.n:n] = sizes
+        self.n = n
+
+
 class FramePool:
+    """Free frames: whole blocks in an alive map, smaller runs in one dict
+    per order, 16-page slots in one int64 stack per channel group, each
+    in the order a dict would keep, and a slot map over all slots that
+    answers membership."""
+
     def __init__(self, profile: MachineProfile, ss: np.random.SeedSequence):
         self.block_pages = profile.placement.frame_block_pages
         self.batch_pages = profile.placement.kernel_batch_pages
@@ -221,8 +262,14 @@ class FramePool:
         self._block_alive = bytearray(b"\x01") * self.n_blocks
         self._runs: dict[int, dict[int, None]] = {
             o: {} for o in range(self.block_order) if o != self.batch_order}
-        self._group_runs: list[dict[int, None]] = [
-            {} for _ in range(self.groups_n)]
+        # One stack of slot starts per group. The slot map holds a byte
+        # per slot: 1 if the slot is in its group's stack, 2 if it was
+        # deleted but its entry waits there for compaction, else 0. A
+        # memoryview reads one slot as fast as a bytearray does.
+        self._stacks = [Runs(rows=1) for _ in range(self.groups_n)]
+        self._slot = memoryview(np.zeros(self.n_blocks * self.groups_n,
+                                         dtype=np.uint8))
+        self._dirty: set[int] = set()
         # The slot after the last sequential draw, taken next if still free.
         self._seq_next: int | None = None
 
@@ -232,10 +279,53 @@ class FramePool:
 
     # -- internal stores -------------------------------------------------
 
-    def _store(self, order: int, start: int) -> dict[int, None]:
+    def _has(self, order: int, start: int) -> bool:
         if order == self.batch_order:
-            return self._group_runs[(start >> self.batch_order) % self.groups_n]
-        return self._runs[order]
+            return self._slot[start >> order] == 1
+        return start in self._runs[order]
+
+    def _put(self, order: int, start: int):
+        if order != self.batch_order:
+            self._runs[order][start] = None
+            return
+        i = start >> order
+        stack = self._stacks[i % self.groups_n]
+        if self._slot[i] == 2:  # still in the stack: to the top, as in a dict
+            row = stack.array[0]
+            at = int(np.flatnonzero(row == start)[0])
+            row[at:-1] = row[at + 1:]
+            row[-1] = start
+        else:
+            stack.extend((start,))
+        self._slot[i] = 1
+
+    def _drop(self, order: int, start: int):
+        if order != self.batch_order:
+            del self._runs[order][start]
+        else:
+            self._slot[start >> order] = 2
+            self._dirty.add((start >> order) % self.groups_n)
+
+    def _pop(self, g: int) -> int:
+        """Remove and return the top slot of group g's stack."""
+        stack = self._stacks[g]
+        start = int(stack.array[0, -1])
+        stack.n -= 1
+        self._slot[start >> self.batch_order] = 0
+        return start
+
+    def _compact(self):
+        """Drop the deleted entries of every stack that holds some."""
+        slot = np.frombuffer(self._slot, dtype=np.uint8)
+        for g in self._dirty:
+            stack = self._stacks[g]
+            at = stack.array[0] >> self.batch_order
+            live = slot[at] == 1
+            slot[at[~live]] = 0
+            kept = stack.array[0, live]
+            stack.n = len(kept)
+            stack.array[0] = kept
+        self._dirty.clear()
 
     def _pop_block(self) -> int | None:
         b = self._next_blocks(1) if self._released or self._boot_left else None
@@ -281,9 +371,6 @@ class FramePool:
             end -= int(at[-1]) + 1 if not k else len(window)
         return np.concatenate(got), end
 
-    def _alive_blocks(self) -> np.ndarray:
-        return np.flatnonzero(np.frombuffer(self._block_alive, dtype=np.uint8))
-
     def _take_run(self, order: int) -> int:
         """Remove and return one free run of 2^order pages (may split)."""
         if order >= self.block_order:
@@ -291,39 +378,40 @@ class FramePool:
             if b is None:
                 raise OutOfMemory("no contiguous block available")
             return b << self.block_order
-        for store in (self._group_runs if order == self.batch_order
-                      else [self._runs[order]]):
-            if store:
-                return store.popitem()[0]
+        if order == self.batch_order:
+            g = next((g for g, s in enumerate(self._stacks) if s.n), None)
+            if g is not None:
+                return self._pop(g)
+        elif self._runs[order]:
+            return self._runs[order].popitem()[0]
         upper = self._take_run(order + 1)
-        half = 1 << order
-        self._store(order, upper + half)[upper + half] = None
+        self._put(order, upper + (1 << order))
         return upper
 
     # -- draws -------------------------------------------------------------
 
-    def take_contiguous(self, n_pages: int) -> list[tuple[int, int]]:
+    def take_contiguous(self, n_pages: int) -> Runs:
         """Largest-run-first power-of-two decomposition; exact page count."""
         if n_pages > self.free_frames:
             raise OutOfMemory(f"{n_pages} pages requested, "
                               f"{self.free_frames} free")
+        runs = Runs()
         blocks = self._next_blocks(n_pages >> self.block_order)
-        runs: list[tuple[int, int]] = [] if blocks is None else list(zip(
-            (blocks << self.block_order).tolist(),
-            itertools.repeat(self.block_pages)))
+        if blocks is not None:
+            runs.extend(blocks << self.block_order, self.block_pages)
         left = n_pages - len(runs) * self.block_pages
         try:
             while left:
                 for order in range(min(self.block_order,
                                        left.bit_length() - 1), -1, -1):
                     with contextlib.suppress(OutOfMemory):
-                        runs.append((self._take_run(order), 1 << order))
+                        runs.extend([self._take_run(order)], 1 << order)
                         break
                 else:
                     raise OutOfMemory("free frames too fragmented")
                 left -= 1 << order
         except OutOfMemory:
-            self.release_runs(runs, counted=False)
+            self.release_runs(*runs.array, counted=False)
             raise
         self.used_frames += n_pages
         return runs
@@ -337,10 +425,12 @@ class FramePool:
         - depth. Split j, at draw at[j], pushes on store g at depth + j -
         (draws of g before at[j]); draw i pops depth + split - prior - 1.
         By (group, position, draw), pushes and pops at one position
-        alternate: a pop takes the push before it, else a top entry."""
+        alternate: a pop takes the push before it, else a top entry. So
+        each store gives up a top slice and gains the pushes no draw
+        took, appended in split order."""
         groups = np.asarray(groups, dtype=np.int64)
-        n, gn, stores = len(groups), self.groups_n, self._group_runs
-        depth = np.fromiter(map(len, stores), dtype=np.int64, count=gn)
+        n, gn = len(groups), self.groups_n
+        depth = np.array([s.n for s in self._stacks], dtype=np.int64)
         by_group = np.argsort(groups.astype(np.min_scalar_type(gn)),
                               kind="stable")  # a radix sort
         first = np.searchsorted(groups[by_group], np.arange(gn))
@@ -351,9 +441,8 @@ class FramePool:
         k = int(split.max(initial=0))
         blocks = self._next_blocks(k)
         if blocks is None:
-            return np.array(self._take_each(
-                map(self._take_batch, groups.tolist()), self.batch_pages),
-                dtype=np.int64)
+            return self._take_each(map(self._take_batch, groups.tolist()),
+                                   self.batch_pages)
         at = np.searchsorted(split, np.arange(1, k + 1))
         g = np.arange(gn)[:, None]
         popped = np.searchsorted(groups[by_group] * (n + 1) + by_group,
@@ -378,57 +467,62 @@ class FramePool:
         np.maximum.at(taken, groups, prior - split + 1)
         kept = np.ones(pushes, dtype=bool)
         kept[hit] = False
+        kept = kept.reshape(gn, k)
         tops = []
-        for store, m, row, keep in zip(stores, taken.tolist(), slots,
-                                       kept.reshape(gn, k)):
-            tops += [store.popitem()[0] for _ in range(m)]
-            store.update(zip(row[keep].tolist(), itertools.repeat(None)))
+        for stack, m, row, keep in zip(self._stacks, taken.tolist(), slots,
+                                       kept):
+            tops.append(stack.array[0, stack.n - m:][::-1].copy())
+            stack.n -= m
+            stack.extend(row[keep])
+        slot_map = np.frombuffer(self._slot, dtype=np.uint8)
+        tops = np.concatenate(tops)
+        slot_map[tops >> self.batch_order] = 0
+        slot_map[slots[kept] >> self.batch_order] = 1
         # Each draw's index into the pushed slots, then the popped tops.
         index = pushes + (np.cumsum(taken) - taken)[groups] + prior - split
         index[drawn] = hit
-        starts = np.append(slots, np.array(tops, dtype=np.int64))[index]
+        starts = np.append(slots, tops)[index]
         self.used_frames += n * self.batch_pages
         return starts
 
     def _take_batch(self, group: int) -> int:
         """One draw of take_batches; with no block left, _refill_dry."""
-        store = self._group_runs[group]
-        if not store:
+        if not self._stacks[group].n:
             b = self._pop_block()
             if b is None:
-                store = self._refill_dry(group)
+                group = self._refill_dry(group)
             else:
                 base = b << self.block_order
-                for g, run in enumerate(self._group_runs):
-                    run[base + (g << self.batch_order)] = None
-        return store.popitem()[0]
+                for g in range(self.groups_n):
+                    self._put(self.batch_order, base + (g << self.batch_order))
+        return self._pop(group)
 
-    def _refill_dry(self, group: int) -> dict[int, None]:
-        """A non-empty 16-page store for group once no block is left: the
-        32- and 64-page runs are split first, then other groups serve."""
+    def _refill_dry(self, group: int) -> int:
+        """A group with a non-empty 16-page store once no block is left:
+        the 32- and 64-page runs are split first, then other groups
+        serve."""
         for o in range(self.batch_order + 1, self.block_order):
             if self._runs.get(o):
                 start, _ = self._runs[o].popitem()
                 for k in range(1 << (o - self.batch_order)):
-                    slot = start + (k << self.batch_order)
-                    self._store(self.batch_order, slot)[slot] = None
+                    self._put(self.batch_order,
+                              start + (k << self.batch_order))
                 break
         for g in range(self.groups_n):
-            alt = self._group_runs[(group + g) % self.groups_n]
-            if alt:
-                return alt
+            if self._stacks[(group + g) % self.groups_n].n:
+                return (group + g) % self.groups_n
         raise OutOfMemory("no 16-page run available")
 
-    def take_blocks(self, count: int) -> list[int]:
-        """count whole blocks (128 pages each)."""
+    def take_blocks(self, count: int) -> np.ndarray:
+        """The starts of count whole blocks (128 pages each)."""
         blocks = self._next_blocks(count)
         if blocks is None:
             return self._take_each(map(self._take_run, itertools.repeat(
                 self.block_order, count)), self.block_pages)
         self.used_frames += count * self.block_pages
-        return (blocks << self.block_order).tolist()
+        return blocks << self.block_order
 
-    def take_batches_sequential(self, count: int) -> list[int]:
+    def take_batches_sequential(self, count: int) -> np.ndarray:
         """count 16-page runs in ascending frame order."""
         return self._take_each((self._take_sequential() for _ in range(count)),
                                self.batch_pages)
@@ -438,9 +532,8 @@ class FramePool:
         else the first slot of the lowest free block, whose other slots go
         to the group stores, where every draw and merge can reach them."""
         start = self._seq_next
-        if start is not None and start in self._store(self.batch_order,
-                                                       start):
-            del self._store(self.batch_order, start)[start]
+        if start is not None and self._has(self.batch_order, start):
+            self._drop(self.batch_order, start)
         else:
             b = self._block_alive.find(1)
             if b < 0:
@@ -448,12 +541,12 @@ class FramePool:
             self._block_alive[b] = 0
             start = b << self.block_order
             for g in range(1, self.groups_n):
-                self._group_runs[g][start + (g << self.batch_order)] = None
+                self._put(self.batch_order, start + (g << self.batch_order))
         nxt = start + self.batch_pages
         self._seq_next = nxt if nxt & (self.block_pages - 1) else None
         return start
 
-    def _take_each(self, draws, run_pages: int) -> list[int]:
+    def _take_each(self, draws, run_pages: int) -> np.ndarray:
         """The starts that the lazy draws give, runs of run_pages each; if
         one draw fails, the runs already drawn go back to the pool before
         OutOfMemory propagates."""
@@ -462,34 +555,34 @@ class FramePool:
             for start in draws:
                 starts.append(start)
         except OutOfMemory:
-            self.release_runs([(start, run_pages) for start in starts],
-                              counted=False)
+            self.release_runs(starts, run_pages, counted=False)
             raise
+        finally:
+            self._compact()
         self.used_frames += len(starts) * run_pages
-        return starts
+        return np.array(starts, dtype=np.int64)
 
     # -- release -----------------------------------------------------------
 
-    def release_runs(self, runs, counted: bool = True) -> None:
-        """Return (start, n_pages) runs, each inside one block, to the pool;
-        counted=False for the runs of a failed draw, not yet counted as
-        used.
+    def release_runs(self, starts, sizes, counted: bool = True) -> None:
+        """Return the runs at starts, of sizes pages (an array or one int),
+        each inside one block, to the pool; counted=False for the runs of
+        a failed draw, not yet counted as used.
 
-        The pool ends in the state that freeing the runs one by one in list
+        The pool ends in the state that freeing the runs one by one in
         order, each merged piece by piece with its free buddies, gives. A
         block that the runs and the free pieces it already holds fill
         entirely goes back whole: its pieces leave the stores, and it
-        joins the released blocks in the order of its last run in runs.
-        Per-run release does the same, because a block cannot be whole
-        before its last run is freed, the merge then always assembles it,
-        and merges below a block never leave it. Runs in every other block
-        merge one by one, in list order.
+        joins the released blocks in the order of its last run. Per-run
+        release does the same, because a block cannot be whole before its
+        last run is freed, the merge then always assembles it, and merges
+        below a block never leave it. Runs in every other block merge one
+        by one, in order.
         """
-        if not runs:
+        starts = np.asarray(starts, dtype=np.int64)
+        if not len(starts):
             return
-        flat = np.fromiter(itertools.chain.from_iterable(runs),
-                           dtype=np.int64, count=2 * len(runs))
-        starts, sizes = flat[0::2], flat[1::2]
+        sizes = np.broadcast_to(sizes, starts.shape)
         bo, bp = self.block_order, self.block_pages
         # Runs grouped by block, ascending within each.
         at = np.argsort(starts, kind="stable")
@@ -524,6 +617,7 @@ class FramePool:
         merge[at] = ~whole[group]
         for start, n in zip(starts[merge].tolist(), sizes[merge].tolist()):
             self._merge_run(start, n)
+        self._compact()
 
     def _claim_gaps(self, lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
                     n_groups: int) -> np.ndarray:
@@ -532,29 +626,21 @@ class FramePool:
 
         Gaps are mostly whole 16-page slots of split blocks (in the six
         1 GiB usage-matrix releases, every gap is): their slots are looked
-        up in one pass per channel group, about three times faster than
-        the probe. Blocks with another gap or a slot not free are probed
-        piece by piece.
+        up in the slot map in one gather. Blocks with another gap or a
+        slot not free are probed piece by piece.
         """
-        bto, groups_n = self.batch_order, self.groups_n
+        bto = self.batch_order
         odd = ((lo | hi) & (self.batch_pages - 1)) != 0
         n = np.where(odd, 0, (hi - lo) >> bto)
         # The slots of the whole-slot gaps, built in place so that a
         # release needs no more memory than the unmap before it.
         slots = np.arange(int(n.sum()), dtype=np.int64)
         slots -= np.repeat(np.cumsum(n) - n, n)
-        slots <<= bto
-        slots += np.repeat(lo, n)
-        channel = slots >> bto
-        channel &= groups_n - 1
-        by_channel = [np.flatnonzero(channel == c) for c in range(groups_n)]
-        free = np.empty(len(slots), dtype=bool)
-        for store, at in zip(self._group_runs, by_channel):
-            free[at] = np.fromiter(map(store.__contains__, slots[at].tolist()),
-                                   dtype=bool, count=len(at))
+        slots += np.repeat(lo >> bto, n)
+        slot_map = np.frombuffer(self._slot, dtype=np.uint8)
         probe = np.zeros(n_groups, dtype=bool)
         probe[group[odd]] = True
-        probe[np.repeat(group, n)[~free]] = True
+        probe[np.repeat(group, n)[slot_map[slots] != 1]] = True
         whole = np.ones(n_groups, dtype=bool)
         found = []
         near = probe[group]
@@ -568,27 +654,27 @@ class FramePool:
                     found.append((g, pieces))
         for g, pieces in found:
             if whole[g]:
-                for store, start in pieces:
-                    del store[start]
-        drop = np.repeat(~probe[group], n)
-        for store, at in zip(self._group_runs, by_channel):
-            for start in slots[at[drop[at]]].tolist():
-                del store[start]
+                for order, start in pieces:
+                    self._drop(order, start)
+        drop = slots[np.repeat(~probe[group], n)]
+        if len(drop):
+            slot_map[drop] = 2
+            self._dirty.update(range(self.groups_n))
         return whole
 
     def _pieces_tiling(self, lo: int, hi: int) -> list | None:
-        """(store, start) of the free pieces that tile [lo, hi) inside one
+        """(order, start) of the free pieces that tile [lo, hi) inside one
         block, or None if a page there is not in a store."""
         found = []
         top = self.block_order - 1
         while lo < hi:
             order = min((lo & -lo).bit_length() - 1 if lo else top,
                         (hi - lo).bit_length() - 1, top)
-            while lo not in self._store(order, lo):
+            while not self._has(order, lo):
                 order -= 1
                 if order < 0:
                     return None
-            found.append((self._store(order, lo), lo))
+            found.append((order, lo))
             lo += 1 << order
         return found
 
@@ -603,9 +689,8 @@ class FramePool:
     def _claim(self, start: int, order: int) -> bool:
         """Remove [start, +2^order) from the free stores if entirely free,
         possibly assembled from finer free pieces."""
-        store = self._store(order, start)
-        if start in store:
-            del store[start]
+        if self._has(order, start):
+            self._drop(order, start)
             return True
         if order == 0:
             return False
@@ -623,7 +708,7 @@ class FramePool:
                 start = min(start, buddy)
                 order += 1
             else:
-                self._store(order, start)[start] = None
+                self._put(order, start)
                 return
         b = start >> self.block_order
         self._block_alive[b] = 1
@@ -632,14 +717,14 @@ class FramePool:
     def free_pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, n_pages) of every free piece: the whole blocks, then
         each store's runs."""
-        stores = [(d, 1 << o) for o, d in self._runs.items() if d]
-        stores += [(d, self.batch_pages) for d in self._group_runs if d]
-        blocks = self._alive_blocks() << self.block_order
-        starts = np.concatenate(
-            [blocks] + [np.fromiter(d, dtype=np.int64, count=len(d))
-                        for d, _ in stores])
+        stores = [(np.fromiter(d, dtype=np.int64, count=len(d)), 1 << o)
+                  for o, d in self._runs.items() if d]
+        stores += [(s.array[0], self.batch_pages) for s in self._stacks if s.n]
+        blocks = np.flatnonzero(np.frombuffer(
+            self._block_alive, dtype=np.uint8)) << self.block_order
+        starts = np.concatenate([blocks] + [s for s, _ in stores])
         sizes = np.repeat([self.block_pages] + [n for _, n in stores],
-                          [len(blocks)] + [len(d) for d, _ in stores])
+                          [len(blocks)] + [len(s) for s, _ in stores])
         return starts, sizes
 
 
@@ -649,6 +734,9 @@ class FramePool:
 
 @dataclass
 class Allocation:
+    """One allocation: its frame runs in draw order, as int64 arrays; its
+    first-touch reservations; and, from its first CPU touch of up-front
+    memory, one flag per CPU-visible chunk."""
     id: int
     kind: AllocatorKind
     va_base: int                   # first virtual page number
@@ -658,12 +746,12 @@ class Allocation:
     live: bool = True
     first_touch_agent: Agent | None = None
     mapped_pages: int = 0
-    frame_runs: list = field(default_factory=list)
+    frame_runs: Runs = field(default_factory=Runs, repr=False)
     # First frame reserved for each virtual batch / block, -1 if none yet.
     pending_cpu_batches: np.ndarray | None = field(default=None, repr=False)
     pending_gpu_blocks: np.ndarray | None = field(default=None, repr=False)
     cpu_chunk_pages: int | None = None
-    cpu_chunks_mapped: set = field(default_factory=set)
+    cpu_chunks_mapped: np.ndarray | None = field(default=None, repr=False)
 
 
 def _expect(holds, invariant: str):
@@ -727,12 +815,13 @@ class MemoryManager:
         """Undo the draws of a placement that runs out of frames: the runs
         it added to alloc go back and the scatter stream rewinds."""
         state = self._scatter_rng.bit_generator.state
-        n_runs = len(alloc.frame_runs)
+        runs = alloc.frame_runs
+        n_runs = len(runs)
         try:
             yield
         except OutOfMemory:
-            self.pool.release_runs(alloc.frame_runs[n_runs:])
-            del alloc.frame_runs[n_runs:]
+            self.pool.release_runs(*runs.array[:, n_runs:])
+            runs.n = n_runs
             self._scatter_rng.bit_generator.state = state
             raise
 
@@ -743,13 +832,11 @@ class MemoryManager:
             full = n_pages // batch
             self._draw_batches(alloc, full)
         if n_pages > full * batch:
-            alloc.frame_runs.extend(
-                self.pool.take_contiguous(n_pages - full * batch))
+            tail = self.pool.take_contiguous(n_pages - full * batch)
+            alloc.frame_runs.extend(*tail.array)
         # The frames of the new allocation's runs, in order: steps of one
         # with a jump at each run's first page, summed in place.
-        flat = np.fromiter(itertools.chain.from_iterable(alloc.frame_runs),
-                           dtype=np.int64, count=2 * len(alloc.frame_runs))
-        starts, sizes = flat[0::2], flat[1::2]
+        starts, sizes = alloc.frame_runs.array
         heads = np.cumsum(sizes) - sizes
         frames = np.ones(n_pages, dtype=np.int64)
         frames[heads] = np.diff(starts - heads, prepend=1) + 1
@@ -776,9 +863,7 @@ class MemoryManager:
                 w = np.arange(1, pool.groups_n + 1, dtype=np.float64) ** -theta
                 groups = rng.choice(pool.groups_n, size=count, p=w / w.sum())
             starts = pool.take_batches(groups)
-        starts = np.asarray(starts, dtype=np.int64)
-        alloc.frame_runs.extend(zip(starts.tolist(),
-                                    itertools.repeat(pool.batch_pages)))
+        alloc.frame_runs.extend(starts, pool.batch_pages)
         return starts
 
     # -- touch -----------------------------------------------------------
@@ -852,12 +937,13 @@ class MemoryManager:
                 alloc.cpu_chunk_pages = self.profile.placement.gpu_init_cpu_map_pages
             else:
                 alloc.cpu_chunk_pages = self._chunk_pages
-        grain = alloc.cpu_chunk_pages
+            alloc.cpu_chunks_mapped = np.zeros(
+                -(-alloc.n_pages // alloc.cpu_chunk_pages), dtype=bool)
+        grain, mapped = alloc.cpu_chunk_pages, alloc.cpu_chunks_mapped
         c0, c1 = lo // grain, -(-hi // grain)
-        fresh = [c for c in range(c0, c1) if c not in alloc.cpu_chunks_mapped]
-        alloc.cpu_chunks_mapped.update(fresh)
-        pages = alloc.va_base + np.asarray(fresh, dtype=np.int64) * grain
-        return np.zeros(len(fresh), dtype=np.uint8), pages
+        fresh = np.flatnonzero(~mapped[c0:c1]) + c0
+        mapped[c0:c1] = True
+        return np.zeros(len(fresh), dtype=np.uint8), alloc.va_base + fresh * grain
 
     def _map_fresh(self, alloc, offs: np.ndarray, gpu: bool):
         """System-map ascending unmapped page offsets of alloc, segment by
@@ -880,8 +966,7 @@ class MemoryManager:
             with self._undo_on_failure(alloc):
                 if gpu:
                     starts = self.pool.take_blocks(len(missing))
-                    alloc.frame_runs.extend(zip(starts,
-                                                itertools.repeat(grain)))
+                    alloc.frame_runs.extend(starts, grain)
                 else:
                     starts = self._draw_batches(alloc, len(missing))
             pending[missing] = starts
@@ -908,8 +993,8 @@ class MemoryManager:
         alloc.live = False
         page = self.profile.page_size
         self.table.unmap_range(alloc.va_base, alloc.n_pages)
-        self.pool.release_runs(alloc.frame_runs)
-        alloc.frame_runs.clear()
+        self.pool.release_runs(*alloc.frame_runs.array)
+        alloc.frame_runs = Runs()
         alloc.pending_cpu_batches = alloc.pending_gpu_blocks = None
         self._numa_bytes -= alloc.mapped_pages * page
         if alloc.policy is Policy.UP_FRONT:
@@ -936,23 +1021,31 @@ class MemoryManager:
         invariant of the manager holds."""
         pool, page = self.pool, self.profile.page_size
         live = [a for a in self.allocations.values() if a.live]
-        runs = [run for a in live for run in a.frame_runs]
-        flat = np.fromiter(itertools.chain.from_iterable(runs),
-                           dtype=np.int64, count=2 * len(runs))
-        _expect(pool.used_frames == int(flat[1::2].sum()),
+        run_starts, run_sizes = np.concatenate(
+            [np.empty((2, 0), dtype=np.int64)]
+            + [a.frame_runs.array for a in live], axis=1)
+        _expect(pool.used_frames == int(run_sizes.sum()),
                 "used frames differ from the live allocations' frame runs")
         free_starts, free_sizes = pool.free_pieces()
         _expect(int(free_sizes.sum()) == pool.free_frames,
                 "a free frame sits in no store")
         small = free_sizes < pool.block_pages
-        starts = np.concatenate((free_starts[small], flat[0::2]))
-        ends = starts + np.concatenate((free_sizes[small], flat[1::2]))
+        starts = np.concatenate((free_starts[small], run_starts))
+        ends = starts + np.concatenate((free_sizes[small], run_sizes))
         alive = np.frombuffer(pool._block_alive, dtype=np.uint8)
         _expect(not alive[starts >> pool.block_order].any(),
                 "a free piece or a live run lies inside a whole free block")
         at = np.argsort(starts)
         _expect(np.all(starts[at][1:] >= ends[at][:-1]),
                 "free pieces and live runs overlap")
+        slot_map = np.frombuffer(pool._slot, dtype=np.uint8)
+        stacks = [s.array[0] >> pool.batch_order for s in pool._stacks]
+        slots = np.concatenate(stacks)
+        owner = np.repeat(np.arange(pool.groups_n), list(map(len, stacks)))
+        _expect(np.array_equal(np.sort(slots), np.flatnonzero(slot_map))
+                and np.all(slot_map[slots] == 1)
+                and np.array_equal(slots % pool.groups_n, owner),
+                "the slot map differs from the group stores")
         if live:
             regions = [self._region(a) for a in live]
             sys_flags = np.concatenate([r.sys_flags for r in regions])

@@ -22,6 +22,11 @@ with ctz(0) counted as max_fragment. All runs of the affected window
 take these steps together, so a run that is itself one aligned
 power-of-two block costs one step; unmapped pages belong to no run and
 keep fragment -1.
+
+A propagate that leaves a region's GPU flags equal to its system flags
+copies the system fragments instead of recomputing: with equal flags
+over the same frames, both tables hold the same runs, so the same
+fragments.
 """
 
 from __future__ import annotations
@@ -144,7 +149,10 @@ class DualTable:
         count = int(np.count_nonzero(fresh))
         if count:
             gpu_view[fresh] = region.sys_flags[sel][fresh]
-            self._recompute(region, off, off + n_pages, GPU)
+            if np.array_equal(region.gpu_flags, region.sys_flags):
+                np.copyto(region.gpu_frag, region.sys_frag)
+            else:
+                self._recompute(region, off, off + n_pages, GPU)
         return count
 
     def unmap_range(self, va_page: int, n_pages: int):

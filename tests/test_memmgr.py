@@ -210,7 +210,7 @@ def fragmented_manager(free_block=False):
     m = MemoryManager(profile, seed=0)
     pages = [m.allocate(K.PINNED_HOST, profile.page_size)
              for _ in range(m.pool.total_frames)]
-    by_frame = {a.frame_runs[0][0]: a for a in pages}
+    by_frame = {int(a.frame_runs.array[0, 0]): a for a in pages}
     free = set(range(0, len(pages), 2))
     for run in (160, 512, 1040, 1600):
         free.update(range(run, run + 16))
@@ -256,10 +256,41 @@ def test_failed_touch_releases_partial_draws(agent):
     assert m.pool.used_frames == reserved_frames(m)
     assert snapshot(m.pool) == snap
     assert m._scatter_rng.bit_generator.state == rng_state
-    assert (a.mapped_pages, a.frame_runs, a.first_touch_agent) == (0, [], None)
+    assert (a.mapped_pages, list(a.frame_runs), a.first_touch_agent) == \
+        (0, [], None)
     # The allocation stays usable where frames do suffice.
     assert len(m.touch(a, (0, 16), agent)) == 16
     assert m.pool.used_frames == reserved_frames(m)
+
+
+def test_frame_runs_iterate_as_python_int_pairs():
+    # perfbench's recorder sums n over alloc.frame_runs before each
+    # release; the pairs must be plain ints and add up to what goes back.
+    import upm_sim
+    from tests.test_perfbench import load_spans
+    m = manager(seed=4)
+    heap = m.allocate(K.LIBC_ON_DEMAND, 1 * GiB)
+    m.touch(heap, None, Agent.CPU)
+    device = m.allocate(K.DEVICE_UP_FRONT, 1 * GiB + 20 * KiB)
+    runs = [list(a.frame_runs) for a in (heap, device)]
+    assert [len(r) for r in runs] == [16_384, 2048 + 2]
+    for pairs in runs:
+        assert all(type(pair) is tuple and len(pair) == 2
+                   and type(pair[0]) is int and type(pair[1]) is int
+                   for pair in pairs)
+    recorder = load_spans().Recorder(upm_sim, timed=False)
+    recorder.install()
+    try:
+        for a, pairs in zip((heap, device), runs):
+            used = m.pool.used_frames
+            m.release(a)
+            assert used - m.pool.used_frames == sum(n for _, n in pairs) \
+                == a.n_pages
+    finally:
+        assert recorder.uninstall()
+    assert recorder.counts["memmgr.frames_released"] == \
+        heap.n_pages + device.n_pages
+    m.check()
 
 
 @pytest.mark.parametrize("agent", [Agent.CPU, Agent.GPU])
@@ -330,7 +361,7 @@ def test_sequential_draw_after_release_takes_lowest_free_block():
     m = MemoryManager(profile, seed=0)
     block = m.pool.block_pages * profile.page_size
     allocs = [m.allocate(K.PINNED_HOST, block) for _ in range(3)]
-    assert [a.frame_runs[0][0] for a in allocs] == [0, 128, 256]
+    assert [int(a.frame_runs.array[0, 0]) for a in allocs] == [0, 128, 256]
     m.release(allocs[0])
     m.release(allocs[2])
     assert m.pool._released == [0, 2]
@@ -456,21 +487,26 @@ def test_failed_tail_restores_scatter_stream(monkeypatch):
 
 
 def _leak_a_free_slot(m, a, b):
-    store = next(d for d in m.pool._group_runs if d)
-    store.popitem()
+    m.pool._pop(next(g for g, s in enumerate(m.pool._stacks) if len(s)))
 
 
 def _free_a_live_run(m, a, b):
     # Swap a free slot for one of b's: the free frame count still adds up.
     _leak_a_free_slot(m, a, b)
-    start, _ = b.frame_runs[0]
-    m.pool._store(m.pool.batch_order, start)[start] = None
+    m.pool._put(m.pool.batch_order, int(b.frame_runs.array[0, 0]))
 
 
 def _swap_a_whole_block_for_a_live_one(m, a, b):
     alive = m.pool._block_alive
     alive[alive.index(1)] = 0
-    alive[b.frame_runs[0][0] >> m.pool.block_order] = 1
+    alive[int(b.frame_runs.array[0, 0]) >> m.pool.block_order] = 1
+
+
+def _clear_a_slot_in_the_map(m, a, b):
+    # The slot stays in its group's stack; only the map loses it.
+    pool = m.pool
+    stack = next(s for s in pool._stacks if len(s))
+    pool._slot[int(stack.array[0, 0]) >> pool.batch_order] = 0
 
 
 def _gpu_entry_without_system_entry(m, a, b):
@@ -483,12 +519,14 @@ def _gpu_entry_without_system_entry(m, a, b):
     (_leak_a_free_slot, "in no store"),
     (_free_a_live_run, "overlap"),
     (_swap_a_whole_block_for_a_live_one, "whole free block"),
+    (_clear_a_slot_in_the_map, "slot map"),
     (_gpu_entry_without_system_entry, "GPU entry"),
     (lambda m, a, b: setattr(a, "mapped_pages", a.mapped_pages + 1),
      "mapped pages"),
     (lambda m, a, b: setattr(m, "_hip_bytes", m._hip_bytes + 4096),
      "hip_mem_get_info"),
-], ids=["used", "leak", "overlap", "alive", "mirror", "mapped", "counter"])
+], ids=["used", "leak", "overlap", "alive", "slot_map", "mirror", "mapped",
+        "counter"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)

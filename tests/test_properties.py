@@ -119,6 +119,63 @@ def test_fragment_oracle_gpu_table_after_partial_propagate_and_unmap():
             assert_fragments_match_oracle(t, base, sample, table, f_cap=12)
 
 
+def record_recomputes(t):
+    """The tables of t's fragment recomputes, listed as they run."""
+    tables, recompute = [], t._recompute
+
+    def record(region, lo, hi, table):
+        tables.append(table)
+        recompute(region, lo, hi, table)
+
+    t._recompute = record
+    return tables
+
+
+def test_fragment_oracle_gpu_table_partial_mirror_then_complete():
+    # The first propagate mirrors a middle window, so GPU runs end at its
+    # edges and the GPU fragments are recomputed; the second mirrors the
+    # rest, after which both tables hold the same flags and the region's
+    # system fragments are copied.
+    rng = np.random.default_rng(717)
+    for _ in range(25):
+        t = DualTable(31)
+        n = int(rng.integers(64, 160))
+        base = t.reserve(n, align_pages=512)
+        start = int(rng.integers(0, 1 << 12)) << 4
+        frames = np.arange(start, start + n)
+        for cut in rng.integers(1, n, size=int(rng.integers(0, 4))):
+            frames[cut:] += int(rng.integers(1, 64))
+        t.map_range(SYSTEM, base, frames)
+        recomputed = record_recomputes(t)
+        lo = int(rng.integers(1, n - 1))
+        hi = int(rng.integers(lo + 1, n))
+        t.propagate(base + lo, hi - lo)
+        assert recomputed == [GPU]
+        assert_fragments_match_oracle(t, base, range(n), GPU, f_cap=12)
+        t.propagate(base, n)
+        assert recomputed == [GPU]
+        assert_fragments_match_oracle(t, base, range(n), GPU, f_cap=12)
+
+
+def test_fragment_oracle_gpu_table_mirror_stays_partial():
+    # Every mapped page but one is mirrored, page by page in random order:
+    # the GPU flags never equal the system flags, so every propagate
+    # recomputes.
+    rng = np.random.default_rng(818)
+    for _ in range(40):
+        t = DualTable(31)
+        n = int(rng.integers(16, 96))
+        base = random_mapping(rng, t, n)
+        region, _ = t._region_at(base)
+        mapped = np.flatnonzero(region.sys_flags[:n])
+        recomputed = record_recomputes(t)
+        mirrored = rng.permutation(mapped[mapped != rng.choice(mapped)])
+        for off in mirrored.tolist():
+            t.propagate(base + off, 1)
+        assert recomputed == [GPU] * len(mirrored)
+        assert_fragments_match_oracle(t, base, range(n), GPU, f_cap=7)
+
+
 def test_fragment_oracle_across_recompute_chunks():
     # A map of 3 x 64 Ki + 777 pages in three long runs, so fragments
     # of order 12 and more occur.
@@ -289,11 +346,14 @@ def per_run_release(m):
     list order: the reference for FramePool.release_runs."""
     pool = m.pool
 
-    def release_runs(runs, counted=True):
-        for start, n in list(runs):
+    def release_runs(starts, sizes, counted=True):
+        starts = np.asarray(starts)
+        for start, n in zip(starts.tolist(),
+                            np.broadcast_to(sizes, starts.shape).tolist()):
             if not counted:
                 pool.used_frames += n
             release_run(pool, start, n)
+        pool._compact()
 
     pool.release_runs = release_runs
     return m
@@ -303,7 +363,7 @@ def pool_state(pool):
     """Everything a later draw can see: free set, used frames, each
     store's keys in order, released blocks, cursors."""
     return (snapshot(pool), [list(d) for d in pool._runs.values()],
-            [list(d) for d in pool._group_runs], pool._released,
+            [s.array[0].tolist() for s in pool._stacks], pool._released,
             pool._boot_left, pool._seq_next)
 
 
@@ -391,7 +451,7 @@ def apply_draw(pool, held, draw):
     None if it ran out of memory."""
     name, arg, pages = draw
     if name == "release_runs":
-        pool.release_runs(arg)
+        pool.release_runs(*np.array(arg, dtype=np.int64).reshape(-1, 2).T)
         gone = set(arg)
         held[:] = [run for run in held if run not in gone]
         return []
@@ -450,7 +510,7 @@ def test_bulk_release_matches_per_run_release_usage_matrix(kind, heap):
                   for _ in range(3)]
         for a in arrays:
             m.touch(a, None, Agent.CPU)
-        states.append((state, [a.frame_runs for a in arrays]))
+        states.append((state, [list(a.frame_runs) for a in arrays]))
     assert states[0] == states[1]
 
 

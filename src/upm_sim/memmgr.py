@@ -231,6 +231,15 @@ class Runs:
             self._buf[1, self.n:n] = sizes
         self.n = n
 
+    def push(self, start: int) -> None:
+        """Append one start to a stack of starts (rows=1), with a scalar
+        store in place of extend's slice when there is room."""
+        if self.n == self._buf.shape[1]:
+            self.extend((start,))
+        else:
+            self._buf[0, self.n] = start
+            self.n += 1
+
 
 class FramePool:
     """Free frames: whole blocks in an alive map, smaller runs in one dict
@@ -296,7 +305,7 @@ class FramePool:
             row[at:-1] = row[at + 1:]
             row[-1] = start
         else:
-            stack.extend((start,))
+            stack.push(start)
         self._slot[i] = 1
 
     def _drop(self, order: int, start: int):

@@ -5,8 +5,12 @@ place: `verify` text, the CSV of the latency, stream and usage grids, and
 the built-in profile document. The CSV of the other four grids (alloc,
 fault, atomics, memcpy) and the `verify` text at seed 7 live in
 tests/golden/. A second seed catches a measurement that ignores the seed.
+tests/golden/xnack0/ holds the alloc, usage and stream grids of the
+built-in profile with xnack off: managed memory placed up front, the
+xnack-off cost curves and the GPU rows that fault fatally on heap memory.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,13 +36,16 @@ def test_verify_text_at_seed_7_matches_golden(profile):
     assert text == (GOLDEN / "verify_seed7.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("directory,bench", [
-    *(pytest.param(REFERENCE, b, id=b)
+@pytest.mark.parametrize("directory,bench,xnack", [
+    *(pytest.param(REFERENCE, b, True, id=b)
       for b in ("latency", "stream", "usage")),
-    *(pytest.param(GOLDEN, b, id=b)
+    *(pytest.param(GOLDEN, b, True, id=b)
       for b in ("alloc", "fault", "atomics", "memcpy")),
+    *(pytest.param(GOLDEN / "xnack0", b, False, id=f"xnack0-{b}")
+      for b in ("alloc", "usage", "stream")),
 ])
-def test_grid_csv_matches_golden(profile, directory, bench):
+def test_grid_csv_matches_golden(profile, directory, bench, xnack):
+    profile = replace(profile, xnack=xnack)
     rows = harness.run(profile, harness.WorkloadSpec(benchmark=bench, seed=0))
     expected = (directory / f"{bench}.csv").read_text(encoding="utf-8")
     assert harness.report(rows, "csv") == expected

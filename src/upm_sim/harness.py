@@ -23,29 +23,12 @@ from . import atomics as atomics_mod
 from . import fault as fault_mod
 from . import perf, tlb, units
 from .machine import KiB, MiB, GiB, MachineProfile
-from .memmgr import (AccessViolation, Agent, AllocatorKind, FaultKind,
+from .memmgr import (KINDS, AccessViolation, Agent, AllocatorKind, FaultKind,
                      MemoryManager, Policy, UsageCounter, alloc_time_model,
                      classify, free_time_model)
 
-KIND_ALIASES = {
-    "malloc": AllocatorKind.LIBC_ON_DEMAND,
-    "libc": AllocatorKind.LIBC_ON_DEMAND,
-    "libc_on_demand": AllocatorKind.LIBC_ON_DEMAND,
-    "registered": AllocatorKind.REGISTERED_HOST,
-    "registered_host": AllocatorKind.REGISTERED_HOST,
-    "hiphostregister": AllocatorKind.REGISTERED_HOST,
-    "device": AllocatorKind.DEVICE_UP_FRONT,
-    "device_up_front": AllocatorKind.DEVICE_UP_FRONT,
-    "hipmalloc": AllocatorKind.DEVICE_UP_FRONT,
-    "pinned": AllocatorKind.PINNED_HOST,
-    "pinned_host": AllocatorKind.PINNED_HOST,
-    "hiphostmalloc": AllocatorKind.PINNED_HOST,
-    "managed": AllocatorKind.MANAGED_UNIFIED,
-    "managed_unified": AllocatorKind.MANAGED_UNIFIED,
-    "hipmallocmanaged": AllocatorKind.MANAGED_UNIFIED,
-    "static": AllocatorKind.STATIC_MANAGED,
-    "static_managed": AllocatorKind.STATIC_MANAGED,
-}
+KIND_ALIASES = {name.lower(): kind for kind, spec in KINDS.items()
+                for name in (kind.value, *spec.aliases)}
 
 
 class UsageError(ValueError):
@@ -353,8 +336,6 @@ _MEMCPY_PAIRS = (
 def _bench_memcpy(profile, seed, pair=_MEMCPY_PAIRS, sdma=(True, False)):
     rows = []
     for src, dst in pair:
-        # A pair may hold kinds or their values, e.g. "device_up_front".
-        src, dst = AllocatorKind(src), AllocatorKind(dst)
         for flag in sdma:
             keys = {"src": src.value, "dst": dst.value, "sdma": int(flag)}
             bwv = perf.memcpy_bandwidth(profile, src, dst, flag)
@@ -390,15 +371,14 @@ def _usage_stages(profile: MachineProfile, manager: MemoryManager,
 def usage_matrix(profile: MachineProfile, kind: AllocatorKind,
                  size: int = 1 * GiB, seed: int = 0,
                  stages: int = len(_USAGE_STAGES)) -> dict[tuple[str, UsageCounter], int]:
-    """Counter deltas per stage for one allocator kind, over its first
-    `stages` stages; the later ones are not simulated."""
+    """Counters of a fresh manager per stage for one allocator kind, over
+    its first `stages` stages; the later ones are not simulated."""
     manager = MemoryManager(profile, seed=seed)
-    base = {c: manager.usage_view(c) for c in _USAGE_COUNTERS}
     out = {}
     for stage in itertools.islice(
             _usage_stages(profile, manager, kind, size), stages):
         for c in _USAGE_COUNTERS:
-            out[(stage, c)] = manager.usage_view(c) - base[c]
+            out[(stage, c)] = manager.usage_view(c)
     return out
 
 
@@ -825,18 +805,18 @@ def evaluate_anchors(profile: MachineProfile, seed: int = 0) -> list[AnchorResul
 def expected_usage(profile: MachineProfile, kind: AllocatorKind,
                    stage: str, counter: UsageCounter, size: int,
                    touched: int) -> int:
-    """Expected counter delta for the visibility matrix."""
-    spec = classify(kind, profile.xnack)
-    up_front = spec.physical is Policy.UP_FRONT
+    """Expected counter delta for the visibility matrix: libnuma and
+    meminfo see all memory, hipMemGetInfo device memory only and the
+    process RSS the rest."""
     if stage == "after_release":
         return 0
-    if counter in (UsageCounter.LIBNUMA, UsageCounter.MEMINFO):
-        return size if up_front else touched
-    if counter is UsageCounter.HIP_MEM_GET_INFO:
-        return size if kind is AllocatorKind.DEVICE_UP_FRONT else 0
-    if kind is AllocatorKind.DEVICE_UP_FRONT:
+    device = KINDS[kind].device
+    if (counter is UsageCounter.HIP_MEM_GET_INFO and not device
+            or counter is UsageCounter.PROCESS_RSS and device):
         return 0
-    return size if up_front else touched
+    if classify(kind, profile.xnack).physical is Policy.UP_FRONT:
+        return size
+    return touched
 
 
 def check_usage_matrix(profile: MachineProfile, seed: int = 0) -> bool:

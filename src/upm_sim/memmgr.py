@@ -4,7 +4,10 @@ Six allocator kinds are modeled, mirroring the platform's allocator matrix:
 standard heap memory (on-demand), heap memory registered for GPU access,
 device allocations, pinned host allocations, managed unified allocations
 (up-front or on-demand depending on fault replay support) and static
-managed variables.
+managed variables. ``KINDS`` declares each kind once: its aliases, GPU
+access and placement with fault replay off and on, whether it is device
+memory, and whether the GPU streams it at a fixed rate. The usage counters
+are read from the live allocations by that device flag.
 
 Physical frames come from a buddy-style pool over power-of-two runs whose
 largest order is one 512 KiB block. Placement reproduces the observable
@@ -126,23 +129,38 @@ class AccessSpec:
     physical: Policy
 
 
+@dataclass(frozen=True)
+class KindSpec:
+    """One allocator kind. The pairs hold (xnack off, xnack on). Device
+    memory is placed contiguously, counted by hipMemGetInfo instead of the
+    process RSS, and copied by the DMA engine; the GPU streams fixed_gpu_bw
+    memory (static managed data) at a fixed rate."""
+    aliases: tuple[str, ...]
+    gpu_access: tuple[bool, bool] = (True, True)
+    on_demand: tuple[bool, bool] = (False, False)
+    device: bool = False
+    fixed_gpu_bw: bool = False
+
+
+KINDS = {
+    AllocatorKind.LIBC_ON_DEMAND: KindSpec(("malloc", "libc"),
+                                           gpu_access=(False, True),
+                                           on_demand=(True, True)),
+    AllocatorKind.REGISTERED_HOST: KindSpec(("registered", "hipHostRegister")),
+    AllocatorKind.DEVICE_UP_FRONT: KindSpec(("device", "hipMalloc"),
+                                            device=True),
+    AllocatorKind.PINNED_HOST: KindSpec(("pinned", "hipHostMalloc")),
+    AllocatorKind.MANAGED_UNIFIED: KindSpec(("managed", "hipMallocManaged"),
+                                            on_demand=(False, True)),
+    AllocatorKind.STATIC_MANAGED: KindSpec(("static",), fixed_gpu_bw=True),
+}
+
+
 def classify(kind: AllocatorKind, xnack: bool) -> AccessSpec:
     """Access matrix of the allocator kinds (exact, total over kind x xnack)."""
-    if kind is AllocatorKind.LIBC_ON_DEMAND:
-        return AccessSpec(gpu_access=bool(xnack), cpu_access=True,
-                          physical=Policy.ON_DEMAND)
-    if kind is AllocatorKind.REGISTERED_HOST:
-        return AccessSpec(True, True, Policy.UP_FRONT)
-    if kind is AllocatorKind.DEVICE_UP_FRONT:
-        return AccessSpec(True, True, Policy.UP_FRONT)
-    if kind is AllocatorKind.PINNED_HOST:
-        return AccessSpec(True, True, Policy.UP_FRONT)
-    if kind is AllocatorKind.MANAGED_UNIFIED:
-        return AccessSpec(True, True,
-                          Policy.ON_DEMAND if xnack else Policy.UP_FRONT)
-    if kind is AllocatorKind.STATIC_MANAGED:
-        return AccessSpec(True, True, Policy.UP_FRONT)
-    raise ValueError(f"unknown kind {kind!r}")
+    spec = KINDS[kind]
+    return AccessSpec(spec.gpu_access[bool(xnack)], True, Policy.ON_DEMAND
+                      if spec.on_demand[bool(xnack)] else Policy.UP_FRONT)
 
 
 class FaultBatch:
@@ -781,9 +799,6 @@ class MemoryManager:
         self.allocations: dict[int, Allocation] = {}
         self._next_id = 1
         self._latency = LatencyModel(profile)
-        self._numa_bytes = 0
-        self._hip_bytes = 0
-        self._rss_bytes = 0
         self._chunk_pages = profile.hip_cpu_map_granularity // profile.page_size
 
     # -- allocation ------------------------------------------------------
@@ -791,8 +806,7 @@ class MemoryManager:
     def allocate(self, kind: AllocatorKind, size: int) -> Allocation:
         if size <= 0:
             raise ZeroSize(f"allocation size must be positive, got {size}")
-        page = self.profile.page_size
-        n_pages = -(-size // page)
+        n_pages = -(-size // self.profile.page_size)
         spec = classify(kind, self.profile.xnack)
         alloc = Allocation(id=self._next_id, kind=kind, va_base=0,
                            n_pages=n_pages, size=size, policy=spec.physical)
@@ -811,11 +825,6 @@ class MemoryManager:
             if spec.gpu_access:
                 self.table.propagate(va_base, n_pages)
             alloc.mapped_pages = n_pages
-            self._numa_bytes += n_pages * page
-            if kind is AllocatorKind.DEVICE_UP_FRONT:
-                self._hip_bytes += n_pages * page
-            else:
-                self._rss_bytes += n_pages * page
         self.allocations[alloc.id] = alloc
         return alloc
 
@@ -837,7 +846,7 @@ class MemoryManager:
     def _place_up_front(self, alloc: Allocation, n_pages: int) -> np.ndarray:
         batch = self.pool.batch_pages
         full = 0
-        if alloc.kind is not AllocatorKind.DEVICE_UP_FRONT:
+        if not KINDS[alloc.kind].device:
             full = n_pages // batch
             self._draw_batches(alloc, full)
         if n_pages > full * batch:
@@ -991,8 +1000,6 @@ class MemoryManager:
             self.table.map_range(pagetable.SYSTEM,
                                  alloc.va_base + int(offs[a]), frames[a:b])
         alloc.mapped_pages += len(offs)
-        self._numa_bytes += len(offs) * self.profile.page_size
-        self._rss_bytes += len(offs) * self.profile.page_size
 
     # -- release & usage ---------------------------------------------------
 
@@ -1000,35 +1007,26 @@ class MemoryManager:
         if not alloc.live:
             raise DoubleFree(f"allocation {alloc.id} already released")
         alloc.live = False
-        page = self.profile.page_size
         self.table.unmap_range(alloc.va_base, alloc.n_pages)
         self.pool.release_runs(*alloc.frame_runs.array)
         alloc.frame_runs = Runs()
         alloc.pending_cpu_batches = alloc.pending_gpu_blocks = None
-        self._numa_bytes -= alloc.mapped_pages * page
-        if alloc.policy is Policy.UP_FRONT:
-            if alloc.kind is AllocatorKind.DEVICE_UP_FRONT:
-                self._hip_bytes -= alloc.mapped_pages * page
-            else:
-                self._rss_bytes -= alloc.mapped_pages * page
-        else:
-            self._rss_bytes -= alloc.mapped_pages * page
         alloc.mapped_pages = 0
 
     def usage_view(self, counter: UsageCounter) -> int:
-        """Bytes used as seen by one of the memory-usage interfaces."""
-        if counter in (UsageCounter.LIBNUMA, UsageCounter.MEMINFO):
-            return self._numa_bytes
-        if counter is UsageCounter.HIP_MEM_GET_INFO:
-            return self._hip_bytes
-        if counter is UsageCounter.PROCESS_RSS:
-            return self._rss_bytes
-        raise ValueError(f"unknown counter {counter!r}")
+        """Bytes used as seen by one of the memory-usage interfaces: the
+        mapped pages of the live allocations, of device kinds only for
+        hipMemGetInfo and of the other kinds only for the process RSS."""
+        seen = {UsageCounter.HIP_MEM_GET_INFO: (True,),
+                UsageCounter.PROCESS_RSS: (False,)}.get(counter, (False, True))
+        return self.profile.page_size * sum(
+            a.mapped_pages for a in self.allocations.values()
+            if a.live and KINDS[a.kind].device in seen)
 
     def check(self):
         """Raise AssertionError, naming the invariant, unless every
         invariant of the manager holds."""
-        pool, page = self.pool, self.profile.page_size
+        pool = self.pool
         live = [a for a in self.allocations.values() if a.live]
         run_starts, run_sizes = np.concatenate(
             [np.empty((2, 0), dtype=np.int64)]
@@ -1065,15 +1063,6 @@ class MemoryManager:
             mapped = np.add.reduceat(sys_flags != 0, offsets, dtype=np.int64)
             _expect(mapped.tolist() == [a.mapped_pages for a in live],
                     "mapped pages differ from the allocations' counters")
-        numa = sum(a.mapped_pages for a in live) * page
-        hip = sum(a.mapped_pages for a in live
-                  if a.kind is AllocatorKind.DEVICE_UP_FRONT) * page
-        expected = {UsageCounter.LIBNUMA: numa, UsageCounter.MEMINFO: numa,
-                    UsageCounter.HIP_MEM_GET_INFO: hip,
-                    UsageCounter.PROCESS_RSS: numa - hip}
-        for counter, value in expected.items():
-            _expect(self.usage_view(counter) == value,
-                    f"usage counter {counter.value} differs from the live sum")
 
 
 # --------------------------------------------------------------------------
@@ -1106,27 +1095,20 @@ def alloc_time_model(profile: MachineProfile, kind: AllocatorKind, size: int,
             return base
         slope = (m.libc_1gib_us * 1e-6 - base) / (GIB - m.libc_mmap_threshold)
         return base + (size - m.libc_mmap_threshold) * slope
-    if kind is AllocatorKind.DEVICE_UP_FRONT:
-        return _affine_by_pages(profile, size, m.upfront_granularity,
-                                m.device_small_us * 1e-6, GIB,
-                                m.device_1gib_ms * 1e-3)
-    if kind is AllocatorKind.PINNED_HOST:
-        return _affine_by_pages(profile, size, m.upfront_granularity,
-                                m.pinned_small_us * 1e-6, GIB,
-                                m.pinned_1gib_ms * 1e-3)
-    if kind is AllocatorKind.REGISTERED_HOST:
-        return _affine_by_pages(profile, size, m.upfront_granularity,
-                                m.registered_small_us * 1e-6, GIB,
-                                m.registered_1gib_ms * 1e-3)
-    if kind is AllocatorKind.MANAGED_UNIFIED:
-        if xnack:
-            return m.managed1_const_us * 1e-6
-        return _affine_by_pages(profile, size, m.upfront_granularity,
-                                m.managed0_small_us * 1e-6, GIB,
-                                m.managed0_1gib_ms * 1e-3)
     if kind is AllocatorKind.STATIC_MANAGED:
         return m.static_const_us * 1e-6
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind is AllocatorKind.MANAGED_UNIFIED and xnack:
+        return m.managed1_const_us * 1e-6
+    small_us, gib_ms = {  # up front: flat, then affine in pages to 1 GiB
+        AllocatorKind.DEVICE_UP_FRONT: (m.device_small_us, m.device_1gib_ms),
+        AllocatorKind.PINNED_HOST: (m.pinned_small_us, m.pinned_1gib_ms),
+        AllocatorKind.REGISTERED_HOST: (m.registered_small_us,
+                                        m.registered_1gib_ms),
+        AllocatorKind.MANAGED_UNIFIED: (m.managed0_small_us,
+                                        m.managed0_1gib_ms),
+    }[kind]
+    return _affine_by_pages(profile, size, m.upfront_granularity,
+                            small_us * 1e-6, GIB, gib_ms * 1e-3)
 
 
 def free_time_model(profile: MachineProfile, kind: AllocatorKind, size: int,

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tlb as tlb_mod
 from .machine import MachineProfile
-from .memmgr import (AccessViolation, Agent, Allocation, AllocatorKind,
-                     MemoryManager, Policy, classify)
+from .memmgr import (KINDS, AccessViolation, Agent, Allocation,
+                     AllocatorKind, MemoryManager, Policy, classify)
 
 
 class UnmappedPages(Exception):
@@ -156,7 +156,7 @@ def gpu_triad_workset(profile: MachineProfile, kind: AllocatorKind,
     workset the TRIAD model reads."""
     if not classify(kind, profile.xnack).gpu_access:
         raise AccessViolation(f"GPU cannot stream {kind.value} memory")
-    if kind is AllocatorKind.STATIC_MANAGED:
+    if KINDS[kind].fixed_gpu_bw:
         return None
     return build_triad_workset(profile, kind, init_agent, seed)
 
@@ -202,9 +202,9 @@ def memcpy_bandwidth(profile: MachineProfile, src_kind: AllocatorKind,
                      dst_kind: AllocatorKind, sdma: bool) -> float:
     """Explicit-copy bandwidth between two allocations."""
     bw = profile.bw_model
-    device = AllocatorKind.DEVICE_UP_FRONT
-    if src_kind is device and dst_kind is device:
+    src, dst = KINDS[src_kind].device, KINDS[dst_kind].device
+    if src and dst:
         return bw.memcpy_d2d_bw
-    if device in (src_kind, dst_kind):
-        return bw.memcpy_sdma_bw if sdma else bw.memcpy_nosdma_bw
+    if (src or dst) and sdma:
+        return bw.memcpy_sdma_bw
     return bw.memcpy_nosdma_bw

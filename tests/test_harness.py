@@ -12,7 +12,8 @@ import pytest
 from upm_sim import cli, fault, harness, perf
 from upm_sim.harness import WorkloadSpec, report, run, verify
 from upm_sim.machine import GiB, MiB, builtin_mi300a, serialize_profile
-from upm_sim.memmgr import AllocatorKind, MemoryManager
+from upm_sim.memmgr import (KINDS, Agent, AllocatorKind, MemoryManager,
+                            Policy, UsageCounter, classify)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ def test_report_empty_rows_header_only():
 
 def test_report_single_row_two_lines(profile):
     rows = run(profile, WorkloadSpec("memcpy", {"pair": [
-        ("device_up_front", "device_up_front")], "sdma": [True]}))
+        "device_up_front:device_up_front"], "sdma": [True]}))
     text = report(rows[:1])
     assert len(text.splitlines()) == 2
     header = text.splitlines()[0]
@@ -172,13 +173,44 @@ def test_usage_matrix_simulates_only_the_stages_asked_for(profile, kind,
     assert calls == [kind]  # the stream arrays are never allocated
 
 
+# The hard anchors that fail when one scatter degree is 0: each depends on
+# the placement mechanism that degree controls. The soft anchor
+# atomics.hybrid_cpu_pocket warns in every profile.
+CPU_TOUCH_SCATTER_ANCHORS = {
+    "latency.cpu.512mib.ondemand", "latency.cpu.512mib.separation",
+    "bw.gpu.libc", "bw.gpu.managed.ondemand", "tlb.miss_ratio"}
+HOST_UPFRONT_SCATTER_ANCHORS = {
+    "bw.gpu.pinned", "bw.gpu.registered", "bw.gpu.managed.upfront"}
+
+
+def _failures(rep):
+    hard = {r.anchor.id for r in rep.results if r.anchor.hard and not r.passed}
+    soft = {r.anchor.id for r in rep.results
+            if not r.anchor.hard and not r.passed}
+    return hard, soft
+
+
+def _with_scatter(profile, **degrees):
+    return replace(profile, placement=replace(profile.placement, **degrees))
+
+
+@pytest.mark.parametrize("degree, failing", [
+    ("cpu_touch_scatter_degree", CPU_TOUCH_SCATTER_ANCHORS),
+    ("host_upfront_scatter_degree", HOST_UPFRONT_SCATTER_ANCHORS),
+], ids=["cpu_touch", "host_upfront"])
+def test_one_scatter_degree_zero_fails_exactly_its_anchors(profile, degree,
+                                                           failing):
+    rep = verify(_with_scatter(profile, **{degree: 0.0}), seed=0)
+    assert _failures(rep) == (failing, {"atomics.hybrid_cpu_pocket"})
+
+
 def test_sequential_placement_profile_runs_verify_and_usage(profile):
     # With both scatter degrees 0 every batch draw is ascending
-    # sequential, which no other profile reaches. Hard anchors may fail;
-    # nothing may raise, and a run with cold caches repeats every byte.
-    sequential = replace(profile, placement=replace(
-        profile.placement, cpu_touch_scatter_degree=0.0,
-        host_upfront_scatter_degree=0.0))
+    # sequential, which no other profile reaches. Exactly the anchors of
+    # both mechanisms fail; nothing may raise, and a run with cold caches
+    # repeats every byte.
+    sequential = _with_scatter(profile, cpu_touch_scatter_degree=0.0,
+                               host_upfront_scatter_degree=0.0)
     outputs = []
     for _ in range(2):
         for cache in (harness._chase_load, harness.build_cpu_stream_stats,
@@ -188,6 +220,9 @@ def test_sequential_placement_profile_runs_verify_and_usage(profile):
         usage = run(sequential, WorkloadSpec("usage", {}, seed=0))
         outputs.append("\n".join(rep.lines()) + report(usage))
     assert len(rep.results) == 55
+    assert _failures(rep) == (
+        CPU_TOUCH_SCATTER_ANCHORS | HOST_UPFRONT_SCATTER_ANCHORS,
+        {"atomics.hybrid_cpu_pocket"})
     assert outputs[0] == outputs[1]
 
 
@@ -356,6 +391,40 @@ def test_readme_grid_key_table_matches_the_drivers():
         bench, keys = line.strip("|").split("|")
         table[bench.strip(" `")] = tuple(re.findall(r"`(\w+)`", keys))
     assert table == {b: harness.grid_keys(b) for b in harness.BENCHMARK_NAMES}
+
+
+def test_readme_allocator_table_matches_kinds(profile):
+    # Each row against the kinds table, classify and, for the counters, the
+    # usage views of a manager after a full CPU touch of 1 MiB.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| Kind | Aliases | GPU access (xnack 0/1) "
+                        "| Placement (xnack 0/1) | Usage counter |") + 2
+    counters = {"libnuma": UsageCounter.LIBNUMA,
+                "meminfo": UsageCounter.MEMINFO,
+                "hipMemGetInfo": UsageCounter.HIP_MEM_GET_INFO,
+                "RSS": UsageCounter.PROCESS_RSS}
+    rows = {}
+    for line in itertools.takewhile(lambda x: x.startswith("|"),
+                                    lines[start:]):
+        kind, aliases, access, placement, seen = (
+            cell.strip() for cell in line.strip("|").split("|"))
+        rows[AllocatorKind(kind.strip("`"))] = (
+            tuple(re.findall(r"`(\w+)`", aliases)),
+            tuple({"no": False, "yes": True}[x] for x in access.split(" / ")),
+            tuple(Policy(x.replace(" ", "_")) for x in placement.split(" / ")),
+            {counters[name] for name in seen.split(", ")})
+    assert list(rows) == list(KINDS) == list(AllocatorKind)
+    for kind, (aliases, access, placement, seen) in rows.items():
+        assert aliases == KINDS[kind].aliases
+        specs = [classify(kind, xnack) for xnack in (False, True)]
+        assert access == tuple(s.gpu_access for s in specs)
+        assert placement == tuple(s.physical for s in specs)
+        m = MemoryManager(profile, seed=0)
+        m.touch(m.allocate(kind, 1 * MiB), None, Agent.CPU)
+        assert seen == {c for c in UsageCounter if m.usage_view(c)}
+        assert (UsageCounter.HIP_MEM_GET_INFO in seen) is KINDS[kind].device
 
 
 def test_grid_keys_are_the_driver_arguments():

@@ -523,10 +523,7 @@ def _gpu_entry_without_system_entry(m, a, b):
     (_gpu_entry_without_system_entry, "GPU entry"),
     (lambda m, a, b: setattr(a, "mapped_pages", a.mapped_pages + 1),
      "mapped pages"),
-    (lambda m, a, b: setattr(m, "_hip_bytes", m._hip_bytes + 4096),
-     "hip_mem_get_info"),
-], ids=["used", "leak", "overlap", "alive", "slot_map", "mirror", "mapped",
-        "counter"])
+], ids=["used", "leak", "overlap", "alive", "slot_map", "mirror", "mapped"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)

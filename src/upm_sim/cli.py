@@ -58,11 +58,25 @@ def _parse_grid(items: list[str]) -> dict:
     return grid
 
 
+def _seed(text: str | None) -> int:
+    """--seed, else UPM_SIM_SEED, else 0, as a non-negative integer."""
+    source = "--seed"
+    if text is None:
+        text, source = os.environ.get("UPM_SIM_SEED", "0"), "UPM_SIM_SEED"
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise harness.UsageError(f"bad {source} {text!r}: expected a "
+                                 f"non-negative integer")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="upm-sim",
                      description="Unified-memory APU memory-subsystem "
                                  "simulator")
-    default_seed = int(os.environ.get("UPM_SIM_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one benchmark grid")
@@ -70,7 +84,7 @@ def _build_parser() -> _Parser:
                        choices=harness.BENCHMARK_NAMES,
                        metavar="|".join(harness.BENCHMARK_NAMES))
     p_run.add_argument("--profile", default=None, metavar="FILE")
-    p_run.add_argument("--seed", type=int, default=default_seed)
+    p_run.add_argument("--seed", metavar="N")
     p_run.add_argument("--grid", action="append", default=[],
                        metavar="KEY=V1,V2,...")
     p_run.add_argument("--out", default=None, metavar="FILE.csv")
@@ -78,7 +92,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="check anchored expectations")
     p_verify.add_argument("--profile", default=None, metavar="FILE")
-    p_verify.add_argument("--seed", type=int, default=default_seed)
+    p_verify.add_argument("--seed", metavar="N")
 
     p_prof = sub.add_parser("profile", help="profile utilities")
     prof_sub = p_prof.add_subparsers(dest="profile_command", required=True)
@@ -93,6 +107,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if "seed" in vars(args):
+        try:
+            args.seed = _seed(args.seed)
+        except harness.UsageError as exc:
+            print(f"upm-sim: {exc}", file=sys.stderr)
+            return 1
     try:
         profile = _load(getattr(args, "profile", None))
     except (OSError, ProfileParseError, ProfileValidationError) as exc:

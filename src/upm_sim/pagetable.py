@@ -1,4 +1,4 @@
-"""Dual page tables with opportunistic fragment computation.
+"""Dual page tables with fragments computed on read.
 
 Two tables cover the same virtual space: the system table (CPU side) and
 the GPU table, which is a strict mirror subset kept in sync by explicit
@@ -7,9 +7,9 @@ the entry's page lies inside a run of 2^f pages that is contiguous and
 2^f-aligned in both virtual and physical space with identical flags, so a
 single TLB entry can cover the whole run.
 
-Fragments are recomputed eagerly on map/propagate/unmap over the affected
-runs, which keeps miss counting deterministic and order-independent. The
-rule is the one of Linux ``amdgpu_vm_pte_fragment()``
+Fragments are computed on read, as a pure function of the flags and
+frames, which keeps miss counting deterministic and order-independent.
+The rule is the one of Linux ``amdgpu_vm_pte_fragment()``
 (drivers/gpu/drm/amd/amdgpu/amdgpu_vm_pt.c), evaluated per run rather
 than per page. A run [s, e) of mapped pages whose frames sit at the
 constant offset d = frame - x splits greedily into maximal aligned
@@ -18,15 +18,11 @@ and the next one starts where it ends. Every page of a block gets
 
     min(order, ctz(d), max_fragment)
 
-with ctz(0) counted as max_fragment. All runs of the affected window
-take these steps together, so a run that is itself one aligned
-power-of-two block costs one step; unmapped pages belong to no run and
-keep fragment -1.
-
-A propagate that leaves a region's GPU flags equal to its system flags
-copies the system fragments instead of recomputing: with equal flags
-over the same frames, both tables hold the same runs, so the same
-fragments.
+with ctz(0) counted as max_fragment. All runs of a region take these
+steps together, so a run that is itself one aligned power-of-two block
+costs one step; unmapped pages belong to no run and read fragment -1.
+A read covers the whole region that holds the range: runs never cross a
+reservation, and every read the TLB makes covers a whole operand.
 """
 
 from __future__ import annotations
@@ -56,8 +52,7 @@ class MirrorViolation(Exception):
 
 
 class _Region:
-    __slots__ = ("va_base", "n_pages", "frames", "sys_flags", "gpu_flags",
-                 "sys_frag", "gpu_frag")
+    __slots__ = ("va_base", "n_pages", "frames", "sys_flags", "gpu_flags")
 
     def __init__(self, va_base: int, n_pages: int):
         self.va_base = va_base
@@ -65,14 +60,9 @@ class _Region:
         self.frames = np.full(n_pages, -1, dtype=np.int64)
         self.sys_flags = np.zeros(n_pages, dtype=np.uint8)
         self.gpu_flags = np.zeros(n_pages, dtype=np.uint8)
-        self.sys_frag = np.full(n_pages, -1, dtype=np.int8)
-        self.gpu_frag = np.full(n_pages, -1, dtype=np.int8)
 
     def flags_of(self, table: str) -> np.ndarray:
         return self.sys_flags if table == SYSTEM else self.gpu_flags
-
-    def frag_of(self, table: str) -> np.ndarray:
-        return self.sys_frag if table == SYSTEM else self.gpu_frag
 
 
 class DualTable:
@@ -80,7 +70,6 @@ class DualTable:
 
     # Virtual reservations start above zero so page number 0 stays invalid.
     _FIRST_VA_PAGE = 1 << 20
-    _SCAN_STEP = 4096
 
     def __init__(self, max_fragment: int = 31):
         self.max_fragment = max_fragment
@@ -110,15 +99,19 @@ class DualTable:
                 return region, off
         raise Unmapped(f"virtual page {va_page} outside any reservation")
 
+    def _range_at(self, va_page: int, n_pages: int) -> tuple[_Region, slice]:
+        """The region holding [va_page, +n_pages) and the range's slice."""
+        region, off = self._region_at(va_page)
+        if off + n_pages > region.n_pages:
+            raise Unmapped(f"range [{va_page}, +{n_pages}) crosses its "
+                           f"reservation")
+        return region, slice(off, off + n_pages)
+
     # -- mapping ------------------------------------------------------
 
     def map_range(self, table: str, va_page: int, frames, flags: int = FLAG_RW):
         frames = np.asarray(frames, dtype=np.int64)
-        n = len(frames)
-        region, off = self._region_at(va_page)
-        if off + n > region.n_pages:
-            raise Unmapped(f"range [{va_page}, +{n}) crosses its reservation")
-        sel = slice(off, off + n)
+        region, sel = self._range_at(va_page, len(frames))
         tflags = region.flags_of(table)
         if np.any(tflags[sel] != 0):
             raise AlreadyMapped(f"page already mapped in {table} table")
@@ -130,7 +123,6 @@ class DualTable:
         else:
             region.frames[sel] = frames
         tflags[sel] = flags
-        self._recompute(region, off, off + n, table)
 
     def propagate(self, va_page: int, n_pages: int) -> int:
         """Mirror [va_page, +n_pages) into the GPU table; idempotent.
@@ -138,100 +130,40 @@ class DualTable:
         Returns the number of entries copied. The range must be fully
         mapped in the system table.
         """
-        region, off = self._region_at(va_page)
-        if off + n_pages > region.n_pages:
-            raise Unmapped(f"range [{va_page}, +{n_pages}) crosses its reservation")
-        sel = slice(off, off + n_pages)
+        region, sel = self._range_at(va_page, n_pages)
         if np.any(region.sys_flags[sel] == 0):
             raise Unmapped("propagate over a range not fully system-mapped")
         gpu_view = region.gpu_flags[sel]
         fresh = gpu_view == 0
-        count = int(np.count_nonzero(fresh))
-        if count:
-            gpu_view[fresh] = region.sys_flags[sel][fresh]
-            if np.array_equal(region.gpu_flags, region.sys_flags):
-                np.copyto(region.gpu_frag, region.sys_frag)
-            else:
-                self._recompute(region, off, off + n_pages, GPU)
-        return count
+        gpu_view[fresh] = region.sys_flags[sel][fresh]
+        return int(np.count_nonzero(fresh))
 
     def unmap_range(self, va_page: int, n_pages: int):
         """Drop [va_page, +n) from both tables (missing pages are fine)."""
         region, off = self._region_at(va_page)
-        lo, hi = off, min(off + n_pages, region.n_pages)
-        sel = slice(lo, hi)
+        sel = slice(off, min(off + n_pages, region.n_pages))
         region.gpu_flags[sel] = 0
         region.sys_flags[sel] = 0
         region.frames[sel] = -1
-        region.sys_frag[sel] = -1
-        region.gpu_frag[sel] = -1
-        self._recompute(region, lo, hi, SYSTEM)
-        self._recompute(region, lo, hi, GPU)
 
     # -- queries ------------------------------------------------------
 
     def run_arrays(self, va_page: int, n_pages: int):
         """(frames, fragments) of a GPU-mapped range, for the TLB simulator."""
-        region, off = self._region_at(va_page)
-        sel = slice(off, off + n_pages)
+        region, sel = self._range_at(va_page, n_pages)
         if np.any(region.gpu_flags[sel] == 0):
             raise Unmapped("range not fully mapped in gpu table")
-        return region.frames[sel], region.gpu_frag[sel]
+        return region.frames[sel], self.fragments(GPU, va_page, n_pages)
 
-    # -- fragment recomputation ----------------------------------------
-
-    def _run_start(self, region: _Region, idx: int, table: str) -> int:
-        """Index where the run containing the mapped page idx begins."""
-        flags = region.flags_of(table)
-        frames = region.frames
-        while idx > 0:
-            start = max(0, idx - self._SCAN_STEP)
-            f = frames[start:idx + 1]
-            fl = flags[start:idx + 1]
-            link = (f[1:] == f[:-1] + 1) & (fl[1:] == fl[:-1]) & (fl[:-1] != 0)
-            bad = np.nonzero(~link)[0]
-            if len(bad):
-                return start + int(bad[-1]) + 1
-            idx = start
-        return 0
-
-    def _run_end(self, region: _Region, idx: int, table: str) -> int:
-        """One past the end of the run containing the mapped page idx."""
-        flags = region.flags_of(table)
-        frames = region.frames
-        n = region.n_pages
-        while idx < n - 1:
-            stop = min(n - 1, idx + self._SCAN_STEP)
-            f = frames[idx:stop + 1]
-            fl = flags[idx:stop + 1]
-            link = (f[1:] == f[:-1] + 1) & (fl[1:] == fl[:-1]) & (fl[1:] != 0)
-            bad = np.nonzero(~link)[0]
-            if len(bad):
-                return idx + int(bad[0]) + 1
-            idx = stop
-        return n
-
-    def _recompute(self, region: _Region, lo: int, hi: int, table: str):
-        """Recompute fragments over the runs affected by [lo, hi)."""
-        n_total = region.n_pages
-        lo = max(0, lo)
-        hi = min(n_total, hi)
-        if lo >= hi:
-            return
-        flags = region.flags_of(table)
-        if flags[lo] != 0:
-            lo = self._run_start(region, lo, table)
-        elif lo > 0 and flags[lo - 1] != 0:
-            lo = self._run_start(region, lo - 1, table)
-        if flags[hi - 1] != 0:
-            hi = self._run_end(region, hi - 1, table)
-        elif hi < n_total and flags[hi] != 0:
-            hi = self._run_end(region, hi, table)
-
+    def fragments(self, table: str, va_page: int, n_pages: int) -> np.ndarray:
+        """Fragment field of each page of [va_page, +n_pages) in one table,
+        -1 where the page is unmapped; a fresh int8 array, computed over
+        the whole region that holds the range."""
+        region, sel = self._range_at(va_page, n_pages)
         # A run is a maximal stretch of mapped pages with consecutive
         # frames and equal flags; unmapped pages belong to no run.
-        flags = flags[lo:hi]
-        frames = region.frames[lo:hi]
+        flags = region.flags_of(table)
+        frames = region.frames
         present = flags != 0
         link = (frames[1:] == frames[:-1] + 1) & present[1:] & present[:-1] \
             & (flags[1:] == flags[:-1])
@@ -240,14 +172,13 @@ class DualTable:
         last = present.copy()
         last[:-1] &= ~link
         starts = np.flatnonzero(first)
-        base = region.va_base + lo
-        x = starts + base
-        e = np.flatnonzero(last) + (base + 1)
+        x = starts + region.va_base
+        e = np.flatnonzero(last) + (region.va_base + 1)
         # min(ctz(d), cap) with d the run's frame offset: ctz(d | 2^cap);
         # fragments above 62 cannot occur below 2^53 pages and would
         # overflow int64.
         cap = min(self.max_fragment, 62)
-        d = (frames[starts] - starts - base) | (1 << cap)
+        d = (frames[starts] - x) | (1 << cap)
         ctz_d = _bitlen(d & -d) - 1
         # Walk every run's greedy maximal aligned blocks at once: from x a
         # block has order min(ctz(x), floor(log2(e - x))), and its pages
@@ -263,11 +194,12 @@ class DualTable:
             x = x + step
             more = x < e
             x, e, ctz_d = x[more], e[more], ctz_d[more]
-        # Unmapped pages keep the -1 that unmap_range or _Region gave them.
+        out = np.full(region.n_pages, -1, dtype=np.int8)
         if pos:
             at = np.argsort(np.concatenate(pos))
-            region.frag_of(table)[lo:hi][present] = np.repeat(
-                np.concatenate(frag)[at], np.concatenate(size)[at])
+            out[present] = np.repeat(np.concatenate(frag)[at],
+                                     np.concatenate(size)[at])
+        return out[sel]
 
 
 def _bitlen(v: np.ndarray) -> np.ndarray:

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from upm_sim import cli, fault, harness, perf
+from upm_sim import cli, fault, harness, perf, tlb
 from upm_sim.harness import WorkloadSpec, report, run, verify
 from upm_sim.machine import GiB, MiB, builtin_mi300a, serialize_profile
 from upm_sim.memmgr import (KINDS, Agent, AllocatorKind, MemoryManager,
                             Policy, UsageCounter, classify)
+from upm_sim.pagetable import GPU, DualTable
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +369,63 @@ def test_cli_repeated_grid_key_is_one_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "upm-sim: grid key 'kind' given twice\n"
+
+
+@pytest.mark.parametrize("argv,env,bad", [
+    (["verify", "--seed", "-1"], None, "--seed '-1'"),
+    (["run", "alloc", "--seed", "-1"], None, "--seed '-1'"),
+    (["run", "alloc"], "abc", "UPM_SIM_SEED 'abc'"),
+], ids=["verify-negative", "run-negative", "env-not-a-number"])
+def test_cli_bad_seed_is_one_line(capsys, monkeypatch, argv, env, bad):
+    if env is None:
+        monkeypatch.delenv("UPM_SIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("UPM_SIM_SEED", env)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"upm-sim: bad {bad}: expected a non-negative "
+                            f"integer\n")
+
+
+def count_fragment_reads(monkeypatch) -> list:
+    """The table of every DualTable.fragments call from now on."""
+    fragments, reads = DualTable.fragments, []
+
+    def counted(self, table, va_page, n_pages):
+        reads.append(table)
+        return fragments(self, table, va_page, n_pages)
+
+    monkeypatch.setattr(DualTable, "fragments", counted)
+    return reads
+
+
+def test_verify_reads_fragments_only_in_the_triad_tlb_replays(
+        profile, monkeypatch):
+    # Six TRIAD replays, each reading its three operands' GPU fragments
+    # once; nothing outside a replay reads fragments.
+    reads = count_fragment_reads(monkeypatch)
+    triad_misses, before = tlb.triad_misses, []
+
+    def counted(*args, **kwargs):
+        before.append(len(reads))
+        return triad_misses(*args, **kwargs)
+
+    monkeypatch.setattr(tlb, "triad_misses", counted)
+    perf.build_triad_workset.cache_clear()
+    harness.build_cpu_stream_stats.cache_clear()
+    verify(profile, seed=11)
+    assert before == [0, 3, 6, 9, 12, 15]
+    assert reads == [GPU] * 18
+
+
+def test_cpu_stream_stats_read_no_fragments(profile, monkeypatch):
+    reads = count_fragment_reads(monkeypatch)
+    harness.build_cpu_stream_stats.cache_clear()
+    for kind in AllocatorKind:
+        for agent in Agent:
+            harness.build_cpu_stream_stats(profile, kind, agent, seed=11)
+    assert reads == []
 
 
 @pytest.mark.parametrize("bench,key", [

@@ -3,6 +3,7 @@ import pytest
 
 from upm_sim.pagetable import (GPU, SYSTEM, AlreadyMapped, DualTable,
                                MirrorViolation, Unmapped)
+from upm_sim.tlb import run_bases
 
 
 def brute_fragment(region, off, table, va_base, f_cap=12):
@@ -38,7 +39,7 @@ def fragment(t, va_page, table=GPU):
     """The fragment field of a mapped page in one table."""
     region, off = t._region_at(va_page)
     assert region.flags_of(table)[off] != 0
-    return int(region.frag_of(table)[off])
+    return int(t.fragments(table, va_page, 1)[0])
 
 
 def test_map_and_lookup_single_page():
@@ -212,3 +213,32 @@ def test_fragment_order_independence():
                         for i in range(32)])
     assert results[0] == results[1] == results[2]
     assert results[0] == [5] * 32
+
+
+def test_range_crossing_its_reservation_is_rejected():
+    t = fresh_table()
+    base = t.reserve(16)
+    t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
+    t.propagate(base, 16)
+    with pytest.raises(Unmapped, match="crosses its reservation"):
+        t.run_arrays(base + 8, 16)
+    with pytest.raises(Unmapped, match="crosses its reservation"):
+        run_bases(t, base + 8, 16)
+    with pytest.raises(Unmapped, match="crosses its reservation"):
+        t.fragments(SYSTEM, base + 8, 16)
+    assert run_bases(t, base + 8, 8).tolist() == [base] * 8
+
+
+def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
+    reads = []
+    monkeypatch.setattr(DualTable, "fragments",
+                        lambda self, *args: reads.append(args))
+    t = fresh_table()
+    base = t.reserve(64)
+    t.map_range(SYSTEM, base, np.arange(4096, 4096 + 32))
+    t.map_range(GPU, base, np.arange(4096, 4096 + 8))
+    t.propagate(base, 16)
+    t.propagate(base, 32)
+    t.unmap_range(base + 8, 4)
+    t.unmap_range(base, 64)
+    assert reads == []

@@ -49,11 +49,12 @@ def test_fragment_oracle_equivalence_thousand_mappings():
         n = int(rng.integers(2, 96))
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
+        frags = t.fragments(SYSTEM, base, n)
         mapped = np.nonzero(region.sys_flags[:n])[0]
         sample = mapped if len(mapped) <= 6 else \
             rng.choice(mapped, size=6, replace=False)
         for off in sample:
-            assert region.sys_frag[off] == \
+            assert frags[off] == \
                 brute_fragment(region, int(off), SYSTEM, base)
             checked += 1
     assert checked > 2000
@@ -68,19 +69,21 @@ def test_fragment_oracle_large_mappings():
         start = int(rng.integers(0, 1 << 20)) & ~((1 << 12) - 1)
         t.map_range(SYSTEM, base, np.arange(start, start + n))
         region, _ = t._region_at(base)
+        frags = t.fragments(SYSTEM, base, n)
         for off in rng.integers(0, n, size=8):
-            assert region.sys_frag[off] == \
+            assert frags[off] == \
                 brute_fragment(region, int(off), SYSTEM, base, f_cap=12)
 
 
 def assert_fragments_match_oracle(t, base, offsets, table, f_cap):
     region, _ = t._region_at(base)
     flags = region.sys_flags if table == SYSTEM else region.gpu_flags
+    frags = t.fragments(table, base, region.n_pages)
     for off in offsets:
         off = int(off)
         expected = brute_fragment(region, off, table, base, f_cap=f_cap) \
             if flags[off] else -1
-        assert int(region.frag_of(table)[off]) == expected, (table, off)
+        assert int(frags[off]) == expected, (table, off)
 
 
 def test_fragment_oracle_small_max_fragment():
@@ -119,23 +122,10 @@ def test_fragment_oracle_gpu_table_after_partial_propagate_and_unmap():
             assert_fragments_match_oracle(t, base, sample, table, f_cap=12)
 
 
-def record_recomputes(t):
-    """The tables of t's fragment recomputes, listed as they run."""
-    tables, recompute = [], t._recompute
-
-    def record(region, lo, hi, table):
-        tables.append(table)
-        recompute(region, lo, hi, table)
-
-    t._recompute = record
-    return tables
-
-
 def test_fragment_oracle_gpu_table_partial_mirror_then_complete():
     # The first propagate mirrors a middle window, so GPU runs end at its
-    # edges and the GPU fragments are recomputed; the second mirrors the
-    # rest, after which both tables hold the same flags and the region's
-    # system fragments are copied.
+    # edges; the second mirrors the rest, after which both tables hold
+    # the same flags.
     rng = np.random.default_rng(717)
     for _ in range(25):
         t = DualTable(31)
@@ -146,21 +136,17 @@ def test_fragment_oracle_gpu_table_partial_mirror_then_complete():
         for cut in rng.integers(1, n, size=int(rng.integers(0, 4))):
             frames[cut:] += int(rng.integers(1, 64))
         t.map_range(SYSTEM, base, frames)
-        recomputed = record_recomputes(t)
         lo = int(rng.integers(1, n - 1))
         hi = int(rng.integers(lo + 1, n))
         t.propagate(base + lo, hi - lo)
-        assert recomputed == [GPU]
         assert_fragments_match_oracle(t, base, range(n), GPU, f_cap=12)
         t.propagate(base, n)
-        assert recomputed == [GPU]
         assert_fragments_match_oracle(t, base, range(n), GPU, f_cap=12)
 
 
 def test_fragment_oracle_gpu_table_mirror_stays_partial():
     # Every mapped page but one is mirrored, page by page in random order:
-    # the GPU flags never equal the system flags, so every propagate
-    # recomputes.
+    # the GPU flags never equal the system flags.
     rng = np.random.default_rng(818)
     for _ in range(40):
         t = DualTable(31)
@@ -168,11 +154,9 @@ def test_fragment_oracle_gpu_table_mirror_stays_partial():
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
         mapped = np.flatnonzero(region.sys_flags[:n])
-        recomputed = record_recomputes(t)
         mirrored = rng.permutation(mapped[mapped != rng.choice(mapped)])
         for off in mirrored.tolist():
             t.propagate(base + off, 1)
-        assert recomputed == [GPU] * len(mirrored)
         assert_fragments_match_oracle(t, base, range(n), GPU, f_cap=7)
 
 
@@ -198,13 +182,13 @@ def test_fragment_oracle_across_recompute_chunks():
                       if 0 <= 1000 + e + d < n + 1000})
     for table in (SYSTEM, GPU):
         assert_fragments_match_oracle(t, base, offsets, table, f_cap=18)
-    region, _ = t._region_at(base)
-    assert max(int(region.sys_frag[o]) for o in offsets) >= 12
+    frags = t.fragments(SYSTEM, base, n + 1000)
+    assert max(int(frags[o]) for o in offsets) >= 12
 
 
 def test_fragment_oracle_windows_on_unmapped_edges():
-    # Unmap windows whose first or last page is already unmapped: the
-    # recompute window then starts or ends on a page that is in no run.
+    # Unmap windows whose first or last page is already unmapped, so a
+    # window starts or ends on a page that is in no run.
     rng = np.random.default_rng(616)
     for _ in range(80):
         t = DualTable(31)

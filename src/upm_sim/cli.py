@@ -7,9 +7,9 @@
 
 Each --grid key is given once; size values take B/KiB/MiB/GiB, counts
 are whole numbers and a memcpy pair is SRC:DST. UPM_SIM_SEED sets the
-default seed. Exit codes: 0 success, 1 usage error (a bad profile, grid
-key or grid value, reported in one line on stderr), 2 verification
-failure.
+default seed. Exit codes: 0 success, 1 usage error (a bad profile, seed,
+grid key or grid value, or an --out file that cannot be written, reported
+in one line on stderr), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -131,8 +131,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"upm-sim: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"upm-sim: cannot write --out {args.out!r}: "
+                      f"{exc.strerror or exc}", file=sys.stderr)
+                return 1
         else:
             sys.stdout.write(text)
         return 0

@@ -42,10 +42,11 @@ from there while it is still free.
 All scattered batches of one placement are drawn in one ``take_batches``
 call, in closed form. A draw from an empty group first splits the next
 block into one slot per group, so the blocks split up to each draw are a
-running maximum over the groups' demand, and the slot each draw takes
-follows from matching the pops and pushes of each group's stack by
-position. Only a pool with too few blocks left draws one batch at a time,
-refilling dry stores from smaller runs.
+running maximum over the groups' demand. A draw whose group saw a split
+since its previous draw takes the newest split's slot; the slot each
+other draw takes follows from matching the pops and pushes of each
+group's stack by position. Only a pool with too few blocks left draws
+one batch at a time, refilling dry stores from smaller runs.
 
 Frames go back through ``release_runs`` only, one call per release or
 failed draw. A block that the call frees entirely (its runs plus the free
@@ -164,42 +165,69 @@ def classify(kind: AllocatorKind, xnack: bool) -> AccessSpec:
 
 
 class FaultBatch:
-    """Vectorized faults (kind, virtual page, latency) of one touch call.
+    """Faults (kind, virtual page, latency) of one touch call.
 
     Kinds come in code order: CPU faults, or GPU minor faults before GPU
-    major ones. Latencies are drawn on the first read of `latencies_us`,
-    one lognormal draw per kind in that order, from a generator seeded by
-    the child of the manager's fault SeedSequence that the touch spawned.
-    A touch whose latencies nobody reads draws none, and the values depend
-    only on the seed and the order of the manager's successful touches.
+    major ones. The batch keeps the count of each kind and the runs of
+    faulting virtual pages in that order, as the touch found them; `kinds`
+    and `pages` are expanded from them on first read, so later touches
+    and propagation do not change them. Latencies are drawn on the first
+    read of `latencies_us`, one lognormal draw per kind in that order,
+    from a generator seeded by the child of the manager's fault
+    SeedSequence that the touch spawned. A touch whose latencies nobody
+    reads draws none, and the values depend only on the seed and the
+    order of the manager's successful touches.
     """
 
     _KIND_CODES = {FaultKind.CPU: 0, FaultKind.GPU_MINOR: 1,
                    FaultKind.GPU_MAJOR: 2}
     _SCENARIOS = (Scenario.CPU1, Scenario.GPU_MINOR, Scenario.GPU_MAJOR)
 
-    def __init__(self, kinds, pages, latency: LatencyModel,
+    def __init__(self, counts: tuple[int, int, int], starts: np.ndarray,
+                 sizes: np.ndarray, latency: LatencyModel,
                  seed: np.random.SeedSequence):
-        self.kinds = np.asarray(kinds, dtype=np.uint8)
-        self.pages = np.asarray(pages, dtype=np.int64)
+        self._counts, self._runs = counts, (starts, sizes)
         self._latency, self._seed = latency, seed
-        self._latencies_us = None
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return sum(self._counts)
 
     def count(self, kind: FaultKind) -> int:
-        return int(np.count_nonzero(self.kinds == self._KIND_CODES[kind]))
+        return self._counts[self._KIND_CODES[kind]]
 
-    @property
+    @functools.cached_property
+    def kinds(self) -> np.ndarray:
+        return np.repeat(np.arange(3, dtype=np.uint8), self._counts)
+
+    @functools.cached_property
+    def pages(self) -> np.ndarray:
+        return _ranges(*self._runs)
+
+    @functools.cached_property
     def latencies_us(self) -> np.ndarray:
-        if self._latencies_us is None:
-            rng = np.random.default_rng(self._seed)
-            counts = np.bincount(self.kinds, minlength=len(self._SCENARIOS))
-            self._latencies_us = np.concatenate([np.empty(0)] + [
-                self._latency.sample(scenario, rng, n)
-                for scenario, n in zip(self._SCENARIOS, counts.tolist()) if n])
-        return self._latencies_us
+        rng = np.random.default_rng(self._seed)
+        return np.concatenate([np.empty(0)] + [
+            self._latency.sample(scenario, rng, n)
+            for scenario, n in zip(self._SCENARIOS, self._counts) if n])
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """arange(s, s + n) for each start s and size n, concatenated; built
+    with one temporary of the output's size."""
+    out = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    out += np.arange(len(out))
+    return out
+
+
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the runs of True in a bool array."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[0::2], edges[1::2]
+
+
+_NO_RUNS = np.empty(0, dtype=np.int64)
+_NO_RUNS.flags.writeable = False
+_NO_FAULTS = (0, 0, 0), _NO_RUNS, _NO_RUNS
 
 
 # --------------------------------------------------------------------------
@@ -449,20 +477,27 @@ class FramePool:
 
         With prior a draw's earlier draws in its group and depth the size
         of its store, blocks split up to draw i = running max of prior + 1
-        - depth. Split j, at draw at[j], pushes on store g at depth + j -
-        (draws of g before at[j]); draw i pops depth + split - prior - 1.
-        By (group, position, draw), pushes and pops at one position
-        alternate: a pop takes the push before it, else a top entry. So
-        each store gives up a top slice and gains the pushes no draw
-        took, appended in split order."""
+        - depth. Each split pushes one slot on every store. Draw i pops
+        depth + split - prior - 1, and the pushes of splits [prev, split),
+        made since its group's previous draw (at split prev), lie at depth
+        + j - prior. Only the top of that span is popped at all, down to
+        the lowest pop of the draw and its group's later draws. A draw with
+        prev < split pops the newest push, split - 1, itself. The other
+        draws and popped pushes are matched by (group, position, draw):
+        there pushes and pops at one position alternate, so a pop takes the
+        push before it, else a top entry. So each store gives up a top
+        slice and gains the pushes no draw took, appended in split order."""
         groups = np.asarray(groups, dtype=np.int64)
         n, gn = len(groups), self.groups_n
+        bo, bto = self.block_order, self.batch_order
         depth = np.array([s.n for s in self._stacks], dtype=np.int64)
         by_group = np.argsort(groups.astype(np.min_scalar_type(gn)),
                               kind="stable")  # a radix sort
-        first = np.searchsorted(groups[by_group], np.arange(gn))
+        in_group = groups[by_group]
+        count = np.bincount(groups, minlength=gn)
+        first = np.cumsum(count) - count
         prior = np.empty(n, dtype=np.int64)
-        prior[by_group] = np.arange(n) - first[groups[by_group]]
+        prior[by_group] = np.arange(n) - first[in_group]
         split = np.maximum.accumulate(np.maximum(prior + 1 - depth[groups],
                                                  0))
         k = int(split.max(initial=0))
@@ -470,45 +505,64 @@ class FramePool:
         if blocks is None:
             return self._take_each(map(self._take_batch, groups.tolist()),
                                    self.batch_pages)
-        at = np.searchsorted(split, np.arange(1, k + 1))
-        g = np.arange(gn)[:, None]
-        popped = np.searchsorted(groups[by_group] * (n + 1) + by_group,
-                                 g * (n + 1) + at) - first[:, None]
-        # Keys store positions less depth plus n, so none is negative, and
-        # sort a split's pushes before its draw's pop.
-        span, period, pushes = n + k + 1, 2 * n + 1, gn * k
+        # Positions are kept less depth plus n, so none is negative and
+        # all are below span.
+        span = n + k + 1
+        pop_at = n + split - prior - 1
+        prev = np.empty(n, dtype=np.int64)  # split at the group's last draw
+        prev[by_group[1:]] = split[by_group[:-1]]
+        prev[by_group[first[count > 0]]] = 0
+        # The lowest pop of each draw and its group's later draws: a
+        # running minimum read backwards, the groups stacked span apart.
+        low = (pop_at[by_group] + in_group * span)[::-1]
+        low = np.minimum.accumulate(low)[::-1] - in_group * span
+        taken = np.zeros(gn, dtype=np.int64)
+        taken[count > 0] = np.maximum(n - low[first[count > 0]], 0)
+        low[by_group] = low.copy()
+        # The popped pushes [lo, split) of each draw's span, less the one a
+        # direct draw takes: their splits j and the draw that owns each.
+        direct = split > prev
+        lo = np.maximum(prev, low - n + prior)
+        size = np.maximum(split - direct - lo, 0)
+        del in_group, prev, low  # these dels keep the call's peak down
+        owner = np.repeat(np.arange(n), size)
+        j = _ranges(lo, size)
+        kept = np.ones((gn, k), dtype=bool)
+        kept[groups[owner], j] = False
+        kept[groups[direct], split[direct] - 1] = False
+        rest = np.flatnonzero(~direct)
+        # Sort a split's pushes before its draw's pop.
+        at = np.flatnonzero(np.diff(split, prepend=0))
+        period, m = 2 * n + 1, len(j)
         key = np.concatenate((
-            ((g * span + n + np.arange(k) - popped) * period
-             + 2 * at).reshape(-1),
-            (groups * span + n + split - prior - 1) * period
-            + 2 * np.arange(n) + 1))
-        del popped  # these dels keep the call's peak memory down
+            (groups[owner] * span + n + j - prior[owner]) * period
+            + 2 * at[j],
+            (groups[rest] * span + pop_at[rest]) * period + 2 * rest + 1))
         order = np.argsort(key)
         key = key[order] // period
-        own = (order[1:] >= pushes) & (order[:-1] < pushes)
+        own = (order[1:] >= m) & (order[:-1] < m)
         own &= key[1:] == key[:-1]
-        hit, drawn = order[:-1][own], order[1:][own] - pushes
+        hit, drawn = order[:-1][own], rest[order[1:][own] - m]
         del key, order, own
-        slots = (blocks << self.block_order) + (g << self.batch_order)
-        taken = np.zeros(gn, dtype=np.int64)
-        np.maximum.at(taken, groups, prior - split + 1)
-        kept = np.ones(pushes, dtype=bool)
-        kept[hit] = False
-        kept = kept.reshape(gn, k)
-        tops = []
-        for stack, m, row, keep in zip(self._stacks, taken.tolist(), slots,
-                                       kept):
-            tops.append(stack.array[0, stack.n - m:][::-1].copy())
-            stack.n -= m
-            stack.extend(row[keep])
         slot_map = np.frombuffer(self._slot, dtype=np.uint8)
+        tops = []
+        for g, (stack, up, keep) in enumerate(zip(self._stacks,
+                                                  taken.tolist(), kept)):
+            tops.append(stack.array[0, stack.n - up:][::-1].copy())
+            stack.n -= up
+            row = (blocks[keep] << bo) + (g << bto)
+            stack.extend(row)
+            slot_map[row >> bto] = 1
         tops = np.concatenate(tops)
-        slot_map[tops >> self.batch_order] = 0
-        slot_map[slots[kept] >> self.batch_order] = 1
-        # Each draw's index into the pushed slots, then the popped tops.
-        index = pushes + (np.cumsum(taken) - taken)[groups] + prior - split
-        index[drawn] = hit
-        starts = np.append(slots, tops)[index]
+        slot_map[tops >> bto] = 0
+        # The split whose push each draw takes, else -1 for a top entry.
+        push = np.where(direct, split - 1, -1)
+        push[drawn] = j[hit]
+        pushed = push >= 0
+        starts = np.empty(n, dtype=np.int64)
+        starts[pushed] = (blocks[push[pushed]] << bo) + (groups[pushed] << bto)
+        top = (np.cumsum(taken) - taken)[groups] + prior - split
+        starts[~pushed] = tops[top[~pushed]]
         self.used_frames += n * self.batch_pages
         return starts
 
@@ -659,11 +713,7 @@ class FramePool:
         bto = self.batch_order
         odd = ((lo | hi) & (self.batch_pages - 1)) != 0
         n = np.where(odd, 0, (hi - lo) >> bto)
-        # The slots of the whole-slot gaps, built in place so that a
-        # release needs no more memory than the unmap before it.
-        slots = np.arange(int(n.sum()), dtype=np.int64)
-        slots -= np.repeat(np.cumsum(n) - n, n)
-        slots += np.repeat(lo >> bto, n)
+        slots = _ranges(lo >> bto, n)  # of the whole-slot gaps
         slot_map = np.frombuffer(self._slot, dtype=np.uint8)
         probe = np.zeros(n_groups, dtype=bool)
         probe[group[odd]] = True
@@ -904,7 +954,7 @@ class MemoryManager:
             raise AccessViolation(
                 f"GPU access to {alloc.kind.value} is fatal here")
         if lo == hi:
-            faults = (), ()
+            faults = _NO_FAULTS
         elif alloc.policy is Policy.ON_DEMAND:
             if agent is Agent.CPU:
                 faults = self._touch_on_demand_cpu(alloc, lo, hi)
@@ -913,7 +963,7 @@ class MemoryManager:
         elif agent is Agent.CPU:
             faults = self._touch_up_front_cpu(alloc, lo, hi)
         else:
-            faults = (), ()
+            faults = _NO_FAULTS
         # Set, and the latency seed spawned, only once the touch has
         # succeeded, so a failed one leaves no trace.
         if alloc.first_touch_agent is None:
@@ -925,27 +975,32 @@ class MemoryManager:
         assert off == 0
         return region
 
-    # Each touch path maps what it must; it returns its faults' (kinds, pages).
+    # Each touch path maps what it must; it returns its faults' counts by
+    # kind and their runs of virtual pages (starts, sizes), in kind order.
 
     def _touch_on_demand_cpu(self, alloc, lo, hi):
-        region = self._region(alloc)
-        offs = np.flatnonzero(region.sys_flags[lo:hi] == 0) + lo
-        if len(offs):
-            self._map_fresh(alloc, offs, gpu=False)
-        return np.zeros(len(offs), dtype=np.uint8), alloc.va_base + offs
+        starts, ends = _runs(self._region(alloc).sys_flags[lo:hi] == 0)
+        starts += lo
+        ends += lo
+        if len(starts):
+            self._map_fresh(alloc, starts, ends, gpu=False)
+        sizes = ends - starts
+        return (int(sizes.sum()), 0, 0), alloc.va_base + starts, sizes
 
     def _touch_on_demand_gpu(self, alloc, lo, hi):
         region = self._region(alloc)
         sys_mask = region.sys_flags[lo:hi] != 0
-        gpu_mask = region.gpu_flags[lo:hi] != 0
-        minor = np.nonzero(sys_mask & ~gpu_mask)[0] + lo
-        major = np.nonzero(~sys_mask)[0] + lo
-        if len(major):
-            self._map_fresh(alloc, major, gpu=True)
-        if len(major) or len(minor):
+        minor = _runs(sys_mask & (region.gpu_flags[lo:hi] == 0))
+        major = _runs(~sys_mask)
+        starts, ends = np.concatenate((minor, major), axis=1) + lo
+        n_minor = len(minor[0])
+        if n_minor < len(starts):
+            self._map_fresh(alloc, starts[n_minor:], ends[n_minor:], gpu=True)
+        if len(starts):
             self.table.propagate(alloc.va_base + lo, hi - lo)
-        return (np.repeat([1, 2], (len(minor), len(major))),
-                alloc.va_base + np.concatenate((minor, major)))
+        sizes = ends - starts
+        counts = (0, int(sizes[:n_minor].sum()), int(sizes[n_minor:].sum()))
+        return counts, alloc.va_base + starts, sizes
 
     def _touch_up_front_cpu(self, alloc, lo, hi):
         # Device and host up-front memory becomes CPU-visible in coarse
@@ -961,12 +1016,19 @@ class MemoryManager:
         c0, c1 = lo // grain, -(-hi // grain)
         fresh = np.flatnonzero(~mapped[c0:c1]) + c0
         mapped[c0:c1] = True
-        return np.zeros(len(fresh), dtype=np.uint8), alloc.va_base + fresh * grain
+        # One fault per fresh chunk, at the chunk's first page.
+        return ((len(fresh), 0, 0), alloc.va_base + fresh * grain,
+                np.ones(len(fresh), dtype=np.int64))
 
-    def _map_fresh(self, alloc, offs: np.ndarray, gpu: bool):
-        """System-map ascending unmapped page offsets of alloc, segment by
-        segment, reserving one batch (CPU) or block (GPU) of frames per
-        virtual batch or block so contiguity forms as they fill."""
+    def _map_fresh(self, alloc, starts: np.ndarray, ends: np.ndarray,
+                   gpu: bool):
+        """System-map the segments [starts, ends) of alloc's page offsets:
+        ascending, disjoint and unmapped. First reserve one batch (CPU) or
+        block (GPU) of frames for every virtual batch or block they touch
+        that has none yet, in ascending order and all before any page is
+        mapped, so contiguity forms as they fill and a draw that runs out
+        of frames maps nothing; then map each segment with one map_range
+        from its slice of the reserved runs."""
         grain = self.pool.block_pages if gpu else self.pool.batch_pages
         pending = alloc.pending_gpu_blocks if gpu else alloc.pending_cpu_batches
         if pending is None:
@@ -975,31 +1037,30 @@ class MemoryManager:
                 alloc.pending_gpu_blocks = pending
             else:
                 alloc.pending_cpu_batches = pending
-        blocks = offs // grain
-        need = blocks[np.append(True, blocks[1:] != blocks[:-1])]
+        b0, b1 = starts // grain, (ends - 1) // grain + 1
+        # The batches touched, each once: a segment may start in the
+        # batch where the one before it ends.
+        first = b0.copy()
+        first[1:] = np.maximum(b0[1:], b1[:-1])
+        need = _ranges(first, b1 - first)
         missing = need[pending[need] < 0]
         if len(missing):
             if len(missing) * grain > self.pool.free_frames:
                 raise OutOfMemory("not enough frames for first touch")
             with self._undo_on_failure(alloc):
                 if gpu:
-                    starts = self.pool.take_blocks(len(missing))
-                    alloc.frame_runs.extend(starts, grain)
+                    drawn = self.pool.take_blocks(len(missing))
+                    alloc.frame_runs.extend(drawn, grain)
                 else:
-                    starts = self._draw_batches(alloc, len(missing))
-            pending[missing] = starts
-        # In place, without temporaries: a large touch's memory peaks here.
-        frames = pending[blocks]
-        frames += offs
-        blocks *= grain
-        frames -= blocks
-        del blocks
-        cuts = np.concatenate(([0], np.flatnonzero(np.diff(offs) != 1) + 1,
-                               [len(offs)]))
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            self.table.map_range(pagetable.SYSTEM,
-                                 alloc.va_base + int(offs[a]), frames[a:b])
-        alloc.mapped_pages += len(offs)
+                    drawn = self._draw_batches(alloc, len(missing))
+            pending[missing] = drawn
+        step = np.arange(grain, dtype=np.int64)
+        for s, e, a, b in zip(starts.tolist(), ends.tolist(), b0.tolist(),
+                              b1.tolist()):
+            frames = (pending[a:b, None] + step).ravel()
+            self.table.map_range(pagetable.SYSTEM, alloc.va_base + s,
+                                 frames[s - a * grain:e - a * grain])
+        alloc.mapped_pages += int((ends - starts).sum())
 
     # -- release & usage ---------------------------------------------------
 

@@ -7,6 +7,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from upm_sim import cli, fault, harness, perf, tlb
@@ -118,6 +119,17 @@ def test_usage_stream_setup_three_arrays(profile):
     assert setup["hip_mem_get_info"] == \
         3 * profile.bw_model.gpu_stream_array_bytes
     assert setup["process_rss"] == 0
+
+
+def test_p95_is_numpy_percentile_bit_for_bit():
+    rng = np.random.default_rng(95)
+    sizes = list(range(1, 100)) + rng.integers(100, 200_000, 40).tolist() \
+        + [100_000, 200_000]
+    for n in sizes:
+        x = rng.lognormal(1.0, 0.8, size=n)
+        if n % 3 == 0:  # ties at the order statistics
+            x = np.round(x, 1)
+        assert harness._p95(x) == float(np.percentile(x, 95)), n
 
 
 def test_verify_builtin_all_hard_pass(profile):
@@ -386,6 +398,16 @@ def test_cli_bad_seed_is_one_line(capsys, monkeypatch, argv, env, bad):
     assert captured.out == ""
     assert captured.err == (f"upm-sim: bad {bad}: expected a non-negative "
                             f"integer\n")
+
+
+def test_cli_unwritable_out_is_one_line(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["run", "memcpy", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"upm-sim: cannot write --out {str(out)!r}: "
+                            f"No such file or directory\n")
+    assert not out.parent.exists()
 
 
 def count_fragment_reads(monkeypatch) -> list:

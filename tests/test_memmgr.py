@@ -1,4 +1,5 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,42 @@ def test_gpu_touch_lists_minor_faults_before_major_ones():
     expected = np.concatenate([model.sample(Scenario.GPU_MINOR, rng, 10),
                                model.sample(Scenario.GPU_MAJOR, rng, 20)])
     np.testing.assert_array_equal(batch.latencies_us, expected)
+
+
+def test_cpu_first_touch_memory_per_page():
+    # A first touch builds no page-sized arrays but the frames it maps,
+    # and its fault batch keeps runs and counts, not one entry per page.
+    m = manager(seed=11)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * GiB)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batch = m.touch(a, None, Agent.CPU)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.count(FaultKind.CPU) == a.n_pages
+    assert (peak - base) / a.n_pages <= 20
+    assert (held - base) / a.n_pages <= 4
+
+
+def test_cpu_touch_around_a_gpu_run_draws_each_batch_once():
+    # The GPU maps pages 5-8 inside the first CPU batch; the CPU touch
+    # then faults in two segments that share that batch.
+    m = manager(seed=2)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+    m.touch(a, (5, 9), Agent.GPU)
+    batch = m.touch(a, (0, 40), Agent.CPU)
+    assert (batch.pages - a.va_base).tolist() == \
+        list(range(5)) + list(range(9, 40))
+    batches = a.pending_cpu_batches
+    assert [n for _, n in a.frame_runs] == [128, 16, 16, 16]
+    assert [s for s, _ in a.frame_runs][1:] == batches[:3].tolist()
+    frames = m._region(a).frames
+    offs = np.r_[0:5, 9:40]
+    np.testing.assert_array_equal(frames[offs],
+                                  batches[offs // 16] + offs % 16)
+    m.check()
 
 
 def test_gpu_touch_without_replay_is_fatal():

@@ -8,8 +8,9 @@ import pytest
 
 from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
-from upm_sim.memmgr import (Agent, AllocatorKind, FramePool, MemoryManager,
-                            OutOfMemory, classify)
+from upm_sim.fault import LatencyModel, Scenario
+from upm_sim.memmgr import (Agent, AllocatorKind, FaultBatch, FramePool,
+                            MemoryManager, OutOfMemory, Policy, classify)
 from upm_sim.pagetable import GPU, SYSTEM, AlreadyMapped, DualTable
 from upm_sim.tlb import FragmentTlb
 from tests.test_pagetable import brute_fragment
@@ -448,7 +449,8 @@ def apply_draw(pool, held, draw):
     return got
 
 
-@pytest.mark.parametrize("block,batch", [(128, 16), (32, 4), (64, 1)])
+@pytest.mark.parametrize("block,batch", [(128, 16), (32, 4), (64, 1),
+                                         (16, 16), (256, 16)])
 def test_whole_array_draws_match_one_by_one(block, batch):
     profile = builtin_mi300a()
     profile = replace(profile, hbm_capacity=24 * block * profile.page_size,
@@ -496,6 +498,110 @@ def test_bulk_release_matches_per_run_release_usage_matrix(kind, heap):
             m.touch(a, None, Agent.CPU)
         states.append((state, [list(a.frame_runs) for a in arrays]))
     assert states[0] == states[1]
+
+
+def faults_page_by_page(m, a, lo, hi, agent):
+    """(kinds, pages) of touching [lo, hi), one page or chunk at a time,
+    from the tables and chunk flags before the touch."""
+    region = m._region(a)
+    offs = np.arange(lo, hi)
+    sys_mapped = region.sys_flags[lo:hi] != 0
+    gpu_mapped = region.gpu_flags[lo:hi] != 0
+    kinds, pages = [], []
+    if lo == hi:
+        pass
+    elif a.policy is Policy.ON_DEMAND and agent is Agent.CPU:
+        pages = offs[~sys_mapped].tolist()
+        kinds = [0] * len(pages)
+    elif a.policy is Policy.ON_DEMAND:
+        minor = offs[sys_mapped & ~gpu_mapped].tolist()
+        major = offs[~sys_mapped].tolist()
+        kinds, pages = [1] * len(minor) + [2] * len(major), minor + major
+    elif agent is Agent.CPU:
+        grain = a.cpu_chunk_pages or (
+            m.profile.placement.gpu_init_cpu_map_pages
+            if a.first_touch_agent is Agent.GPU else m._chunk_pages)
+        for c in range(lo // grain, -(-hi // grain)):
+            if a.cpu_chunks_mapped is None or not a.cpu_chunks_mapped[c]:
+                kinds.append(0)
+                pages.append(c * grain)
+    return (np.array(kinds, dtype=np.uint8),
+            a.va_base + np.array(pages, dtype=np.int64))
+
+
+def check_frames_page_by_page(m, a, lo, hi, agent, before):
+    """Every page the touch mapped sits at its batch's (CPU) or block's
+    (GPU) reservation plus its offset there, and the runs it drew are the
+    reservations of the batches or blocks that had none, ascending."""
+    sys_before, pending_before, n_runs = before
+    region = m._region(a)
+    fresh = np.flatnonzero(sys_before[lo:hi] == 0) + lo
+    grain = m.pool.block_pages if agent is Agent.GPU else m.pool.batch_pages
+    pending = a.pending_gpu_blocks if agent is Agent.GPU \
+        else a.pending_cpu_batches
+    if not len(fresh):
+        return
+    np.testing.assert_array_equal(region.frames[fresh],
+                                  pending[fresh // grain] + fresh % grain)
+    need = np.unique(fresh // grain)
+    if pending_before is not None:
+        need = need[pending_before[need] < 0]
+    drawn = [start for start, _ in list(a.frame_runs)[n_runs:]]
+    assert drawn == pending[need].tolist()
+
+
+@pytest.mark.parametrize("xnack", [False, True], ids=["xnack0", "xnack1"])
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+def test_touch_faults_and_frames_match_page_by_page(kind, xnack):
+    profile = replace(small_profile(), xnack=xnack)
+    spec = classify(kind, xnack)
+    agents = [Agent.CPU, Agent.GPU] if spec.gpu_access else [Agent.CPU]
+    model = LatencyModel(profile)
+    scenarios = (Scenario.CPU1, Scenario.GPU_MINOR, Scenario.GPU_MAJOR)
+    checked = 0
+    for seed in range(6):
+        rng = np.random.default_rng(900 + seed)
+        m = MemoryManager(profile, seed=seed)
+        seeds = np.random.SeedSequence(seed).spawn(3)[2]
+        a = m.allocate(kind, int(rng.integers(1, 4)) * MiB
+                       + int(rng.integers(0, 64)) * 4096)
+        batches = []
+        for _ in range(24):
+            agent = agents[int(rng.integers(len(agents)))]
+            # Half of the ranges lie inside a batch or a block, or span a
+            # few; one in twenty is the whole allocation.
+            lo = int(rng.integers(0, a.n_pages + 1))
+            most = 20 if rng.random() < 0.5 else a.n_pages // 3
+            hi = min(lo + int(rng.integers(0, most)), a.n_pages)
+            if rng.random() < 0.05:
+                lo, hi = 0, a.n_pages
+            region = m._region(a)
+            pending = a.pending_gpu_blocks if agent is Agent.GPU \
+                else a.pending_cpu_batches
+            before = (region.sys_flags.copy(),
+                      None if pending is None else pending.copy(),
+                      len(a.frame_runs))
+            want = faults_page_by_page(m, a, lo, hi, agent)
+            batch = m.touch(a, (lo, hi), agent)
+            batches.append((batch, want, seeds.spawn(1)[0]))
+            if a.policy is Policy.ON_DEMAND:
+                check_frames_page_by_page(m, a, lo, hi, agent, before)
+            m.check()
+        # Half of the batches are read only after every later touch.
+        order = rng.permutation(len(batches))
+        for batch, (kinds, pages), child in (batches[i] for i in order):
+            np.testing.assert_array_equal(batch.kinds, kinds)
+            np.testing.assert_array_equal(batch.pages, pages)
+            counts = np.bincount(kinds, minlength=3)
+            assert len(batch) == len(kinds)
+            assert [batch.count(k) for k in FaultBatch._KIND_CODES] == \
+                counts.tolist()
+            draw = np.random.default_rng(child)
+            np.testing.assert_array_equal(batch.latencies_us, np.concatenate(
+                [np.empty(0)] + [model.sample(sc, draw, int(c))
+                                 for sc, c in zip(scenarios, counts) if c]))
+            checked += len(kinds)
+    assert checked > 0
 
 
 def test_block_granular_touch_keeps_mapped_equals_reserved():

@@ -1,5 +1,5 @@
-from dataclasses import replace
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -27,6 +27,12 @@ that batch's virtual block (they sit in the kernel's per-CPU cache, not in
 the free pool). Each allocation keeps those reservations in an int64 array
 indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
 
+Frames are written in place into the page table's own frame array: an
+up-front allocation fills its region from its runs with one cumulative
+sum, and a first touch writes each segment of unmapped pages from its
+reservations; then one ``map_range`` maps the written slice. No
+page-sized array of frames is built beside the table.
+
 The pool keeps whole free blocks in a bytearray alive map. Released
 blocks, last-released first, then a boot-time permutation read from its
 end are the one source of blocks: ``_next_blocks`` takes the next k alive
@@ -867,10 +873,19 @@ class MemoryManager:
                 raise OutOfMemory(
                     f"{n_pages} pages needed, {self.pool.free_frames} free")
             with self._undo_on_failure(alloc):
-                frames = self._place_up_front(alloc, n_pages)
+                self._place_up_front(alloc, n_pages)
         va_base = alloc.va_base = self.table.reserve(n_pages, align_pages=512)
         self._next_id += 1
         if spec.physical is Policy.UP_FRONT:
+            # The frames of the runs, in order, written into the region's
+            # own frame table: steps of one with a jump at each run's
+            # first page, summed in place.
+            frames = self._region(alloc).frames
+            starts, sizes = alloc.frame_runs.array
+            heads = np.cumsum(sizes) - sizes
+            frames.fill(1)
+            frames[heads] = np.diff(starts - heads, prepend=1) + 1
+            np.cumsum(frames, out=frames)
             self.table.map_range(pagetable.SYSTEM, va_base, frames)
             if spec.gpu_access:
                 self.table.propagate(va_base, n_pages)
@@ -893,7 +908,8 @@ class MemoryManager:
             self._scatter_rng.bit_generator.state = state
             raise
 
-    def _place_up_front(self, alloc: Allocation, n_pages: int) -> np.ndarray:
+    def _place_up_front(self, alloc: Allocation, n_pages: int):
+        """Draw the runs of n_pages up-front frames into alloc.frame_runs."""
         batch = self.pool.batch_pages
         full = 0
         if not KINDS[alloc.kind].device:
@@ -902,13 +918,6 @@ class MemoryManager:
         if n_pages > full * batch:
             tail = self.pool.take_contiguous(n_pages - full * batch)
             alloc.frame_runs.extend(*tail.array)
-        # The frames of the new allocation's runs, in order: steps of one
-        # with a jump at each run's first page, summed in place.
-        starts, sizes = alloc.frame_runs.array
-        heads = np.cumsum(sizes) - sizes
-        frames = np.ones(n_pages, dtype=np.int64)
-        frames[heads] = np.diff(starts - heads, prepend=1) + 1
-        return np.cumsum(frames, out=frames)
 
     def _draw_batches(self, alloc: Allocation, count: int) -> np.ndarray:
         """Draw count 16-page batch starts, scattered by the profile's
@@ -1027,8 +1036,9 @@ class MemoryManager:
         block (GPU) of frames for every virtual batch or block they touch
         that has none yet, in ascending order and all before any page is
         mapped, so contiguity forms as they fill and a draw that runs out
-        of frames maps nothing; then map each segment with one map_range
-        from its slice of the reserved runs."""
+        of frames maps nothing; then write each segment's frames from the
+        reserved runs into its slice of the region's frame table and map
+        that slice with one map_range."""
         grain = self.pool.block_pages if gpu else self.pool.batch_pages
         pending = alloc.pending_gpu_blocks if gpu else alloc.pending_cpu_batches
         if pending is None:
@@ -1055,11 +1065,23 @@ class MemoryManager:
                     drawn = self._draw_batches(alloc, len(missing))
             pending[missing] = drawn
         step = np.arange(grain, dtype=np.int64)
-        for s, e, a, b in zip(starts.tolist(), ends.tolist(), b0.tolist(),
-                              b1.tolist()):
-            frames = (pending[a:b, None] + step).ravel()
-            self.table.map_range(pagetable.SYSTEM, alloc.va_base + s,
-                                 frames[s - a * grain:e - a * grain])
+        frames = self._region(alloc).frames
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            # Pages [s, e): a partial head batch, whole batches [a, b), a
+            # partial tail batch.
+            view = frames[s:e]
+            a, b = -(-s // grain), e // grain
+            head = min(a * grain, e) - s
+            if head:
+                np.add(step[s % grain:s % grain + head], pending[s // grain],
+                       out=view[:head])
+            if a < b:
+                body = view[head:head + (b - a) * grain]
+                np.add(pending[a:b, None], step, out=body.reshape(-1, grain))
+            tail = e - max(a, b) * grain
+            if tail > 0:
+                np.add(step[:tail], pending[b], out=view[-tail:])
+            self.table.map_range(pagetable.SYSTEM, alloc.va_base + s, view)
         alloc.mapped_pages += int((ends - starts).sum())
 
     # -- release & usage ---------------------------------------------------
@@ -1100,18 +1122,24 @@ class MemoryManager:
         small = free_sizes < pool.block_pages
         starts = np.concatenate((free_starts[small], run_starts))
         ends = starts + np.concatenate((free_sizes[small], run_sizes))
+        # The live allocation that holds each piece, -1 for a free piece.
+        piece_owner = np.repeat(np.arange(-1, len(live)), [
+            np.count_nonzero(small)] + [len(a.frame_runs) for a in live])
         alive = np.frombuffer(pool._block_alive, dtype=np.uint8)
         _expect(not alive[starts >> pool.block_order].any(),
                 "a free piece or a live run lies inside a whole free block")
         at = np.argsort(starts)
-        _expect(np.all(starts[at][1:] >= ends[at][:-1]),
+        starts, ends, piece_owner = starts[at], ends[at], piece_owner[at]
+        _expect(np.all(starts[1:] >= ends[:-1]),
                 "free pieces and live runs overlap")
         slot_map = np.frombuffer(pool._slot, dtype=np.uint8)
         stacks = [s.array[0] >> pool.batch_order for s in pool._stacks]
         slots = np.concatenate(stacks)
         owner = np.repeat(np.arange(pool.groups_n), list(map(len, stacks)))
-        _expect(np.array_equal(np.sort(slots), np.flatnonzero(slot_map))
-                and np.all(slot_map[slots] == 1)
+        held = np.zeros_like(slot_map)
+        held[slots] = 1
+        _expect(np.array_equal(held, slot_map)
+                and np.count_nonzero(held) == len(slots)
                 and np.array_equal(slots % pool.groups_n, owner),
                 "the slot map differs from the group stores")
         if live:
@@ -1120,10 +1148,36 @@ class MemoryManager:
             gpu_flags = np.concatenate([r.gpu_flags for r in regions])
             _expect(not np.any((gpu_flags != 0) & (gpu_flags != sys_flags)),
                     "a GPU entry mirrors no system entry")
+            on = sys_flags != 0
             offsets = np.cumsum([0] + [r.n_pages for r in regions[:-1]])
-            mapped = np.add.reduceat(sys_flags != 0, offsets, dtype=np.int64)
+            mapped = np.add.reduceat(on, offsets, dtype=np.int64)
             _expect(mapped.tolist() == [a.mapped_pages for a in live],
                     "mapped pages differ from the allocations' counters")
+            # Each mapped frame lies in a live run of its own allocation,
+            # and no frame is mapped twice. The mapped frames are cut into
+            # stretches of consecutive frames of one allocation, which must
+            # not overlap; each must lie in one chain of adjacent runs of
+            # that allocation.
+            frames = np.concatenate([r.frames for r in regions])[on]
+            bounds = np.cumsum(mapped)
+            cut = np.ones(len(frames) + 1, dtype=bool)
+            np.not_equal(np.diff(frames), 1, out=cut[1:-1])
+            cut[bounds] = True
+            first = np.flatnonzero(cut)
+            lo = frames[first[:-1]]
+            at = np.argsort(lo)
+            lo = lo[at]
+            hi = lo + (first[1:] - first[:-1])[at]
+            _expect(np.all(lo[1:] >= hi[:-1]), "a frame is mapped twice")
+            edge = np.ones(len(starts) + 1, dtype=bool)  # chain edges
+            edge[1:-1] = (starts[1:] != ends[:-1]) \
+                | (piece_owner[1:] != piece_owner[:-1])
+            head, tail = edge[:-1], edge[1:]
+            chain = np.searchsorted(starts[head], lo, side="right") - 1
+            _expect((not len(chain) or chain[0] >= 0) and np.all(
+                (hi <= ends[tail][chain]) & (piece_owner[head][chain]
+                == np.searchsorted(bounds, first[at], side="right"))),
+                "a mapped frame lies outside its allocation's runs")
 
 
 # --------------------------------------------------------------------------

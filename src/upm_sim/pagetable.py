@@ -139,9 +139,9 @@ class DualTable:
         return int(np.count_nonzero(fresh))
 
     def unmap_range(self, va_page: int, n_pages: int):
-        """Drop [va_page, +n) from both tables (missing pages are fine)."""
-        region, off = self._region_at(va_page)
-        sel = slice(off, min(off + n_pages, region.n_pages))
+        """Drop [va_page, +n) from both tables (missing pages are fine);
+        the range must lie inside one reservation."""
+        region, sel = self._range_at(va_page, n_pages)
         region.gpu_flags[sel] = 0
         region.sys_flags[sel] = 0
         region.frames[sel] = -1

@@ -43,6 +43,11 @@ class ChannelLoad:
         return float(counts.mean() / peak)
 
 
+# Pages whose channels channel_load counts at a time, so that it builds
+# no array the size of the allocation.
+_CHANNEL_SLICE = 1 << 16
+
+
 def channel_load(profile: MachineProfile, manager: MemoryManager,
                  allocs: Allocation | list[Allocation]) -> ChannelLoad:
     """Per-channel byte load of fully mapped allocations: channels take
@@ -52,11 +57,12 @@ def channel_load(profile: MachineProfile, manager: MemoryManager,
     counts = np.zeros(profile.channels, dtype=np.int64)
     for alloc in allocs:
         region = manager._region(alloc)
-        frames = region.frames[:alloc.n_pages]
-        if np.any(region.sys_flags[:alloc.n_pages] == 0):
+        if not region.sys_flags[:alloc.n_pages].all():
             raise UnmappedPages(f"allocation {alloc.id} not fully mapped")
-        counts += np.bincount(frames % profile.channels,
-                              minlength=profile.channels)
+        for lo in range(0, alloc.n_pages, _CHANNEL_SLICE):
+            frames = region.frames[lo:min(lo + _CHANNEL_SLICE, alloc.n_pages)]
+            counts += np.bincount(frames % profile.channels,
+                                  minlength=profile.channels)
     return ChannelLoad(tuple(int(c) * profile.page_size for c in counts))
 
 

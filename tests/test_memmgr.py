@@ -8,7 +8,7 @@ from upm_sim.fault import FaultKind, LatencyModel, Scenario
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             MemoryManager, OutOfMemory, Policy, UsageCounter,
-                            ZeroSize, alloc_time_model, classify,
+                            ZeroSize, _ranges, alloc_time_model, classify,
                             free_time_model)
 from tests.test_properties import free_intervals, snapshot
 
@@ -158,8 +158,50 @@ def test_cpu_first_touch_memory_per_page():
     finally:
         tracemalloc.stop()
     assert batch.count(FaultKind.CPU) == a.n_pages
-    assert (peak - base) / a.n_pages <= 20
+    assert (peak - base) / a.n_pages <= 12
     assert (held - base) / a.n_pages <= 4
+
+
+def test_gpu_first_touch_memory_per_page():
+    # GPU first touch writes its frames into the page table in place.
+    m = manager(seed=11)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * GiB)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batch = m.touch(a, None, Agent.GPU)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.count(FaultKind.GPU_MAJOR) == a.n_pages
+    assert (peak - base) / a.n_pages <= 5
+
+
+@pytest.mark.parametrize("kind", [K.DEVICE_UP_FRONT, K.PINNED_HOST])
+def test_up_front_allocate_memory_per_page(kind):
+    # Up-front placement builds no frames array beside the page table's.
+    m = manager(seed=11)
+    tracemalloc.start()
+    try:
+        m.allocate(kind, 1 * GiB)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) / (1 * GiB // m.profile.page_size) <= 3
+
+
+UP_FRONT_CASES = [(kind, xnack) for kind in K for xnack in (False, True)
+                  if classify(kind, xnack).physical is Policy.UP_FRONT]
+
+
+@pytest.mark.parametrize("kind, xnack", UP_FRONT_CASES)
+def test_up_front_frames_follow_the_runs(kind, xnack):
+    m = manager(seed=3, xnack=xnack)
+    for size in (1000, 5 * 4 * KiB, 1 * MiB + 4 * KiB, 1 * GiB):
+        a = m.allocate(kind, size)
+        np.testing.assert_array_equal(m._region(a).frames,
+                                      _ranges(*a.frame_runs.array))
+    m.check()
 
 
 def test_cpu_touch_around_a_gpu_run_draws_each_batch_once():
@@ -550,6 +592,19 @@ def _gpu_entry_without_system_entry(m, a, b):
     m._region(a).gpu_flags[-1] = 3
 
 
+def _map_a_free_frame(m, a, b):
+    m._region(a).frames[0] = m.pool.free_pieces()[0][0]
+
+
+def _map_a_frame_of_another_allocation(m, a, b):
+    m._region(a).frames[0] = m._region(b).frames[-1]
+
+
+def _map_a_frame_twice(m, a, b):
+    frames = m._region(a).frames
+    frames[1] = frames[0]
+
+
 @pytest.mark.parametrize("damage, invariant", [
     (lambda m, a, b: setattr(m.pool, "used_frames", m.pool.used_frames + 16),
      "used frames"),
@@ -560,7 +615,11 @@ def _gpu_entry_without_system_entry(m, a, b):
     (_gpu_entry_without_system_entry, "GPU entry"),
     (lambda m, a, b: setattr(a, "mapped_pages", a.mapped_pages + 1),
      "mapped pages"),
-], ids=["used", "leak", "overlap", "alive", "slot_map", "mirror", "mapped"])
+    (_map_a_free_frame, "outside its allocation's runs"),
+    (_map_a_frame_of_another_allocation, "mapped twice"),
+    (_map_a_frame_twice, "mapped twice"),
+], ids=["used", "leak", "overlap", "alive", "slot_map", "mirror", "mapped",
+        "free_frame", "foreign_frame", "twice"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)

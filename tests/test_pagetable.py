@@ -229,6 +229,21 @@ def test_range_crossing_its_reservation_is_rejected():
     assert run_bases(t, base + 8, 8).tolist() == [base] * 8
 
 
+def test_unmap_crossing_its_reservation_is_rejected():
+    t = fresh_table()
+    base = t.reserve(16)
+    t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
+    t.propagate(base, 16)
+    with pytest.raises(Unmapped, match="crosses its reservation"):
+        t.unmap_range(base + 8, 16)
+    # The rejected unmap changed nothing.
+    region, _ = t._region_at(base)
+    assert region.frames.tolist() == list(range(4096, 4096 + 16))
+    assert region.sys_flags.all() and region.gpu_flags.all()
+    t.unmap_range(base + 8, 8)
+    assert region.frames[8:].tolist() == [-1] * 8
+
+
 def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
     reads = []
     monkeypatch.setattr(DualTable, "fragments",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,32 @@ def test_channel_load_matches_direct_recount(profile):
     assert load.balance == pytest.approx(counts.mean() / counts.max())
     # CPU-touched heap memory concentrates on few channel groups.
     assert 0.28 <= load.balance <= 0.38
+
+
+def test_channel_load_counts_every_slice(profile):
+    # Past one counting slice, with a partial last one.
+    m = MemoryManager(profile, seed=2)
+    a = m.allocate(K.PINNED_HOST, 256 * MiB + 20 * KiB)
+    frames = m._region(a).frames
+    counts = np.bincount(frames % profile.channels,
+                         minlength=profile.channels) * profile.page_size
+    load = perf.channel_load(profile, m, a)
+    assert load.bytes_per_channel == tuple(int(c) for c in counts)
+
+
+def test_channel_load_memory_per_page(profile):
+    # Channels are counted slice by slice, not from a copy of the frames.
+    m = MemoryManager(profile, seed=11)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * GiB)
+    m.touch(a, None, Agent.CPU)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        perf.channel_load(profile, m, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / a.n_pages <= 3
 
 
 def test_chase_small_sets_hit_first_level_exactly(profile):

@@ -25,6 +25,7 @@ from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
                          replace)
 
 from . import units
+from .pagetable import FRAME_LIMIT
 from .units import BYTES, COUNT, FLAG, RATE, SCALAR, TIME_NS, TIME_US
 
 KiB = 1024
@@ -237,7 +238,7 @@ class PlacementModel:
 
 @dataclass(frozen=True)
 class MachineProfile:
-    hbm_capacity: int = _key(BYTES, 128 * GiB)
+    hbm_capacity: int = _key(BYTES, 128 * GiB)   # below 2^31 pages
     hbm_peak_bw: float = _key(RATE, 5.3e12)
     ic_capacity: int = _key(BYTES, 256 * MiB)
     ic_peak_bw: float = _key(RATE, 17.2e12)
@@ -370,6 +371,9 @@ def validate(profile: MachineProfile) -> list[str]:
         v.append("interleave_granularity: must equal page_size")
     if profile.hbm_capacity % profile.page_size != 0:
         v.append("hbm_capacity: must be a whole number of pages")
+    if profile.total_frames >= FRAME_LIMIT:
+        v.append("hbm_capacity: must be fewer than 2^31 pages, so that "
+                 "every frame number fits the page table's int32 entries")
     if profile.hip_cpu_map_granularity % profile.page_size != 0:
         v.append("hip_cpu_map_granularity: must be a whole number of pages")
     bw = profile.bw_model

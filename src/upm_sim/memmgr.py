@@ -308,6 +308,8 @@ class FramePool:
             raise ValueError("frame_block_pages must be a power of two")
         if 1 << self.batch_order != self.batch_pages:
             raise ValueError("kernel_batch_pages must be a power of two")
+        if profile.total_frames >= pagetable.FRAME_LIMIT:
+            raise ValueError("frame numbers must fit the page table's int32")
         self.groups_n = self.block_pages // self.batch_pages
         self.n_blocks = profile.total_frames // self.block_pages
         self.total_frames = self.n_blocks * self.block_pages

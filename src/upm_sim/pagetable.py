@@ -23,6 +23,12 @@ steps together, so a run that is itself one aligned power-of-two block
 costs one step; unmapped pages belong to no run and read fragment -1.
 A read covers the whole region that holds the range: runs never cross a
 reservation, and every read the TLB makes covers a whole operand.
+
+Each region stores, per page, one int32 frame number (-1 where the page
+is unmapped) and one uint8 flag byte per table: 6 bytes a page. The
+machine profile keeps every frame number below 2^31 (validate rejects
+more frames than that), and ``map_range`` rejects a frame outside that
+range rather than let it wrap.
 """
 
 from __future__ import annotations
@@ -51,13 +57,17 @@ class MirrorViolation(Exception):
     """GPU-table mutation without a matching system entry."""
 
 
+# Frame numbers are stored as int32; the profile keeps them below this.
+FRAME_LIMIT = 1 << 31
+
+
 class _Region:
     __slots__ = ("va_base", "n_pages", "frames", "sys_flags", "gpu_flags")
 
     def __init__(self, va_base: int, n_pages: int):
         self.va_base = va_base
         self.n_pages = n_pages
-        self.frames = np.full(n_pages, -1, dtype=np.int64)
+        self.frames = np.full(n_pages, -1, dtype=np.int32)
         self.sys_flags = np.zeros(n_pages, dtype=np.uint8)
         self.gpu_flags = np.zeros(n_pages, dtype=np.uint8)
 
@@ -110,7 +120,16 @@ class DualTable:
     # -- mapping ------------------------------------------------------
 
     def map_range(self, table: str, va_page: int, frames, flags: int = FLAG_RW):
-        frames = np.asarray(frames, dtype=np.int64)
+        """Map [va_page, +len(frames)) to frames in one table. An int32
+        array, such as a slice of the region's own frames, is taken as
+        is; other input must hold frame numbers in [0, FRAME_LIMIT)."""
+        frames = np.asarray(frames)
+        if frames.dtype != np.int32:
+            frames = np.asarray(frames, dtype=np.int64)
+            if len(frames) and not (0 <= frames.min()
+                                    and frames.max() < FRAME_LIMIT):
+                raise ValueError(f"frame numbers must lie in "
+                                 f"[0, {FRAME_LIMIT})")
         region, sel = self._range_at(va_page, len(frames))
         tflags = region.flags_of(table)
         if np.any(tflags[sel] != 0):
@@ -135,7 +154,7 @@ class DualTable:
             raise Unmapped("propagate over a range not fully system-mapped")
         gpu_view = region.gpu_flags[sel]
         fresh = gpu_view == 0
-        gpu_view[fresh] = region.sys_flags[sel][fresh]
+        np.copyto(gpu_view, region.sys_flags[sel], where=fresh)
         return int(np.count_nonzero(fresh))
 
     def unmap_range(self, va_page: int, n_pages: int):

@@ -43,27 +43,71 @@ class ChannelLoad:
         return float(counts.mean() / peak)
 
 
-# Pages whose channels channel_load counts at a time, so that it builds
-# no array the size of the allocation.
-_CHANNEL_SLICE = 1 << 16
-
-
 def channel_load(profile: MachineProfile, manager: MemoryManager,
                  allocs: Allocation | list[Allocation]) -> ChannelLoad:
     """Per-channel byte load of fully mapped allocations: channels take
-    interleave_granularity (= page_size) pieces of memory in rotation."""
+    interleave_granularity (= page_size) pieces of memory in rotation.
+
+    Counted from each allocation's frame runs, less the first-touch
+    reservations' frames that map no page: those past the last page,
+    and, in a virtual batch reserved by both a CPU batch and a GPU
+    block, the frame of whichever did not map each page."""
     if isinstance(allocs, Allocation):
         allocs = [allocs]
-    counts = np.zeros(profile.channels, dtype=np.int64)
+    channels = profile.channels
+    counts = np.zeros(channels, dtype=np.int64)
     for alloc in allocs:
         region = manager._region(alloc)
         if not region.sys_flags[:alloc.n_pages].all():
             raise UnmappedPages(f"allocation {alloc.id} not fully mapped")
-        for lo in range(0, alloc.n_pages, _CHANNEL_SLICE):
-            frames = region.frames[lo:min(lo + _CHANNEL_SLICE, alloc.n_pages)]
-            counts += np.bincount(frames % profile.channels,
-                                  minlength=profile.channels)
+        counts += _run_channels(channels, *alloc.frame_runs.array)
+        counts -= _run_channels(channels, *_unmapped_reserved(
+            alloc, region.frames, manager.pool.batch_pages,
+            manager.pool.block_pages))
     return ChannelLoad(tuple(int(c) * profile.page_size for c in counts))
+
+
+def _run_channels(channels: int, starts: np.ndarray,
+                  sizes: np.ndarray) -> np.ndarray:
+    """Frames per channel of the runs (starts, sizes): a run of n frames
+    from s holds n // channels frames of every channel and one more of
+    the n % channels channels from s % channels on, wrapping."""
+    whole = int((sizes // channels).sum())
+    first = starts % channels
+    ends = sizes % channels
+    ends += first
+    # Runs covering each of 2 * channels positions, folded onto channels.
+    cover = np.cumsum(np.bincount(first, minlength=2 * channels)
+                      - np.bincount(ends, minlength=2 * channels))
+    return whole + cover[:channels] + cover[channels:]
+
+
+def _unmapped_reserved(alloc: Allocation, frames: np.ndarray, batch: int,
+                       block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, sizes) of the frames that alloc's first-touch reservations
+    hold but that map none of its pages, all of which are mapped."""
+    n_pages = alloc.n_pages
+    cpu, gpu = alloc.pending_cpu_batches, alloc.pending_gpu_blocks
+    none = np.empty(0, dtype=np.int64)
+    starts, sizes = [none], [none]
+    for pending, grain in ((cpu, batch), (gpu, block)):
+        if pending is not None and pending[-1] >= 0:
+            used = n_pages - (len(pending) - 1) * grain
+            starts.append([pending[-1] + used])
+            sizes.append([grain - used])
+    if cpu is not None and gpu is not None:
+        both = np.flatnonzero(
+            (cpu >= 0) & np.repeat(gpu >= 0, block // batch)[:len(cpu)])
+        pages = (both[:, None] * batch + np.arange(batch)).ravel()
+        pages = pages[pages < n_pages]
+        # The mapped frame and the unused one sum to the CPU batch's
+        # frame plus the GPU block's frame for that page.
+        unused = cpu[pages // batch] + pages % batch
+        unused += gpu[pages // block] + pages % block
+        unused -= frames[pages]
+        starts.append(unused)
+        sizes.append(np.ones(len(unused), dtype=np.int64))
+    return np.concatenate(starts), np.concatenate(sizes)
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,10 @@ class FragmentTlb:
 def run_bases(table: DualTable, va_base: int, n_pages: int) -> np.ndarray:
     """Per-page fragment-run base for a GPU-mapped range."""
     _, frags = table.run_arrays(va_base, n_pages)
-    va = va_base + np.arange(n_pages, dtype=np.int64)
-    mask = (np.int64(1) << frags.astype(np.int64)) - 1
-    return va & ~mask
+    # Each page's address with its fragment's low bits cleared.
+    bases = np.left_shift(-1, frags, dtype=np.int64)
+    bases &= np.arange(va_base, va_base + n_pages, dtype=np.int64)
+    return bases
 
 
 def triad_misses(table: DualTable, arrays: list[tuple[int, int]],

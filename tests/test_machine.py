@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from upm_sim import harness, machine
+from upm_sim import cli, harness, machine
 from upm_sim.fault import LatencyModel
 from upm_sim.machine import (GiB, KiB, MiB, ProfileParseError,
                              ProfileValidationError, builtin_mi300a,
@@ -249,3 +249,25 @@ def test_fault_p95_must_admit_a_lognormal():
             load_profile(f"fault.cpu1.p95_latency = {p95!r}")
         assert any(v.startswith("fault.cpu1.p95_latency:")
                    for v in err.value.violations)
+
+
+def test_frame_numbers_must_fit_int32(tmp_path, capsys):
+    # 2^31 pages of 4 KiB is the first capacity whose frame numbers
+    # overflow the page table's int32 entries.
+    doc = f"hbm_capacity = {2**31 * 4 * KiB}\n"
+    with pytest.raises(ProfileValidationError) as err:
+        load_profile(doc)
+    assert err.value.violations == [str(err.value)]
+    assert str(err.value).startswith("hbm_capacity: must be fewer than 2^31")
+    path = tmp_path / "big.profile"
+    path.write_text(doc)
+    assert cli.main(["profile", "dump", "--profile", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"upm-sim: profile error: {err.value}\n"
+
+
+def test_largest_int32_frame_count_is_valid():
+    p = load_profile(f"hbm_capacity = {(2**31 - 1) * 4 * KiB}\n")
+    assert p.total_frames == 2**31 - 1
+    assert validate(p) == []

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from upm_sim.pagetable import (GPU, SYSTEM, AlreadyMapped, DualTable,
-                               MirrorViolation, Unmapped)
+from upm_sim.pagetable import (FRAME_LIMIT, GPU, SYSTEM, AlreadyMapped,
+                               DualTable, MirrorViolation, Unmapped)
 from upm_sim.tlb import run_bases
 
 
@@ -257,3 +259,35 @@ def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
     t.unmap_range(base + 8, 4)
     t.unmap_range(base, 64)
     assert reads == []
+
+
+def test_region_footprint_per_page():
+    # A mapped page costs an int32 frame and one flag byte per table.
+    n_pages = (1 << 30) // 4096
+    frames = np.arange(n_pages, dtype=np.int64)
+    t = fresh_table()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        base = t.reserve(n_pages)
+        t.map_range(SYSTEM, base, frames)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    region, _ = t._region_at(base)
+    assert region.frames.dtype == np.int32
+    np.testing.assert_array_equal(region.frames, frames)
+    # 6 B a page, plus under 1 KiB for the region object itself.
+    assert held - before <= 6 * n_pages + 1024
+
+
+@pytest.mark.parametrize("bad", [FRAME_LIMIT, -1])
+def test_map_range_rejects_frames_outside_int32(bad):
+    t = fresh_table()
+    base = t.reserve(4)
+    with pytest.raises(ValueError):
+        t.map_range(SYSTEM, base, np.array([0, bad], dtype=np.int64))
+    region, _ = t._region_at(base)
+    assert not region.sys_flags.any() and (region.frames == -1).all()
+    t.map_range(SYSTEM, base, [FRAME_LIMIT - 2, FRAME_LIMIT - 1])
+    assert region.frames[:2].tolist() == [FRAME_LIMIT - 2, FRAME_LIMIT - 1]

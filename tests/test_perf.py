@@ -55,7 +55,7 @@ def test_channel_load_matches_direct_recount(profile):
 
 
 def test_channel_load_counts_every_slice(profile):
-    # Past one counting slice, with a partial last one.
+    # 4,096 up-front batches and a 5-page tail run.
     m = MemoryManager(profile, seed=2)
     a = m.allocate(K.PINNED_HOST, 256 * MiB + 20 * KiB)
     frames = m._region(a).frames
@@ -65,8 +65,58 @@ def test_channel_load_counts_every_slice(profile):
     assert load.bytes_per_channel == tuple(int(c) for c in counts)
 
 
+def page_recount(profile, m, allocs):
+    """channel_load's bytes per channel, recounted page by page."""
+    counts = np.zeros(profile.channels, dtype=np.int64)
+    for a in allocs:
+        frames = m._region(a).frames[:a.n_pages]
+        counts += np.bincount(frames % profile.channels,
+                              minlength=profile.channels)
+    return tuple(int(c) * profile.page_size for c in counts)
+
+
+@pytest.mark.parametrize("first, second", [(Agent.CPU, Agent.GPU),
+                                           (Agent.GPU, Agent.CPU)])
+def test_channel_load_mixed_first_touch_in_one_block(profile, first, second):
+    # Pages 5..39 of one 128-page block from the first agent, the rest
+    # from the second; the size is no multiple of 16 or 128.
+    m = MemoryManager(profile, seed=4)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1003 * 4 * KiB - 100)
+    m.touch(a, (5, 40), first)
+    m.touch(a, None, second)
+    assert a.pending_cpu_batches is not None
+    assert a.pending_gpu_blocks is not None
+    assert perf.channel_load(profile, m, a).bytes_per_channel \
+        == page_recount(profile, m, [a])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_channel_load_matches_page_recount(profile, seed):
+    # Several allocations, each with random partial CPU and GPU first
+    # touches before a last whole touch maps what is left.
+    rng = np.random.default_rng(seed)
+    m = MemoryManager(profile, seed=seed)
+    kinds = [K.LIBC_ON_DEMAND, K.MANAGED_UNIFIED, K.PINNED_HOST,
+             K.DEVICE_UP_FRONT]
+    allocs = []
+    for _ in range(4):
+        n_pages = int(rng.integers(1, 3000))
+        a = m.allocate(kinds[rng.integers(len(kinds))],
+                       n_pages * 4 * KiB - int(rng.integers(4 * KiB)))
+        for _ in range(int(rng.integers(0, 6))):
+            lo, hi = sorted(rng.integers(0, n_pages + 1, size=2).tolist())
+            m.touch(a, (lo, hi), Agent(rng.choice(["cpu", "gpu"])))
+        m.touch(a, None, Agent(rng.choice(["cpu", "gpu"])))
+        assert perf.channel_load(profile, m, a).bytes_per_channel \
+            == page_recount(profile, m, [a])
+        allocs.append(a)
+    assert perf.channel_load(profile, m, allocs).bytes_per_channel \
+        == page_recount(profile, m, allocs)
+
+
 def test_channel_load_memory_per_page(profile):
-    # Channels are counted slice by slice, not from a copy of the frames.
+    # Channels are counted from the frame runs, not from a copy of the
+    # frames.
     m = MemoryManager(profile, seed=11)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * GiB)
     m.touch(a, None, Agent.CPU)

@@ -52,6 +52,13 @@ def manager(seed=0, xnack=True):
     return MemoryManager(profile, seed=seed)
 
 
+def test_pool_rejects_frames_past_int32():
+    # A profile built without validate still cannot wrap frame numbers.
+    big = replace(builtin_mi300a(), hbm_capacity=2**31 * 4 * KiB)
+    with pytest.raises(ValueError, match="int32"):
+        MemoryManager(big)
+
+
 def test_up_front_maps_everything():
     m = manager()
     a = m.allocate(K.DEVICE_UP_FRONT, 1 * GiB)

@@ -54,18 +54,19 @@ other draw takes follows from matching the pops and pushes of each
 group's stack by position. Only a pool with too few blocks left draws
 one batch at a time, refilling dry stores from smaller runs.
 
-Frames go back through ``release_runs`` only, one call per release or
-failed draw. A block that the call frees entirely (its runs plus the free
-pieces it already holds fill it) goes back whole, at its last run: its
-pieces leave the stores and it joins the released blocks. The other runs
-merge with their free buddies one by one, in order. A slot that leaves
-the middle of a group stack is only marked deleted in the slot map; each
-stack is compacted once, at the end of the pool call. This is the state
-that freeing run by run gives, at a cost that grows with the runs and the
-free pieces of their blocks, not with the pool. A draw that runs out of
-frames part-way returns what it took and restores the scatter generator,
-so a failed allocate or touch leaves the pool and the group stream as it
-found them. ``MemoryManager.check`` asserts the manager's invariants.
+Frames go back through ``release_runs`` only, one call per release. A
+block that the call frees entirely (its runs plus the free pieces it
+already holds fill it) goes back whole, at its last run: its pieces leave
+the stores and it joins the released blocks. The other runs merge with
+their free buddies one by one, in order. A slot that leaves the middle of
+a group stack is only marked deleted in the slot map; each stack is
+compacted once, at the end of the pool call. This is the state that
+freeing run by run gives, at a cost that grows with the runs and the free
+pieces of their blocks, not with the pool. A draw that cannot finish
+takes nothing: each checks first, from counts, that the pool holds enough
+frames, blocks or batches, so a failed allocate or touch raises
+``OutOfMemory`` before it changes the pool or the scatter generator, and
+nothing is rolled back. ``MemoryManager.check`` asserts the invariants.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -463,19 +463,13 @@ class FramePool:
         if blocks is not None:
             runs.extend(blocks << self.block_order, self.block_pages)
         left = n_pages - len(runs) * self.block_pages
-        try:
-            while left:
-                for order in range(min(self.block_order,
-                                       left.bit_length() - 1), -1, -1):
-                    with contextlib.suppress(OutOfMemory):
-                        runs.extend([self._take_run(order)], 1 << order)
-                        break
-                else:
-                    raise OutOfMemory("free frames too fragmented")
-                left -= 1 << order
-        except OutOfMemory:
-            self.release_runs(*runs.array, counted=False)
-            raise
+        while left:  # order 0 at the latest finds a free frame
+            for order in range(min(self.block_order, left.bit_length() - 1),
+                               -1, -1):
+                with contextlib.suppress(OutOfMemory):
+                    runs.extend([self._take_run(order)], 1 << order)
+                    break
+            left -= 1 << order
         self.used_frames += n_pages
         return runs
 
@@ -511,8 +505,12 @@ class FramePool:
         k = int(split.max(initial=0))
         blocks = self._next_blocks(k)
         if blocks is None:
-            return self._take_each(map(self._take_batch, groups.tolist()),
-                                   self.batch_pages)
+            if n > self.batch_room():
+                raise OutOfMemory(f"{n} batches requested, "
+                                  f"{self.batch_room()} free")
+            self.used_frames += n * self.batch_pages
+            return np.array([self._take_batch(g) for g in groups.tolist()],
+                            dtype=np.int64)
         # Positions are kept less depth plus n, so none is negative and
         # all are below span.
         span = n + k + 1
@@ -597,24 +595,48 @@ class FramePool:
                     self._put(self.batch_order,
                               start + (k << self.batch_order))
                 break
-        for g in range(self.groups_n):
-            if self._stacks[(group + g) % self.groups_n].n:
-                return (group + g) % self.groups_n
-        raise OutOfMemory("no 16-page run available")
+        return next(g % self.groups_n
+                    for g in range(group, group + self.groups_n)
+                    if self._stacks[g % self.groups_n].n)
+
+    def _alive_blocks(self) -> int:
+        return int(np.count_nonzero(np.frombuffer(self._block_alive,
+                                                  dtype=np.uint8)))
+
+    def batch_room(self) -> int:
+        """How many 16-page runs take_batches can draw: the slots in the
+        group stores, those of every run between a slot and a block, and
+        one per group of every whole free block."""
+        bto = self.batch_order
+        return (sum(s.n for s in self._stacks)
+                + sum(len(self._runs[o]) << (o - bto)
+                      for o in range(bto + 1, self.block_order))
+                + self.groups_n * self._alive_blocks())
 
     def take_blocks(self, count: int) -> np.ndarray:
         """The starts of count whole blocks (128 pages each)."""
         blocks = self._next_blocks(count)
         if blocks is None:
-            return self._take_each(map(self._take_run, itertools.repeat(
-                self.block_order, count)), self.block_pages)
+            raise OutOfMemory(f"{count} blocks requested, "
+                              f"{self._alive_blocks()} free")
         self.used_frames += count * self.block_pages
         return blocks << self.block_order
 
     def take_batches_sequential(self, count: int) -> np.ndarray:
         """count 16-page runs in ascending frame order."""
-        return self._take_each((self._take_sequential() for _ in range(count)),
-                               self.batch_pages)
+        row = b""  # the slot map from _seq_next to its block's end
+        if self._seq_next is not None:
+            at = self._seq_next >> self.batch_order
+            row = self._slot[at:at - at % self.groups_n + self.groups_n]
+        room = len(row) - len(bytes(row).lstrip(b"\x01")) \
+            + self.groups_n * self._alive_blocks()
+        if count > room:
+            raise OutOfMemory(f"{count} batches requested, {room} in order")
+        starts = np.array([self._take_sequential() for _ in range(count)],
+                          dtype=np.int64)
+        self._compact()
+        self.used_frames += count * self.batch_pages
+        return starts
 
     def _take_sequential(self) -> int:
         """The slot after the previous sequential draw if it is still free,
@@ -624,9 +646,7 @@ class FramePool:
         if start is not None and self._has(self.batch_order, start):
             self._drop(self.batch_order, start)
         else:
-            b = self._block_alive.find(1)
-            if b < 0:
-                raise OutOfMemory("no contiguous block available")
+            b = self._block_alive.find(1)  # take_batches_sequential counted it
             self._block_alive[b] = 0
             start = b << self.block_order
             for g in range(1, self.groups_n):
@@ -635,28 +655,11 @@ class FramePool:
         self._seq_next = nxt if nxt & (self.block_pages - 1) else None
         return start
 
-    def _take_each(self, draws, run_pages: int) -> np.ndarray:
-        """The starts that the lazy draws give, runs of run_pages each; if
-        one draw fails, the runs already drawn go back to the pool before
-        OutOfMemory propagates."""
-        starts: list[int] = []
-        try:
-            for start in draws:
-                starts.append(start)
-        except OutOfMemory:
-            self.release_runs(starts, run_pages, counted=False)
-            raise
-        finally:
-            self._compact()
-        self.used_frames += len(starts) * run_pages
-        return np.array(starts, dtype=np.int64)
-
     # -- release -----------------------------------------------------------
 
-    def release_runs(self, starts, sizes, counted: bool = True) -> None:
+    def release_runs(self, starts, sizes) -> None:
         """Return the runs at starts, of sizes pages (an array or one int),
-        each inside one block, to the pool; counted=False for the runs of
-        a failed draw, not yet counted as used.
+        each inside one block, to the pool.
 
         The pool ends in the state that freeing the runs one by one in
         order, each merged piece by piece with its free buddies, gives. A
@@ -679,8 +682,7 @@ class FramePool:
         base = s >> bo << bo
         if np.any(e > base + bp):
             raise ValueError("a released run crosses a block boundary")
-        if counted:
-            self.used_frames -= int(sizes.sum())
+        self.used_frames -= int(sizes.sum())
         first = np.ones(len(s), dtype=bool)
         first[1:] = base[1:] != base[:-1]
         last = np.ones(len(s), dtype=bool)
@@ -874,8 +876,7 @@ class MemoryManager:
             if n_pages > self.pool.free_frames:
                 raise OutOfMemory(
                     f"{n_pages} pages needed, {self.pool.free_frames} free")
-            with self._undo_on_failure(alloc):
-                self._place_up_front(alloc, n_pages)
+            self._place_up_front(alloc, n_pages)
         va_base = alloc.va_base = self.table.reserve(n_pages, align_pages=512)
         self._next_id += 1
         if spec.physical is Policy.UP_FRONT:
@@ -894,21 +895,6 @@ class MemoryManager:
             alloc.mapped_pages = n_pages
         self.allocations[alloc.id] = alloc
         return alloc
-
-    @contextlib.contextmanager
-    def _undo_on_failure(self, alloc: Allocation):
-        """Undo the draws of a placement that runs out of frames: the runs
-        it added to alloc go back and the scatter stream rewinds."""
-        state = self._scatter_rng.bit_generator.state
-        runs = alloc.frame_runs
-        n_runs = len(runs)
-        try:
-            yield
-        except OutOfMemory:
-            self.pool.release_runs(*runs.array[:, n_runs:])
-            runs.n = n_runs
-            self._scatter_rng.bit_generator.state = state
-            raise
 
     def _place_up_front(self, alloc: Allocation, n_pages: int):
         """Draw the runs of n_pages up-front frames into alloc.frame_runs."""
@@ -934,6 +920,9 @@ class MemoryManager:
         if degree == 0.0:
             starts = pool.take_batches_sequential(count)
         else:
+            if count > pool.batch_room():  # before the groups are drawn
+                raise OutOfMemory(f"{count} batches needed, "
+                                  f"{pool.batch_room()} free")
             rng = self._scatter_rng
             theta = placement.scatter_zipf_scale * (1.0 - degree)
             if theta <= 0:
@@ -1057,14 +1046,11 @@ class MemoryManager:
         need = _ranges(first, b1 - first)
         missing = need[pending[need] < 0]
         if len(missing):
-            if len(missing) * grain > self.pool.free_frames:
-                raise OutOfMemory("not enough frames for first touch")
-            with self._undo_on_failure(alloc):
-                if gpu:
-                    drawn = self.pool.take_blocks(len(missing))
-                    alloc.frame_runs.extend(drawn, grain)
-                else:
-                    drawn = self._draw_batches(alloc, len(missing))
+            if gpu:
+                drawn = self.pool.take_blocks(len(missing))
+                alloc.frame_runs.extend(drawn, grain)
+            else:
+                drawn = self._draw_batches(alloc, len(missing))
             pending[missing] = drawn
         step = np.arange(grain, dtype=np.int64)
         frames = self._region(alloc).frames
@@ -1130,6 +1116,12 @@ class MemoryManager:
         alive = np.frombuffer(pool._block_alive, dtype=np.uint8)
         _expect(not alive[starts >> pool.block_order].any(),
                 "a free piece or a live run lies inside a whole free block")
+        # What makes _next_blocks and batch_room exact.
+        listed = np.zeros_like(alive)
+        listed[pool._released] = 1
+        listed[pool._boot_order[:pool._boot_left]] = 1
+        _expect(np.all(listed[alive != 0]),
+                "a whole free block is neither released nor left to boot")
         at = np.argsort(starts)
         starts, ends, piece_owner = starts[at], ends[at], piece_owner[at]
         _expect(np.all(starts[1:] >= ends[:-1]),

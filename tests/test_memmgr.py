@@ -10,7 +10,7 @@ from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             MemoryManager, OutOfMemory, Policy, UsageCounter,
                             ZeroSize, _ranges, alloc_time_model, classify,
                             free_time_model)
-from tests.test_properties import free_intervals, snapshot
+from tests.test_properties import free_intervals, pool_state, snapshot
 
 K = AllocatorKind
 
@@ -285,14 +285,17 @@ def test_frame_conservation_counter():
     assert m.pool.free_frames == total
 
 
-# -- failed placements roll back ------------------------------------------
+# -- failed placements take nothing ---------------------------------------
 
-def fragmented_manager(free_block=False):
+def fragmented_manager(free_block=False, degree=None):
     """8 MiB pool whose free frames are every other page plus four whole
     16-page runs (and, if asked, one whole block): enough frames for a
-    1 MiB request, but only four 16-page batches."""
-    from dataclasses import replace
+    1 MiB request, but only four 16-page batches. degree, if given, is
+    both scatter degrees."""
     profile = replace(builtin_mi300a(), hbm_capacity=8 * MiB)
+    if degree is not None:
+        profile = with_degrees(profile, cpu_touch_scatter_degree=degree,
+                               host_upfront_scatter_degree=degree)
     m = MemoryManager(profile, seed=0)
     pages = [m.allocate(K.PINNED_HOST, profile.page_size)
              for _ in range(m.pool.total_frames)]
@@ -313,16 +316,17 @@ def reserved_frames(m):
 
 
 def test_failed_allocate_releases_partial_draws():
+    # The draw fails before it takes anything, so nothing goes back.
     m = fragmented_manager()
-    snap = snapshot(m.pool)
+    state = pool_state(m.pool)
     rng_state = m._scatter_rng.bit_generator.state
     next_va, n_allocs = m.table._next_va, len(m.allocations)
     assert m.pool.free_frames > 256
     with pytest.raises(OutOfMemory):
         m.allocate(K.PINNED_HOST, 1 * MiB)
     assert m.pool.used_frames == reserved_frames(m)
-    assert snapshot(m.pool) == snap
-    # The group draws of the failed call are undone too.
+    assert pool_state(m.pool) == state
+    # No groups are drawn for the failed call either.
     assert m._scatter_rng.bit_generator.state == rng_state
     # No virtual reservation and no id is used up by the failed call.
     assert (m.table._next_va, len(m.allocations)) == (next_va, n_allocs)
@@ -335,18 +339,42 @@ def test_failed_touch_releases_partial_draws(agent):
     # The GPU draws whole blocks: one is free, the touch needs two.
     m = fragmented_manager(free_block=agent is Agent.GPU)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
-    snap = snapshot(m.pool)
+    state = pool_state(m.pool)
     rng_state = m._scatter_rng.bit_generator.state
     with pytest.raises(OutOfMemory):
         m.touch(a, None, agent)
     assert m.pool.used_frames == reserved_frames(m)
-    assert snapshot(m.pool) == snap
+    assert pool_state(m.pool) == state
     assert m._scatter_rng.bit_generator.state == rng_state
     assert (a.mapped_pages, list(a.frame_runs), a.first_touch_agent) == \
         (0, [], None)
     # The allocation stays usable where frames do suffice.
     assert len(m.touch(a, (0, 16), agent)) == 16
     assert m.pool.used_frames == reserved_frames(m)
+
+
+@pytest.mark.parametrize("op", ["allocate", "touch"])
+def test_failed_sequential_draw_leaves_no_trace(op):
+    # Two ascending batches take the lowest free block's first two slots,
+    # so the next sequential draw would continue at its third; 1 MiB needs
+    # sixteen batches, and only that block's last six follow in order.
+    m = fragmented_manager(free_block=True, degree=0.0)
+    m.allocate(K.PINNED_HOST, 32 * m.profile.page_size)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+    assert m.pool._seq_next == 1792 + 32
+    state = pool_state(m.pool)
+    with pytest.raises(OutOfMemory):
+        if op == "allocate":
+            m.allocate(K.PINNED_HOST, 1 * MiB)
+        else:
+            m.touch(a, None, Agent.CPU)
+    assert pool_state(m.pool) == state
+    assert (a.mapped_pages, list(a.frame_runs)) == (0, [])
+    # The six batches that do follow in order are still drawn in order.
+    b = m.allocate(K.PINNED_HOST, 6 * 16 * m.profile.page_size)
+    assert [start for start, _ in b.frame_runs] == \
+        list(range(1792 + 32, 1792 + 128, 16))
+    m.check()
 
 
 def test_frame_runs_iterate_as_python_int_pairs():
@@ -556,22 +584,6 @@ def test_sequential_leftovers_stay_reachable():
     assert free_intervals(m.pool) == [(0, m.pool.total_frames)]
 
 
-def test_failed_tail_restores_scatter_stream(monkeypatch):
-    m = manager(seed=2)
-    snap = snapshot(m.pool)
-    rng_state = m._scatter_rng.bit_generator.state
-
-    def no_tail(n_pages):
-        raise OutOfMemory("free frames too fragmented")
-
-    monkeypatch.setattr(m.pool, "take_contiguous", no_tail)
-    with pytest.raises(OutOfMemory):
-        m.allocate(K.PINNED_HOST, 1 * MiB + 4 * KiB)
-    assert snapshot(m.pool) == snap
-    assert m._scatter_rng.bit_generator.state == rng_state
-    assert m.allocations == {}
-
-
 def _leak_a_free_slot(m, a, b):
     m.pool._pop(next(g for g, s in enumerate(m.pool._stacks) if len(s)))
 
@@ -619,14 +631,15 @@ def _map_a_frame_twice(m, a, b):
     (_free_a_live_run, "overlap"),
     (_swap_a_whole_block_for_a_live_one, "whole free block"),
     (_clear_a_slot_in_the_map, "slot map"),
+    (lambda m, a, b: setattr(m.pool, "_boot_left", 0), "left to boot"),
     (_gpu_entry_without_system_entry, "GPU entry"),
     (lambda m, a, b: setattr(a, "mapped_pages", a.mapped_pages + 1),
      "mapped pages"),
     (_map_a_free_frame, "outside its allocation's runs"),
     (_map_a_frame_of_another_allocation, "mapped twice"),
     (_map_a_frame_twice, "mapped twice"),
-], ids=["used", "leak", "overlap", "alive", "slot_map", "mirror", "mapped",
-        "free_frame", "foreign_frame", "twice"])
+], ids=["used", "leak", "overlap", "alive", "slot_map", "unlisted", "mirror",
+        "mapped", "free_frame", "foreign_frame", "twice"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)

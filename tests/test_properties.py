@@ -331,12 +331,10 @@ def per_run_release(m):
     list order: the reference for FramePool.release_runs."""
     pool = m.pool
 
-    def release_runs(starts, sizes, counted=True):
+    def release_runs(starts, sizes):
         starts = np.asarray(starts)
         for start, n in zip(starts.tolist(),
                             np.broadcast_to(sizes, starts.shape).tolist()):
-            if not counted:
-                pool.used_frames += n
             release_run(pool, start, n)
         pool._compact()
 
@@ -348,14 +346,15 @@ def pool_state(pool):
     """Everything a later draw can see: free set, used frames, each
     store's keys in order, released blocks, cursors."""
     return (snapshot(pool), [list(d) for d in pool._runs.values()],
-            [s.array[0].tolist() for s in pool._stacks], pool._released,
+            [s.array[0].tolist() for s in pool._stacks], list(pool._released),
             pool._boot_left, pool._seq_next)
 
 
 def test_bulk_release_matches_per_run_release_random_op_sequences():
-    # A 32 MiB pool (64 blocks) runs out of memory now and then, so failed
-    # draws give their runs back too. Host up-front kinds draw ascending
-    # (degree 0) between the scattered CPU touches.
+    # A 32 MiB pool (64 blocks) runs out of memory now and then; a failed
+    # operation leaves the pool and the scatter stream as it found them.
+    # Host up-front kinds draw ascending (degree 0) between the scattered
+    # CPU touches.
     profile = builtin_mi300a()
     profile = replace(profile, hbm_capacity=32 * MiB,
                       placement=replace(profile.placement,
@@ -366,14 +365,20 @@ def test_bulk_release_matches_per_run_release_random_op_sequences():
         bulk = MemoryManager(profile, seed=seq)
         ref = per_run_release(MemoryManager(profile, seed=seq))
         live_bulk, live_ref = [], []
+        state = pool_state(bulk.pool)
         for _ in range(150):
             op = random_op(rng, profile, live_bulk, tails=True)
+            rng_state = bulk._scatter_rng.bit_generator.state
             done = apply_op(bulk, live_bulk, op)
             assert apply_op(ref, live_ref, op) == done
             failed += not done
             bulk.check()
             ref.check()
-            assert pool_state(bulk.pool) == pool_state(ref.pool)
+            before, state = state, pool_state(bulk.pool)
+            assert state == pool_state(ref.pool)
+            if not done:
+                assert state == before
+                assert bulk._scatter_rng.bit_generator.state == rng_state
         while live_bulk:
             bulk.release(live_bulk.pop())
             ref.release(live_ref.pop())
@@ -385,7 +390,8 @@ def test_bulk_release_matches_per_run_release_random_op_sequences():
 def one_by_one(pool):
     """pool, drawing batches and blocks one at a time, each block popped
     from the released list, then the boot order: the reference for the
-    whole-array draws of take_batches, take_blocks and take_contiguous."""
+    whole-array draws of take_batches, take_blocks and take_contiguous. A
+    draw of more blocks than are free takes none."""
     alive = pool._block_alive
 
     def pop_block():
@@ -402,8 +408,17 @@ def one_by_one(pool):
                 return b
         return None
 
+    def take_blocks(count):
+        if count > alive.count(1):
+            raise OutOfMemory(f"{count} blocks requested")
+        blocks = [pop_block() for _ in range(count)]
+        assert None not in blocks
+        pool.used_frames += count * pool.block_pages
+        return np.array(blocks, dtype=np.int64) << pool.block_order
+
     pool._next_blocks = lambda k: None
     pool._pop_block = pop_block
+    pool.take_blocks = take_blocks
     return pool
 
 
@@ -463,12 +478,18 @@ def test_whole_array_draws_match_one_by_one(block, batch):
         ss = np.random.SeedSequence(seq)
         pool, ref = FramePool(profile, ss), one_by_one(FramePool(profile, ss))
         held, held_ref = [], []
+        state = pool_state(pool)
         for _ in range(80):
             draw = random_draw(rng, pool, held)
+            free = pool.free_frames
             got = apply_draw(pool, held, draw)
             assert apply_draw(ref, held_ref, draw) == got
-            assert pool_state(pool) == pool_state(ref)
-            failed += got is None
+            before, state = state, pool_state(pool)
+            assert state == pool_state(ref)
+            if got is None:  # takes nothing, and never for what is free
+                assert state == before
+                assert draw[0] != "take_contiguous" or draw[1] > free
+                failed += 1
             scattered += draw[0] == "take_batches" and got is not None
     assert failed > 20 and scattered > 100
 

@@ -486,7 +486,9 @@ def test_whole_array_draws_match_one_by_one(block, batch):
             assert apply_draw(ref, held_ref, draw) == got
             before, state = state, pool_state(pool)
             assert state == pool_state(ref)
-            if got is None:  # takes nothing, and never for what is free
+            # A failed draw takes nothing, and a contiguous draw fails only
+            # when it asks for more than is free.
+            if got is None:
                 assert state == before
                 assert draw[0] != "take_contiguous" or draw[1] > free
                 failed += 1

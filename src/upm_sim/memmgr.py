@@ -36,7 +36,8 @@ page-sized array of frames is built beside the table.
 The pool keeps whole free blocks in a bytearray alive map. Released
 blocks, last-released first, then a boot-time permutation read from its
 end are the one source of blocks: ``_next_blocks`` takes the next k alive
-ones in a pass. Sequential draws take the lowest alive block instead. The
+ones in a pass, and is asked only for blocks its caller has counted as
+alive. Sequential draws take the lowest alive block instead. The
 permutation is shared, read-only, by every pool of one seed and size, and
 only the latest is kept. Runs smaller than a block sit in one dict per
 order, 16-page runs (slots) in one int64 stack per channel group, and a
@@ -51,19 +52,27 @@ block into one slot per group, so the blocks split up to each draw are a
 running maximum over the groups' demand. A draw whose group saw a split
 since its previous draw takes the newest split's slot; the slot each
 other draw takes follows from matching the pops and pushes of each
-group's stack by position. Only a pool with too few blocks left draws
-one batch at a time, refilling dry stores from smaller runs.
+group's stack by position. A call that needs more blocks than are alive
+draws this way up to the split that takes the last of them; then both
+block sources are empty, and each later draw takes a slot from its
+group's store, refilled when empty from a 32- or 64-page run, or else
+from the next group that holds one.
 
 Frames go back through ``release_runs`` only, one call per release. A
 block that the call frees entirely (its runs plus the free pieces it
-already holds fill it) goes back whole, at its last run: its pieces leave
-the stores and it joins the released blocks. The other runs merge with
-their free buddies one by one, in order. A slot that leaves the middle of
-a group stack is only marked deleted in the slot map; each stack is
-compacted once, at the end of the pool call. This is the state that
-freeing run by run gives, at a cost that grows with the runs and the free
-pieces of their blocks, not with the pool. A draw that cannot finish
-takes nothing: each checks first, from counts, that the pool holds enough
+already holds fill it) goes back whole, at its last run: its pieces
+leave the stores and it joins the released blocks. The other runs are
+freed one by one, in order: a run merges with its buddy only if free
+pieces tile the buddy entirely, the same ``_pieces_tiling`` test that
+finds the whole blocks, made before any piece leaves a store; at the
+first buddy that is not entirely free, the run joins its store and
+stops. So a merge that fails changes nothing, and no slot is put back in
+the pool call that deleted it. A slot that leaves the middle of a group
+stack is only marked deleted in the slot map; each stack is compacted
+once, at the end of the pool call. This is the state that freeing run by
+run gives, at a cost that grows with the runs and the free pieces of
+their blocks, not with the pool. A draw that cannot finish takes
+nothing: each checks first, from counts, that the pool holds enough
 frames, blocks or batches, so a failed allocate or touch raises
 ``OutOfMemory`` before it changes the pool or the scatter generator, and
 nothing is rolled back. ``MemoryManager.check`` asserts the invariants.
@@ -327,8 +336,9 @@ class FramePool:
             o: {} for o in range(self.block_order) if o != self.batch_order}
         # One stack of slot starts per group. The slot map holds a byte
         # per slot: 1 if the slot is in its group's stack, 2 if it was
-        # deleted but its entry waits there for compaction, else 0. A
-        # memoryview reads one slot as fast as a bytearray does.
+        # deleted but its entry waits there for compaction, else 0. No
+        # slot is put back before that compaction, so a put pushes on
+        # top. A memoryview reads one slot as fast as a bytearray does.
         self._stacks = [Runs(rows=1) for _ in range(self.groups_n)]
         self._slot = memoryview(np.zeros(self.n_blocks * self.groups_n,
                                          dtype=np.uint8))
@@ -352,14 +362,7 @@ class FramePool:
             self._runs[order][start] = None
             return
         i = start >> order
-        stack = self._stacks[i % self.groups_n]
-        if self._slot[i] == 2:  # still in the stack: to the top, as in a dict
-            row = stack.array[0]
-            at = int(np.flatnonzero(row == start)[0])
-            row[at:-1] = row[at + 1:]
-            row[-1] = start
-        else:
-            stack.push(start)
+        self._stacks[i % self.groups_n].push(start)
         self._slot[i] = 1
 
     def _drop(self, order: int, start: int):
@@ -390,29 +393,17 @@ class FramePool:
             stack.array[0] = kept
         self._dirty.clear()
 
-    def _pop_block(self) -> int | None:
-        b = self._next_blocks(1) if self._released or self._boot_left else None
-        if b is None:  # neither source holds a free block: both run out
-            self._released.clear()
-            self._boot_left = 0
-            return None
-        return int(b[0])
-
-    def _next_blocks(self, k: int) -> np.ndarray | None:
+    def _next_blocks(self, k: int) -> np.ndarray:
         """Take the next k free blocks, released ones (last first) before
-        the boot order's; None, with nothing taken, if fewer are left."""
+        the boot order's. The caller has counted k alive blocks."""
         alive = np.frombuffer(self._block_alive, dtype=np.uint8)
         got, rel = self._scan(alive, self._released, k, len(self._released),
                               repeats=True)
         boot, left = self._scan(alive, self._boot_order, k - len(got),
                                 self._boot_left, repeats=False)
-        blocks = np.concatenate((got, boot))
-        if len(blocks) < k:
-            alive[blocks] = 1
-            return None
         del self._released[rel:]
         self._boot_left = left
-        return blocks
+        return np.concatenate((got, boot))
 
     @staticmethod
     def _scan(alive, source, k: int, end: int, repeats: bool):
@@ -437,10 +428,11 @@ class FramePool:
     def _take_run(self, order: int) -> int:
         """Remove and return one free run of 2^order pages (may split)."""
         if order >= self.block_order:
-            b = self._pop_block()
-            if b is None:
+            if self._block_alive.find(1) < 0:  # both block sources run out
+                self._released.clear()
+                self._boot_left = 0
                 raise OutOfMemory("no contiguous block available")
-            return b << self.block_order
+            return int(self._next_blocks(1)[0]) << self.block_order
         if order == self.batch_order:
             g = next((g for g, s in enumerate(self._stacks) if s.n), None)
             if g is not None:
@@ -459,10 +451,9 @@ class FramePool:
             raise OutOfMemory(f"{n_pages} pages requested, "
                               f"{self.free_frames} free")
         runs = Runs()
-        blocks = self._next_blocks(n_pages >> self.block_order)
-        if blocks is not None:
-            runs.extend(blocks << self.block_order, self.block_pages)
-        left = n_pages - len(runs) * self.block_pages
+        k = min(n_pages >> self.block_order, self._alive_blocks())
+        runs.extend(self._next_blocks(k) << self.block_order, self.block_pages)
+        left = n_pages - k * self.block_pages
         while left:  # order 0 at the latest finds a free frame
             for order in range(min(self.block_order, left.bit_length() - 1),
                                -1, -1):
@@ -475,7 +466,8 @@ class FramePool:
 
     def take_batches(self, groups) -> np.ndarray:
         """One 16-page aligned run per listed channel group, in order: the
-        runs _take_batch gives one draw at a time, found in one pass.
+        runs that drawing one at a time gives, found in one pass; past the
+        last alive block, the rest come from _take_dry.
 
         With prior a draw's earlier draws in its group and depth the size
         of its store, blocks split up to draw i = running max of prior + 1
@@ -502,15 +494,21 @@ class FramePool:
         prior[by_group] = np.arange(n) - first[in_group]
         split = np.maximum.accumulate(np.maximum(prior + 1 - depth[groups],
                                                  0))
-        k = int(split.max(initial=0))
-        blocks = self._next_blocks(k)
-        if blocks is None:
+        k, alive = int(split.max(initial=0)), self._alive_blocks()
+        if k > alive:
             if n > self.batch_room():
                 raise OutOfMemory(f"{n} batches requested, "
                                   f"{self.batch_room()} free")
-            self.used_frames += n * self.batch_pages
-            return np.array([self._take_batch(g) for g in groups.tolist()],
-                            dtype=np.int64)
+            # The draws up to the last alive block's split, in closed form;
+            # the rest from the stores that are left.
+            p = int(np.searchsorted(split, alive, "right"))
+            head = self.take_batches(groups[:p])
+            self._released.clear()
+            self._boot_left = 0
+            self.used_frames += (n - p) * self.batch_pages
+            return np.concatenate((head, [self._take_dry(g)
+                                          for g in groups[p:].tolist()]))
+        blocks = self._next_blocks(k)
         # Positions are kept less depth plus n, so none is negative and
         # all are below span.
         span = n + k + 1
@@ -572,32 +570,22 @@ class FramePool:
         self.used_frames += n * self.batch_pages
         return starts
 
-    def _take_batch(self, group: int) -> int:
-        """One draw of take_batches; with no block left, _refill_dry."""
+    def _take_dry(self, group: int) -> int:
+        """One draw of take_batches once no block is left. An empty group
+        store is refilled by splitting a 32- or 64-page run, the smallest
+        first; if none is left, the next group with a slot serves."""
         if not self._stacks[group].n:
-            b = self._pop_block()
-            if b is None:
-                group = self._refill_dry(group)
-            else:
-                base = b << self.block_order
-                for g in range(self.groups_n):
-                    self._put(self.batch_order, base + (g << self.batch_order))
+            for o in range(self.batch_order + 1, self.block_order):
+                if self._runs[o]:
+                    start, _ = self._runs[o].popitem()
+                    for k in range(1 << (o - self.batch_order)):
+                        self._put(self.batch_order,
+                                  start + (k << self.batch_order))
+                    break
+            group = next(g % self.groups_n
+                         for g in range(group, group + self.groups_n)
+                         if self._stacks[g % self.groups_n].n)
         return self._pop(group)
-
-    def _refill_dry(self, group: int) -> int:
-        """A group with a non-empty 16-page store once no block is left:
-        the 32- and 64-page runs are split first, then other groups
-        serve."""
-        for o in range(self.batch_order + 1, self.block_order):
-            if self._runs.get(o):
-                start, _ = self._runs[o].popitem()
-                for k in range(1 << (o - self.batch_order)):
-                    self._put(self.batch_order,
-                              start + (k << self.batch_order))
-                break
-        return next(g % self.groups_n
-                    for g in range(group, group + self.groups_n)
-                    if self._stacks[g % self.groups_n].n)
 
     def _alive_blocks(self) -> int:
         return int(np.count_nonzero(np.frombuffer(self._block_alive,
@@ -615,12 +603,11 @@ class FramePool:
 
     def take_blocks(self, count: int) -> np.ndarray:
         """The starts of count whole blocks (128 pages each)."""
-        blocks = self._next_blocks(count)
-        if blocks is None:
-            raise OutOfMemory(f"{count} blocks requested, "
-                              f"{self._alive_blocks()} free")
+        alive = self._alive_blocks()
+        if count > alive:
+            raise OutOfMemory(f"{count} blocks requested, {alive} free")
         self.used_frames += count * self.block_pages
-        return blocks << self.block_order
+        return self._next_blocks(count) << self.block_order
 
     def take_batches_sequential(self, count: int) -> np.ndarray:
         """count 16-page runs in ascending frame order."""
@@ -773,30 +760,20 @@ class FramePool:
             start += 1 << order
             n_pages -= 1 << order
 
-    def _claim(self, start: int, order: int) -> bool:
-        """Remove [start, +2^order) from the free stores if entirely free,
-        possibly assembled from finer free pieces."""
-        if self._has(order, start):
-            self._drop(order, start)
-            return True
-        if order == 0:
-            return False
-        half = 1 << (order - 1)
-        if self._claim(start, order - 1):
-            if self._claim(start + half, order - 1):
-                return True
-            self._free_run(start, order - 1)
-        return False
-
     def _free_run(self, start: int, order: int):
+        """Free [start, +2^order), merged with its buddy while the free
+        pieces tile the buddy entirely; a buddy not entirely free is left
+        as it is."""
         while order < self.block_order:
             buddy = start ^ (1 << order)
-            if self._claim(buddy, order):
-                start = min(start, buddy)
-                order += 1
-            else:
+            pieces = self._pieces_tiling(buddy, buddy + (1 << order))
+            if pieces is None:
                 self._put(order, start)
                 return
+            for piece_order, piece in pieces:
+                self._drop(piece_order, piece)
+            start = min(start, buddy)
+            order += 1
         b = start >> self.block_order
         self._block_alive[b] = 1
         self._released.append(b)
@@ -1032,12 +1009,8 @@ class MemoryManager:
         that slice with one map_range."""
         grain = self.pool.block_pages if gpu else self.pool.batch_pages
         pending = alloc.pending_gpu_blocks if gpu else alloc.pending_cpu_batches
-        if pending is None:
+        if pending is None:  # kept only once the draw below succeeds
             pending = np.full(-(-alloc.n_pages // grain), -1, dtype=np.int64)
-            if gpu:
-                alloc.pending_gpu_blocks = pending
-            else:
-                alloc.pending_cpu_batches = pending
         b0, b1 = starts // grain, (ends - 1) // grain + 1
         # The batches touched, each once: a segment may start in the
         # batch where the one before it ends.
@@ -1052,6 +1025,10 @@ class MemoryManager:
             else:
                 drawn = self._draw_batches(alloc, len(missing))
             pending[missing] = drawn
+        if gpu:
+            alloc.pending_gpu_blocks = pending
+        else:
+            alloc.pending_cpu_batches = pending
         step = np.arange(grain, dtype=np.int64)
         frames = self._region(alloc).frames
         for s, e in zip(starts.tolist(), ends.tolist()):
@@ -1104,6 +1081,17 @@ class MemoryManager:
             + [a.frame_runs.array for a in live], axis=1)
         _expect(pool.used_frames == int(run_sizes.sum()),
                 "used frames differ from the live allocations' frame runs")
+        # First, so that a slot held twice is named as such.
+        slot_map = np.frombuffer(pool._slot, dtype=np.uint8)
+        stacks = [s.array[0] >> pool.batch_order for s in pool._stacks]
+        slots = np.concatenate(stacks)
+        owner = np.repeat(np.arange(pool.groups_n), list(map(len, stacks)))
+        held = np.zeros_like(slot_map)
+        held[slots] = 1
+        _expect(np.array_equal(held, slot_map)
+                and np.count_nonzero(held) == len(slots)
+                and np.array_equal(slots % pool.groups_n, owner),
+                "the slot map differs from the group stores")
         free_starts, free_sizes = pool.free_pieces()
         _expect(int(free_sizes.sum()) == pool.free_frames,
                 "a free frame sits in no store")
@@ -1126,16 +1114,6 @@ class MemoryManager:
         starts, ends, piece_owner = starts[at], ends[at], piece_owner[at]
         _expect(np.all(starts[1:] >= ends[:-1]),
                 "free pieces and live runs overlap")
-        slot_map = np.frombuffer(pool._slot, dtype=np.uint8)
-        stacks = [s.array[0] >> pool.batch_order for s in pool._stacks]
-        slots = np.concatenate(stacks)
-        owner = np.repeat(np.arange(pool.groups_n), list(map(len, stacks)))
-        held = np.zeros_like(slot_map)
-        held[slots] = 1
-        _expect(np.array_equal(held, slot_map)
-                and np.count_nonzero(held) == len(slots)
-                and np.array_equal(slots % pool.groups_n, owner),
-                "the slot map differs from the group stores")
         if live:
             regions = [self._region(a) for a in live]
             sys_flags = np.concatenate([r.sys_flags for r in regions])

@@ -7,9 +7,9 @@ import pytest
 from upm_sim.fault import FaultKind, LatencyModel, Scenario
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
-                            MemoryManager, OutOfMemory, Policy, UsageCounter,
-                            ZeroSize, _ranges, alloc_time_model, classify,
-                            free_time_model)
+                            FramePool, MemoryManager, OutOfMemory, Policy,
+                            UsageCounter, ZeroSize, _ranges, alloc_time_model,
+                            classify, free_time_model)
 from tests.test_properties import free_intervals, pool_state, snapshot
 
 K = AllocatorKind
@@ -348,6 +348,7 @@ def test_failed_touch_releases_partial_draws(agent):
     assert m._scatter_rng.bit_generator.state == rng_state
     assert (a.mapped_pages, list(a.frame_runs), a.first_touch_agent) == \
         (0, [], None)
+    assert a.pending_cpu_batches is None and a.pending_gpu_blocks is None
     # The allocation stays usable where frames do suffice.
     assert len(m.touch(a, (0, 16), agent)) == 16
     assert m.pool.used_frames == reserved_frames(m)
@@ -584,6 +585,23 @@ def test_sequential_leftovers_stay_reachable():
     assert free_intervals(m.pool) == [(0, m.pool.total_frames)]
 
 
+def test_failed_buddy_merge_keeps_the_store_order():
+    # Two blocks, one slot per group each. Slots 160 and 176 merge into a
+    # 32-page run whose buddy [128, 160) holds a free slot (128) and a
+    # used one (144): the merge stops there, and group 0's store keeps
+    # its order, so the next draw takes the slot released last.
+    profile = replace(builtin_mi300a(), hbm_capacity=1 * MiB)
+    pool = FramePool(profile, np.random.SeedSequence(0))
+    s, t = pool.take_batches(range(8)), pool.take_batches(range(8))
+    assert (s[0], t[0]) == (128, 0)
+    pool.release_runs([s[0]], 16)
+    pool.release_runs([t[0]], 16)
+    assert pool._stacks[0].array[0].tolist() == [128, 0]
+    pool.release_runs(s[2:4], 16)
+    assert pool._stacks[0].array[0].tolist() == [128, 0]
+    assert pool.take_batches([0]).tolist() == [0]
+
+
 def _leak_a_free_slot(m, a, b):
     m.pool._pop(next(g for g, s in enumerate(m.pool._stacks) if len(s)))
 
@@ -605,6 +623,11 @@ def _clear_a_slot_in_the_map(m, a, b):
     pool = m.pool
     stack = next(s for s in pool._stacks if len(s))
     pool._slot[int(stack.array[0, 0]) >> pool.batch_order] = 0
+
+
+def _hold_a_slot_twice(m, a, b):
+    stack = next(s for s in m.pool._stacks if len(s))
+    stack.push(int(stack.array[0, -1]))
 
 
 def _gpu_entry_without_system_entry(m, a, b):
@@ -631,6 +654,7 @@ def _map_a_frame_twice(m, a, b):
     (_free_a_live_run, "overlap"),
     (_swap_a_whole_block_for_a_live_one, "whole free block"),
     (_clear_a_slot_in_the_map, "slot map"),
+    (_hold_a_slot_twice, "slot map"),
     (lambda m, a, b: setattr(m.pool, "_boot_left", 0), "left to boot"),
     (_gpu_entry_without_system_entry, "GPU entry"),
     (lambda m, a, b: setattr(a, "mapped_pages", a.mapped_pages + 1),
@@ -638,8 +662,9 @@ def _map_a_frame_twice(m, a, b):
     (_map_a_free_frame, "outside its allocation's runs"),
     (_map_a_frame_of_another_allocation, "mapped twice"),
     (_map_a_frame_twice, "mapped twice"),
-], ids=["used", "leak", "overlap", "alive", "slot_map", "unlisted", "mirror",
-        "mapped", "free_frame", "foreign_frame", "twice"])
+], ids=["used", "leak", "overlap", "alive", "slot_map", "slot_twice",
+        "unlisted", "mirror", "mapped", "free_frame", "foreign_frame",
+        "twice"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)

@@ -391,7 +391,10 @@ def one_by_one(pool):
     """pool, drawing batches and blocks one at a time, each block popped
     from the released list, then the boot order: the reference for the
     whole-array draws of take_batches, take_blocks and take_contiguous. A
-    draw of more blocks than are free takes none."""
+    draw of more blocks or batches than are free takes none. A batch drawn
+    from an empty group store splits the next block into one slot per
+    group; once no block is left, it splits a 32- or 64-page run, the
+    smallest first, and else takes the next group's slot."""
     alive = pool._block_alive
 
     def pop_block():
@@ -408,17 +411,50 @@ def one_by_one(pool):
                 return b
         return None
 
+    def next_blocks(k):
+        blocks = [pop_block() for _ in range(k)]
+        assert None not in blocks
+        return np.array(blocks, dtype=np.int64)
+
     def take_blocks(count):
         if count > alive.count(1):
             raise OutOfMemory(f"{count} blocks requested")
-        blocks = [pop_block() for _ in range(count)]
-        assert None not in blocks
         pool.used_frames += count * pool.block_pages
-        return np.array(blocks, dtype=np.int64) << pool.block_order
+        return next_blocks(count) << pool.block_order
 
-    pool._next_blocks = lambda k: None
-    pool._pop_block = pop_block
+    def refill_dry(group):
+        for o in range(pool.batch_order + 1, pool.block_order):
+            if pool._runs[o]:
+                start, _ = pool._runs[o].popitem()
+                for k in range(1 << (o - pool.batch_order)):
+                    pool._put(pool.batch_order,
+                              start + (k << pool.batch_order))
+                break
+        return next(g % pool.groups_n
+                    for g in range(group, group + pool.groups_n)
+                    if pool._stacks[g % pool.groups_n].n)
+
+    def take_batch(group):
+        if not pool._stacks[group].n:
+            b = pop_block()
+            if b is None:
+                group = refill_dry(group)
+            else:
+                for g in range(pool.groups_n):
+                    pool._put(pool.batch_order, (b << pool.block_order)
+                              + (g << pool.batch_order))
+        return pool._pop(group)
+
+    def take_batches(groups):
+        if len(groups) > pool.batch_room():
+            raise OutOfMemory(f"{len(groups)} batches requested")
+        starts = [take_batch(g) for g in groups]
+        pool.used_frames += len(groups) * pool.batch_pages
+        return np.array(starts, dtype=np.int64)
+
+    pool._next_blocks = next_blocks
     pool.take_blocks = take_blocks
+    pool.take_batches = take_batches
     return pool
 
 
@@ -472,7 +508,7 @@ def test_whole_array_draws_match_one_by_one(block, batch):
                       placement=replace(profile.placement,
                                         frame_block_pages=block,
                                         kernel_batch_pages=batch))
-    failed = scattered = 0
+    failed = scattered = dry = 0
     for seq in range(12):
         rng = np.random.default_rng(7000 + seq)
         ss = np.random.SeedSequence(seq)
@@ -482,6 +518,8 @@ def test_whole_array_draws_match_one_by_one(block, batch):
         for _ in range(80):
             draw = random_draw(rng, pool, held)
             free = pool.free_frames
+            room = sum(s.n for s in pool._stacks) \
+                + pool.groups_n * pool._alive_blocks()
             got = apply_draw(pool, held, draw)
             assert apply_draw(ref, held_ref, draw) == got
             before, state = state, pool_state(pool)
@@ -493,7 +531,12 @@ def test_whole_array_draws_match_one_by_one(block, batch):
                 assert draw[0] != "take_contiguous" or draw[1] > free
                 failed += 1
             scattered += draw[0] == "take_batches" and got is not None
+            # More slots than the stores and the whole blocks hold: the
+            # draw splits runs between a slot and a block, on the dry path.
+            dry += draw[0] == "take_batches" and got is not None \
+                and len(draw[1]) > room
     assert failed > 20 and scattered > 100
+    assert dry > 0 or block == batch
 
 
 @pytest.mark.parametrize("heap", [False, True], ids=["alone", "heap"])

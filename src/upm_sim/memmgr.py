@@ -28,10 +28,10 @@ the free pool). Each allocation keeps those reservations in an int64 array
 indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
 
 Frames are written in place into the page table's own frame array: an
-up-front allocation fills its region from its runs with one cumulative
-sum, and a first touch writes each segment of unmapped pages from its
-reservations; then one ``map_range`` maps the written slice. No
-page-sized array of frames is built beside the table.
+up-front allocation fills its region with one broadcast add per stretch
+of equal-size runs, and a first touch writes each segment of unmapped
+pages from its reservations; then one ``map_range`` maps the written
+slice. No page-sized array of frames is built beside the table.
 
 The pool keeps whole free blocks in a bytearray alive map. Released
 blocks, last-released first, then a boot-time permutation read from its
@@ -858,14 +858,19 @@ class MemoryManager:
         self._next_id += 1
         if spec.physical is Policy.UP_FRONT:
             # The frames of the runs, in order, written into the region's
-            # own frame table: steps of one with a jump at each run's
-            # first page, summed in place.
+            # own frame table: one broadcast add per stretch of runs of
+            # one size (the 16-page batches, the whole blocks, the tail's
+            # smaller powers of two), in int32 so numpy needs no buffer.
             frames = self._region(alloc).frames
             starts, sizes = alloc.frame_runs.array
-            heads = np.cumsum(sizes) - sizes
-            frames.fill(1)
-            frames[heads] = np.diff(starts - heads, prepend=1) + 1
-            np.cumsum(frames, out=frames)
+            cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+            h = 0
+            for i, j in zip([0, *cuts], [*cuts, len(sizes)]):
+                size = int(sizes[i])
+                np.add(starts[i:j, None].astype(np.int32),
+                       np.arange(size, dtype=np.int32),
+                       out=frames[h:h + (j - i) * size].reshape(-1, size))
+                h += (j - i) * size
             self.table.map_range(pagetable.SYSTEM, va_base, frames)
             if spec.gpu_access:
                 self.table.propagate(va_base, n_pages)

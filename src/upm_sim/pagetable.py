@@ -24,6 +24,12 @@ costs one step; unmapped pages belong to no run and read fragment -1.
 A read covers the whole region that holds the range: runs never cross a
 reservation, and every read the TLB makes covers a whole operand.
 
+A block of order o whose pages get fragment f is 2^(o - f) fragment
+runs of 2^f pages, each 2^f-aligned in virtual space, and one TLB entry
+covers each. ``fragment_runs`` returns these runs, (start, fragment) in
+address order, and is what the TLB reads; ``fragments`` is their
+per-page expansion.
+
 Each region stores, per page, one int32 frame number (-1 where the page
 is unmapped) and one uint8 flag byte per table: 6 bytes a page. The
 machine profile keeps every frame number below 2^31 (validate rejects
@@ -167,20 +173,15 @@ class DualTable:
 
     # -- queries ------------------------------------------------------
 
-    def run_arrays(self, va_page: int, n_pages: int):
-        """(frames, fragments) of a GPU-mapped range, for the TLB simulator."""
-        region, sel = self._range_at(va_page, n_pages)
-        if np.any(region.gpu_flags[sel] == 0):
-            raise Unmapped("range not fully mapped in gpu table")
-        return region.frames[sel], self.fragments(GPU, va_page, n_pages)
-
-    def fragments(self, table: str, va_page: int, n_pages: int) -> np.ndarray:
-        """Fragment field of each page of [va_page, +n_pages) in one table,
-        -1 where the page is unmapped; a fresh int8 array, computed over
-        the whole region that holds the range."""
-        region, sel = self._range_at(va_page, n_pages)
-        # A run is a maximal stretch of mapped pages with consecutive
-        # frames and equal flags; unmapped pages belong to no run.
+    def fragment_runs(self, table: str, va_page: int, n_pages: int):
+        """(starts, orders) of every fragment run of one table over the
+        region that holds [va_page, +n_pages), in address order: run i
+        covers the 2^orders[i] pages from virtual page starts[i], which is
+        2^orders[i]-aligned, and every page of it reads fragment orders[i].
+        Unmapped pages lie in no run."""
+        region, _ = self._range_at(va_page, n_pages)
+        # A run of pages is a maximal stretch of mapped pages with
+        # consecutive frames and equal flags.
         flags = region.flags_of(table)
         frames = region.frames
         present = flags != 0
@@ -188,7 +189,7 @@ class DualTable:
             & (flags[1:] == flags[:-1])
         first = present.copy()
         first[1:] &= ~link
-        last = present.copy()
+        last = present  # present is not read again
         last[:-1] &= ~link
         starts = np.flatnonzero(first)
         x = starts + region.va_base
@@ -203,21 +204,36 @@ class DualTable:
         # block has order min(ctz(x), floor(log2(e - x))), and its pages
         # get that order capped by ctz(d). A run that is itself an aligned
         # power-of-two block ends after the first step.
-        pos, size, frag = [], [], []
+        pos, order, frag = [x[:0]], [ctz_d[:0]], [ctz_d[:0]]
         while len(x):
-            order = np.minimum(_bitlen(x & -x), _bitlen(e - x)) - 1
-            step = np.left_shift(1, order, dtype=np.int64)
+            o = np.minimum(_bitlen(x & -x), _bitlen(e - x)) - 1
             pos.append(x)
-            size.append(step)
-            frag.append(np.minimum(order, ctz_d))
-            x = x + step
+            order.append(o)
+            frag.append(np.minimum(o, ctz_d))
+            x = x + np.left_shift(1, o, dtype=np.int64)
             more = x < e
             x, e, ctz_d = x[more], e[more], ctz_d[more]
+        at = np.argsort(np.concatenate(pos))
+        pos = np.concatenate(pos)[at]
+        frag = np.concatenate(frag)[at]
+        # A block of order o and fragment f is 2^(o - f) runs of 2^f pages.
+        split = np.concatenate(order)[at] - frag
+        if not split.any():
+            return pos, frag
+        count = np.left_shift(1, split, dtype=np.int64)
+        frag = np.repeat(frag, count)
+        k = np.arange(len(frag)) - np.repeat(np.cumsum(count) - count, count)
+        return np.repeat(pos, count) + (k << frag), frag
+
+    def fragments(self, table: str, va_page: int, n_pages: int) -> np.ndarray:
+        """Fragment field of each page of [va_page, +n_pages) in one table,
+        -1 where the page is unmapped: the per-page expansion of
+        fragment_runs, as a fresh int8 array."""
+        region, sel = self._range_at(va_page, n_pages)
+        _, orders = self.fragment_runs(table, va_page, n_pages)
         out = np.full(region.n_pages, -1, dtype=np.int8)
-        if pos:
-            at = np.argsort(np.concatenate(pos))
-            out[present] = np.repeat(np.concatenate(frag)[at],
-                                     np.concatenate(size)[at])
+        out[region.flags_of(table) != 0] = np.repeat(
+            orders, np.left_shift(1, orders, dtype=np.int64))
         return out[sel]
 
 

@@ -5,13 +5,17 @@ contiguity. The model is a fully associative LRU over (run base, fragment)
 entries; capacity comes from the machine profile. Counter name used in
 reports: TCP_UTCL1_TRANSLATION_MISS.
 
-``triad_misses`` counts without replaying every run when the capacity
-holds at least one entry per operand and the operands' run bases rise
-within separate ranges, as they do for separate reservations: then
-every run misses exactly once per pass except those still resident
-from the pass before, and only the steps around the pass boundary go
-through the LRU. Other inputs, such as one array passed as several
-operands, are replayed in full.
+``triad_misses`` reads each operand's fragment runs, not its pages: an
+operand changes run only at a run start, so the TRIAD's events are the
+sorted union of the operands' run starts inside the range, and each
+operand's run at an event is found by binary search. It counts without
+replaying every run when the capacity holds at least one entry per
+operand and the operands' run bases rise within separate ranges, as
+they do for separate reservations: then every run misses exactly once
+per pass except those still resident from the pass before, and only the
+steps around the pass boundary go through the LRU. Other inputs, such
+as one array passed as several operands, are replayed in full; a
+capacity below the operand count is replayed page by page.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .pagetable import DualTable
+from .pagetable import GPU, DualTable, Unmapped
 
 COUNTER_NAME = "TCP_UTCL1_TRANSLATION_MISS"
 
@@ -52,13 +56,30 @@ class FragmentTlb:
         return False
 
 
+def _operand_runs(table: DualTable, va_base: int, n_pages: int):
+    """(offsets, bases) of the fragment runs that a GPU-mapped range
+    touches, in address order: each run's first page relative to va_base,
+    the first clipped to 0, and its base, the run's first virtual page."""
+    starts, orders = table.fragment_runs(GPU, va_base, n_pages)
+    end = va_base + n_pages
+    lo = max(int(np.searchsorted(starts, va_base, "right")) - 1, 0)
+    hi = int(np.searchsorted(starts, end))
+    bases = starts[lo:hi]
+    tops = bases + np.left_shift(1, orders[lo:hi], dtype=np.int64)
+    # Runs do not overlap, so they cover the range iff their overlaps
+    # with it add up to its length.
+    overlap = np.minimum(tops, end) - np.maximum(bases, va_base)
+    if int(np.maximum(overlap, 0).sum()) != n_pages:
+        raise Unmapped("range not fully mapped in gpu table")
+    offsets = bases - va_base
+    offsets[:1] = 0
+    return offsets, bases
+
+
 def run_bases(table: DualTable, va_base: int, n_pages: int) -> np.ndarray:
     """Per-page fragment-run base for a GPU-mapped range."""
-    _, frags = table.run_arrays(va_base, n_pages)
-    # Each page's address with its fragment's low bits cleared.
-    bases = np.left_shift(-1, frags, dtype=np.int64)
-    bases &= np.arange(va_base, va_base + n_pages, dtype=np.int64)
-    return bases
+    offsets, bases = _operand_runs(table, va_base, n_pages)
+    return np.repeat(bases, np.diff(offsets, append=n_pages))
 
 
 def triad_misses(table: DualTable, arrays: list[tuple[int, int]],
@@ -73,20 +94,21 @@ def triad_misses(table: DualTable, arrays: list[tuple[int, int]],
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    bases = [run_bases(table, vb, np_) for vb, np_ in arrays]
-    n = min(len(b) for b in bases)
-    bases = [b[:n] for b in bases]
+    n = min(np_ for _, np_ in arrays)
     if capacity < len(arrays):
-        return _replay(bases, iterations, capacity)
-    # Event compression: evaluate only where some operand changes run.
-    # Exact while the active runs all fit, because repeats within a
-    # segment hit and leave the rest of the LRU order untouched.
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
-    for b in bases:
-        change[1:] |= b[1:] != b[:-1]
-    idx = np.nonzero(change)[0]
-    events = [b[idx] for b in bases]
+        return _replay([run_bases(table, vb, np_)[:n] for vb, np_ in arrays],
+                       iterations, capacity)
+    runs = [_operand_runs(table, vb, np_) for vb, np_ in arrays]
+    # Event compression: evaluate only where some operand changes run,
+    # at the sorted union of the operands' run offsets. Exact while the
+    # active runs all fit, because repeats within a segment hit and leave
+    # the rest of the LRU order untouched.
+    idx = np.concatenate([offsets for offsets, _ in runs])
+    idx = idx[idx < n]
+    idx.sort()
+    idx = idx[np.append(True, idx[1:] != idx[:-1])]
+    events = [bases[np.searchsorted(offsets, idx, "right") - 1]
+              for offsets, bases in runs]
     # Fragment runs tile each range in address order, so an operand's
     # bases only grow; the short count needs their ranges apart too.
     spans = sorted((int(b[0]), int(b[-1])) for b in events)

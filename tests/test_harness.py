@@ -411,14 +411,14 @@ def test_cli_unwritable_out_is_one_line(capsys, tmp_path):
 
 
 def count_fragment_reads(monkeypatch) -> list:
-    """The table of every DualTable.fragments call from now on."""
-    fragments, reads = DualTable.fragments, []
+    """The table of every DualTable.fragment_runs call from now on."""
+    fragment_runs, reads = DualTable.fragment_runs, []
 
     def counted(self, table, va_page, n_pages):
         reads.append(table)
-        return fragments(self, table, va_page, n_pages)
+        return fragment_runs(self, table, va_page, n_pages)
 
-    monkeypatch.setattr(DualTable, "fragments", counted)
+    monkeypatch.setattr(DualTable, "fragment_runs", counted)
     return reads
 
 

@@ -211,6 +211,22 @@ def test_up_front_frames_follow_the_runs(kind, xnack):
     m.check()
 
 
+@pytest.mark.parametrize("kind, xnack", UP_FRONT_CASES)
+def test_up_front_frame_write_over_mixed_tails(kind, xnack):
+    # Every stretch of equal-size runs is written: batches or blocks, then
+    # tails of one, two and four smaller powers of two.
+    m = manager(seed=5, xnack=xnack)
+    device_tail = (2 * 128 + 64 + 32 + 8 + 1) * 4 * KiB
+    for size in (4 * KiB, 64 * KiB + 4 * KiB, 1 * MiB + 20 * KiB,
+                 device_tail):
+        a = m.allocate(kind, size)
+        np.testing.assert_array_equal(m._region(a).frames,
+                                      _ranges(*a.frame_runs.array))
+    if kind is K.DEVICE_UP_FRONT:
+        assert [n for _, n in a.frame_runs] == [128, 128, 64, 32, 8, 1]
+    m.check()
+
+
 def test_cpu_touch_around_a_gpu_run_draws_each_batch_once():
     # The GPU maps pages 5-8 inside the first CPU batch; the CPU touch
     # then faults in two segments that share that batch.

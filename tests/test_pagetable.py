@@ -223,7 +223,7 @@ def test_range_crossing_its_reservation_is_rejected():
     t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
     t.propagate(base, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
-        t.run_arrays(base + 8, 16)
+        t.fragments(GPU, base + 8, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
         run_bases(t, base + 8, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
@@ -248,8 +248,9 @@ def test_unmap_crossing_its_reservation_is_rejected():
 
 def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
     reads = []
-    monkeypatch.setattr(DualTable, "fragments",
-                        lambda self, *args: reads.append(args))
+    for read in ("fragments", "fragment_runs"):
+        monkeypatch.setattr(DualTable, read,
+                            lambda self, *args: reads.append(args))
     t = fresh_table()
     base = t.reserve(64)
     t.map_range(SYSTEM, base, np.arange(4096, 4096 + 32))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from upm_sim.machine import MiB, builtin_mi300a
-from upm_sim.pagetable import SYSTEM, DualTable, Unmapped
+from upm_sim.memmgr import Agent, AllocatorKind, MemoryManager
+from upm_sim.pagetable import GPU, SYSTEM, DualTable, Unmapped
 from upm_sim.tlb import FragmentTlb, run_bases, triad_misses
 
 
@@ -71,7 +74,7 @@ def test_sequential_sweep_64mib_2mib_runs():
     pages = 64 * MiB // profile.page_size
     run_pages = 2 * MiB // profile.page_size
     t, base = table_with_runs(pages // run_pages, run_pages, 2 * run_pages)
-    frags = {int(f) for f in t.run_arrays(base, pages)[1]}
+    frags = {int(f) for f in t.fragments(GPU, base, pages)}
     assert frags == {9}
     assert accesses(t, base, pages, range(pages), 32) == 32
     # brute-force LRU replay on the run-base stream agrees
@@ -197,3 +200,79 @@ def test_triad_misses_against_replay_oracle_random():
         expected = lru_replay(stream * iterations, capacity)
         assert triad_misses(t, arrays, iterations, capacity) == expected, \
             (n_ops, pages, capacity, iterations)
+
+
+def page_bases(t, va_base, pages):
+    """Each page's run base from the per-page fragments: its address with
+    the fragment's low bits cleared."""
+    frags = t.fragments(GPU, va_base, pages).astype(np.int64)
+    return (np.arange(va_base, va_base + pages) >> frags) << frags
+
+
+def test_triad_misses_on_sub_ranges_against_replay_oracle():
+    # Operands start and end inside the fragment runs of larger
+    # reservations, so their first run is clipped to the range.
+    rng = np.random.default_rng(77)
+    for _ in range(120):
+        t = DualTable(int(rng.integers(3, 10)))
+        n_ops = int(rng.integers(1, 5))
+        pages = int(rng.integers(1, 200))
+        arrays = []
+        for _ in range(n_ops):
+            vb, total = few_run_operand(rng, t, pages + int(rng.integers(0, 300)))
+            lo = int(rng.integers(0, total - pages + 1))
+            arrays.append((vb + lo, pages))
+        capacity = int(rng.integers(1, 40))
+        iterations = int(rng.integers(1, 5))
+        bases = [page_bases(t, vb, np_) for vb, np_ in arrays]
+        for (vb, np_), b in zip(arrays, bases):
+            assert run_bases(t, vb, np_).tolist() == b.tolist()
+        stream = [int(b[p]) for p in range(pages) for b in bases]
+        expected = lru_replay(stream * iterations, capacity)
+        assert triad_misses(t, arrays, iterations, capacity) == expected, \
+            (arrays, capacity, iterations)
+
+
+def test_triad_misses_rejects_an_operand_page_not_gpu_mapped():
+    t = DualTable(31)
+    arrays = []
+    for _ in range(3):
+        base = t.reserve(64)
+        t.map_range(SYSTEM, base, np.arange(1 << 12, (1 << 12) + 64))
+        t.propagate(base, 64)
+        arrays.append((base, 64))
+    hole = t.reserve(64)
+    t.map_range(SYSTEM, hole, np.arange(1 << 13, (1 << 13) + 64))
+    t.propagate(hole, 20)
+    t.propagate(hole + 21, 43)  # page 20 is mapped only in the system table
+    for capacity in (1, 32):
+        with pytest.raises(Unmapped, match="not fully mapped in gpu table"):
+            triad_misses(t, arrays[:2] + [(hole, 64)], 2, capacity)
+    # The GPU-mapped pages on either side of the hole still count.
+    for sub in ((hole, 20), (hole + 21, 20)):
+        ops = [(vb, 20) for vb, _ in arrays[:2]] + [sub]
+        bases = [page_bases(t, vb, np_) for vb, np_ in ops]
+        stream = [int(b[p]) for p in range(20) for b in bases]
+        assert triad_misses(t, ops, 2, 32) == lru_replay(stream * 2, 32)
+
+
+def test_triad_misses_memory_per_operand_page():
+    # The replay reads fragment runs: besides one operand's transient
+    # run read, it builds nothing page-sized.
+    profile = builtin_mi300a()
+    m = MemoryManager(profile, seed=11)
+    allocs = [m.allocate(AllocatorKind.LIBC_ON_DEMAND, 64 * MiB)
+              for _ in range(3)]
+    for a in allocs:
+        m.touch(a, None, Agent.CPU)
+        m.touch(a, None, Agent.GPU)
+    arrays = [(a.va_base, a.n_pages) for a in allocs]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        misses = triad_misses(m.table, arrays, 3, profile.gpu.tlb_entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert misses > 0
+    assert (peak - base) / allocs[0].n_pages <= 16

@@ -25,7 +25,7 @@ from . import perf, tlb, units
 from .machine import KiB, MiB, GiB, MachineProfile
 from .memmgr import (KINDS, AccessViolation, Agent, AllocatorKind, FaultKind,
                      MemoryManager, Policy, UsageCounter, alloc_time_model,
-                     classify, free_time_model)
+                     classify, free_time_model, placement_twin)
 
 KIND_ALIASES = {name.lower(): kind for kind, spec in KINDS.items()
                 for name in (kind.value, *spec.aliases)}
@@ -133,7 +133,14 @@ def build_cpu_stream_stats(profile: MachineProfile, kind: AllocatorKind,
     initialization of the three operands, and the CPU's own access pass,
     which is where coarse-grained visibility faults of up-front kinds
     appear.
+
+    Kinds that place alike (memmgr.placement_twin) fault alike, so only
+    the twin is simulated; any other kind reads its count through this
+    cache.
     """
+    twin = placement_twin(kind, profile.xnack)
+    if twin is not kind:
+        return build_cpu_stream_stats(profile, twin, init_agent, seed)
     manager = MemoryManager(profile, seed=seed)
     page = profile.page_size
     faults = 0

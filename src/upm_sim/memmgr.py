@@ -7,7 +7,9 @@ device allocations, pinned host allocations, managed unified allocations
 managed variables. ``KINDS`` declares each kind once: its aliases, GPU
 access and placement with fault replay off and on, whether it is device
 memory, and whether the GPU streams it at a fixed rate. The usage counters
-are read from the live allocations by that device flag.
+are read from the live allocations by that device flag. Placement reads a
+kind only through its access spec and device flag, so kinds that share
+both place alike; ``placement_twin`` names the first of them.
 
 Physical frames come from a buddy-style pool over power-of-two runs whose
 largest order is one 512 KiB block. Placement reproduces the observable
@@ -177,6 +179,19 @@ def classify(kind: AllocatorKind, xnack: bool) -> AccessSpec:
     spec = KINDS[kind]
     return AccessSpec(spec.gpu_access[bool(xnack)], True, Policy.ON_DEMAND
                       if spec.on_demand[bool(xnack)] else Policy.UP_FRONT)
+
+
+def placement_twin(kind: AllocatorKind, xnack: bool) -> AllocatorKind:
+    """The first kind in KINDS with kind's classify(kind, xnack) and device
+    flag. A MemoryManager reads a kind through nothing else (but the name
+    in its error messages), so the twin's allocations get the same frames,
+    page tables and faults: with xnack on
+    managed memory places as libc and pinned and static memory as
+    registered; with it off pinned, managed and static memory place as
+    registered."""
+    key = classify(kind, xnack), KINDS[kind].device
+    return next(k for k, spec in KINDS.items()
+                if (classify(k, xnack), spec.device) == key)
 
 
 class FaultBatch:

@@ -424,8 +424,10 @@ def count_fragment_reads(monkeypatch) -> list:
 
 def test_verify_reads_fragments_only_in_the_triad_tlb_replays(
         profile, monkeypatch):
-    # Six TRIAD replays, each reading its three operands' GPU fragments
-    # once; nothing outside a replay reads fragments.
+    # Four TRIAD replays, each reading its three operands' GPU fragments
+    # once; nothing outside a replay reads fragments. The pinned and
+    # on-demand managed bandwidth anchors read the worksets of their
+    # placement twins, registered and libc memory.
     reads = count_fragment_reads(monkeypatch)
     triad_misses, before = tlb.triad_misses, []
 
@@ -437,8 +439,34 @@ def test_verify_reads_fragments_only_in_the_triad_tlb_replays(
     perf.build_triad_workset.cache_clear()
     harness.build_cpu_stream_stats.cache_clear()
     verify(profile, seed=11)
-    assert before == [0, 3, 6, 9, 12, 15]
-    assert reads == [GPU] * 18
+    assert before == [0, 3, 6, 9]
+    assert reads == [GPU] * 12
+
+
+@pytest.mark.parametrize("workload,managers", [("stream", 10),
+                                                ("verify", 21)])
+def test_each_distinct_placement_is_simulated_once(profile, monkeypatch,
+                                                   workload, managers):
+    # The stream grid simulates four worksets (libc first touched by the
+    # CPU and by the GPU, registered and device memory) and six CPU fault
+    # counts (libc, registered and device memory, each first touched by
+    # either agent); every other kind and init agent reads one of them.
+    built = []
+    init = MemoryManager.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoryManager, "__init__", counted)
+    for cache in (perf.build_triad_workset, harness.build_cpu_stream_stats,
+                  harness._chase_load):
+        cache.cache_clear()
+    if workload == "verify":
+        verify(profile, seed=11)
+    else:
+        run(profile, WorkloadSpec(benchmark=workload, seed=11))
+    assert len(built) == managers
 
 
 def test_cpu_stream_stats_read_no_fragments(profile, monkeypatch):

@@ -9,7 +9,7 @@ from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             FramePool, MemoryManager, OutOfMemory, Policy,
                             UsageCounter, ZeroSize, _ranges, alloc_time_model,
-                            classify, free_time_model)
+                            classify, free_time_model, placement_twin)
 from tests.test_properties import free_intervals, pool_state, snapshot
 
 K = AllocatorKind
@@ -40,6 +40,23 @@ def test_classify_matrix(kind, xnack):
     spec = classify(kind, xnack)
     assert (spec.gpu_access, spec.cpu_access, spec.physical) == \
         CLASSIFY_TABLE[(kind, xnack)]
+
+
+# Every kind that is not its own placement twin, by xnack.
+PLACEMENT_TWINS = {
+    False: {K.PINNED_HOST: K.REGISTERED_HOST,
+            K.MANAGED_UNIFIED: K.REGISTERED_HOST,
+            K.STATIC_MANAGED: K.REGISTERED_HOST},
+    True: {K.PINNED_HOST: K.REGISTERED_HOST,
+           K.MANAGED_UNIFIED: K.LIBC_ON_DEMAND,
+           K.STATIC_MANAGED: K.REGISTERED_HOST},
+}
+
+
+@pytest.mark.parametrize("xnack", [False, True])
+def test_placement_twins(xnack):
+    assert {kind: placement_twin(kind, xnack) for kind in K} == \
+        {kind: PLACEMENT_TWINS[xnack].get(kind, kind) for kind in K}
 
 
 # -- allocate / touch / release ------------------------------------------
@@ -269,6 +286,27 @@ def test_up_front_gpu_first_touch_makes_cpu_chunks_finer():
     events = m.touch(a, None, Agent.CPU)
     grain = m.profile.placement.gpu_init_cpu_map_pages
     assert len(events) == -(-1024 // grain)
+
+
+@pytest.mark.parametrize("kind", [K.REGISTERED_HOST, K.DEVICE_UP_FRONT])
+@pytest.mark.parametrize("agent", list(Agent))
+def test_up_front_first_touch_maps_nothing(kind, agent):
+    # So placement, and a TRIAD workset, does not depend on which agent
+    # first touches up-front memory.
+    m = manager(seed=4)
+    a = m.allocate(kind, 1 * MiB + 20 * KiB)
+    region = m._region(a)
+    tables = [t.copy() for t in (region.frames, region.sys_flags,
+                                 region.gpu_flags)]
+    runs, pool = [r.copy() for r in a.frame_runs.array], pool_state(m.pool)
+    m.touch(a, None, agent)
+    for before, after in zip(tables, (region.frames, region.sys_flags,
+                                      region.gpu_flags)):
+        np.testing.assert_array_equal(before, after)
+    for before, after in zip(runs, a.frame_runs.array):
+        np.testing.assert_array_equal(before, after)
+    assert pool_state(m.pool) == pool
+    assert a.pending_cpu_batches is None and a.pending_gpu_blocks is None
 
 
 def test_release_restores_free_set():

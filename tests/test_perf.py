@@ -1,9 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from upm_sim import perf
+from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind,
                             MemoryManager)
@@ -223,3 +224,53 @@ def test_memcpy_table(profile):
                                  K.DEVICE_UP_FRONT, True) == 1900e9
     assert perf.memcpy_bandwidth(profile, K.DEVICE_UP_FRONT,
                                  K.DEVICE_UP_FRONT, False) == 1900e9
+
+
+def stream_experiments(profile, seed):
+    """From cold caches, per (kind, init agent): the GPU workset fields
+    and the CPU fault count of the streaming set-up, or the exception."""
+    perf.build_triad_workset.cache_clear()
+    harness.build_cpu_stream_stats.cache_clear()
+    results = {}
+    for kind in K:
+        for agent in Agent:
+            try:
+                ws = perf.build_triad_workset(profile, kind, agent, seed)
+            except AccessViolation:
+                ws = AccessViolation
+            else:
+                assert (ws.kind, ws.init_agent) == (kind, agent)
+                ws = ws.balance, ws.tlb_misses, ws.miss_per_access, \
+                    ws.array_bytes
+            try:
+                faults = harness.build_cpu_stream_stats(profile, kind, agent,
+                                                        seed)
+            except AccessViolation:
+                faults = AccessViolation
+            results[kind, agent] = ws, faults
+    return results
+
+
+@pytest.mark.parametrize("xnack", [False, True])
+def test_placement_twins_run_the_experiments_of_their_kinds(
+        profile, monkeypatch, xnack):
+    # 4 MiB operands, and a seed no other test uses.
+    profile = replace(profile, xnack=xnack, bw_model=replace(
+        profile.bw_model, gpu_stream_array_bytes=4 * MiB,
+        cpu_stream_array_bytes=4 * MiB))
+    twinned = stream_experiments(profile, seed=31)
+    for module in (perf, harness):
+        monkeypatch.setattr(module, "placement_twin", lambda kind, x: kind)
+    assert stream_experiments(profile, seed=31) == twinned
+    # Kinds and init agents that place differently stay apart.
+    cpu, gpu = Agent.CPU, Agent.GPU
+    assert twinned[K.DEVICE_UP_FRONT, cpu][0][1] != \
+        twinned[K.REGISTERED_HOST, cpu][0][1]
+    assert twinned[K.DEVICE_UP_FRONT, cpu][1] != \
+        twinned[K.DEVICE_UP_FRONT, gpu][1]
+    if xnack:
+        assert twinned[K.LIBC_ON_DEMAND, cpu][0] != \
+            twinned[K.LIBC_ON_DEMAND, gpu][0]
+    else:
+        assert twinned[K.LIBC_ON_DEMAND, gpu] == (AccessViolation,
+                                                  AccessViolation)

@@ -90,7 +90,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pagetable
-from .fault import FaultKind, LatencyModel, Scenario
+from .fault import FaultKind
 from .machine import MachineProfile
 
 
@@ -143,7 +143,6 @@ class UseAfterFree(Exception):
 @dataclass(frozen=True)
 class AccessSpec:
     gpu_access: bool
-    cpu_access: bool
     physical: Policy
 
 
@@ -177,7 +176,7 @@ KINDS = {
 def classify(kind: AllocatorKind, xnack: bool) -> AccessSpec:
     """Access matrix of the allocator kinds (exact, total over kind x xnack)."""
     spec = KINDS[kind]
-    return AccessSpec(spec.gpu_access[bool(xnack)], True, Policy.ON_DEMAND
+    return AccessSpec(spec.gpu_access[bool(xnack)], Policy.ON_DEMAND
                       if spec.on_demand[bool(xnack)] else Policy.UP_FRONT)
 
 
@@ -195,50 +194,23 @@ def placement_twin(kind: AllocatorKind, xnack: bool) -> AllocatorKind:
 
 
 class FaultBatch:
-    """Faults (kind, virtual page, latency) of one touch call.
-
-    Kinds come in code order: CPU faults, or GPU minor faults before GPU
-    major ones. The batch keeps the count of each kind and the runs of
-    faulting virtual pages in that order, as the touch found them; `kinds`
-    and `pages` are expanded from them on first read, so later touches
-    and propagation do not change them. Latencies are drawn on the first
-    read of `latencies_us`, one lognormal draw per kind in that order,
-    from a generator seeded by the child of the manager's fault
-    SeedSequence that the touch spawned. A touch whose latencies nobody
-    reads draws none, and the values depend only on the seed and the
-    order of the manager's successful touches.
-    """
+    """The faults of one touch call, in kind order: CPU faults, or GPU
+    minor faults before GPU major ones. The batch keeps the count of each
+    kind and ``runs``, the (starts, sizes) of the runs of faulting virtual
+    pages in that order, as the touch found them."""
 
     _KIND_CODES = {FaultKind.CPU: 0, FaultKind.GPU_MINOR: 1,
                    FaultKind.GPU_MAJOR: 2}
-    _SCENARIOS = (Scenario.CPU1, Scenario.GPU_MINOR, Scenario.GPU_MAJOR)
 
     def __init__(self, counts: tuple[int, int, int], starts: np.ndarray,
-                 sizes: np.ndarray, latency: LatencyModel,
-                 seed: np.random.SeedSequence):
-        self._counts, self._runs = counts, (starts, sizes)
-        self._latency, self._seed = latency, seed
+                 sizes: np.ndarray):
+        self._counts, self.runs = counts, (starts, sizes)
 
     def __len__(self) -> int:
         return sum(self._counts)
 
     def count(self, kind: FaultKind) -> int:
         return self._counts[self._KIND_CODES[kind]]
-
-    @functools.cached_property
-    def kinds(self) -> np.ndarray:
-        return np.repeat(np.arange(3, dtype=np.uint8), self._counts)
-
-    @functools.cached_property
-    def pages(self) -> np.ndarray:
-        return _ranges(*self._runs)
-
-    @functools.cached_property
-    def latencies_us(self) -> np.ndarray:
-        rng = np.random.default_rng(self._seed)
-        return np.concatenate([np.empty(0)] + [
-            self._latency.sample(scenario, rng, n)
-            for scenario, n in zip(self._SCENARIOS, self._counts) if n])
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -844,13 +816,12 @@ class MemoryManager:
     def __init__(self, profile: MachineProfile, seed: int = 0):
         self.profile = profile
         ss = np.random.SeedSequence(seed)
-        pool_ss, scatter_ss, self._fault_ss = ss.spawn(3)
+        pool_ss, scatter_ss, _ = ss.spawn(3)
         self._scatter_rng = np.random.default_rng(scatter_ss)
         self.pool = FramePool(profile, pool_ss)
         self.table = pagetable.DualTable(profile.max_fragment)
         self.allocations: dict[int, Allocation] = {}
         self._next_id = 1
-        self._latency = LatencyModel(profile)
         self._chunk_pages = profile.hip_cpu_map_granularity // profile.page_size
 
     # -- allocation ------------------------------------------------------
@@ -961,11 +932,11 @@ class MemoryManager:
             faults = self._touch_up_front_cpu(alloc, lo, hi)
         else:
             faults = _NO_FAULTS
-        # Set, and the latency seed spawned, only once the touch has
-        # succeeded, so a failed one leaves no trace.
+        # Set only once the touch has succeeded, so a failed one leaves no
+        # trace.
         if alloc.first_touch_agent is None:
             alloc.first_touch_agent = agent
-        return FaultBatch(*faults, self._latency, self._fault_ss.spawn(1)[0])
+        return FaultBatch(*faults)
 
     def _region(self, alloc: Allocation):
         region, off = self.table._region_at(alloc.va_base)

@@ -27,8 +27,7 @@ reservation, and every read the TLB makes covers a whole operand.
 A block of order o whose pages get fragment f is 2^(o - f) fragment
 runs of 2^f pages, each 2^f-aligned in virtual space, and one TLB entry
 covers each. ``fragment_runs`` returns these runs, (start, fragment) in
-address order, and is what the TLB reads; ``fragments`` is their
-per-page expansion.
+address order, and is what the TLB reads.
 
 Each region stores, per page, one int32 frame number (-1 where the page
 is unmapped) and one uint8 flag byte per table: 6 bytes a page. The
@@ -224,17 +223,6 @@ class DualTable:
         frag = np.repeat(frag, count)
         k = np.arange(len(frag)) - np.repeat(np.cumsum(count) - count, count)
         return np.repeat(pos, count) + (k << frag), frag
-
-    def fragments(self, table: str, va_page: int, n_pages: int) -> np.ndarray:
-        """Fragment field of each page of [va_page, +n_pages) in one table,
-        -1 where the page is unmapped: the per-page expansion of
-        fragment_runs, as a fresh int8 array."""
-        region, sel = self._range_at(va_page, n_pages)
-        _, orders = self.fragment_runs(table, va_page, n_pages)
-        out = np.full(region.n_pages, -1, dtype=np.int8)
-        out[region.flags_of(table) != 0] = np.repeat(
-            orders, np.left_shift(1, orders, dtype=np.int64))
-        return out[sel]
 
 
 def _bitlen(v: np.ndarray) -> np.ndarray:

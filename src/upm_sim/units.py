@@ -19,11 +19,14 @@ COUNT = "count"
 FLAG = "flag"
 SCALAR = "scalar"      # dimensionless
 
-_BYTE_SUFFIXES = {"kib": 1024, "mib": 1024**2, "gib": 1024**3, "b": 1}
-_RATE_SUFFIXES = {"gbps": 1e9, "tbps": 1e12}
-# Time suffixes normalised to the field's own unit.
-_TIME_NS_SUFFIXES = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-_TIME_US_SUFFIXES = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
+# Each dimension's suffixes, scaled to the field's unit, and error noun.
+_SUFFIXES = {
+    BYTES: ({"kib": 1024, "mib": 1024**2, "gib": 1024**3, "b": 1},
+            "byte value"),
+    RATE: ({"gbps": 1e9, "tbps": 1e12}, "rate value"),
+    TIME_NS: ({"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}, "latency value"),
+    TIME_US: ({"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}, "time value"),
+}
 
 
 class UnitError(ValueError):
@@ -65,30 +68,18 @@ def parse_value(text: str, dimension: str):
     if not math.isfinite(value):
         raise UnitError(f"number {num!r} is not finite")
 
-    if dimension == BYTES:
-        scale = _BYTE_SUFFIXES.get(suffix, None) if suffix else 1
+    if dimension in _SUFFIXES:
+        suffixes, noun = _SUFFIXES[dimension]
+        scale = suffixes.get(suffix) if suffix else 1
         if scale is None:
-            raise UnitError(f"suffix {suffix!r} not valid for a byte value")
+            raise UnitError(f"suffix {suffix!r} not valid for a {noun}")
         value *= scale
+        if dimension != BYTES:
+            return value
         if value != int(value):
             raise UnitError(f"byte value must be a whole number of bytes, "
                             f"got {text!r}")
         return int(value)
-    if dimension == RATE:
-        scale = _RATE_SUFFIXES.get(suffix, None) if suffix else 1
-        if scale is None:
-            raise UnitError(f"suffix {suffix!r} not valid for a rate value")
-        return value * scale
-    if dimension == TIME_NS:
-        scale = _TIME_NS_SUFFIXES.get(suffix, None) if suffix else 1
-        if scale is None:
-            raise UnitError(f"suffix {suffix!r} not valid for a latency value")
-        return value * scale
-    if dimension == TIME_US:
-        scale = _TIME_US_SUFFIXES.get(suffix, None) if suffix else 1
-        if scale is None:
-            raise UnitError(f"suffix {suffix!r} not valid for a time value")
-        return value * scale
     if dimension == COUNT:
         if suffix:
             raise UnitError(f"suffix {suffix!r} not valid for a count")

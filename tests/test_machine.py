@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from upm_sim import cli, harness, machine
+from upm_sim import cli, harness, machine, units
 from upm_sim.fault import LatencyModel
 from upm_sim.machine import (GiB, KiB, MiB, ProfileParseError,
                              ProfileValidationError, builtin_mi300a,
@@ -128,6 +128,15 @@ def test_suffix_parsing():
     assert p.hbm_peak_bw == 5.3e12
     assert p.gpu.l1_latency == 57.0
     assert p.fault.cpu1.mean_latency_us == 9.0
+
+
+@pytest.mark.parametrize("dimension, noun", [
+    (units.BYTES, "byte value"), (units.RATE, "rate value"),
+    (units.TIME_NS, "latency value"), (units.TIME_US, "time value")])
+def test_wrong_suffix_names_the_dimension(dimension, noun):
+    with pytest.raises(units.UnitError) as err:
+        units.parse_value("3 furlongs", dimension)
+    assert str(err.value) == f"suffix 'furlongs' not valid for a {noun}"
 
 
 def test_fractional_byte_values_are_rejected():

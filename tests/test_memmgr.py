@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from upm_sim.fault import FaultKind, LatencyModel, Scenario
+from upm_sim.fault import FaultKind
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             FramePool, MemoryManager, OutOfMemory, Policy,
                             UsageCounter, ZeroSize, _ranges, alloc_time_model,
                             classify, free_time_model, placement_twin)
+from tests.test_pagetable import run_pages
 from tests.test_properties import free_intervals, pool_state, snapshot
 
 K = AllocatorKind
@@ -18,19 +19,19 @@ K = AllocatorKind
 # -- classify: the allocator access matrix, exact and total ---------------
 
 CLASSIFY_TABLE = {
-    # (kind, xnack): (gpu_access, cpu_access, policy)
-    (K.LIBC_ON_DEMAND, False): (False, True, Policy.ON_DEMAND),
-    (K.LIBC_ON_DEMAND, True): (True, True, Policy.ON_DEMAND),
-    (K.REGISTERED_HOST, False): (True, True, Policy.UP_FRONT),
-    (K.REGISTERED_HOST, True): (True, True, Policy.UP_FRONT),
-    (K.DEVICE_UP_FRONT, False): (True, True, Policy.UP_FRONT),
-    (K.DEVICE_UP_FRONT, True): (True, True, Policy.UP_FRONT),
-    (K.PINNED_HOST, False): (True, True, Policy.UP_FRONT),
-    (K.PINNED_HOST, True): (True, True, Policy.UP_FRONT),
-    (K.MANAGED_UNIFIED, False): (True, True, Policy.UP_FRONT),
-    (K.MANAGED_UNIFIED, True): (True, True, Policy.ON_DEMAND),
-    (K.STATIC_MANAGED, False): (True, True, Policy.UP_FRONT),
-    (K.STATIC_MANAGED, True): (True, True, Policy.UP_FRONT),
+    # (kind, xnack): (gpu_access, policy)
+    (K.LIBC_ON_DEMAND, False): (False, Policy.ON_DEMAND),
+    (K.LIBC_ON_DEMAND, True): (True, Policy.ON_DEMAND),
+    (K.REGISTERED_HOST, False): (True, Policy.UP_FRONT),
+    (K.REGISTERED_HOST, True): (True, Policy.UP_FRONT),
+    (K.DEVICE_UP_FRONT, False): (True, Policy.UP_FRONT),
+    (K.DEVICE_UP_FRONT, True): (True, Policy.UP_FRONT),
+    (K.PINNED_HOST, False): (True, Policy.UP_FRONT),
+    (K.PINNED_HOST, True): (True, Policy.UP_FRONT),
+    (K.MANAGED_UNIFIED, False): (True, Policy.UP_FRONT),
+    (K.MANAGED_UNIFIED, True): (True, Policy.ON_DEMAND),
+    (K.STATIC_MANAGED, False): (True, Policy.UP_FRONT),
+    (K.STATIC_MANAGED, True): (True, Policy.UP_FRONT),
 }
 
 
@@ -38,7 +39,7 @@ CLASSIFY_TABLE = {
 @pytest.mark.parametrize("xnack", [False, True])
 def test_classify_matrix(kind, xnack):
     spec = classify(kind, xnack)
-    assert (spec.gpu_access, spec.cpu_access, spec.physical) == \
+    assert (spec.gpu_access, spec.physical) == \
         CLASSIFY_TABLE[(kind, xnack)]
 
 
@@ -109,7 +110,6 @@ def test_cpu_touch_produces_one_fault_per_fresh_page():
     events = m.touch(a, (0, 100), Agent.CPU)
     assert len(events) == 100
     assert events.count(FaultKind.CPU) == 100
-    assert (events.latencies_us > 0).all()
     assert len(m.touch(a, (0, 100), Agent.CPU)) == 0
 
 
@@ -129,44 +129,15 @@ def test_gpu_touch_of_fresh_page_is_major():
     assert events.count(FaultKind.GPU_MAJOR) == 5
 
 
-# -- fault latencies, drawn on first read ---------------------------------
-
-def three_touches(seed):
-    m = manager(seed=seed)
-    a = m.allocate(K.LIBC_ON_DEMAND, 4 * MiB)
-    return [m.touch(a, (0, 100), Agent.CPU), m.touch(a, (50, 300), Agent.GPU),
-            m.touch(a, (0, 300), Agent.GPU)]
-
-
-def test_latencies_do_not_depend_on_read_order():
-    forward = [b.latencies_us for b in three_touches(5)]
-    backward = [b.latencies_us for b in reversed(three_touches(5))][::-1]
-    assert [len(x) for x in forward] == [100, 250, 50]
-    for f, b in zip(forward, backward):
-        np.testing.assert_array_equal(f, b)
-    other = three_touches(6)[0].latencies_us
-    assert not np.array_equal(forward[0], other)
-
-
-def test_second_read_returns_the_same_latencies():
-    batch = three_touches(5)[1]
-    assert batch.latencies_us is batch.latencies_us
-
-
 def test_gpu_touch_lists_minor_faults_before_major_ones():
     m = manager(seed=4)
     a = m.allocate(K.LIBC_ON_DEMAND, 4 * MiB)
     m.touch(a, (10, 20), Agent.CPU)
     batch = m.touch(a, (0, 30), Agent.GPU)
-    assert batch.kinds.tolist() == [1] * 10 + [2] * 20
-    assert (batch.pages - a.va_base).tolist() == \
+    assert [batch.count(FaultKind.CPU), batch.count(FaultKind.GPU_MINOR),
+            batch.count(FaultKind.GPU_MAJOR)] == [0, 10, 20]
+    assert (run_pages(*batch.runs) - a.va_base).tolist() == \
         list(range(10, 20)) + list(range(10)) + list(range(20, 30))
-    # The second touch's seed: the second child of the fault stream.
-    _, seed = np.random.SeedSequence(4).spawn(3)[2].spawn(2)
-    rng, model = np.random.default_rng(seed), LatencyModel(m.profile)
-    expected = np.concatenate([model.sample(Scenario.GPU_MINOR, rng, 10),
-                               model.sample(Scenario.GPU_MAJOR, rng, 20)])
-    np.testing.assert_array_equal(batch.latencies_us, expected)
 
 
 def test_cpu_first_touch_memory_per_page():
@@ -251,7 +222,7 @@ def test_cpu_touch_around_a_gpu_run_draws_each_batch_once():
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
     m.touch(a, (5, 9), Agent.GPU)
     batch = m.touch(a, (0, 40), Agent.CPU)
-    assert (batch.pages - a.va_base).tolist() == \
+    assert (run_pages(*batch.runs) - a.va_base).tolist() == \
         list(range(5)) + list(range(9, 40))
     batches = a.pending_cpu_batches
     assert [n for _, n in a.frame_runs] == [128, 16, 16, 16]
@@ -462,19 +433,27 @@ def test_frame_runs_iterate_as_python_int_pairs():
     m.check()
 
 
-@pytest.mark.parametrize("agent", [Agent.CPU, Agent.GPU])
-def test_failed_touch_spawns_no_latency_seed(agent):
-    def touch_after(fail):
-        m = fragmented_manager(free_block=agent is Agent.GPU)
-        a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
-        if fail:
-            with pytest.raises(OutOfMemory):
-                m.touch(a, None, agent)
-        return m.touch(a, (0, 16), agent).latencies_us
+def test_touch_spawns_no_seed(monkeypatch):
+    # A touch keeps no RNG state of its own: touches by either agent, and
+    # one that fails for lack of frames, spawn no SeedSequence child.
+    spawned = []
 
-    after_failure = touch_after(fail=True)
-    assert len(after_failure) == 16
-    np.testing.assert_array_equal(after_failure, touch_after(fail=False))
+    class Counting(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    m = MemoryManager(replace(builtin_mi300a(), hbm_capacity=8 * MiB))
+    assert spawned  # the manager's own seeds pass through the counter
+    spawned.clear()
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+    m.touch(a, (0, 100), Agent.CPU)
+    m.touch(a, None, Agent.GPU)
+    m.touch(m.allocate(K.DEVICE_UP_FRONT, 1 * MiB), None, Agent.CPU)
+    with pytest.raises(OutOfMemory):
+        m.touch(m.allocate(K.LIBC_ON_DEMAND, 16 * MiB), None, Agent.GPU)
+    assert spawned == []
 
 
 def test_placement_determinism():

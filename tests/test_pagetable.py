@@ -33,6 +33,24 @@ def brute_fragment(region, off, table, va_base, f_cap=12):
     return best
 
 
+def run_pages(starts, sizes):
+    """The pages of runs (start, size), concatenated in run order."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        np.arange(s, s + n) for s, n in zip(starts.tolist(), sizes.tolist())])
+
+
+def fragments(t, table, va_page, n_pages):
+    """Fragment field of each page of [va_page, +n_pages) in one table,
+    -1 where no fragment run covers it: fragment_runs expanded per page."""
+    starts, orders = t.fragment_runs(table, va_page, n_pages)
+    sizes = np.left_shift(1, orders, dtype=np.int64)
+    pages = run_pages(starts, sizes) - va_page
+    inside = (pages >= 0) & (pages < n_pages)
+    out = np.full(n_pages, -1, dtype=np.int8)
+    out[pages[inside]] = np.repeat(orders, sizes)[inside]
+    return out
+
+
 def fresh_table():
     return DualTable(max_fragment=31)
 
@@ -41,7 +59,7 @@ def fragment(t, va_page, table=GPU):
     """The fragment field of a mapped page in one table."""
     region, off = t._region_at(va_page)
     assert region.flags_of(table)[off] != 0
-    return int(t.fragments(table, va_page, 1)[0])
+    return int(fragments(t, table, va_page, 1)[0])
 
 
 def test_map_and_lookup_single_page():
@@ -223,11 +241,11 @@ def test_range_crossing_its_reservation_is_rejected():
     t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
     t.propagate(base, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
-        t.fragments(GPU, base + 8, 16)
+        t.fragment_runs(GPU, base + 8, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
         run_bases(t, base + 8, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
-        t.fragments(SYSTEM, base + 8, 16)
+        t.fragment_runs(SYSTEM, base + 8, 16)
     assert run_bases(t, base + 8, 8).tolist() == [base] * 8
 
 
@@ -248,9 +266,8 @@ def test_unmap_crossing_its_reservation_is_rejected():
 
 def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
     reads = []
-    for read in ("fragments", "fragment_runs"):
-        monkeypatch.setattr(DualTable, read,
-                            lambda self, *args: reads.append(args))
+    monkeypatch.setattr(DualTable, "fragment_runs",
+                        lambda self, *args: reads.append(args))
     t = fresh_table()
     base = t.reserve(64)
     t.map_range(SYSTEM, base, np.arange(4096, 4096 + 32))

@@ -7,6 +7,7 @@ from upm_sim.machine import MiB, builtin_mi300a
 from upm_sim.memmgr import Agent, AllocatorKind, MemoryManager
 from upm_sim.pagetable import GPU, SYSTEM, DualTable, Unmapped
 from upm_sim.tlb import FragmentTlb, run_bases, triad_misses
+from tests.test_pagetable import fragments
 
 
 def lru_replay(accesses, capacity):
@@ -74,7 +75,7 @@ def test_sequential_sweep_64mib_2mib_runs():
     pages = 64 * MiB // profile.page_size
     run_pages = 2 * MiB // profile.page_size
     t, base = table_with_runs(pages // run_pages, run_pages, 2 * run_pages)
-    frags = {int(f) for f in t.fragments(GPU, base, pages)}
+    frags = {int(f) for f in fragments(t, GPU, base, pages)}
     assert frags == {9}
     assert accesses(t, base, pages, range(pages), 32) == 32
     # brute-force LRU replay on the run-base stream agrees
@@ -205,7 +206,7 @@ def test_triad_misses_against_replay_oracle_random():
 def page_bases(t, va_base, pages):
     """Each page's run base from the per-page fragments: its address with
     the fragment's low bits cleared."""
-    frags = t.fragments(GPU, va_base, pages).astype(np.int64)
+    frags = fragments(t, GPU, va_base, pages).astype(np.int64)
     return (np.arange(va_base, va_base + pages) >> frags) << frags
 
 

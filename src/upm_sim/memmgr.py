@@ -785,9 +785,9 @@ class FramePool:
 
 @dataclass
 class Allocation:
-    """One allocation: its frame runs in draw order, as int64 arrays; its
-    first-touch reservations; and, from its first CPU touch of up-front
-    memory, one flag per CPU-visible chunk."""
+    """One allocation: its page-table region; its frame runs in draw
+    order, as int64 arrays; its first-touch reservations; and, from its
+    first CPU touch of up-front memory, one flag per CPU-visible chunk."""
     id: int
     kind: AllocatorKind
     va_base: int                   # first virtual page number
@@ -795,6 +795,7 @@ class Allocation:
     size: int                      # requested bytes
     policy: Policy
     live: bool = True
+    region: pagetable._Region | None = field(default=None, repr=False)
     first_touch_agent: Agent | None = None
     mapped_pages: int = 0
     frame_runs: Runs = field(default_factory=Runs, repr=False)
@@ -816,11 +817,11 @@ class MemoryManager:
     def __init__(self, profile: MachineProfile, seed: int = 0):
         self.profile = profile
         ss = np.random.SeedSequence(seed)
-        pool_ss, scatter_ss, _ = ss.spawn(3)
+        pool_ss, scatter_ss = ss.spawn(2)
         self._scatter_rng = np.random.default_rng(scatter_ss)
         self.pool = FramePool(profile, pool_ss)
         self.table = pagetable.DualTable(profile.max_fragment)
-        self.allocations: dict[int, Allocation] = {}
+        self.allocations: dict[int, Allocation] = {}  # release drops one
         self._next_id = 1
         self._chunk_pages = profile.hip_cpu_map_granularity // profile.page_size
 
@@ -841,13 +842,14 @@ class MemoryManager:
                     f"{n_pages} pages needed, {self.pool.free_frames} free")
             self._place_up_front(alloc, n_pages)
         va_base = alloc.va_base = self.table.reserve(n_pages, align_pages=512)
+        alloc.region = self.table._region_at(va_base)[0]
         self._next_id += 1
         if spec.physical is Policy.UP_FRONT:
             # The frames of the runs, in order, written into the region's
             # own frame table: one broadcast add per stretch of runs of
             # one size (the 16-page batches, the whole blocks, the tail's
             # smaller powers of two), in int32 so numpy needs no buffer.
-            frames = self._region(alloc).frames
+            frames = alloc.region.frames
             starts, sizes = alloc.frame_runs.array
             cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
             h = 0
@@ -938,16 +940,11 @@ class MemoryManager:
             alloc.first_touch_agent = agent
         return FaultBatch(*faults)
 
-    def _region(self, alloc: Allocation):
-        region, off = self.table._region_at(alloc.va_base)
-        assert off == 0
-        return region
-
     # Each touch path maps what it must; it returns its faults' counts by
     # kind and their runs of virtual pages (starts, sizes), in kind order.
 
     def _touch_on_demand_cpu(self, alloc, lo, hi):
-        starts, ends = _runs(self._region(alloc).sys_flags[lo:hi] == 0)
+        starts, ends = _runs(alloc.region.state[lo:hi] == 0)
         starts += lo
         ends += lo
         if len(starts):
@@ -956,10 +953,9 @@ class MemoryManager:
         return (int(sizes.sum()), 0, 0), alloc.va_base + starts, sizes
 
     def _touch_on_demand_gpu(self, alloc, lo, hi):
-        region = self._region(alloc)
-        sys_mask = region.sys_flags[lo:hi] != 0
-        minor = _runs(sys_mask & (region.gpu_flags[lo:hi] == 0))
-        major = _runs(~sys_mask)
+        state = alloc.region.state[lo:hi]
+        # Minor faults find a system entry only (state 1), major ones none.
+        minor, major = _runs(state == 1), _runs(state == 0)
         starts, ends = np.concatenate((minor, major), axis=1) + lo
         n_minor = len(minor[0])
         if n_minor < len(starts):
@@ -1021,7 +1017,7 @@ class MemoryManager:
         else:
             alloc.pending_cpu_batches = pending
         step = np.arange(grain, dtype=np.int64)
-        frames = self._region(alloc).frames
+        frames = alloc.region.frames
         for s, e in zip(starts.tolist(), ends.tolist()):
             # Pages [s, e): a partial head batch, whole batches [a, b), a
             # partial tail batch.
@@ -1046,6 +1042,7 @@ class MemoryManager:
         if not alloc.live:
             raise DoubleFree(f"allocation {alloc.id} already released")
         alloc.live = False
+        del self.allocations[alloc.id]
         self.table.unmap_range(alloc.va_base, alloc.n_pages)
         self.pool.release_runs(*alloc.frame_runs.array)
         alloc.frame_runs = Runs()
@@ -1054,19 +1051,19 @@ class MemoryManager:
 
     def usage_view(self, counter: UsageCounter) -> int:
         """Bytes used as seen by one of the memory-usage interfaces: the
-        mapped pages of the live allocations, of device kinds only for
+        mapped pages of the allocations, of device kinds only for
         hipMemGetInfo and of the other kinds only for the process RSS."""
         seen = {UsageCounter.HIP_MEM_GET_INFO: (True,),
                 UsageCounter.PROCESS_RSS: (False,)}.get(counter, (False, True))
         return self.profile.page_size * sum(
             a.mapped_pages for a in self.allocations.values()
-            if a.live and KINDS[a.kind].device in seen)
+            if KINDS[a.kind].device in seen)
 
     def check(self):
         """Raise AssertionError, naming the invariant, unless every
         invariant of the manager holds."""
         pool = self.pool
-        live = [a for a in self.allocations.values() if a.live]
+        live = list(self.allocations.values())
         run_starts, run_sizes = np.concatenate(
             [np.empty((2, 0), dtype=np.int64)]
             + [a.frame_runs.array for a in live], axis=1)
@@ -1106,13 +1103,8 @@ class MemoryManager:
         _expect(np.all(starts[1:] >= ends[:-1]),
                 "free pieces and live runs overlap")
         if live:
-            regions = [self._region(a) for a in live]
-            sys_flags = np.concatenate([r.sys_flags for r in regions])
-            gpu_flags = np.concatenate([r.gpu_flags for r in regions])
-            _expect(not np.any((gpu_flags != 0) & (gpu_flags != sys_flags)),
-                    "a GPU entry mirrors no system entry")
-            on = sys_flags != 0
-            offsets = np.cumsum([0] + [r.n_pages for r in regions[:-1]])
+            on = np.concatenate([a.region.state for a in live]) != 0
+            offsets = np.cumsum([0] + [a.n_pages for a in live[:-1]])
             mapped = np.add.reduceat(on, offsets, dtype=np.int64)
             _expect(mapped.tolist() == [a.mapped_pages for a in live],
                     "mapped pages differ from the allocations' counters")
@@ -1121,7 +1113,7 @@ class MemoryManager:
             # stretches of consecutive frames of one allocation, which must
             # not overlap; each must lie in one chain of adjacent runs of
             # that allocation.
-            frames = np.concatenate([r.frames for r in regions])[on]
+            frames = np.concatenate([a.region.frames for a in live])[on]
             bounds = np.cumsum(mapped)
             cut = np.ones(len(frames) + 1, dtype=bool)
             np.not_equal(np.diff(frames), 1, out=cut[1:-1])

@@ -4,10 +4,10 @@ Two tables cover the same virtual space: the system table (CPU side) and
 the GPU table, which is a strict mirror subset kept in sync by explicit
 propagation. Every entry carries a 5-bit fragment field: fragment f means
 the entry's page lies inside a run of 2^f pages that is contiguous and
-2^f-aligned in both virtual and physical space with identical flags, so a
-single TLB entry can cover the whole run.
+2^f-aligned in both virtual and physical space, so a single TLB entry can
+cover the whole run.
 
-Fragments are computed on read, as a pure function of the flags and
+Fragments are computed on read, as a pure function of the page states and
 frames, which keeps miss counting deterministic and order-independent.
 The rule is the one of Linux ``amdgpu_vm_pte_fragment()``
 (drivers/gpu/drm/amd/amdgpu/amdgpu_vm_pt.c), evaluated per run rather
@@ -30,10 +30,13 @@ covers each. ``fragment_runs`` returns these runs, (start, fragment) in
 address order, and is what the TLB reads.
 
 Each region stores, per page, one int32 frame number (-1 where the page
-is unmapped) and one uint8 flag byte per table: 6 bytes a page. The
-machine profile keeps every frame number below 2^31 (validate rejects
-more frames than that), and ``map_range`` rejects a frame outside that
-range rather than let it wrap.
+is unmapped) and one uint8 state: 0 unmapped, 1 mapped in the system
+table only, 2 mapped in both tables. A page is mapped in a table when its
+state reaches that table's ``LEVEL``, so the GPU table is a level of the
+system table and a GPU entry without a system entry cannot be stored:
+5 bytes a page. The machine profile keeps every frame number below 2^31
+(validate rejects more frames than that), and ``map_range`` rejects a
+frame outside that range rather than let it wrap.
 """
 
 from __future__ import annotations
@@ -42,12 +45,10 @@ import bisect
 
 import numpy as np
 
-FLAG_READ = 1
-FLAG_WRITE = 2
-FLAG_RW = FLAG_READ | FLAG_WRITE
-
 SYSTEM = "system"
 GPU = "gpu"
+# The page state from which a page is mapped in each table.
+LEVEL = {SYSTEM: 1, GPU: 2}
 
 
 class AlreadyMapped(Exception):
@@ -67,17 +68,13 @@ FRAME_LIMIT = 1 << 31
 
 
 class _Region:
-    __slots__ = ("va_base", "n_pages", "frames", "sys_flags", "gpu_flags")
+    __slots__ = ("va_base", "n_pages", "frames", "state")
 
     def __init__(self, va_base: int, n_pages: int):
         self.va_base = va_base
         self.n_pages = n_pages
         self.frames = np.full(n_pages, -1, dtype=np.int32)
-        self.sys_flags = np.zeros(n_pages, dtype=np.uint8)
-        self.gpu_flags = np.zeros(n_pages, dtype=np.uint8)
-
-    def flags_of(self, table: str) -> np.ndarray:
-        return self.sys_flags if table == SYSTEM else self.gpu_flags
+        self.state = np.zeros(n_pages, dtype=np.uint8)
 
 
 class DualTable:
@@ -99,10 +96,9 @@ class DualTable:
         base = -(-self._next_va // align_pages) * align_pages
         # Guard gap keeps fragments of distinct reservations from merging.
         self._next_va = base + n_pages + align_pages
-        region = _Region(base, n_pages)
-        idx = bisect.bisect(self._bases, base)
-        self._bases.insert(idx, base)
-        self._regions.insert(idx, region)
+        # Bases only grow, so appending keeps them sorted.
+        self._bases.append(base)
+        self._regions.append(_Region(base, n_pages))
         return base
 
     def _region_at(self, va_page: int) -> tuple[_Region, int]:
@@ -124,7 +120,7 @@ class DualTable:
 
     # -- mapping ------------------------------------------------------
 
-    def map_range(self, table: str, va_page: int, frames, flags: int = FLAG_RW):
+    def map_range(self, table: str, va_page: int, frames):
         """Map [va_page, +len(frames)) to frames in one table. An int32
         array, such as a slice of the region's own frames, is taken as
         is; other input must hold frame numbers in [0, FRAME_LIMIT)."""
@@ -136,17 +132,17 @@ class DualTable:
                 raise ValueError(f"frame numbers must lie in "
                                  f"[0, {FRAME_LIMIT})")
         region, sel = self._range_at(va_page, len(frames))
-        tflags = region.flags_of(table)
-        if np.any(tflags[sel] != 0):
+        state = region.state[sel]
+        if np.any(state >= LEVEL[table]):
             raise AlreadyMapped(f"page already mapped in {table} table")
         if table == GPU:
-            if np.any(region.sys_flags[sel] == 0):
+            if not state.all():
                 raise MirrorViolation("gpu entries only mirror system entries")
             if np.any(region.frames[sel] != frames):
                 raise MirrorViolation("gpu entry frame differs from system entry")
         else:
             region.frames[sel] = frames
-        tflags[sel] = flags
+        state[:] = LEVEL[table]
 
     def propagate(self, va_page: int, n_pages: int) -> int:
         """Mirror [va_page, +n_pages) into the GPU table; idempotent.
@@ -155,19 +151,18 @@ class DualTable:
         mapped in the system table.
         """
         region, sel = self._range_at(va_page, n_pages)
-        if np.any(region.sys_flags[sel] == 0):
+        state = region.state[sel]
+        if not state.all():
             raise Unmapped("propagate over a range not fully system-mapped")
-        gpu_view = region.gpu_flags[sel]
-        fresh = gpu_view == 0
-        np.copyto(gpu_view, region.sys_flags[sel], where=fresh)
-        return int(np.count_nonzero(fresh))
+        fresh = int(np.count_nonzero(state == LEVEL[SYSTEM]))
+        state[:] = LEVEL[GPU]
+        return fresh
 
     def unmap_range(self, va_page: int, n_pages: int):
         """Drop [va_page, +n) from both tables (missing pages are fine);
         the range must lie inside one reservation."""
         region, sel = self._range_at(va_page, n_pages)
-        region.gpu_flags[sel] = 0
-        region.sys_flags[sel] = 0
+        region.state[sel] = 0
         region.frames[sel] = -1
 
     # -- queries ------------------------------------------------------
@@ -180,12 +175,10 @@ class DualTable:
         Unmapped pages lie in no run."""
         region, _ = self._range_at(va_page, n_pages)
         # A run of pages is a maximal stretch of mapped pages with
-        # consecutive frames and equal flags.
-        flags = region.flags_of(table)
+        # consecutive frames.
         frames = region.frames
-        present = flags != 0
-        link = (frames[1:] == frames[:-1] + 1) & present[1:] & present[:-1] \
-            & (flags[1:] == flags[:-1])
+        present = region.state >= LEVEL[table]
+        link = (frames[1:] == frames[:-1] + 1) & present[1:] & present[:-1]
         first = present.copy()
         first[1:] &= ~link
         last = present  # present is not read again

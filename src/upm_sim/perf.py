@@ -25,10 +25,7 @@ from .machine import MachineProfile
 from .memmgr import (KINDS, AccessViolation, Agent, Allocation,
                      AllocatorKind, MemoryManager, Policy, classify,
                      placement_twin)
-
-
-class UnmappedPages(Exception):
-    pass
+from .pagetable import Unmapped
 
 
 @dataclass(frozen=True)
@@ -58,13 +55,11 @@ def channel_load(profile: MachineProfile, manager: MemoryManager,
     channels = profile.channels
     counts = np.zeros(channels, dtype=np.int64)
     for alloc in allocs:
-        region = manager._region(alloc)
-        if not region.sys_flags[:alloc.n_pages].all():
-            raise UnmappedPages(f"allocation {alloc.id} not fully mapped")
+        if not alloc.region.state.all():
+            raise Unmapped(f"allocation {alloc.id} not fully mapped")
         counts += _run_channels(channels, *alloc.frame_runs.array)
         counts -= _run_channels(channels, *_unmapped_reserved(
-            alloc, region.frames, manager.pool.batch_pages,
-            manager.pool.block_pages))
+            alloc, manager.pool.batch_pages, manager.pool.block_pages))
     return ChannelLoad(tuple(int(c) * profile.page_size for c in counts))
 
 
@@ -83,7 +78,7 @@ def _run_channels(channels: int, starts: np.ndarray,
     return whole + cover[:channels] + cover[channels:]
 
 
-def _unmapped_reserved(alloc: Allocation, frames: np.ndarray, batch: int,
+def _unmapped_reserved(alloc: Allocation, batch: int,
                        block: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, sizes) of the frames that alloc's first-touch reservations
     hold but that map none of its pages, all of which are mapped."""
@@ -105,7 +100,7 @@ def _unmapped_reserved(alloc: Allocation, frames: np.ndarray, batch: int,
         # frame plus the GPU block's frame for that page.
         unused = cpu[pages // batch] + pages % batch
         unused += gpu[pages // block] + pages % block
-        unused -= frames[pages]
+        unused -= alloc.region.frames[pages]
         starts.append(unused)
         sizes.append(np.ones(len(unused), dtype=np.int64))
     return np.concatenate(starts), np.concatenate(sizes)

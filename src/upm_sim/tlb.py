@@ -1,8 +1,9 @@
 """Fragment-aware GPU L1 TLB simulation and TRIAD miss counting.
 
 One TLB entry covers a whole fragment run, so reach grows with placement
-contiguity. The model is a fully associative LRU over (run base, fragment)
-entries; capacity comes from the machine profile. Counter name used in
+contiguity. The model is a fully associative LRU over fragment runs, keyed
+by run base (one table read tiles its pages with runs, so no two share a
+base); capacity comes from the machine profile. Counter name used in
 reports: TCP_UTCL1_TRANSLATION_MISS.
 
 ``triad_misses`` reads each operand's fragment runs, not its pages: an
@@ -36,21 +37,21 @@ class FragmentTlb:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[int, int], None] = OrderedDict()
+        self._entries: OrderedDict[int, None] = OrderedDict()
         self.misses = 0
 
-    def access_run(self, run_base: int, fragment: int) -> bool:
-        """Translate one access whose page lies in the given fragment run.
+    def access_run(self, run_base: int) -> bool:
+        """Translate one access whose page lies in the fragment run that
+        starts at run_base.
 
         Returns True on hit. On miss the run is inserted, evicting the
         least recently used entry when full.
         """
-        key = (run_base, fragment)
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        if run_base in self._entries:
+            self._entries.move_to_end(run_base)
             return True
         self.misses += 1
-        self._entries[key] = None
+        self._entries[run_base] = None
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return False
@@ -125,7 +126,7 @@ def _replay(events: list[np.ndarray], iterations: int, capacity: int) -> int:
         before = tlb.misses
         for step in range(len(events[0])):
             for b in events:
-                tlb.access_run(int(b[step]), 0)
+                tlb.access_run(int(b[step]))
         return tlb.misses - before
 
     first = one_pass()
@@ -160,14 +161,14 @@ def _boundary_count(events: list[np.ndarray], iterations: int,
     tlb = FragmentTlb(capacity)
     for step in range(max(0, steps - capacity), steps):
         for col in columns:
-            tlb.access_run(col[step], 0)
+            tlb.access_run(col[step])
     resident = set(tlb._entries)
     tlb.misses = 0
     step = 0
     while resident and step < steps:
         for col in columns:
-            tlb.access_run(col[step], 0)
-            resident.discard((col[step], 0))
+            tlb.access_run(col[step])
+            resident.discard(col[step])
         resident = {key for key in resident if key in tlb._entries}
         step += 1
     later = sum(int(np.count_nonzero(f[step:])) for f in fresh)

@@ -8,8 +8,9 @@ from upm_sim.fault import FaultKind
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             FramePool, MemoryManager, OutOfMemory, Policy,
-                            UsageCounter, ZeroSize, _ranges, alloc_time_model,
-                            classify, free_time_model, placement_twin)
+                            UsageCounter, UseAfterFree, ZeroSize, _ranges,
+                            alloc_time_model, classify, free_time_model,
+                            placement_twin)
 from tests.test_pagetable import run_pages
 from tests.test_properties import free_intervals, pool_state, snapshot
 
@@ -194,7 +195,7 @@ def test_up_front_frames_follow_the_runs(kind, xnack):
     m = manager(seed=3, xnack=xnack)
     for size in (1000, 5 * 4 * KiB, 1 * MiB + 4 * KiB, 1 * GiB):
         a = m.allocate(kind, size)
-        np.testing.assert_array_equal(m._region(a).frames,
+        np.testing.assert_array_equal(a.region.frames,
                                       _ranges(*a.frame_runs.array))
     m.check()
 
@@ -208,7 +209,7 @@ def test_up_front_frame_write_over_mixed_tails(kind, xnack):
     for size in (4 * KiB, 64 * KiB + 4 * KiB, 1 * MiB + 20 * KiB,
                  device_tail):
         a = m.allocate(kind, size)
-        np.testing.assert_array_equal(m._region(a).frames,
+        np.testing.assert_array_equal(a.region.frames,
                                       _ranges(*a.frame_runs.array))
     if kind is K.DEVICE_UP_FRONT:
         assert [n for _, n in a.frame_runs] == [128, 128, 64, 32, 8, 1]
@@ -227,7 +228,7 @@ def test_cpu_touch_around_a_gpu_run_draws_each_batch_once():
     batches = a.pending_cpu_batches
     assert [n for _, n in a.frame_runs] == [128, 16, 16, 16]
     assert [s for s, _ in a.frame_runs][1:] == batches[:3].tolist()
-    frames = m._region(a).frames
+    frames = a.region.frames
     offs = np.r_[0:5, 9:40]
     np.testing.assert_array_equal(frames[offs],
                                   batches[offs // 16] + offs % 16)
@@ -266,13 +267,11 @@ def test_up_front_first_touch_maps_nothing(kind, agent):
     # first touches up-front memory.
     m = manager(seed=4)
     a = m.allocate(kind, 1 * MiB + 20 * KiB)
-    region = m._region(a)
-    tables = [t.copy() for t in (region.frames, region.sys_flags,
-                                 region.gpu_flags)]
+    region = a.region
+    tables = [t.copy() for t in (region.frames, region.state)]
     runs, pool = [r.copy() for r in a.frame_runs.array], pool_state(m.pool)
     m.touch(a, None, agent)
-    for before, after in zip(tables, (region.frames, region.sys_flags,
-                                      region.gpu_flags)):
+    for before, after in zip(tables, (region.frames, region.state)):
         np.testing.assert_array_equal(before, after)
     for before, after in zip(runs, a.frame_runs.array):
         np.testing.assert_array_equal(before, after)
@@ -295,6 +294,21 @@ def test_double_free_rejected():
     m.release(a)
     with pytest.raises(DoubleFree):
         m.release(a)
+
+
+def test_released_allocation_leaves_the_manager():
+    m = manager()
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+    b = m.allocate(K.DEVICE_UP_FRONT, 1 * MiB)
+    m.touch(a, None, Agent.CPU)
+    m.release(a)
+    assert list(m.allocations) == [b.id]
+    m.check()
+    with pytest.raises(DoubleFree):
+        m.release(a)
+    with pytest.raises(UseAfterFree):
+        m.touch(a, None, Agent.CPU)
+    assert list(m.allocations) == [b.id]
 
 
 def test_frame_conservation_counter():
@@ -336,8 +350,7 @@ def fragmented_manager(free_block=False, degree=None):
 
 
 def reserved_frames(m):
-    return sum(n for a in m.allocations.values() if a.live
-               for _, n in a.frame_runs)
+    return sum(n for a in m.allocations.values() for _, n in a.frame_runs)
 
 
 def test_failed_allocate_releases_partial_draws():
@@ -345,7 +358,7 @@ def test_failed_allocate_releases_partial_draws():
     m = fragmented_manager()
     state = pool_state(m.pool)
     rng_state = m._scatter_rng.bit_generator.state
-    next_va, n_allocs = m.table._next_va, len(m.allocations)
+    next_va, next_id = m.table._next_va, m._next_id
     assert m.pool.free_frames > 256
     with pytest.raises(OutOfMemory):
         m.allocate(K.PINNED_HOST, 1 * MiB)
@@ -354,9 +367,9 @@ def test_failed_allocate_releases_partial_draws():
     # No groups are drawn for the failed call either.
     assert m._scatter_rng.bit_generator.state == rng_state
     # No virtual reservation and no id is used up by the failed call.
-    assert (m.table._next_va, len(m.allocations)) == (next_va, n_allocs)
+    assert (m.table._next_va, m._next_id) == (next_va, next_id)
     a = m.allocate(K.PINNED_HOST, 4 * KiB)
-    assert a.id == n_allocs + 1 and a.va_base >= next_va
+    assert a.id == next_id and a.va_base >= next_va
 
 
 @pytest.mark.parametrize("agent", [Agent.CPU, Agent.GPU])
@@ -461,8 +474,7 @@ def test_placement_determinism():
         m = manager(seed=seed)
         a = m.allocate(K.LIBC_ON_DEMAND, 16 * MiB)
         m.touch(a, None, Agent.CPU)
-        region = m._region(a)
-        return region.frames[:a.n_pages].copy()
+        return a.region.frames[:a.n_pages].copy()
 
     f1, f2 = frames_of(11), frames_of(11)
     assert np.array_equal(f1, f2)
@@ -496,9 +508,9 @@ def test_scatter_degree_zero_is_sequential():
     m.touch(a, None, Agent.CPU)
     b = m.allocate(K.PINNED_HOST, 1 * MiB)
     for alloc in (a, b):
-        frames = m._region(alloc).frames[:alloc.n_pages]
+        frames = alloc.region.frames[:alloc.n_pages]
         assert np.all(np.diff(frames) == 1)
-    assert m._region(a).frames[0] == 0
+    assert a.region.frames[0] == 0
 
 
 def test_sequential_draw_after_release_takes_lowest_free_block():
@@ -663,20 +675,16 @@ def _hold_a_slot_twice(m, a, b):
     stack.push(int(stack.array[0, -1]))
 
 
-def _gpu_entry_without_system_entry(m, a, b):
-    m._region(a).gpu_flags[-1] = 3
-
-
 def _map_a_free_frame(m, a, b):
-    m._region(a).frames[0] = m.pool.free_pieces()[0][0]
+    a.region.frames[0] = m.pool.free_pieces()[0][0]
 
 
 def _map_a_frame_of_another_allocation(m, a, b):
-    m._region(a).frames[0] = m._region(b).frames[-1]
+    a.region.frames[0] = b.region.frames[-1]
 
 
 def _map_a_frame_twice(m, a, b):
-    frames = m._region(a).frames
+    frames = a.region.frames
     frames[1] = frames[0]
 
 
@@ -689,14 +697,13 @@ def _map_a_frame_twice(m, a, b):
     (_clear_a_slot_in_the_map, "slot map"),
     (_hold_a_slot_twice, "slot map"),
     (lambda m, a, b: setattr(m.pool, "_boot_left", 0), "left to boot"),
-    (_gpu_entry_without_system_entry, "GPU entry"),
     (lambda m, a, b: setattr(a, "mapped_pages", a.mapped_pages + 1),
      "mapped pages"),
     (_map_a_free_frame, "outside its allocation's runs"),
     (_map_a_frame_of_another_allocation, "mapped twice"),
     (_map_a_frame_twice, "mapped twice"),
 ], ids=["used", "leak", "overlap", "alive", "slot_map", "slot_twice",
-        "unlisted", "mirror", "mapped", "free_frame", "foreign_frame",
+        "unlisted", "mapped", "free_frame", "foreign_frame",
         "twice"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)

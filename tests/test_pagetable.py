@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from upm_sim.pagetable import (FRAME_LIMIT, GPU, SYSTEM, AlreadyMapped,
-                               DualTable, MirrorViolation, Unmapped)
+from upm_sim.pagetable import (FRAME_LIMIT, GPU, LEVEL, SYSTEM,
+                               AlreadyMapped, DualTable, MirrorViolation,
+                               Unmapped)
 from upm_sim.tlb import run_bases
 
 
 def brute_fragment(region, off, table, va_base, f_cap=12):
     """Independent oracle: naive scan over every aligned power-of-two run."""
-    flags = region.sys_flags if table == SYSTEM else region.gpu_flags
+    mapped = region.state >= LEVEL[table]
     frames = region.frames
     n = region.n_pages
     va = va_base + off
@@ -21,8 +22,7 @@ def brute_fragment(region, off, table, va_base, f_cap=12):
         hi = lo + size
         if lo < 0 or hi > n:
             continue
-        window_flags = flags[lo:hi]
-        if np.any(window_flags == 0) or np.any(window_flags != window_flags[0]):
+        if not mapped[lo:hi].all():
             continue
         window = frames[lo:hi]
         if np.any(np.diff(window) != 1):
@@ -58,7 +58,7 @@ def fresh_table():
 def fragment(t, va_page, table=GPU):
     """The fragment field of a mapped page in one table."""
     region, off = t._region_at(va_page)
-    assert region.flags_of(table)[off] != 0
+    assert region.state[off] >= LEVEL[table]
     return int(fragments(t, table, va_page, 1)[0])
 
 
@@ -68,7 +68,7 @@ def test_map_and_lookup_single_page():
     t.map_range(SYSTEM, base, [4096])
     t.propagate(base, 1)
     region, off = t._region_at(base)
-    assert region.gpu_flags[off] != 0 and region.frames[off] == 4096
+    assert region.state[off] == LEVEL[GPU] and region.frames[off] == 4096
 
 
 def test_double_map_rejected():
@@ -172,7 +172,7 @@ def test_unmap_splits_runs():
     t.propagate(base, 16)
     t.unmap_range(base + 8, 1)
     region, _ = t._region_at(base)
-    assert region.gpu_flags[8] == 0 and region.sys_flags[8] == 0
+    assert region.state[8] == 0
     for i in list(range(8)) + list(range(9, 16)):
         assert fragment(t, base + i) == brute_fragment(
             region, i, GPU, base)
@@ -212,7 +212,7 @@ def test_fragment_oracle_random_maps():
                 except AlreadyMapped:
                     pass
         region, _ = t._region_at(base)
-        mapped = np.nonzero(region.sys_flags[:n])[0]
+        mapped = np.nonzero(region.state[:n])[0]
         for i in mapped:
             assert fragment(t, base + int(i), SYSTEM) == \
                 brute_fragment(region, int(i), SYSTEM, base), \
@@ -259,7 +259,7 @@ def test_unmap_crossing_its_reservation_is_rejected():
     # The rejected unmap changed nothing.
     region, _ = t._region_at(base)
     assert region.frames.tolist() == list(range(4096, 4096 + 16))
-    assert region.sys_flags.all() and region.gpu_flags.all()
+    assert (region.state == LEVEL[GPU]).all()
     t.unmap_range(base + 8, 8)
     assert region.frames[8:].tolist() == [-1] * 8
 
@@ -280,7 +280,7 @@ def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
 
 
 def test_region_footprint_per_page():
-    # A mapped page costs an int32 frame and one flag byte per table.
+    # A mapped page costs an int32 frame and one state byte.
     n_pages = (1 << 30) // 4096
     frames = np.arange(n_pages, dtype=np.int64)
     t = fresh_table()
@@ -295,8 +295,20 @@ def test_region_footprint_per_page():
     region, _ = t._region_at(base)
     assert region.frames.dtype == np.int32
     np.testing.assert_array_equal(region.frames, frames)
-    # 6 B a page, plus under 1 KiB for the region object itself.
-    assert held - before <= 6 * n_pages + 1024
+    # 5 B a page, plus under 1 KiB for the region object itself.
+    assert held - before <= 5 * n_pages + 1024
+
+
+def test_reserve_holds_at_most_5_bytes_a_page():
+    n_pages = 1 << 20
+    t = fresh_table()
+    tracemalloc.start()
+    try:
+        t.reserve(n_pages)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n_pages + 1024
 
 
 @pytest.mark.parametrize("bad", [FRAME_LIMIT, -1])
@@ -306,6 +318,6 @@ def test_map_range_rejects_frames_outside_int32(bad):
     with pytest.raises(ValueError):
         t.map_range(SYSTEM, base, np.array([0, bad], dtype=np.int64))
     region, _ = t._region_at(base)
-    assert not region.sys_flags.any() and (region.frames == -1).all()
+    assert not region.state.any() and (region.frames == -1).all()
     t.map_range(SYSTEM, base, [FRAME_LIMIT - 2, FRAME_LIMIT - 1])
     assert region.frames[:2].tolist() == [FRAME_LIMIT - 2, FRAME_LIMIT - 1]

@@ -8,6 +8,7 @@ from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind,
                             MemoryManager)
+from upm_sim.pagetable import Unmapped
 
 K = AllocatorKind
 
@@ -36,7 +37,7 @@ def test_channel_load_single_page(profile):
 def test_channel_load_requires_mapping(profile):
     m = MemoryManager(profile, seed=0)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
-    with pytest.raises(perf.UnmappedPages):
+    with pytest.raises(Unmapped):
         perf.channel_load(profile, m, a)
 
 
@@ -45,8 +46,7 @@ def test_channel_load_matches_direct_recount(profile):
     a = m.allocate(K.LIBC_ON_DEMAND, 256 * MiB)
     m.touch(a, None, Agent.CPU)
     load = perf.channel_load(profile, m, a)
-    region = m._region(a)
-    frames = region.frames[:a.n_pages]
+    frames = a.region.frames[:a.n_pages]
     counts = np.bincount(frames % profile.channels,
                          minlength=profile.channels) * profile.page_size
     assert tuple(int(c) for c in counts) == load.bytes_per_channel
@@ -59,7 +59,7 @@ def test_channel_load_counts_every_slice(profile):
     # 4,096 up-front batches and a 5-page tail run.
     m = MemoryManager(profile, seed=2)
     a = m.allocate(K.PINNED_HOST, 256 * MiB + 20 * KiB)
-    frames = m._region(a).frames
+    frames = a.region.frames
     counts = np.bincount(frames % profile.channels,
                          minlength=profile.channels) * profile.page_size
     load = perf.channel_load(profile, m, a)
@@ -70,7 +70,7 @@ def page_recount(profile, m, allocs):
     """channel_load's bytes per channel, recounted page by page."""
     counts = np.zeros(profile.channels, dtype=np.int64)
     for a in allocs:
-        frames = m._region(a).frames[:a.n_pages]
+        frames = a.region.frames[:a.n_pages]
         counts += np.bincount(frames % profile.channels,
                               minlength=profile.channels)
     return tuple(int(c) * profile.page_size for c in counts)

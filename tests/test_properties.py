@@ -10,7 +10,7 @@ from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (Agent, AllocatorKind, FaultBatch, FramePool,
                             MemoryManager, OutOfMemory, Policy, classify)
-from upm_sim.pagetable import GPU, SYSTEM, AlreadyMapped, DualTable
+from upm_sim.pagetable import GPU, LEVEL, SYSTEM, AlreadyMapped, DualTable
 from upm_sim.tlb import FragmentTlb
 from tests.test_pagetable import brute_fragment, fragments, run_pages
 
@@ -50,7 +50,7 @@ def test_fragment_oracle_equivalence_thousand_mappings():
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
         frags = fragments(t, SYSTEM, base, n)
-        mapped = np.nonzero(region.sys_flags[:n])[0]
+        mapped = np.nonzero(region.state[:n])[0]
         sample = mapped if len(mapped) <= 6 else \
             rng.choice(mapped, size=6, replace=False)
         for off in sample:
@@ -77,12 +77,12 @@ def test_fragment_oracle_large_mappings():
 
 def assert_fragments_match_oracle(t, base, offsets, table, f_cap):
     region, _ = t._region_at(base)
-    flags = region.sys_flags if table == SYSTEM else region.gpu_flags
+    mapped = region.state >= LEVEL[table]
     frags = fragments(t, table, base, region.n_pages)
     for off in offsets:
         off = int(off)
         expected = brute_fragment(region, off, table, base, f_cap=f_cap) \
-            if flags[off] else -1
+            if mapped[off] else -1
         assert int(frags[off]) == expected, (table, off)
 
 
@@ -153,7 +153,7 @@ def test_fragment_oracle_gpu_table_mirror_stays_partial():
         n = int(rng.integers(16, 96))
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
-        mapped = np.flatnonzero(region.sys_flags[:n])
+        mapped = np.flatnonzero(region.state[:n])
         mirrored = rng.permutation(mapped[mapped != rng.choice(mapped)])
         for off in mirrored.tolist():
             t.propagate(base + off, 1)
@@ -195,7 +195,7 @@ def test_fragment_oracle_windows_on_unmapped_edges():
         n = int(rng.integers(8, 96))
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
-        mapped = region.sys_flags[:n] != 0
+        mapped = region.state[:n] != 0
         for off in np.flatnonzero(mapped):
             if rng.random() < 0.7:
                 t.propagate(base + int(off), 1)
@@ -292,7 +292,7 @@ def test_frame_conservation_random_op_sequences():
             assert m.pool.used_frames + m.pool.free_frames == total
         # No frame is ever double-mapped across live allocations.
         mapped_frames = np.concatenate(
-            [m._region(a).frames[:a.n_pages] for a in live] or
+            [a.region.frames[:a.n_pages] for a in live] or
             [np.empty(0, dtype=np.int64)])
         mapped_frames = mapped_frames[mapped_frames >= 0]
         assert len(np.unique(mapped_frames)) == len(mapped_frames)
@@ -568,10 +568,9 @@ def test_bulk_release_matches_per_run_release_usage_matrix(kind, heap):
 def faults_page_by_page(m, a, lo, hi, agent):
     """(kinds, pages) of touching [lo, hi), one page or chunk at a time,
     from the tables and chunk flags before the touch."""
-    region = m._region(a)
     offs = np.arange(lo, hi)
-    sys_mapped = region.sys_flags[lo:hi] != 0
-    gpu_mapped = region.gpu_flags[lo:hi] != 0
+    sys_mapped = a.region.state[lo:hi] >= LEVEL[SYSTEM]
+    gpu_mapped = a.region.state[lo:hi] >= LEVEL[GPU]
     kinds, pages = [], []
     if lo == hi:
         pass
@@ -599,7 +598,7 @@ def check_frames_page_by_page(m, a, lo, hi, agent, before):
     (GPU) reservation plus its offset there, and the runs it drew are the
     reservations of the batches or blocks that had none, ascending."""
     sys_before, pending_before, n_runs = before
-    region = m._region(a)
+    region = a.region
     fresh = np.flatnonzero(sys_before[lo:hi] == 0) + lo
     grain = m.pool.block_pages if agent is Agent.GPU else m.pool.batch_pages
     pending = a.pending_gpu_blocks if agent is Agent.GPU \
@@ -637,10 +636,10 @@ def test_touch_faults_and_frames_match_page_by_page(kind, xnack):
             hi = min(lo + int(rng.integers(0, most)), a.n_pages)
             if rng.random() < 0.05:
                 lo, hi = 0, a.n_pages
-            region = m._region(a)
+            region = a.region
             pending = a.pending_gpu_blocks if agent is Agent.GPU \
                 else a.pending_cpu_batches
-            before = (region.sys_flags.copy(),
+            before = (region.state.copy(),
                       None if pending is None else pending.copy(),
                       len(a.frame_runs))
             want = faults_page_by_page(m, a, lo, hi, agent)
@@ -676,13 +675,13 @@ def test_block_granular_touch_keeps_mapped_equals_reserved():
 def test_lru_stack_property_capacity_sweep():
     rng = np.random.default_rng(31)
     for trial in range(5):
-        universe = [(int(b), 0) for b in rng.integers(0, 200, size=50)]
+        universe = [int(b) for b in rng.integers(0, 200, size=50)]
         stream = [universe[int(i)] for i in rng.integers(0, 50, size=3000)]
         misses = []
         for capacity in (1, 2, 4, 8, 16, 32, 64, 128):
             t = FragmentTlb(capacity)
-            for base, frag in stream:
-                t.access_run(base, frag)
+            for base in stream:
+                t.access_run(base)
             misses.append(t.misses)
         assert all(a >= b for a, b in zip(misses, misses[1:]))
 

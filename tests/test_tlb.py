@@ -42,16 +42,16 @@ def accesses(t, base, pages, offsets, capacity):
     GPU-mapped range of pages."""
     bases = run_bases(t, base, pages)
     tlb = FragmentTlb(capacity)
-    return sum(0 if tlb.access_run(int(bases[v]), 0) else 1 for v in offsets)
+    return sum(0 if tlb.access_run(int(bases[v])) else 1 for v in offsets)
 
 
 def test_second_access_hits():
     t, base = table_with_runs(4, 16, 64)
     bases = run_bases(t, base, 64)
     tlb = FragmentTlb(8)
-    assert tlb.access_run(int(bases[0]), 0) is False
-    assert tlb.access_run(int(bases[0]), 0) is True
-    assert tlb.access_run(int(bases[7]), 0) is True  # same fragment run
+    assert tlb.access_run(int(bases[0])) is False
+    assert tlb.access_run(int(bases[0])) is True
+    assert tlb.access_run(int(bases[7])) is True  # same fragment run
 
 
 def test_access_requires_gpu_mapping():

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import atomics as atomics_mod
 from . import fault as fault_mod
-from . import perf, tlb, units
+from . import memmgr, perf, tlb, units
 from .machine import KiB, MiB, GiB, MachineProfile
 from .memmgr import (KINDS, AccessViolation, Agent, AllocatorKind, FaultKind,
                      MemoryManager, Policy, UsageCounter, alloc_time_model,
-                     classify, free_time_model, placement_twin)
+                     classify, free_time_model)
 
 KIND_ALIASES = {name.lower(): kind for kind, spec in KINDS.items()
                 for name in (kind.value, *spec.aliases)}
@@ -108,15 +108,15 @@ def measure_chase(profile: MachineProfile, agent: Agent, kind: AllocatorKind,
     one size; returns the dependent-load latency in ns."""
     if agent is Agent.GPU and not classify(kind, profile.xnack).gpu_access:
         raise AccessViolation(f"GPU cannot chase {kind.value} memory")
-    load = _chase_load(profile, kind, size, seed)
+    load = _chase_load(*memmgr.placement_key(profile, kind), size, seed)
     return perf.chase_latency(profile, agent, size, load).weighted_ns
 
 
 @functools.lru_cache(maxsize=64)
 def _chase_load(profile: MachineProfile, kind: AllocatorKind, size: int,
                 seed: int) -> perf.ChannelLoad:
-    """Channel load of one allocation after its first touch; placement does
-    not depend on the chasing agent, so every agent shares one load."""
+    """Channel load of one allocation after its first touch; every agent
+    and, asked by placement key (memmgr.placement_key), every kind shares it."""
     manager = MemoryManager(profile, seed=seed)
     alloc = manager.allocate(kind, size)
     if classify(kind, profile.xnack).physical is Policy.ON_DEMAND:
@@ -134,13 +134,13 @@ def build_cpu_stream_stats(profile: MachineProfile, kind: AllocatorKind,
     which is where coarse-grained visibility faults of up-front kinds
     appear.
 
-    Kinds that place alike (memmgr.placement_twin) fault alike, so only
-    the twin is simulated; any other kind reads its count through this
-    cache.
+    Calls with one placement key (memmgr.placement_key) fault alike, so
+    only the key is simulated; any other call reads its count through
+    this cache.
     """
-    twin = placement_twin(kind, profile.xnack)
-    if twin is not kind:
-        return build_cpu_stream_stats(profile, twin, init_agent, seed)
+    key = memmgr.placement_key(profile, kind)
+    if key != (profile, kind):
+        return build_cpu_stream_stats(*key, init_agent, seed)
     manager = MemoryManager(profile, seed=seed)
     page = profile.page_size
     faults = 0
@@ -171,19 +171,16 @@ def _bench_latency(profile, seed, agent=(Agent.GPU, Agent.CPU),
                    size=_LATENCY_SIZES):
     agents, kinds, sizes = agent, kind, size
     rows = []
-    idx = 0
-    for kind in kinds:
-        for size in sizes:
-            idx += 1
-            for agent in agents:
-                keys = {"agent": agent.value, "kind": kind.value, "size": size}
-                try:
-                    value = measure_chase(profile, agent, kind, size,
-                                          _point_seed(seed, idx))
-                except AccessViolation as exc:
-                    rows.append(_error_row("latency", keys, exc))
-                    continue
-                rows.append(_row("latency", keys, "latency", value, "ns"))
+    for idx, (kind, size) in enumerate(itertools.product(kinds, sizes), 1):
+        for agent in agents:
+            keys = {"agent": agent.value, "kind": kind.value, "size": size}
+            try:
+                value = measure_chase(profile, agent, kind, size,
+                                      _point_seed(seed, idx))
+            except AccessViolation as exc:
+                rows.append(_error_row("latency", keys, exc))
+                continue
+            rows.append(_row("latency", keys, "latency", value, "ns"))
     return rows
 
 
@@ -838,18 +835,23 @@ def expected_usage(profile: MachineProfile, kind: AllocatorKind,
     return touched
 
 
+def _usage_tables(profile: MachineProfile, size, seed, stages):
+    """(kind, usage_matrix) for every kind, in order, as they are read;
+    one usage_matrix per placement key (memmgr.placement_key)."""
+    table = functools.cache(lambda key: usage_matrix(*key, size, seed, stages))
+    return ((kind, table(memmgr.placement_key(profile, kind)))
+            for kind in AllocatorKind)
+
+
 def check_usage_matrix(profile: MachineProfile, seed: int = 0) -> bool:
     size = 1 * GiB
     checked = (("after_alloc", 0), ("after_half_touch", size // 2),
                ("after_full_touch", size), ("after_release", 0))
-    for kind in AllocatorKind:
-        table = usage_matrix(profile, kind, size, seed, stages=len(checked))
-        for stage, touched in checked:
-            for counter in _USAGE_COUNTERS:
-                if table[(stage, counter)] != expected_usage(
-                        profile, kind, stage, counter, size, touched):
-                    return False
-    return True
+    return all(table[(stage, c)] == expected_usage(profile, kind, stage, c,
+                                                   size, touched)
+               for kind, table in _usage_tables(profile, size, seed,
+                                                len(checked))
+               for stage, touched in checked for c in _USAGE_COUNTERS)
 
 
 @dataclass

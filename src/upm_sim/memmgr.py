@@ -9,7 +9,8 @@ access and placement with fault replay off and on, whether it is device
 memory, and whether the GPU streams it at a fixed rate. The usage counters
 are read from the live allocations by that device flag. Placement reads a
 kind only through its access spec and device flag, so kinds that share
-both place alike; ``placement_twin`` names the first of them.
+both place alike; ``placement_twin`` names the first of them. xnack is read
+only through access specs, so ``placement_key`` also shares across it.
 
 Physical frames come from a buddy-style pool over power-of-two runs whose
 largest order is one 512 KiB block. Placement reproduces the observable
@@ -85,7 +86,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -187,10 +188,20 @@ def placement_twin(kind: AllocatorKind, xnack: bool) -> AllocatorKind:
     page tables and faults: with xnack on
     managed memory places as libc and pinned and static memory as
     registered; with it off pinned, managed and static memory place as
-    registered."""
+    registered. placement_key also shares placements across xnack."""
     key = classify(kind, xnack), KINDS[kind].device
     return next(k for k, spec in KINDS.items()
                 if (classify(k, xnack), spec.device) == key)
+
+
+def placement_key(profile: MachineProfile, kind: AllocatorKind) -> tuple:
+    """The (profile, kind) an experiment on kind simulates: kind's twin,
+    on the xnack-on profile when the twin classifies alike under both
+    settings (a MemoryManager reads xnack only through classify)."""
+    twin = placement_twin(kind, profile.xnack)
+    if profile.xnack or classify(twin, False) != classify(twin, True):
+        return profile, twin
+    return replace(profile, xnack=True), twin
 
 
 class FaultBatch:
@@ -785,9 +796,9 @@ class FramePool:
 
 @dataclass
 class Allocation:
-    """One allocation: its page-table region; its frame runs in draw
-    order, as int64 arrays; its first-touch reservations; and, from its
-    first CPU touch of up-front memory, one flag per CPU-visible chunk."""
+    """One allocation: its page-table region until release; its frame runs
+    in draw order, as int64 arrays; its first-touch reservations; and, from
+    its first CPU touch of up-front memory, one flag per CPU-visible chunk."""
     id: int
     kind: AllocatorKind
     va_base: int                   # first virtual page number
@@ -1044,6 +1055,8 @@ class MemoryManager:
         alloc.live = False
         del self.allocations[alloc.id]
         self.table.unmap_range(alloc.va_base, alloc.n_pages)
+        self.table.free(alloc.va_base)
+        alloc.region = None
         self.pool.release_runs(*alloc.frame_runs.array)
         alloc.frame_runs = Runs()
         alloc.pending_cpu_batches = alloc.pending_gpu_blocks = None

@@ -101,6 +101,11 @@ class DualTable:
         self._regions.append(_Region(base, n_pages))
         return base
 
+    def free(self, va_base: int):
+        """Drop the reservation based at va_base and its page arrays."""
+        idx = self._bases.index(va_base)
+        del self._bases[idx], self._regions[idx]
+
     def _region_at(self, va_page: int) -> tuple[_Region, int]:
         idx = bisect.bisect(self._bases, va_page) - 1
         if idx >= 0:

@@ -16,15 +16,14 @@ depends on how the memory was placed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tlb as tlb_mod
+from . import memmgr, tlb as tlb_mod
 from .machine import MachineProfile
 from .memmgr import (KINDS, AccessViolation, Agent, Allocation,
-                     AllocatorKind, MemoryManager, Policy, classify,
-                     placement_twin)
+                     AllocatorKind, MemoryManager, Policy, classify)
 from .pagetable import Unmapped
 
 
@@ -156,8 +155,6 @@ def chase_latency(profile: MachineProfile, agent: Agent, working_set: int,
 @dataclass(frozen=True)
 class TriadWorkset:
     """Placement-derived inputs of the GPU streaming model."""
-    kind: AllocatorKind
-    init_agent: Agent
     array_bytes: int
     balance: float
     tlb_misses: int
@@ -170,17 +167,16 @@ def build_triad_workset(profile: MachineProfile, kind: AllocatorKind,
     """Allocate and initialize the three TRIAD operands, then measure
     their channel balance and translation miss rate.
 
-    Kinds that place alike (memmgr.placement_twin) give the same workset,
-    and so do both init agents of up-front memory, whose first touch maps
-    nothing. So only the twin with the CPU as init agent of up-front
-    memory is simulated; any other call reads that one through this cache
-    and echoes its own kind and init agent."""
+    Calls with one placement key (memmgr.placement_key) give the same
+    workset, and so do both init agents of up-front memory, whose first
+    touch maps nothing. So only the key with the CPU as init agent of
+    up-front memory is simulated; any other call reads its workset
+    through this cache."""
     spec = classify(kind, profile.xnack)
-    twin = placement_twin(kind, profile.xnack)
+    key = memmgr.placement_key(profile, kind)
     agent = Agent.CPU if spec.physical is Policy.UP_FRONT else init_agent
-    if (twin, agent) != (kind, init_agent):
-        return replace(build_triad_workset(profile, twin, agent, seed),
-                       kind=kind, init_agent=init_agent)
+    if (*key, agent) != (profile, kind, init_agent):
+        return build_triad_workset(*key, agent, seed)
     manager = MemoryManager(profile, seed=seed)
     array_bytes = profile.bw_model.gpu_stream_array_bytes
     allocs = [manager.allocate(kind, array_bytes) for _ in range(3)]
@@ -192,8 +188,7 @@ def build_triad_workset(profile: MachineProfile, kind: AllocatorKind,
             # state sees the propagated table.
             manager.touch(alloc, None, Agent.GPU)
     balance = channel_load(profile, manager, allocs).balance
-    misses = 0
-    miss_rate = 0.0
+    misses, miss_rate = 0, 0.0
     if spec.gpu_access:
         arrays = [(a.va_base, a.n_pages) for a in allocs]
         iterations = profile.bw_model.triad_iterations
@@ -201,8 +196,7 @@ def build_triad_workset(profile: MachineProfile, kind: AllocatorKind,
                                       profile.gpu.tlb_entries)
         elements = array_bytes // profile.bw_model.stream_element_bytes
         miss_rate = misses / (iterations * 3 * elements)
-    return TriadWorkset(kind=kind, init_agent=init_agent,
-                        array_bytes=array_bytes, balance=balance,
+    return TriadWorkset(array_bytes=array_bytes, balance=balance,
                         tlb_misses=misses, miss_per_access=miss_rate)
 
 

@@ -424,10 +424,11 @@ def count_fragment_reads(monkeypatch) -> list:
 
 def test_verify_reads_fragments_only_in_the_triad_tlb_replays(
         profile, monkeypatch):
-    # Four TRIAD replays, each reading its three operands' GPU fragments
-    # once; nothing outside a replay reads fragments. The pinned and
-    # on-demand managed bandwidth anchors read the worksets of their
-    # placement twins, registered and libc memory.
+    # Three TRIAD replays, each reading its three operands' GPU fragments
+    # once; nothing outside a replay reads fragments. The pinned, the
+    # replay-off managed and the on-demand managed bandwidth anchors read
+    # the worksets of their placement keys: registered memory with xnack
+    # on, and libc memory.
     reads = count_fragment_reads(monkeypatch)
     triad_misses, before = tlb.triad_misses, []
 
@@ -439,18 +440,23 @@ def test_verify_reads_fragments_only_in_the_triad_tlb_replays(
     perf.build_triad_workset.cache_clear()
     harness.build_cpu_stream_stats.cache_clear()
     verify(profile, seed=11)
-    assert before == [0, 3, 6, 9]
-    assert reads == [GPU] * 12
+    assert before == [0, 3, 6]
+    assert reads == [GPU] * 9
 
 
 @pytest.mark.parametrize("workload,managers", [("stream", 10),
-                                                ("verify", 21)])
+                                                ("verify", 17),
+                                                ("usage", 6),
+                                                ("latency", 45)])
 def test_each_distinct_placement_is_simulated_once(profile, monkeypatch,
                                                    workload, managers):
     # The stream grid simulates four worksets (libc first touched by the
     # CPU and by the GPU, registered and device memory) and six CPU fault
     # counts (libc, registered and device memory, each first touched by
     # either agent); every other kind and init agent reads one of them.
+    # verify's usage matrix simulates libc, registered and device memory.
+    # The usage and latency grids give each point its own seed, so they
+    # build one manager per point.
     built = []
     init = MemoryManager.__init__
 

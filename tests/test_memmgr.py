@@ -10,7 +10,7 @@ from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             FramePool, MemoryManager, OutOfMemory, Policy,
                             UsageCounter, UseAfterFree, ZeroSize, _ranges,
                             alloc_time_model, classify, free_time_model,
-                            placement_twin)
+                            placement_key, placement_twin)
 from tests.test_pagetable import run_pages
 from tests.test_properties import free_intervals, pool_state, snapshot
 
@@ -59,6 +59,37 @@ PLACEMENT_TWINS = {
 def test_placement_twins(xnack):
     assert {kind: placement_twin(kind, xnack) for kind in K} == \
         {kind: PLACEMENT_TWINS[xnack].get(kind, kind) for kind in K}
+
+
+# Every kind's placement key, by xnack: (the key profile's xnack, kind).
+PLACEMENT_KEYS = {
+    False: {K.LIBC_ON_DEMAND: (False, K.LIBC_ON_DEMAND),
+            K.REGISTERED_HOST: (True, K.REGISTERED_HOST),
+            K.DEVICE_UP_FRONT: (True, K.DEVICE_UP_FRONT),
+            K.PINNED_HOST: (True, K.REGISTERED_HOST),
+            K.MANAGED_UNIFIED: (True, K.REGISTERED_HOST),
+            K.STATIC_MANAGED: (True, K.REGISTERED_HOST)},
+    True: {K.LIBC_ON_DEMAND: (True, K.LIBC_ON_DEMAND),
+           K.REGISTERED_HOST: (True, K.REGISTERED_HOST),
+           K.DEVICE_UP_FRONT: (True, K.DEVICE_UP_FRONT),
+           K.PINNED_HOST: (True, K.REGISTERED_HOST),
+           K.MANAGED_UNIFIED: (True, K.LIBC_ON_DEMAND),
+           K.STATIC_MANAGED: (True, K.REGISTERED_HOST)},
+}
+
+
+@pytest.mark.parametrize("xnack", [False, True])
+def test_placement_keys(xnack):
+    profile = replace(builtin_mi300a(), xnack=xnack)
+    keys = {kind: placement_key(profile, kind) for kind in K}
+    assert {kind: (p.xnack, twin) for kind, (p, twin) in keys.items()} == \
+        PLACEMENT_KEYS[xnack]
+    # Only xnack moves, and only where the key's kind classifies alike
+    # under both settings.
+    for p, twin in keys.values():
+        assert p == replace(profile, xnack=p.xnack)
+        assert p.xnack == xnack or classify(twin, False) == classify(twin,
+                                                                    True)
 
 
 # -- allocate / touch / release ------------------------------------------
@@ -309,6 +340,28 @@ def test_released_allocation_leaves_the_manager():
     with pytest.raises(UseAfterFree):
         m.touch(a, None, Agent.CPU)
     assert list(m.allocations) == [b.id]
+
+
+def test_release_drops_its_region():
+    # Eight 1 GiB rounds on one manager hold at most one region between
+    # them (5 B a page), and the released allocation stays unusable.
+    m = manager()
+    pages = 1 * GiB // m.profile.page_size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(8):
+            a = m.allocate(K.DEVICE_UP_FRONT, 1 * GiB)
+            m.release(a)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 5 * pages + 64 * KiB
+    assert a.region is None and m.table._regions == []
+    with pytest.raises(UseAfterFree):
+        m.touch(a, None, Agent.CPU)
+    with pytest.raises(DoubleFree):
+        m.release(a)
 
 
 def test_frame_conservation_counter():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from upm_sim import harness, perf
+from upm_sim import harness, memmgr, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind,
                             MemoryManager)
@@ -226,29 +226,33 @@ def test_memcpy_table(profile):
                                  K.DEVICE_UP_FRONT, False) == 1900e9
 
 
-def stream_experiments(profile, seed):
-    """From cold caches, per (kind, init agent): the GPU workset fields
-    and the CPU fault count of the streaming set-up, or the exception."""
-    perf.build_triad_workset.cache_clear()
-    harness.build_cpu_stream_stats.cache_clear()
+def _or_violation(experiment, *args):
+    try:
+        return experiment(*args)
+    except AccessViolation:
+        return AccessViolation
+
+
+def placement_experiments(profile, seed):
+    """From cold caches: per (kind, agent), the GPU workset and the
+    CPU fault count of the streaming set-up with that init agent, and the
+    128 MiB chase latency of that agent, each or its exception; and per
+    kind, the usage table that check_usage_matrix reads, on 16 MiB."""
+    for cache in (perf.build_triad_workset, harness.build_cpu_stream_stats,
+                  harness._chase_load):
+        cache.cache_clear()
     results = {}
     for kind in K:
         for agent in Agent:
-            try:
-                ws = perf.build_triad_workset(profile, kind, agent, seed)
-            except AccessViolation:
-                ws = AccessViolation
-            else:
-                assert (ws.kind, ws.init_agent) == (kind, agent)
-                ws = ws.balance, ws.tlb_misses, ws.miss_per_access, \
-                    ws.array_bytes
-            try:
-                faults = harness.build_cpu_stream_stats(profile, kind, agent,
-                                                        seed)
-            except AccessViolation:
-                faults = AccessViolation
-            results[kind, agent] = ws, faults
-    return results
+            results[kind, agent] = (
+                _or_violation(perf.build_triad_workset, profile, kind, agent,
+                              seed),
+                _or_violation(harness.build_cpu_stream_stats, profile, kind,
+                              agent, seed),
+                _or_violation(harness.measure_chase, profile, agent, kind,
+                              128 * MiB, seed))
+    tables = dict(harness._usage_tables(profile, 16 * MiB, seed, 4))
+    return results, tables
 
 
 @pytest.mark.parametrize("xnack", [False, True])
@@ -258,19 +262,32 @@ def test_placement_twins_run_the_experiments_of_their_kinds(
     profile = replace(profile, xnack=xnack, bw_model=replace(
         profile.bw_model, gpu_stream_array_bytes=4 * MiB,
         cpu_stream_array_bytes=4 * MiB))
-    twinned = stream_experiments(profile, seed=31)
-    for module in (perf, harness):
-        monkeypatch.setattr(module, "placement_twin", lambda kind, x: kind)
-    assert stream_experiments(profile, seed=31) == twinned
+    shared = placement_experiments(profile, seed=31)
+    monkeypatch.setattr(memmgr, "placement_key",
+                        lambda profile, kind: (profile, kind))
+    separate = placement_experiments(profile, seed=31)
+    assert separate == shared
+    twinned, tables = shared
+    if not xnack:
+        # Managed memory with replay off runs the experiments of
+        # registered memory with it on.
+        on, on_tables = placement_experiments(replace(profile, xnack=True),
+                                               seed=31)
+        for agent in Agent:
+            assert twinned[K.MANAGED_UNIFIED, agent] == \
+                on[K.REGISTERED_HOST, agent]
+        assert tables[K.MANAGED_UNIFIED] == on_tables[K.REGISTERED_HOST]
     # Kinds and init agents that place differently stay apart.
     cpu, gpu = Agent.CPU, Agent.GPU
-    assert twinned[K.DEVICE_UP_FRONT, cpu][0][1] != \
-        twinned[K.REGISTERED_HOST, cpu][0][1]
+    assert twinned[K.DEVICE_UP_FRONT, cpu][0].tlb_misses != \
+        twinned[K.REGISTERED_HOST, cpu][0].tlb_misses
     assert twinned[K.DEVICE_UP_FRONT, cpu][1] != \
         twinned[K.DEVICE_UP_FRONT, gpu][1]
+    assert twinned[K.DEVICE_UP_FRONT, cpu][2] != \
+        twinned[K.LIBC_ON_DEMAND, cpu][2]
+    assert tables[K.DEVICE_UP_FRONT] != tables[K.REGISTERED_HOST]
     if xnack:
         assert twinned[K.LIBC_ON_DEMAND, cpu][0] != \
             twinned[K.LIBC_ON_DEMAND, gpu][0]
     else:
-        assert twinned[K.LIBC_ON_DEMAND, gpu] == (AccessViolation,
-                                                  AccessViolation)
+        assert twinned[K.LIBC_ON_DEMAND, gpu] == (AccessViolation,) * 3

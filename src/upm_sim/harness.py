@@ -115,8 +115,8 @@ def measure_chase(profile: MachineProfile, agent: Agent, kind: AllocatorKind,
 @functools.lru_cache(maxsize=64)
 def _chase_load(profile: MachineProfile, kind: AllocatorKind, size: int,
                 seed: int) -> perf.ChannelLoad:
-    """Channel load of one allocation after its first touch; every agent
-    and, asked by placement key (memmgr.placement_key), every kind shares it."""
+    """Channel load of one allocation after its first touch, shared by
+    every agent and, through measure_chase's placement key, every kind."""
     manager = MemoryManager(profile, seed=seed)
     alloc = manager.allocate(kind, size)
     if classify(kind, profile.xnack).physical is Policy.ON_DEMAND:

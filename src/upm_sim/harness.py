@@ -121,7 +121,7 @@ def _chase_load(profile: MachineProfile, kind: AllocatorKind, size: int,
     alloc = manager.allocate(kind, size)
     if classify(kind, profile.xnack).physical is Policy.ON_DEMAND:
         manager.touch(alloc, None, Agent.CPU)
-    return perf.channel_load(profile, manager, alloc)
+    return perf.channel_load(profile, alloc)
 
 
 @functools.lru_cache(maxsize=64)

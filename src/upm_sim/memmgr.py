@@ -30,11 +30,10 @@ that batch's virtual block (they sit in the kernel's per-CPU cache, not in
 the free pool). Each allocation keeps those reservations in an int64 array
 indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
 
-Frames are written in place into the page table's own frame array: an
-up-front allocation fills its region with one broadcast add per stretch
-of equal-size runs, and a first touch writes each segment of unmapped
-pages from its reservations; then one ``map_range`` maps the written
-slice. No page-sized array of frames is built beside the table.
+The page table keeps frame runs, and frames are mapped as runs: an
+up-front allocation maps its drawn runs with one ``map_range``, and a
+first touch maps each segment of unmapped pages with one ``map_range`` of
+the runs its reservations give. No array with one entry a page is built.
 
 The pool keeps whole free blocks in a bytearray alive map. Released
 blocks, last-released first, then a boot-time permutation read from its
@@ -230,12 +229,6 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     out = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
     out += np.arange(len(out))
     return out
-
-
-def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of the runs of True in a bool array."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return edges[0::2], edges[1::2]
 
 
 _NO_RUNS = np.empty(0, dtype=np.int64)
@@ -516,19 +509,30 @@ class FramePool:
         prev[by_group[first[count > 0]]] = 0
         # The lowest pop of each draw and its group's later draws: a
         # running minimum read backwards, the groups stacked span apart.
-        low = (pop_at[by_group] + in_group * span)[::-1]
-        low = np.minimum.accumulate(low)[::-1] - in_group * span
+        # In-place steps and dels keep the call's peak down.
+        in_group *= span
+        low = pop_at[by_group]
+        low += in_group
+        low = np.minimum.accumulate(low[::-1])[::-1]
+        low -= in_group
+        del in_group
         taken = np.zeros(gn, dtype=np.int64)
         taken[count > 0] = np.maximum(n - low[first[count > 0]], 0)
         low[by_group] = low.copy()
+        del by_group
         # The popped pushes [lo, split) of each draw's span, less the one a
         # direct draw takes: their splits j and the draw that owns each.
         direct = split > prev
-        lo = np.maximum(prev, low - n + prior)
-        size = np.maximum(split - direct - lo, 0)
-        del in_group, prev, low  # these dels keep the call's peak down
+        low -= n
+        low += prior
+        lo = np.maximum(prev, low, out=low)
+        del prev
+        size = split - direct
+        size -= lo
+        np.maximum(size, 0, out=size)
         owner = np.repeat(np.arange(n), size)
         j = _ranges(lo, size)
+        del lo, low, size
         kept = np.ones((gn, k), dtype=bool)
         kept[groups[owner], j] = False
         kept[groups[direct], split[direct] - 1] = False
@@ -545,7 +549,7 @@ class FramePool:
         own = (order[1:] >= m) & (order[:-1] < m)
         own &= key[1:] == key[:-1]
         hit, drawn = order[:-1][own], rest[order[1:][own] - m]
-        del key, order, own
+        del key, order, own, owner, pop_at, at, rest
         slot_map = np.frombuffer(self._slot, dtype=np.uint8)
         tops = []
         for g, (stack, up, keep) in enumerate(zip(self._stacks,
@@ -560,10 +564,13 @@ class FramePool:
         # The split whose push each draw takes, else -1 for a top entry.
         push = np.where(direct, split - 1, -1)
         push[drawn] = j[hit]
+        del j, hit, drawn
         pushed = push >= 0
-        starts = np.empty(n, dtype=np.int64)
-        starts[pushed] = (blocks[push[pushed]] << bo) + (groups[pushed] << bto)
-        top = (np.cumsum(taken) - taken)[groups] + prior - split
+        starts = groups << bto
+        starts[pushed] += blocks[push[pushed]] << bo
+        top = (np.cumsum(taken) - taken)[groups]
+        top += prior
+        top -= split
         starts[~pushed] = tops[top[~pushed]]
         self.used_frames += n * self.batch_pages
         return starts
@@ -803,7 +810,6 @@ class Allocation:
     kind: AllocatorKind
     va_base: int                   # first virtual page number
     n_pages: int
-    size: int                      # requested bytes
     policy: Policy
     live: bool = True
     region: pagetable._Region | None = field(default=None, repr=False)
@@ -844,7 +850,7 @@ class MemoryManager:
         n_pages = -(-size // self.profile.page_size)
         spec = classify(kind, self.profile.xnack)
         alloc = Allocation(id=self._next_id, kind=kind, va_base=0,
-                           n_pages=n_pages, size=size, policy=spec.physical)
+                           n_pages=n_pages, policy=spec.physical)
         if spec.physical is Policy.UP_FRONT:
             # Place first: a placement that fails leaves no frames, no
             # virtual reservation and no used id behind.
@@ -856,21 +862,8 @@ class MemoryManager:
         alloc.region = self.table._region_at(va_base)[0]
         self._next_id += 1
         if spec.physical is Policy.UP_FRONT:
-            # The frames of the runs, in order, written into the region's
-            # own frame table: one broadcast add per stretch of runs of
-            # one size (the 16-page batches, the whole blocks, the tail's
-            # smaller powers of two), in int32 so numpy needs no buffer.
-            frames = alloc.region.frames
-            starts, sizes = alloc.frame_runs.array
-            cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
-            h = 0
-            for i, j in zip([0, *cuts], [*cuts, len(sizes)]):
-                size = int(sizes[i])
-                np.add(starts[i:j, None].astype(np.int32),
-                       np.arange(size, dtype=np.int32),
-                       out=frames[h:h + (j - i) * size].reshape(-1, size))
-                h += (j - i) * size
-            self.table.map_range(pagetable.SYSTEM, va_base, frames)
+            self.table.map_range(pagetable.SYSTEM, va_base,
+                                 pagetable.FrameRuns(*alloc.frame_runs.array))
             if spec.gpu_access:
                 self.table.propagate(va_base, n_pages)
             alloc.mapped_pages = n_pages
@@ -955,19 +948,19 @@ class MemoryManager:
     # kind and their runs of virtual pages (starts, sizes), in kind order.
 
     def _touch_on_demand_cpu(self, alloc, lo, hi):
-        starts, ends = _runs(alloc.region.state[lo:hi] == 0)
-        starts += lo
-        ends += lo
+        va = alloc.va_base
+        starts, ends = self.table.state_runs(va + lo, hi - lo, 0) - va
         if len(starts):
             self._map_fresh(alloc, starts, ends, gpu=False)
         sizes = ends - starts
         return (int(sizes.sum()), 0, 0), alloc.va_base + starts, sizes
 
     def _touch_on_demand_gpu(self, alloc, lo, hi):
-        state = alloc.region.state[lo:hi]
+        va = alloc.va_base
         # Minor faults find a system entry only (state 1), major ones none.
-        minor, major = _runs(state == 1), _runs(state == 0)
-        starts, ends = np.concatenate((minor, major), axis=1) + lo
+        minor, major = (self.table.state_runs(va + lo, hi - lo, state)
+                        for state in (1, 0))
+        starts, ends = np.concatenate((minor, major), axis=1) - va
         n_minor = len(minor[0])
         if n_minor < len(starts):
             self._map_fresh(alloc, starts[n_minor:], ends[n_minor:], gpu=True)
@@ -1002,9 +995,8 @@ class MemoryManager:
         block (GPU) of frames for every virtual batch or block they touch
         that has none yet, in ascending order and all before any page is
         mapped, so contiguity forms as they fill and a draw that runs out
-        of frames maps nothing; then write each segment's frames from the
-        reserved runs into its slice of the region's frame table and map
-        that slice with one map_range."""
+        of frames maps nothing; then map each segment with one map_range
+        of the runs its reservations give."""
         grain = self.pool.block_pages if gpu else self.pool.batch_pages
         pending = alloc.pending_gpu_blocks if gpu else alloc.pending_cpu_batches
         if pending is None:  # kept only once the draw below succeeds
@@ -1027,24 +1019,17 @@ class MemoryManager:
             alloc.pending_gpu_blocks = pending
         else:
             alloc.pending_cpu_batches = pending
-        step = np.arange(grain, dtype=np.int64)
-        frames = alloc.region.frames
         for s, e in zip(starts.tolist(), ends.tolist()):
-            # Pages [s, e): a partial head batch, whole batches [a, b), a
-            # partial tail batch.
-            view = frames[s:e]
-            a, b = -(-s // grain), e // grain
-            head = min(a * grain, e) - s
-            if head:
-                np.add(step[s % grain:s % grain + head], pending[s // grain],
-                       out=view[:head])
-            if a < b:
-                body = view[head:head + (b - a) * grain]
-                np.add(pending[a:b, None], step, out=body.reshape(-1, grain))
-            tail = e - max(a, b) * grain
-            if tail > 0:
-                np.add(step[:tail], pending[b], out=view[-tail:])
-            self.table.map_range(pagetable.SYSTEM, alloc.va_base + s, view)
+            # Pages [s, e) lie in batches s // grain to (e - 1) // grain:
+            # the first run starts s % grain into its batch, the last ends
+            # at e.
+            first = pending[s // grain:(e - 1) // grain + 1].copy()
+            sizes = np.full(len(first), grain)
+            first[0] += s % grain
+            sizes[0] -= s % grain
+            sizes[-1] -= -e % grain
+            self.table.map_range(pagetable.SYSTEM, alloc.va_base + s,
+                                 pagetable.FrameRuns(first, sizes))
         alloc.mapped_pages += int((ends - starts).sum())
 
     # -- release & usage ---------------------------------------------------
@@ -1115,37 +1100,35 @@ class MemoryManager:
         starts, ends, piece_owner = starts[at], ends[at], piece_owner[at]
         _expect(np.all(starts[1:] >= ends[:-1]),
                 "free pieces and live runs overlap")
-        if live:
-            on = np.concatenate([a.region.state for a in live]) != 0
-            offsets = np.cumsum([0] + [a.n_pages for a in live[:-1]])
-            mapped = np.add.reduceat(on, offsets, dtype=np.int64)
-            _expect(mapped.tolist() == [a.mapped_pages for a in live],
-                    "mapped pages differ from the allocations' counters")
-            # Each mapped frame lies in a live run of its own allocation,
-            # and no frame is mapped twice. The mapped frames are cut into
-            # stretches of consecutive frames of one allocation, which must
-            # not overlap; each must lie in one chain of adjacent runs of
-            # that allocation.
-            frames = np.concatenate([a.region.frames for a in live])[on]
-            bounds = np.cumsum(mapped)
-            cut = np.ones(len(frames) + 1, dtype=bool)
-            np.not_equal(np.diff(frames), 1, out=cut[1:-1])
-            cut[bounds] = True
-            first = np.flatnonzero(cut)
-            lo = frames[first[:-1]]
-            at = np.argsort(lo)
-            lo = lo[at]
-            hi = lo + (first[1:] - first[:-1])[at]
-            _expect(np.all(lo[1:] >= hi[:-1]), "a frame is mapped twice")
-            edge = np.ones(len(starts) + 1, dtype=bool)  # chain edges
-            edge[1:-1] = (starts[1:] != ends[:-1]) \
-                | (piece_owner[1:] != piece_owner[:-1])
-            head, tail = edge[:-1], edge[1:]
-            chain = np.searchsorted(starts[head], lo, side="right") - 1
-            _expect((not len(chain) or chain[0] >= 0) and np.all(
-                (hi <= ends[tail][chain]) & (piece_owner[head][chain]
-                == np.searchsorted(bounds, first[at], side="right"))),
-                "a mapped frame lies outside its allocation's runs")
+        # The page table's runs: in each region sorted, disjoint and
+        # inside it, each mapping its pages in state 1 or 2.
+        tables = [a.region.runs for a in live]
+        off, n, frame, state = np.concatenate(
+            [np.empty((4, 0), dtype=np.int64)] + tables, axis=1)
+        holder = np.repeat(np.arange(len(live)), [t.shape[1] for t in tables])
+        size = np.array([a.n_pages for a in live], dtype=np.int64)[holder]
+        follows = holder[1:] == holder[:-1]
+        _expect(np.all((off >= 0) & (n > 0) & (off + n <= size)
+                       & ((state == 1) | (state == 2)))
+                and np.all(off[1:][follows] >= (off + n)[:-1][follows]),
+                "a region's runs overlap, leave it or are out of order")
+        mapped = np.bincount(holder, n, len(live)).astype(np.int64)
+        _expect(mapped.tolist() == [a.mapped_pages for a in live],
+                "mapped pages differ from the allocations' counters")
+        # Each mapped frame lies in a live run of its own allocation, and
+        # no frame is mapped twice: the mapped runs must not overlap, and
+        # each must lie in one chain of adjacent runs of its allocation.
+        at = np.argsort(frame)
+        lo, hi, holder = frame[at], (frame + n)[at], holder[at]
+        _expect(np.all(lo[1:] >= hi[:-1]), "a frame is mapped twice")
+        edge = np.ones(len(starts) + 1, dtype=bool)  # chain edges
+        edge[1:-1] = (starts[1:] != ends[:-1]) \
+            | (piece_owner[1:] != piece_owner[:-1])
+        head, tail = edge[:-1], edge[1:]
+        chain = np.searchsorted(starts[head], lo, side="right") - 1
+        _expect((not len(chain) or chain[0] >= 0) and np.all(
+            (hi <= ends[tail][chain]) & (piece_owner[head][chain] == holder)),
+            "a mapped frame lies outside its allocation's runs")
 
 
 # --------------------------------------------------------------------------
@@ -1221,6 +1204,4 @@ def free_time_model(profile: MachineProfile, kind: AllocatorKind, size: int,
                                 m.pinned_free_1gib_ms * 1e-3)
     if kind is AllocatorKind.MANAGED_UNIFIED:
         return m.managed1_free_us * 1e-6
-    if kind is AllocatorKind.STATIC_MANAGED:
-        return m.static_const_us * 1e-6
-    raise ValueError(f"unknown kind {kind!r}")
+    return m.static_const_us * 1e-6  # static managed

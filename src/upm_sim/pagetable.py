@@ -7,9 +7,9 @@ the entry's page lies inside a run of 2^f pages that is contiguous and
 2^f-aligned in both virtual and physical space, so a single TLB entry can
 cover the whole run.
 
-Fragments are computed on read, as a pure function of the page states and
-frames, which keeps miss counting deterministic and order-independent.
-The rule is the one of Linux ``amdgpu_vm_pte_fragment()``
+Fragments are computed on read, as a pure function of the stored runs,
+which keeps miss counting deterministic and order-independent. The rule
+is the one of Linux ``amdgpu_vm_pte_fragment()``
 (drivers/gpu/drm/amd/amdgpu/amdgpu_vm_pt.c), evaluated per run rather
 than per page. A run [s, e) of mapped pages whose frames sit at the
 constant offset d = frame - x splits greedily into maximal aligned
@@ -29,14 +29,19 @@ runs of 2^f pages, each 2^f-aligned in virtual space, and one TLB entry
 covers each. ``fragment_runs`` returns these runs, (start, fragment) in
 address order, and is what the TLB reads.
 
-Each region stores, per page, one int32 frame number (-1 where the page
-is unmapped) and one uint8 state: 0 unmapped, 1 mapped in the system
-table only, 2 mapped in both tables. A page is mapped in a table when its
-state reaches that table's ``LEVEL``, so the GPU table is a level of the
-system table and a GPU entry without a system entry cannot be stored:
-5 bytes a page. The machine profile keeps every frame number below 2^31
-(validate rejects more frames than that), and ``map_range`` rejects a
-frame outside that range rather than let it wrap.
+Each region stores its mapped pages as runs, in one int32 array of four
+rows: page offset, page count, first frame and state, with runs sorted by
+offset and disjoint, exactly as many columns as runs (16 B a run). Run i maps its pages
+to consecutive frames from its first one; its state is 1 (mapped in the
+system table only) or 2 (mapped in both tables), and pages in no run are
+unmapped. A page is mapped in a table when its state reaches that table's
+``LEVEL``, so the GPU table is a level of the system table and a GPU entry
+without a system entry cannot be stored. ``map_range`` takes its frames one
+a page or as ``FrameRuns``; ``propagate`` and ``unmap_range`` split the
+runs at the ends of their range. The machine profile keeps every frame
+number below 2^31 (validate rejects more frames than that), and
+``map_range`` rejects a frame outside that range; a reservation holds
+fewer than 2^31 pages, so its page offsets fit int32 too.
 """
 
 from __future__ import annotations
@@ -63,18 +68,74 @@ class MirrorViolation(Exception):
     """GPU-table mutation without a matching system entry."""
 
 
-# Frame numbers are stored as int32; the profile keeps them below this.
+# Runs are stored as int32: the profile keeps frame numbers below this, and
+# reserve keeps page offsets below it.
 FRAME_LIMIT = 1 << 31
 
 
+class FrameRuns:
+    """A frame sequence as runs: sizes[i] consecutive frames from starts[i],
+    in order. len() is its page count, so map_range takes it wherever it
+    takes one frame a page."""
+
+    def __init__(self, starts, sizes):
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64),
+                                     self.starts.shape)
+
+    def __len__(self) -> int:
+        return int(self.sizes.sum())
+
+
+def _frame_runs(frames) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, sizes) of the runs of frames, a FrameRuns or one frame a
+    page; ValueError unless every run is non-empty and every frame lies in
+    [0, FRAME_LIMIT)."""
+    if isinstance(frames, FrameRuns):
+        starts, sizes = frames.starts, frames.sizes
+    else:
+        frames = np.asarray(frames, dtype=np.int64)
+        first = np.ones(len(frames), dtype=bool)
+        first[1:] = frames[1:] != frames[:-1] + 1
+        at = np.flatnonzero(first)
+        starts, sizes = frames[at], np.diff(at, append=len(frames))
+    if len(starts) and not (0 <= starts.min() and 0 < sizes.min()
+                            and (starts + sizes).max() <= FRAME_LIMIT):
+        raise ValueError(f"frame runs must be non-empty and lie in "
+                         f"[0, {FRAME_LIMIT})")
+    return starts, sizes
+
+
 class _Region:
-    __slots__ = ("va_base", "n_pages", "frames", "state")
+    """One reservation: its base page, its size and its runs, the (4, k)
+    int32 array of page offset, page count, first frame and state."""
+    __slots__ = ("va_base", "n_pages", "runs")
 
     def __init__(self, va_base: int, n_pages: int):
         self.va_base = va_base
         self.n_pages = n_pages
-        self.frames = np.full(n_pages, -1, dtype=np.int32)
-        self.state = np.zeros(n_pages, dtype=np.uint8)
+        self.runs = np.empty((4, 0), dtype=np.int32)
+
+
+def _split(runs: np.ndarray, lo: int, hi: int):
+    """runs cut at page offsets lo and hi: the runs before lo, a copy of
+    the runs' parts inside [lo, hi), and the runs after hi."""
+    off = runs[0]
+    j = int(np.searchsorted(off, hi))
+    i = int(np.searchsorted(off + runs[1], lo, "right")) if lo < hi else j
+    before, inside, after = runs[:, :i], runs[:, i:j].copy(), runs[:, j:]
+    if i < j:
+        cut = lo - int(inside[0, 0])
+        if cut > 0:  # the first run starts before lo
+            before = np.concatenate((before, inside[:, :1]), axis=1)
+            before[1, -1] = cut
+            inside[:, 0] += (cut, -cut, cut, 0)
+        keep = hi - int(inside[0, -1])
+        if keep < inside[1, -1]:  # the last run ends after hi
+            after = np.concatenate((inside[:, -1:], after), axis=1)
+            after[:, 0] += (keep, -keep, keep, 0)
+            inside[1, -1] = keep
+    return before, inside, after
 
 
 class DualTable:
@@ -93,6 +154,9 @@ class DualTable:
 
     def reserve(self, n_pages: int, align_pages: int = 512) -> int:
         """Reserve a fresh virtual range; returns its base page number."""
+        if n_pages >= FRAME_LIMIT:
+            raise ValueError(f"a reservation holds fewer than {FRAME_LIMIT} "
+                             f"pages")
         base = -(-self._next_va // align_pages) * align_pages
         # Guard gap keeps fragments of distinct reservations from merging.
         self._next_va = base + n_pages + align_pages
@@ -102,7 +166,7 @@ class DualTable:
         return base
 
     def free(self, va_base: int):
-        """Drop the reservation based at va_base and its page arrays."""
+        """Drop the reservation based at va_base and its runs."""
         idx = self._bases.index(va_base)
         del self._bases[idx], self._regions[idx]
 
@@ -115,39 +179,42 @@ class DualTable:
                 return region, off
         raise Unmapped(f"virtual page {va_page} outside any reservation")
 
-    def _range_at(self, va_page: int, n_pages: int) -> tuple[_Region, slice]:
-        """The region holding [va_page, +n_pages) and the range's slice."""
+    def _range_at(self, va_page: int, n_pages: int) -> tuple[_Region, int,
+                                                             int]:
+        """The region holding [va_page, +n_pages) and the range's offsets."""
         region, off = self._region_at(va_page)
         if off + n_pages > region.n_pages:
             raise Unmapped(f"range [{va_page}, +{n_pages}) crosses its "
                            f"reservation")
-        return region, slice(off, off + n_pages)
+        return region, off, off + n_pages
 
     # -- mapping ------------------------------------------------------
 
     def map_range(self, table: str, va_page: int, frames):
-        """Map [va_page, +len(frames)) to frames in one table. An int32
-        array, such as a slice of the region's own frames, is taken as
-        is; other input must hold frame numbers in [0, FRAME_LIMIT)."""
-        frames = np.asarray(frames)
-        if frames.dtype != np.int32:
-            frames = np.asarray(frames, dtype=np.int64)
-            if len(frames) and not (0 <= frames.min()
-                                    and frames.max() < FRAME_LIMIT):
-                raise ValueError(f"frame numbers must lie in "
-                                 f"[0, {FRAME_LIMIT})")
-        region, sel = self._range_at(va_page, len(frames))
-        state = region.state[sel]
-        if np.any(state >= LEVEL[table]):
+        """Map [va_page, +len(frames)) to frames in one table. frames is a
+        FrameRuns or one frame a page, each in [0, FRAME_LIMIT)."""
+        starts, sizes = _frame_runs(frames)
+        region, lo, hi = self._range_at(va_page, int(sizes.sum()))
+        before, inside, after = _split(region.runs, lo, hi)
+        if np.any(inside[3] >= LEVEL[table]):
             raise AlreadyMapped(f"page already mapped in {table} table")
         if table == GPU:
-            if not state.all():
+            if inside[1].sum() != hi - lo:
                 raise MirrorViolation("gpu entries only mirror system entries")
-            if np.any(region.frames[sel] != frames):
+            # Both sequences rise by one a page between the union of their
+            # run starts, so they are equal iff they agree at those.
+            mine, given = inside[0] - lo, np.cumsum(sizes) - sizes
+            at = np.union1d(mine, given)
+            if not np.array_equal(_frame_at(mine, inside[2], at),
+                                  _frame_at(given, starts, at)):
                 raise MirrorViolation("gpu entry frame differs from system entry")
+            inside[3] = LEVEL[GPU]
         else:
-            region.frames[sel] = frames
-        state[:] = LEVEL[table]
+            inside = np.empty((4, len(sizes)), dtype=np.int32)
+            inside[1], inside[2], inside[3] = sizes, starts, LEVEL[SYSTEM]
+            np.cumsum(inside[1], out=inside[0])
+            inside[0] += lo - inside[1]
+        region.runs = np.concatenate((before, inside, after), axis=1)
 
     def propagate(self, va_page: int, n_pages: int) -> int:
         """Mirror [va_page, +n_pages) into the GPU table; idempotent.
@@ -155,22 +222,40 @@ class DualTable:
         Returns the number of entries copied. The range must be fully
         mapped in the system table.
         """
-        region, sel = self._range_at(va_page, n_pages)
-        state = region.state[sel]
-        if not state.all():
+        region, lo, hi = self._range_at(va_page, n_pages)
+        before, inside, after = _split(region.runs, lo, hi)
+        if inside[1].sum() != hi - lo:
             raise Unmapped("propagate over a range not fully system-mapped")
-        fresh = int(np.count_nonzero(state == LEVEL[SYSTEM]))
-        state[:] = LEVEL[GPU]
+        fresh = int(inside[1, inside[3] == LEVEL[SYSTEM]].sum())
+        if fresh:
+            inside[3] = LEVEL[GPU]
+            region.runs = np.concatenate((before, inside, after), axis=1)
         return fresh
 
     def unmap_range(self, va_page: int, n_pages: int):
         """Drop [va_page, +n) from both tables (missing pages are fine);
         the range must lie inside one reservation."""
-        region, sel = self._range_at(va_page, n_pages)
-        region.state[sel] = 0
-        region.frames[sel] = -1
+        region, lo, hi = self._range_at(va_page, n_pages)
+        before, _, after = _split(region.runs, lo, hi)
+        region.runs = np.concatenate((before, after), axis=1)
 
     # -- queries ------------------------------------------------------
+
+    def state_runs(self, va_page: int, n_pages: int, state: int):
+        """The maximal stretches of [va_page, +n_pages) whose pages are in
+        state (0 unmapped, 1 system table only, 2 both tables), in address
+        order: a (2, k) array of first pages and end pages."""
+        region, lo, hi = self._range_at(va_page, n_pages)
+        _, inside, _ = _split(region.runs, lo, hi)
+        off, end = inside[0], inside[0] + inside[1]
+        if state == 0:  # the gaps between runs
+            s, e = np.append(lo, end), np.append(off, hi)
+            s, e = s[s < e], e[s < e]
+        else:
+            s, e = off[inside[3] == state], end[inside[3] == state]
+        join = np.flatnonzero(s[1:] == e[:-1])
+        return np.stack((np.delete(s, join + 1), np.delete(e, join)),
+                        dtype=np.int64) + region.va_base
 
     def fragment_runs(self, table: str, va_page: int, n_pages: int):
         """(starts, orders) of every fragment run of one table over the
@@ -178,24 +263,24 @@ class DualTable:
         covers the 2^orders[i] pages from virtual page starts[i], which is
         2^orders[i]-aligned, and every page of it reads fragment orders[i].
         Unmapped pages lie in no run."""
-        region, _ = self._range_at(va_page, n_pages)
-        # A run of pages is a maximal stretch of mapped pages with
-        # consecutive frames.
-        frames = region.frames
-        present = region.state >= LEVEL[table]
-        link = (frames[1:] == frames[:-1] + 1) & present[1:] & present[:-1]
-        first = present.copy()
-        first[1:] &= ~link
-        last = present  # present is not read again
-        last[:-1] &= ~link
-        starts = np.flatnonzero(first)
-        x = starts + region.va_base
-        e = np.flatnonzero(last) + (region.va_base + 1)
+        region, _, _ = self._range_at(va_page, n_pages)
+        # A run of pages is a maximal chain of stored runs of the table,
+        # each next to the one before in both address spaces.
+        off, n, frame, _ = region.runs[:, region.runs[3] >= LEVEL[table]] \
+            .astype(np.int64)
+        link = (off[:-1] + n[:-1] == off[1:]) & (frame[:-1] + n[:-1]
+                                                  == frame[1:])
+        first = np.ones(len(off), dtype=bool)
+        first[1:] = ~link
+        last = np.ones(len(off), dtype=bool)
+        last[:-1] = ~link
+        x = off[first] + region.va_base
+        e = (off + n)[last] + region.va_base
         # min(ctz(d), cap) with d the run's frame offset: ctz(d | 2^cap);
         # fragments above 62 cannot occur below 2^53 pages and would
         # overflow int64.
         cap = min(self.max_fragment, 62)
-        d = (frames[starts] - x) | (1 << cap)
+        d = (frame[first] - x) | (1 << cap)
         ctz_d = _bitlen(d & -d) - 1
         # Walk every run's greedy maximal aligned blocks at once: from x a
         # block has order min(ctz(x), floor(log2(e - x))), and its pages
@@ -221,6 +306,13 @@ class DualTable:
         frag = np.repeat(frag, count)
         k = np.arange(len(frag)) - np.repeat(np.cumsum(count) - count, count)
         return np.repeat(pos, count) + (k << frag), frag
+
+
+def _frame_at(pos: np.ndarray, first: np.ndarray, at: np.ndarray):
+    """The frame at each sorted page position at of the runs that start at
+    positions pos with frames first."""
+    k = np.searchsorted(pos, at, "right") - 1
+    return first[k] + (at - pos[k])
 
 
 def _bitlen(v: np.ndarray) -> np.ndarray:

@@ -40,25 +40,20 @@ class ChannelLoad:
         return float(counts.mean() / peak)
 
 
-def channel_load(profile: MachineProfile, manager: MemoryManager,
+def channel_load(profile: MachineProfile,
                  allocs: Allocation | list[Allocation]) -> ChannelLoad:
     """Per-channel byte load of fully mapped allocations: channels take
     interleave_granularity (= page_size) pieces of memory in rotation.
-
-    Counted from each allocation's frame runs, less the first-touch
-    reservations' frames that map no page: those past the last page,
-    and, in a virtual batch reserved by both a CPU batch and a GPU
-    block, the frame of whichever did not map each page."""
+    Counted from the frame runs that map each allocation's pages."""
     if isinstance(allocs, Allocation):
         allocs = [allocs]
     channels = profile.channels
     counts = np.zeros(channels, dtype=np.int64)
     for alloc in allocs:
-        if not alloc.region.state.all():
+        _, sizes, frames, _ = alloc.region.runs
+        if sizes.sum() != alloc.n_pages:
             raise Unmapped(f"allocation {alloc.id} not fully mapped")
-        counts += _run_channels(channels, *alloc.frame_runs.array)
-        counts -= _run_channels(channels, *_unmapped_reserved(
-            alloc, manager.pool.batch_pages, manager.pool.block_pages))
+        counts += _run_channels(channels, frames, sizes)
     return ChannelLoad(tuple(int(c) * profile.page_size for c in counts))
 
 
@@ -75,34 +70,6 @@ def _run_channels(channels: int, starts: np.ndarray,
     cover = np.cumsum(np.bincount(first, minlength=2 * channels)
                       - np.bincount(ends, minlength=2 * channels))
     return whole + cover[:channels] + cover[channels:]
-
-
-def _unmapped_reserved(alloc: Allocation, batch: int,
-                       block: int) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, sizes) of the frames that alloc's first-touch reservations
-    hold but that map none of its pages, all of which are mapped."""
-    n_pages = alloc.n_pages
-    cpu, gpu = alloc.pending_cpu_batches, alloc.pending_gpu_blocks
-    none = np.empty(0, dtype=np.int64)
-    starts, sizes = [none], [none]
-    for pending, grain in ((cpu, batch), (gpu, block)):
-        if pending is not None and pending[-1] >= 0:
-            used = n_pages - (len(pending) - 1) * grain
-            starts.append([pending[-1] + used])
-            sizes.append([grain - used])
-    if cpu is not None and gpu is not None:
-        both = np.flatnonzero(
-            (cpu >= 0) & np.repeat(gpu >= 0, block // batch)[:len(cpu)])
-        pages = (both[:, None] * batch + np.arange(batch)).ravel()
-        pages = pages[pages < n_pages]
-        # The mapped frame and the unused one sum to the CPU batch's
-        # frame plus the GPU block's frame for that page.
-        unused = cpu[pages // batch] + pages % batch
-        unused += gpu[pages // block] + pages % block
-        unused -= alloc.region.frames[pages]
-        starts.append(unused)
-        sizes.append(np.ones(len(unused), dtype=np.int64))
-    return np.concatenate(starts), np.concatenate(sizes)
 
 
 @dataclass(frozen=True)
@@ -187,7 +154,7 @@ def build_triad_workset(profile: MachineProfile, kind: AllocatorKind,
             # The first kernel pass resolves replayable faults; steady
             # state sees the propagated table.
             manager.touch(alloc, None, Agent.GPU)
-    balance = channel_load(profile, manager, allocs).balance
+    balance = channel_load(profile, allocs).balance
     misses, miss_rate = 0, 0.0
     if spec.gpu_access:
         arrays = [(a.va_base, a.n_pages) for a in allocs]

@@ -11,7 +11,7 @@ from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
                             UsageCounter, UseAfterFree, ZeroSize, _ranges,
                             alloc_time_model, classify, free_time_model,
                             placement_key, placement_twin)
-from tests.test_pagetable import run_pages
+from tests.test_pagetable import expand, run_pages
 from tests.test_properties import free_intervals, pool_state, snapshot
 
 K = AllocatorKind
@@ -223,7 +223,7 @@ def test_up_front_frames_follow_the_runs(kind, xnack):
     m = manager(seed=3, xnack=xnack)
     for size in (1000, 5 * 4 * KiB, 1 * MiB + 4 * KiB, 1 * GiB):
         a = m.allocate(kind, size)
-        np.testing.assert_array_equal(a.region.frames,
+        np.testing.assert_array_equal(expand(a.region)[0],
                                       _ranges(*a.frame_runs.array))
     m.check()
 
@@ -237,7 +237,7 @@ def test_up_front_frame_write_over_mixed_tails(kind, xnack):
     for size in (4 * KiB, 64 * KiB + 4 * KiB, 1 * MiB + 20 * KiB,
                  device_tail):
         a = m.allocate(kind, size)
-        np.testing.assert_array_equal(a.region.frames,
+        np.testing.assert_array_equal(expand(a.region)[0],
                                       _ranges(*a.frame_runs.array))
     if kind is K.DEVICE_UP_FRONT:
         assert [n for _, n in a.frame_runs] == [128, 128, 64, 32, 8, 1]
@@ -256,7 +256,7 @@ def test_cpu_touch_around_a_gpu_run_draws_each_batch_once():
     batches = a.pending_cpu_batches
     assert [n for _, n in a.frame_runs] == [128, 16, 16, 16]
     assert [s for s, _ in a.frame_runs][1:] == batches[:3].tolist()
-    frames = a.region.frames
+    frames = expand(a.region)[0]
     offs = np.r_[0:5, 9:40]
     np.testing.assert_array_equal(frames[offs],
                                   batches[offs // 16] + offs % 16)
@@ -295,12 +295,10 @@ def test_up_front_first_touch_maps_nothing(kind, agent):
     # first touches up-front memory.
     m = manager(seed=4)
     a = m.allocate(kind, 1 * MiB + 20 * KiB)
-    region = a.region
-    tables = [t.copy() for t in (region.frames, region.state)]
+    table = a.region.runs.copy()
     runs, pool = [r.copy() for r in a.frame_runs.array], pool_state(m.pool)
     m.touch(a, None, agent)
-    for before, after in zip(tables, (region.frames, region.state)):
-        np.testing.assert_array_equal(before, after)
+    np.testing.assert_array_equal(a.region.runs, table)
     for before, after in zip(runs, a.frame_runs.array):
         np.testing.assert_array_equal(before, after)
     assert pool_state(m.pool) == pool
@@ -524,7 +522,7 @@ def test_placement_determinism():
         m = manager(seed=seed)
         a = m.allocate(K.LIBC_ON_DEMAND, 16 * MiB)
         m.touch(a, None, Agent.CPU)
-        return a.region.frames[:a.n_pages].copy()
+        return expand(a.region)[0]
 
     f1, f2 = frames_of(11), frames_of(11)
     assert np.array_equal(f1, f2)
@@ -558,9 +556,9 @@ def test_scatter_degree_zero_is_sequential():
     m.touch(a, None, Agent.CPU)
     b = m.allocate(K.PINNED_HOST, 1 * MiB)
     for alloc in (a, b):
-        frames = alloc.region.frames[:alloc.n_pages]
+        frames = expand(alloc.region)[0]
         assert np.all(np.diff(frames) == 1)
-    assert a.region.frames[0] == 0
+    assert expand(a.region)[0][0] == 0
 
 
 def test_sequential_draw_after_release_takes_lowest_free_block():
@@ -725,17 +723,24 @@ def _hold_a_slot_twice(m, a, b):
     stack.push(int(stack.array[0, -1]))
 
 
+# a maps pages 0-63 in runs of 16 frames (row 2 of its runs holds each
+# run's first frame); b's last run is 16 frames too.
+
 def _map_a_free_frame(m, a, b):
-    a.region.frames[0] = m.pool.free_pieces()[0][0]
+    a.region.runs[2, 0] = m.pool.free_pieces()[0][0]
 
 
 def _map_a_frame_of_another_allocation(m, a, b):
-    a.region.frames[0] = b.region.frames[-1]
+    a.region.runs[2, 0] = b.region.runs[2, -1]
 
 
 def _map_a_frame_twice(m, a, b):
-    frames = a.region.frames
-    frames[1] = frames[0]
+    runs = a.region.runs
+    runs[2, 1] = runs[2, 0]
+
+
+def _swap_two_runs(m, a, b):
+    a.region.runs[:, :2] = a.region.runs[:, 1::-1]
 
 
 @pytest.mark.parametrize("damage, invariant", [
@@ -752,9 +757,10 @@ def _map_a_frame_twice(m, a, b):
     (_map_a_free_frame, "outside its allocation's runs"),
     (_map_a_frame_of_another_allocation, "mapped twice"),
     (_map_a_frame_twice, "mapped twice"),
+    (_swap_two_runs, "out of order"),
 ], ids=["used", "leak", "overlap", "alive", "slot_map", "slot_twice",
         "unlisted", "mapped", "free_frame", "foreign_frame",
-        "twice"])
+        "twice", "run_order"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)

@@ -3,16 +3,30 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from upm_sim.memmgr import _ranges
 from upm_sim.pagetable import (FRAME_LIMIT, GPU, LEVEL, SYSTEM,
-                               AlreadyMapped, DualTable, MirrorViolation,
-                               Unmapped)
+                               AlreadyMapped, DualTable, FrameRuns,
+                               MirrorViolation, Unmapped)
 from upm_sim.tlb import run_bases
+
+
+def expand(region):
+    """(frames, state) of a region, one entry a page: each page's frame,
+    -1 where it is unmapped, and its state. Tests read a region's runs only
+    through this."""
+    off, n, frame, state = region.runs
+    pages = _ranges(off, n)
+    frames = np.full(region.n_pages, -1, dtype=np.int64)
+    frames[pages] = pages + np.repeat(frame - off, n)
+    states = np.zeros(region.n_pages, dtype=np.uint8)
+    states[pages] = np.repeat(state, n)
+    return frames, states
 
 
 def brute_fragment(region, off, table, va_base, f_cap=12):
     """Independent oracle: naive scan over every aligned power-of-two run."""
-    mapped = region.state >= LEVEL[table]
-    frames = region.frames
+    frames, state = expand(region)
+    mapped = state >= LEVEL[table]
     n = region.n_pages
     va = va_base + off
     best = 0
@@ -58,7 +72,7 @@ def fresh_table():
 def fragment(t, va_page, table=GPU):
     """The fragment field of a mapped page in one table."""
     region, off = t._region_at(va_page)
-    assert region.state[off] >= LEVEL[table]
+    assert expand(region)[1][off] >= LEVEL[table]
     return int(fragments(t, table, va_page, 1)[0])
 
 
@@ -68,7 +82,8 @@ def test_map_and_lookup_single_page():
     t.map_range(SYSTEM, base, [4096])
     t.propagate(base, 1)
     region, off = t._region_at(base)
-    assert region.state[off] == LEVEL[GPU] and region.frames[off] == 4096
+    frames, state = expand(region)
+    assert state[off] == LEVEL[GPU] and frames[off] == 4096
 
 
 def test_double_map_rejected():
@@ -172,7 +187,7 @@ def test_unmap_splits_runs():
     t.propagate(base, 16)
     t.unmap_range(base + 8, 1)
     region, _ = t._region_at(base)
-    assert region.state[8] == 0
+    assert expand(region)[1][8] == 0
     for i in list(range(8)) + list(range(9, 16)):
         assert fragment(t, base + i) == brute_fragment(
             region, i, GPU, base)
@@ -212,7 +227,7 @@ def test_fragment_oracle_random_maps():
                 except AlreadyMapped:
                     pass
         region, _ = t._region_at(base)
-        mapped = np.nonzero(region.state[:n])[0]
+        mapped = np.nonzero(expand(region)[1][:n])[0]
         for i in mapped:
             assert fragment(t, base + int(i), SYSTEM) == \
                 brute_fragment(region, int(i), SYSTEM, base), \
@@ -258,10 +273,11 @@ def test_unmap_crossing_its_reservation_is_rejected():
         t.unmap_range(base + 8, 16)
     # The rejected unmap changed nothing.
     region, _ = t._region_at(base)
-    assert region.frames.tolist() == list(range(4096, 4096 + 16))
-    assert (region.state == LEVEL[GPU]).all()
+    frames, state = expand(region)
+    assert frames.tolist() == list(range(4096, 4096 + 16))
+    assert (state == LEVEL[GPU]).all()
     t.unmap_range(base + 8, 8)
-    assert region.frames[8:].tolist() == [-1] * 8
+    assert expand(region)[0][8:].tolist() == [-1] * 8
 
 
 def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
@@ -280,7 +296,8 @@ def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
 
 
 def test_region_footprint_per_page():
-    # A mapped page costs an int32 frame and one state byte.
+    # A region holds runs, not pages: 1 GiB of consecutive frames is one
+    # run, well under the 5 B a page of one frame and state a page.
     n_pages = (1 << 30) // 4096
     frames = np.arange(n_pages, dtype=np.int64)
     t = fresh_table()
@@ -293,10 +310,10 @@ def test_region_footprint_per_page():
     finally:
         tracemalloc.stop()
     region, _ = t._region_at(base)
-    assert region.frames.dtype == np.int32
-    np.testing.assert_array_equal(region.frames, frames)
-    # 5 B a page, plus under 1 KiB for the region object itself.
-    assert held - before <= 5 * n_pages + 1024
+    np.testing.assert_array_equal(expand(region)[0], frames)
+    assert region.runs.shape == (4, 1)
+    # Under 2 KiB for the region object and its one run.
+    assert held - before <= 2048
 
 
 def test_reserve_holds_at_most_5_bytes_a_page():
@@ -317,7 +334,128 @@ def test_map_range_rejects_frames_outside_int32(bad):
     base = t.reserve(4)
     with pytest.raises(ValueError):
         t.map_range(SYSTEM, base, np.array([0, bad], dtype=np.int64))
+    with pytest.raises(ValueError):
+        t.map_range(SYSTEM, base, FrameRuns([bad - 1], 2))
     region, _ = t._region_at(base)
-    assert not region.state.any() and (region.frames == -1).all()
+    assert region.runs.shape == (4, 0)
     t.map_range(SYSTEM, base, [FRAME_LIMIT - 2, FRAME_LIMIT - 1])
-    assert region.frames[:2].tolist() == [FRAME_LIMIT - 2, FRAME_LIMIT - 1]
+    assert expand(region)[0][:2].tolist() == [FRAME_LIMIT - 2,
+                                              FRAME_LIMIT - 1]
+
+
+class PageTable:
+    """The per-page reference for one reservation: a frame (-1 where
+    unmapped) and a state a page, with the rules the run table keeps."""
+
+    def __init__(self, n_pages):
+        self.frames = np.full(n_pages, -1, dtype=np.int64)
+        self.state = np.zeros(n_pages, dtype=np.uint8)
+
+    def _range(self, off, n):
+        if not 0 <= off < len(self.frames) or off + n > len(self.frames):
+            raise Unmapped(off, n)
+        return slice(off, off + n)
+
+    def map_range(self, table, off, frames):
+        if isinstance(frames, FrameRuns):
+            frames = _ranges(frames.starts, frames.sizes)
+        frames = np.asarray(frames, dtype=np.int64)
+        if len(frames) and not (frames.min() >= 0
+                                and frames.max() < FRAME_LIMIT):
+            raise ValueError(frames)
+        sel = self._range(off, len(frames))
+        state = self.state[sel]
+        if np.any(state >= LEVEL[table]):
+            raise AlreadyMapped
+        if table == GPU and not (state.all()
+                                 and np.all(self.frames[sel] == frames)):
+            raise MirrorViolation
+        self.frames[sel] = frames
+        state[:] = LEVEL[table]
+
+    def propagate(self, off, n):
+        state = self.state[self._range(off, n)]
+        if not state.all():
+            raise Unmapped(off, n)
+        fresh = int(np.count_nonzero(state == LEVEL[SYSTEM]))
+        state[:] = LEVEL[GPU]
+        return fresh
+
+    def unmap_range(self, off, n):
+        sel = self._range(off, n)
+        self.state[sel], self.frames[sel] = 0, -1
+
+    def fragment_runs(self, table, va_base, cap):
+        """(starts, orders) of the fragment runs: a page gets the largest
+        f whose 2^f-aligned window around it is mapped to consecutive
+        frames that start 2^f-aligned; a run starts at each page aligned
+        to its own fragment."""
+        mapped, n = self.state >= LEVEL[table], len(self.frames)
+        frag = np.where(mapped, 0, -1)
+        for f in range(1, cap + 1):
+            lo = np.arange(-va_base % (1 << f), n - (1 << f) + 1, 1 << f)
+            window = lo[:, None] + np.arange(1 << f)
+            good = mapped[window].all(1) & (self.frames[lo] % (1 << f) == 0) \
+                & (np.diff(self.frames[window], axis=1) == 1).all(1)
+            frag[window[good]] = f
+        pages = np.arange(n) + va_base
+        first = (frag >= 0) & (pages % (1 << np.maximum(frag, 0)) == 0)
+        return pages[first], frag[first]
+
+
+def random_frames(rng, n):
+    """n frames as one array a page or as FrameRuns: consecutive stretches
+    from random starts, now and then outside [0, FRAME_LIMIT)."""
+    sizes = np.diff(np.unique(np.r_[0, rng.integers(0, n + 1, 3), n]))
+    starts = rng.integers(0, 1 << 10, len(sizes)) << int(rng.integers(0, 5))
+    if rng.random() < 0.05:
+        starts[-1] = rng.choice([-1, FRAME_LIMIT - 1])
+    if rng.random() < 0.5:
+        return FrameRuns(starts, sizes)
+    return _ranges(starts, sizes)
+
+
+def outcome(call):
+    """What call returns, or the type of the table error it raises."""
+    try:
+        return call()
+    except (AlreadyMapped, MirrorViolation, Unmapped, ValueError) as exc:
+        return type(exc)
+
+
+def test_run_table_matches_the_per_page_reference():
+    # Random map, propagate and unmap calls on both tables, with ranges
+    # that cover part of a run, several runs, or leave the reservation.
+    rng = np.random.default_rng(24)
+    errors = set()
+    for _ in range(60):
+        cap = int(rng.choice([3, 31]))
+        t, n = DualTable(cap), int(rng.integers(8, 80))
+        base = t.reserve(n, align_pages=int(rng.choice([1, 8, 512])))
+        region, ref = t._region_at(base)[0], PageTable(n)
+        for _ in range(30):
+            op = rng.choice(["map", "gpu", "propagate", "unmap"])
+            off = int(rng.integers(-2, n + 2))
+            size = int(rng.integers(0, 24))
+            if op == "map":
+                args = SYSTEM, random_frames(rng, size)
+            elif op == "gpu":
+                # The range's system frames, or random ones.
+                args = GPU, ref.frames[max(off, 0):max(off, 0) + size]
+                if rng.random() < 0.3:
+                    args = GPU, random_frames(rng, size)
+            got, want = (outcome(lambda: (
+                table.map_range(args[0], at, args[1]) if op in ("map", "gpu")
+                else getattr(table, {"propagate": "propagate",
+                                     "unmap": "unmap_range"}[op])(at, size)))
+                for table, at in ((t, base + off), (ref, off)))
+            assert got == want, (op, off, size)
+            errors.add(got)
+            frames, state = expand(region)
+            np.testing.assert_array_equal(frames, ref.frames)
+            np.testing.assert_array_equal(state, ref.state)
+            for table in (SYSTEM, GPU):
+                for a, b in zip(t.fragment_runs(table, base, 1),
+                                ref.fragment_runs(table, base, min(cap, 7))):
+                    np.testing.assert_array_equal(a, b)
+    assert {AlreadyMapped, MirrorViolation, Unmapped, ValueError} <= errors

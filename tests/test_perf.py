@@ -9,6 +9,7 @@ from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind,
                             MemoryManager)
 from upm_sim.pagetable import Unmapped
+from tests.test_pagetable import expand
 
 K = AllocatorKind
 
@@ -21,7 +22,7 @@ def profile():
 def test_channel_load_contiguous_block_balanced(profile):
     m = MemoryManager(profile, seed=0)
     a = m.allocate(K.DEVICE_UP_FRONT, 512 * KiB)  # exactly one block
-    load = perf.channel_load(profile, m, a)
+    load = perf.channel_load(profile, a)
     assert load.balance == 1.0
     assert sum(load.bytes_per_channel) == 512 * KiB
 
@@ -29,7 +30,7 @@ def test_channel_load_contiguous_block_balanced(profile):
 def test_channel_load_single_page(profile):
     m = MemoryManager(profile, seed=0)
     a = m.allocate(K.DEVICE_UP_FRONT, 4096)
-    load = perf.channel_load(profile, m, a)
+    load = perf.channel_load(profile, a)
     nonzero = [b for b in load.bytes_per_channel if b]
     assert nonzero == [4096]
 
@@ -38,15 +39,15 @@ def test_channel_load_requires_mapping(profile):
     m = MemoryManager(profile, seed=0)
     a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
     with pytest.raises(Unmapped):
-        perf.channel_load(profile, m, a)
+        perf.channel_load(profile, a)
 
 
 def test_channel_load_matches_direct_recount(profile):
     m = MemoryManager(profile, seed=1)
     a = m.allocate(K.LIBC_ON_DEMAND, 256 * MiB)
     m.touch(a, None, Agent.CPU)
-    load = perf.channel_load(profile, m, a)
-    frames = a.region.frames[:a.n_pages]
+    load = perf.channel_load(profile, a)
+    frames = expand(a.region)[0]
     counts = np.bincount(frames % profile.channels,
                          minlength=profile.channels) * profile.page_size
     assert tuple(int(c) for c in counts) == load.bytes_per_channel
@@ -59,10 +60,10 @@ def test_channel_load_counts_every_slice(profile):
     # 4,096 up-front batches and a 5-page tail run.
     m = MemoryManager(profile, seed=2)
     a = m.allocate(K.PINNED_HOST, 256 * MiB + 20 * KiB)
-    frames = a.region.frames
+    frames = expand(a.region)[0]
     counts = np.bincount(frames % profile.channels,
                          minlength=profile.channels) * profile.page_size
-    load = perf.channel_load(profile, m, a)
+    load = perf.channel_load(profile, a)
     assert load.bytes_per_channel == tuple(int(c) for c in counts)
 
 
@@ -70,7 +71,7 @@ def page_recount(profile, m, allocs):
     """channel_load's bytes per channel, recounted page by page."""
     counts = np.zeros(profile.channels, dtype=np.int64)
     for a in allocs:
-        frames = a.region.frames[:a.n_pages]
+        frames = expand(a.region)[0]
         counts += np.bincount(frames % profile.channels,
                               minlength=profile.channels)
     return tuple(int(c) * profile.page_size for c in counts)
@@ -87,7 +88,7 @@ def test_channel_load_mixed_first_touch_in_one_block(profile, first, second):
     m.touch(a, None, second)
     assert a.pending_cpu_batches is not None
     assert a.pending_gpu_blocks is not None
-    assert perf.channel_load(profile, m, a).bytes_per_channel \
+    assert perf.channel_load(profile, a).bytes_per_channel \
         == page_recount(profile, m, [a])
 
 
@@ -108,10 +109,10 @@ def test_channel_load_matches_page_recount(profile, seed):
             lo, hi = sorted(rng.integers(0, n_pages + 1, size=2).tolist())
             m.touch(a, (lo, hi), Agent(rng.choice(["cpu", "gpu"])))
         m.touch(a, None, Agent(rng.choice(["cpu", "gpu"])))
-        assert perf.channel_load(profile, m, a).bytes_per_channel \
+        assert perf.channel_load(profile, a).bytes_per_channel \
             == page_recount(profile, m, [a])
         allocs.append(a)
-    assert perf.channel_load(profile, m, allocs).bytes_per_channel \
+    assert perf.channel_load(profile, allocs).bytes_per_channel \
         == page_recount(profile, m, allocs)
 
 
@@ -124,7 +125,7 @@ def test_channel_load_memory_per_page(profile):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        perf.channel_load(profile, m, a)
+        perf.channel_load(profile, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,7 +12,8 @@ from upm_sim.memmgr import (Agent, AllocatorKind, FaultBatch, FramePool,
                             MemoryManager, OutOfMemory, Policy, classify)
 from upm_sim.pagetable import GPU, LEVEL, SYSTEM, AlreadyMapped, DualTable
 from upm_sim.tlb import FragmentTlb
-from tests.test_pagetable import brute_fragment, fragments, run_pages
+from tests.test_pagetable import (brute_fragment, expand, fragments,
+                                  run_pages)
 
 K = AllocatorKind
 
@@ -50,7 +51,7 @@ def test_fragment_oracle_equivalence_thousand_mappings():
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
         frags = fragments(t, SYSTEM, base, n)
-        mapped = np.nonzero(region.state[:n])[0]
+        mapped = np.nonzero(expand(region)[1][:n])[0]
         sample = mapped if len(mapped) <= 6 else \
             rng.choice(mapped, size=6, replace=False)
         for off in sample:
@@ -77,7 +78,7 @@ def test_fragment_oracle_large_mappings():
 
 def assert_fragments_match_oracle(t, base, offsets, table, f_cap):
     region, _ = t._region_at(base)
-    mapped = region.state >= LEVEL[table]
+    mapped = expand(region)[1] >= LEVEL[table]
     frags = fragments(t, table, base, region.n_pages)
     for off in offsets:
         off = int(off)
@@ -153,7 +154,7 @@ def test_fragment_oracle_gpu_table_mirror_stays_partial():
         n = int(rng.integers(16, 96))
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
-        mapped = np.flatnonzero(region.state[:n])
+        mapped = np.flatnonzero(expand(region)[1][:n])
         mirrored = rng.permutation(mapped[mapped != rng.choice(mapped)])
         for off in mirrored.tolist():
             t.propagate(base + off, 1)
@@ -195,7 +196,7 @@ def test_fragment_oracle_windows_on_unmapped_edges():
         n = int(rng.integers(8, 96))
         base = random_mapping(rng, t, n)
         region, _ = t._region_at(base)
-        mapped = region.state[:n] != 0
+        mapped = expand(region)[1][:n] != 0
         for off in np.flatnonzero(mapped):
             if rng.random() < 0.7:
                 t.propagate(base + int(off), 1)
@@ -292,7 +293,7 @@ def test_frame_conservation_random_op_sequences():
             assert m.pool.used_frames + m.pool.free_frames == total
         # No frame is ever double-mapped across live allocations.
         mapped_frames = np.concatenate(
-            [a.region.frames[:a.n_pages] for a in live] or
+            [expand(a.region)[0] for a in live] or
             [np.empty(0, dtype=np.int64)])
         mapped_frames = mapped_frames[mapped_frames >= 0]
         assert len(np.unique(mapped_frames)) == len(mapped_frames)
@@ -569,8 +570,9 @@ def faults_page_by_page(m, a, lo, hi, agent):
     """(kinds, pages) of touching [lo, hi), one page or chunk at a time,
     from the tables and chunk flags before the touch."""
     offs = np.arange(lo, hi)
-    sys_mapped = a.region.state[lo:hi] >= LEVEL[SYSTEM]
-    gpu_mapped = a.region.state[lo:hi] >= LEVEL[GPU]
+    state = expand(a.region)[1][lo:hi]
+    sys_mapped = state >= LEVEL[SYSTEM]
+    gpu_mapped = state >= LEVEL[GPU]
     kinds, pages = [], []
     if lo == hi:
         pass
@@ -605,7 +607,7 @@ def check_frames_page_by_page(m, a, lo, hi, agent, before):
         else a.pending_cpu_batches
     if not len(fresh):
         return
-    np.testing.assert_array_equal(region.frames[fresh],
+    np.testing.assert_array_equal(expand(region)[0][fresh],
                                   pending[fresh // grain] + fresh % grain)
     need = np.unique(fresh // grain)
     if pending_before is not None:
@@ -639,7 +641,7 @@ def test_touch_faults_and_frames_match_page_by_page(kind, xnack):
             region = a.region
             pending = a.pending_gpu_blocks if agent is Agent.GPU \
                 else a.pending_cpu_batches
-            before = (region.state.copy(),
+            before = (expand(region)[1],
                       None if pending is None else pending.copy(),
                       len(a.frame_runs))
             want = faults_page_by_page(m, a, lo, hi, agent)

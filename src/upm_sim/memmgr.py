@@ -30,10 +30,9 @@ that batch's virtual block (they sit in the kernel's per-CPU cache, not in
 the free pool). Each allocation keeps those reservations in an int64 array
 indexed by virtual batch (CPU) or block (GPU), -1 where nothing is drawn.
 
-The page table keeps frame runs, and frames are mapped as runs: an
-up-front allocation maps its drawn runs with one ``map_range``, and a
-first touch maps each segment of unmapped pages with one ``map_range`` of
-the runs its reservations give. No array with one entry a page is built.
+The page table keeps frame runs: an up-front allocation maps the runs it
+drew with one ``map_range``, and a first touch maps each segment of
+unmapped pages with one ``map_range`` of the runs its reservations give.
 
 The pool keeps whole free blocks in a bytearray alive map. Released
 blocks, last-released first, then a boot-time permutation read from its
@@ -509,11 +508,9 @@ class FramePool:
         prev[by_group[first[count > 0]]] = 0
         # The lowest pop of each draw and its group's later draws: a
         # running minimum read backwards, the groups stacked span apart.
-        # In-place steps and dels keep the call's peak down.
+        # Each del keeps the call's peak down.
         in_group *= span
-        low = pop_at[by_group]
-        low += in_group
-        low = np.minimum.accumulate(low[::-1])[::-1]
+        low = np.minimum.accumulate((pop_at[by_group] + in_group)[::-1])[::-1]
         low -= in_group
         del in_group
         taken = np.zeros(gn, dtype=np.int64)
@@ -523,16 +520,12 @@ class FramePool:
         # The popped pushes [lo, split) of each draw's span, less the one a
         # direct draw takes: their splits j and the draw that owns each.
         direct = split > prev
-        low -= n
-        low += prior
-        lo = np.maximum(prev, low, out=low)
-        del prev
-        size = split - direct
-        size -= lo
-        np.maximum(size, 0, out=size)
+        lo = np.maximum(prev, low - n + prior)
+        del prev, low
+        size = np.maximum(split - direct - lo, 0)
         owner = np.repeat(np.arange(n), size)
         j = _ranges(lo, size)
-        del lo, low, size
+        del lo, size
         kept = np.ones((gn, k), dtype=bool)
         kept[groups[owner], j] = False
         kept[groups[direct], split[direct] - 1] = False
@@ -930,10 +923,7 @@ class MemoryManager:
         if lo == hi:
             faults = _NO_FAULTS
         elif alloc.policy is Policy.ON_DEMAND:
-            if agent is Agent.CPU:
-                faults = self._touch_on_demand_cpu(alloc, lo, hi)
-            else:
-                faults = self._touch_on_demand_gpu(alloc, lo, hi)
+            faults = self._touch_on_demand(alloc, lo, hi, agent is Agent.GPU)
         elif agent is Agent.CPU:
             faults = self._touch_up_front_cpu(alloc, lo, hi)
         else:
@@ -947,28 +937,21 @@ class MemoryManager:
     # Each touch path maps what it must; it returns its faults' counts by
     # kind and their runs of virtual pages (starts, sizes), in kind order.
 
-    def _touch_on_demand_cpu(self, alloc, lo, hi):
+    def _touch_on_demand(self, alloc, lo, hi, gpu: bool):
+        # CPU faults and GPU major faults find no entry (state 0); GPU
+        # minor faults find a system entry only (state 1) and come first.
         va = alloc.va_base
-        starts, ends = self.table.state_runs(va + lo, hi - lo, 0) - va
-        if len(starts):
-            self._map_fresh(alloc, starts, ends, gpu=False)
-        sizes = ends - starts
-        return (int(sizes.sum()), 0, 0), alloc.va_base + starts, sizes
-
-    def _touch_on_demand_gpu(self, alloc, lo, hi):
-        va = alloc.va_base
-        # Minor faults find a system entry only (state 1), major ones none.
-        minor, major = (self.table.state_runs(va + lo, hi - lo, state)
-                        for state in (1, 0))
-        starts, ends = np.concatenate((minor, major), axis=1) - va
-        n_minor = len(minor[0])
+        runs = [self.table.state_runs(va + lo, hi - lo, state)
+                for state in ((1, 0) if gpu else (0,))]
+        starts, ends = np.concatenate(runs, axis=1) - va
+        n_minor = len(runs[0][0]) if gpu else 0
         if n_minor < len(starts):
-            self._map_fresh(alloc, starts[n_minor:], ends[n_minor:], gpu=True)
-        if len(starts):
-            self.table.propagate(alloc.va_base + lo, hi - lo)
+            self._map_fresh(alloc, starts[n_minor:], ends[n_minor:], gpu)
+        if gpu and len(starts):
+            self.table.propagate(va + lo, hi - lo)
         sizes = ends - starts
-        counts = (0, int(sizes[:n_minor].sum()), int(sizes[n_minor:].sum()))
-        return counts, alloc.va_base + starts, sizes
+        minor, major = int(sizes[:n_minor].sum()), int(sizes[n_minor:].sum())
+        return ((0, minor, major) if gpu else (major, 0, 0)), va + starts, sizes
 
     def _touch_up_front_cpu(self, alloc, lo, hi):
         # Device and host up-front memory becomes CPU-visible in coarse
@@ -1001,12 +984,10 @@ class MemoryManager:
         pending = alloc.pending_gpu_blocks if gpu else alloc.pending_cpu_batches
         if pending is None:  # kept only once the draw below succeeds
             pending = np.full(-(-alloc.n_pages // grain), -1, dtype=np.int64)
-        b0, b1 = starts // grain, (ends - 1) // grain + 1
         # The batches touched, each once: a segment may start in the
         # batch where the one before it ends.
-        first = b0.copy()
-        first[1:] = np.maximum(b0[1:], b1[:-1])
-        need = _ranges(first, b1 - first)
+        b0 = starts // grain
+        need = np.unique(_ranges(b0, (ends - 1) // grain + 1 - b0))
         missing = need[pending[need] < 0]
         if len(missing):
             if gpu:
@@ -1115,19 +1096,15 @@ class MemoryManager:
         mapped = np.bincount(holder, n, len(live)).astype(np.int64)
         _expect(mapped.tolist() == [a.mapped_pages for a in live],
                 "mapped pages differ from the allocations' counters")
-        # Each mapped frame lies in a live run of its own allocation, and
-        # no frame is mapped twice: the mapped runs must not overlap, and
-        # each must lie in one chain of adjacent runs of its allocation.
+        # No frame is mapped twice, and each mapped run lies in one live
+        # run of its own allocation: the table maps the runs an allocation
+        # drew, or parts of them.
         at = np.argsort(frame)
         lo, hi, holder = frame[at], (frame + n)[at], holder[at]
         _expect(np.all(lo[1:] >= hi[:-1]), "a frame is mapped twice")
-        edge = np.ones(len(starts) + 1, dtype=bool)  # chain edges
-        edge[1:-1] = (starts[1:] != ends[:-1]) \
-            | (piece_owner[1:] != piece_owner[:-1])
-        head, tail = edge[:-1], edge[1:]
-        chain = np.searchsorted(starts[head], lo, side="right") - 1
-        _expect((not len(chain) or chain[0] >= 0) and np.all(
-            (hi <= ends[tail][chain]) & (piece_owner[head][chain] == holder)),
+        piece = np.searchsorted(starts, lo, side="right") - 1
+        _expect((not len(piece) or piece[0] >= 0) and np.all(
+            (hi <= ends[piece]) & (piece_owner[piece] == holder)),
             "a mapped frame lies outside its allocation's runs")
 
 

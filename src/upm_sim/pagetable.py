@@ -29,19 +29,14 @@ runs of 2^f pages, each 2^f-aligned in virtual space, and one TLB entry
 covers each. ``fragment_runs`` returns these runs, (start, fragment) in
 address order, and is what the TLB reads.
 
-Each region stores its mapped pages as runs, in one int32 array of four
-rows: page offset, page count, first frame and state, with runs sorted by
-offset and disjoint, exactly as many columns as runs (16 B a run). Run i maps its pages
-to consecutive frames from its first one; its state is 1 (mapped in the
-system table only) or 2 (mapped in both tables), and pages in no run are
-unmapped. A page is mapped in a table when its state reaches that table's
-``LEVEL``, so the GPU table is a level of the system table and a GPU entry
-without a system entry cannot be stored. ``map_range`` takes its frames one
-a page or as ``FrameRuns``; ``propagate`` and ``unmap_range`` split the
-runs at the ends of their range. The machine profile keeps every frame
-number below 2^31 (validate rejects more frames than that), and
-``map_range`` rejects a frame outside that range; a reservation holds
-fewer than 2^31 pages, so its page offsets fit int32 too.
+Each region keeps its mapped pages as runs of consecutive frames: one
+int32 array of page offset, page count, first frame and state, sorted,
+disjoint and exactly sized (16 B a run). State 1 maps a run in the system
+table only, 2 in both; a page is mapped in a table when its state reaches
+that table's ``LEVEL``, so a GPU entry without a system entry cannot be
+stored. The machine profile keeps frame numbers below 2^31 (validate
+rejects more frames), a reservation holds fewer pages than that, and
+``map_range`` rejects a frame outside that range.
 """
 
 from __future__ import annotations
@@ -68,8 +63,7 @@ class MirrorViolation(Exception):
     """GPU-table mutation without a matching system entry."""
 
 
-# Runs are stored as int32: the profile keeps frame numbers below this, and
-# reserve keeps page offsets below it.
+# Frame numbers and page offsets, stored as int32, stay below this.
 FRAME_LIMIT = 1 << 31
 
 
@@ -95,9 +89,8 @@ def _frame_runs(frames) -> tuple[np.ndarray, np.ndarray]:
         starts, sizes = frames.starts, frames.sizes
     else:
         frames = np.asarray(frames, dtype=np.int64)
-        first = np.ones(len(frames), dtype=bool)
-        first[1:] = frames[1:] != frames[:-1] + 1
-        at = np.flatnonzero(first)
+        # A run starts where a frame does not follow the one before.
+        at = np.flatnonzero(np.diff(frames, prepend=frames[:1] - 2) != 1)
         starts, sizes = frames[at], np.diff(at, append=len(frames))
     if len(starts) and not (0 <= starts.min() and 0 < sizes.min()
                             and (starts + sizes).max() <= FRAME_LIMIT):
@@ -107,8 +100,7 @@ def _frame_runs(frames) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Region:
-    """One reservation: its base page, its size and its runs, the (4, k)
-    int32 array of page offset, page count, first frame and state."""
+    """One reservation and its runs, as rows of an int32 array."""
     __slots__ = ("va_base", "n_pages", "runs")
 
     def __init__(self, va_base: int, n_pages: int):
@@ -116,26 +108,21 @@ class _Region:
         self.n_pages = n_pages
         self.runs = np.empty((4, 0), dtype=np.int32)
 
+    def store(self, lo: int, hi: int, inside: np.ndarray):
+        """Put the runs inside in place of the parts of runs in [lo, hi)."""
+        self.runs = np.concatenate((_clip(self.runs, 0, lo), inside,
+                                    _clip(self.runs, hi, self.n_pages)), 1)
 
-def _split(runs: np.ndarray, lo: int, hi: int):
-    """runs cut at page offsets lo and hi: the runs before lo, a copy of
-    the runs' parts inside [lo, hi), and the runs after hi."""
-    off = runs[0]
-    j = int(np.searchsorted(off, hi))
-    i = int(np.searchsorted(off + runs[1], lo, "right")) if lo < hi else j
-    before, inside, after = runs[:, :i], runs[:, i:j].copy(), runs[:, j:]
-    if i < j:
-        cut = lo - int(inside[0, 0])
-        if cut > 0:  # the first run starts before lo
-            before = np.concatenate((before, inside[:, :1]), axis=1)
-            before[1, -1] = cut
-            inside[:, 0] += (cut, -cut, cut, 0)
-        keep = hi - int(inside[0, -1])
-        if keep < inside[1, -1]:  # the last run ends after hi
-            after = np.concatenate((inside[:, -1:], after), axis=1)
-            after[:, 0] += (keep, -keep, keep, 0)
-            inside[1, -1] = keep
-    return before, inside, after
+
+def _clip(runs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """A copy of the parts of runs inside page offsets [lo, hi)."""
+    s = np.clip(runs[0], lo, hi)
+    keep = s < np.clip(runs[0] + runs[1], lo, hi)
+    out = runs[:, keep]
+    out[1] = np.minimum(out[0] + out[1], hi) - s[keep]
+    out[2] += s[keep] - out[0]
+    out[0] = s[keep]
+    return out
 
 
 class DualTable:
@@ -155,8 +142,7 @@ class DualTable:
     def reserve(self, n_pages: int, align_pages: int = 512) -> int:
         """Reserve a fresh virtual range; returns its base page number."""
         if n_pages >= FRAME_LIMIT:
-            raise ValueError(f"a reservation holds fewer than {FRAME_LIMIT} "
-                             f"pages")
+            raise ValueError(f"a reservation holds under {FRAME_LIMIT} pages")
         base = -(-self._next_va // align_pages) * align_pages
         # Guard gap keeps fragments of distinct reservations from merging.
         self._next_va = base + n_pages + align_pages
@@ -179,9 +165,8 @@ class DualTable:
                 return region, off
         raise Unmapped(f"virtual page {va_page} outside any reservation")
 
-    def _range_at(self, va_page: int, n_pages: int) -> tuple[_Region, int,
-                                                             int]:
-        """The region holding [va_page, +n_pages) and the range's offsets."""
+    def _range_at(self, va_page: int, n_pages: int):
+        """(region, lo, hi) of [va_page, +n_pages): its region and offsets."""
         region, off = self._region_at(va_page)
         if off + n_pages > region.n_pages:
             raise Unmapped(f"range [{va_page}, +{n_pages}) crosses its "
@@ -195,7 +180,7 @@ class DualTable:
         FrameRuns or one frame a page, each in [0, FRAME_LIMIT)."""
         starts, sizes = _frame_runs(frames)
         region, lo, hi = self._range_at(va_page, int(sizes.sum()))
-        before, inside, after = _split(region.runs, lo, hi)
+        inside = _clip(region.runs, lo, hi)
         if np.any(inside[3] >= LEVEL[table]):
             raise AlreadyMapped(f"page already mapped in {table} table")
         if table == GPU:
@@ -207,14 +192,14 @@ class DualTable:
             at = np.union1d(mine, given)
             if not np.array_equal(_frame_at(mine, inside[2], at),
                                   _frame_at(given, starts, at)):
-                raise MirrorViolation("gpu entry frame differs from system entry")
+                raise MirrorViolation("gpu frame differs from system entry")
             inside[3] = LEVEL[GPU]
         else:
             inside = np.empty((4, len(sizes)), dtype=np.int32)
             inside[1], inside[2], inside[3] = sizes, starts, LEVEL[SYSTEM]
             np.cumsum(inside[1], out=inside[0])
             inside[0] += lo - inside[1]
-        region.runs = np.concatenate((before, inside, after), axis=1)
+        region.store(lo, hi, inside)
 
     def propagate(self, va_page: int, n_pages: int) -> int:
         """Mirror [va_page, +n_pages) into the GPU table; idempotent.
@@ -223,21 +208,20 @@ class DualTable:
         mapped in the system table.
         """
         region, lo, hi = self._range_at(va_page, n_pages)
-        before, inside, after = _split(region.runs, lo, hi)
+        inside = _clip(region.runs, lo, hi)
         if inside[1].sum() != hi - lo:
             raise Unmapped("propagate over a range not fully system-mapped")
         fresh = int(inside[1, inside[3] == LEVEL[SYSTEM]].sum())
         if fresh:
             inside[3] = LEVEL[GPU]
-            region.runs = np.concatenate((before, inside, after), axis=1)
+            region.store(lo, hi, inside)
         return fresh
 
     def unmap_range(self, va_page: int, n_pages: int):
         """Drop [va_page, +n) from both tables (missing pages are fine);
         the range must lie inside one reservation."""
         region, lo, hi = self._range_at(va_page, n_pages)
-        before, _, after = _split(region.runs, lo, hi)
-        region.runs = np.concatenate((before, after), axis=1)
+        region.store(lo, hi, region.runs[:, :0])
 
     # -- queries ------------------------------------------------------
 
@@ -246,13 +230,13 @@ class DualTable:
         state (0 unmapped, 1 system table only, 2 both tables), in address
         order: a (2, k) array of first pages and end pages."""
         region, lo, hi = self._range_at(va_page, n_pages)
-        _, inside, _ = _split(region.runs, lo, hi)
-        off, end = inside[0], inside[0] + inside[1]
+        off, n, _, have = _clip(region.runs, lo, hi)
+        end = off + n
         if state == 0:  # the gaps between runs
             s, e = np.append(lo, end), np.append(off, hi)
             s, e = s[s < e], e[s < e]
         else:
-            s, e = off[inside[3] == state], end[inside[3] == state]
+            s, e = off[have == state], end[have == state]
         join = np.flatnonzero(s[1:] == e[:-1])
         return np.stack((np.delete(s, join + 1), np.delete(e, join)),
                         dtype=np.int64) + region.va_base
@@ -270,10 +254,8 @@ class DualTable:
             .astype(np.int64)
         link = (off[:-1] + n[:-1] == off[1:]) & (frame[:-1] + n[:-1]
                                                   == frame[1:])
-        first = np.ones(len(off), dtype=bool)
-        first[1:] = ~link
-        last = np.ones(len(off), dtype=bool)
-        last[:-1] = ~link
+        first, last = np.ones((2, len(off)), dtype=bool)
+        first[1:] = last[:-1] = ~link
         x = off[first] + region.va_base
         e = (off + n)[last] + region.va_base
         # min(ctz(d), cap) with d the run's frame offset: ctz(d | 2^cap);

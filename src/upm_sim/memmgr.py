@@ -507,8 +507,8 @@ class FramePool:
         prev[by_group[1:]] = split[by_group[:-1]]
         prev[by_group[first[count > 0]]] = 0
         # The lowest pop of each draw and its group's later draws: a
-        # running minimum read backwards, the groups stacked span apart.
-        # Each del keeps the call's peak down.
+        # running minimum read backwards, the groups stacked span apart
+        # (from here on, in-place steps and dels keep the call's peak down).
         in_group *= span
         low = np.minimum.accumulate((pop_at[by_group] + in_group)[::-1])[::-1]
         low -= in_group
@@ -987,7 +987,8 @@ class MemoryManager:
         # The batches touched, each once: a segment may start in the
         # batch where the one before it ends.
         b0 = starts // grain
-        need = np.unique(_ranges(b0, (ends - 1) // grain + 1 - b0))
+        need = _ranges(b0, (ends - 1) // grain + 1 - b0)
+        need = need[np.diff(need, prepend=-1) != 0]
         missing = need[pending[need] < 0]
         if len(missing):
             if gpu:

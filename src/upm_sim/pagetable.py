@@ -116,12 +116,13 @@ class _Region:
 
 def _clip(runs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """A copy of the parts of runs inside page offsets [lo, hi)."""
-    s = np.clip(runs[0], lo, hi)
-    keep = s < np.clip(runs[0] + runs[1], lo, hi)
-    out = runs[:, keep]
-    out[1] = np.minimum(out[0] + out[1], hi) - s[keep]
-    out[2] += s[keep] - out[0]
-    out[0] = s[keep]
+    runs = runs[:, np.searchsorted(runs[0] + runs[1], lo, "right"):
+                np.searchsorted(runs[0], hi)]
+    s = np.maximum(runs[0], lo)
+    e = np.minimum(runs[0] + runs[1], hi)
+    out = runs[:, s < e]
+    out[2] += (s - runs[0])[s < e]
+    out[0], out[1] = s[s < e], (e - s)[s < e]
     return out
 
 
@@ -186,12 +187,13 @@ class DualTable:
         if table == GPU:
             if inside[1].sum() != hi - lo:
                 raise MirrorViolation("gpu entries only mirror system entries")
-            # Both sequences rise by one a page between the union of their
-            # run starts, so they are equal iff they agree at those.
+            # Both sequences rise by one a page inside their runs, so they
+            # are equal iff, at every run start of either, the runs that
+            # hold it have the same frame less page offset.
             mine, given = inside[0] - lo, np.cumsum(sizes) - sizes
             at = np.union1d(mine, given)
-            if not np.array_equal(_frame_at(mine, inside[2], at),
-                                  _frame_at(given, starts, at)):
+            i, j = (np.searchsorted(p, at, "right") - 1 for p in (mine, given))
+            if np.any(inside[2][i] - mine[i] != starts[j] - given[j]):
                 raise MirrorViolation("gpu frame differs from system entry")
             inside[3] = LEVEL[GPU]
         else:
@@ -288,13 +290,6 @@ class DualTable:
         frag = np.repeat(frag, count)
         k = np.arange(len(frag)) - np.repeat(np.cumsum(count) - count, count)
         return np.repeat(pos, count) + (k << frag), frag
-
-
-def _frame_at(pos: np.ndarray, first: np.ndarray, at: np.ndarray):
-    """The frame at each sorted page position at of the runs that start at
-    positions pos with frames first."""
-    k = np.searchsorted(pos, at, "right") - 1
-    return first[k] + (at - pos[k])
 
 
 def _bitlen(v: np.ndarray) -> np.ndarray:

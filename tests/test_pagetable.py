@@ -385,6 +385,11 @@ class PageTable:
         sel = self._range(off, n)
         self.state[sel], self.frames[sel] = 0, -1
 
+    def state_runs(self, off, n, state):
+        mask = self.state[self._range(off, n)] == state
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+        return np.stack((edges[0::2], edges[1::2])) + off
+
     def fragment_runs(self, table, va_base, cap):
         """(starts, orders) of the fragment runs: a page gets the largest
         f whose 2^f-aligned window around it is mapped to consecutive
@@ -424,8 +429,9 @@ def outcome(call):
 
 
 def test_run_table_matches_the_per_page_reference():
-    # Random map, propagate and unmap calls on both tables, with ranges
-    # that cover part of a run, several runs, or leave the reservation.
+    # Random map, propagate, unmap and state_runs calls on both tables,
+    # with ranges that cover part of a run, several runs, or leave the
+    # reservation.
     rng = np.random.default_rng(24)
     errors = set()
     for _ in range(60):
@@ -434,28 +440,34 @@ def test_run_table_matches_the_per_page_reference():
         base = t.reserve(n, align_pages=int(rng.choice([1, 8, 512])))
         region, ref = t._region_at(base)[0], PageTable(n)
         for _ in range(30):
-            op = rng.choice(["map", "gpu", "propagate", "unmap"])
+            op = rng.choice(["map", "gpu", "propagate", "unmap", "state"])
             off = int(rng.integers(-2, n + 2))
-            size = int(rng.integers(0, 24))
-            if op == "map":
-                args = SYSTEM, random_frames(rng, size)
-            elif op == "gpu":
-                # The range's system frames, or random ones.
-                args = GPU, ref.frames[max(off, 0):max(off, 0) + size]
-                if rng.random() < 0.3:
-                    args = GPU, random_frames(rng, size)
-            got, want = (outcome(lambda: (
-                table.map_range(args[0], at, args[1]) if op in ("map", "gpu")
-                else getattr(table, {"propagate": "propagate",
-                                     "unmap": "unmap_range"}[op])(at, size)))
-                for table, at in ((t, base + off), (ref, off)))
+            size, state = int(rng.integers(0, 24)), int(rng.integers(0, 3))
+            frames = random_frames(rng, size)
+            if op == "gpu" and rng.random() < 0.7:  # the system frames
+                frames = ref.frames[max(off, 0):max(off, 0) + size]
+
+            def call(table, va_base):
+                at = va_base + off
+                if op in ("map", "gpu"):
+                    return table.map_range(GPU if op == "gpu" else SYSTEM,
+                                           at, frames)
+                if op == "state":
+                    return (table.state_runs(at, size, state)
+                            - va_base).tolist()
+                if op == "propagate":
+                    return table.propagate(at, size)
+                return table.unmap_range(at, size)
+
+            got, want = outcome(lambda: call(t, base)), outcome(
+                lambda: call(ref, 0))
             assert got == want, (op, off, size)
-            errors.add(got)
-            frames, state = expand(region)
-            np.testing.assert_array_equal(frames, ref.frames)
-            np.testing.assert_array_equal(state, ref.state)
+            if isinstance(got, type):
+                errors.add(got)
+            np.testing.assert_array_equal(expand(region)[0], ref.frames)
+            np.testing.assert_array_equal(expand(region)[1], ref.state)
             for table in (SYSTEM, GPU):
                 for a, b in zip(t.fragment_runs(table, base, 1),
                                 ref.fragment_runs(table, base, min(cap, 7))):
                     np.testing.assert_array_equal(a, b)
-    assert {AlreadyMapped, MirrorViolation, Unmapped, ValueError} <= errors
+    assert errors == {AlreadyMapped, MirrorViolation, Unmapped, ValueError}

@@ -74,8 +74,7 @@ class FrameRuns:
 
     def __init__(self, starts, sizes):
         self.starts = np.asarray(starts, dtype=np.int64)
-        self.sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64),
-                                     self.starts.shape)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self.sizes.sum())

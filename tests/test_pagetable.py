@@ -335,7 +335,7 @@ def test_map_range_rejects_frames_outside_int32(bad):
     with pytest.raises(ValueError):
         t.map_range(SYSTEM, base, np.array([0, bad], dtype=np.int64))
     with pytest.raises(ValueError):
-        t.map_range(SYSTEM, base, FrameRuns([bad - 1], 2))
+        t.map_range(SYSTEM, base, FrameRuns([bad - 1], [2]))
     region, _ = t._region_at(base)
     assert region.runs.shape == (4, 0)
     t.map_range(SYSTEM, base, [FRAME_LIMIT - 2, FRAME_LIMIT - 1])

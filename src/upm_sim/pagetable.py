@@ -115,13 +115,15 @@ class _Region:
 
 def _clip(runs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """A copy of the parts of runs inside page offsets [lo, hi)."""
-    runs = runs[:, np.searchsorted(runs[0] + runs[1], lo, "right"):
-                np.searchsorted(runs[0], hi)]
-    s = np.maximum(runs[0], lo)
-    e = np.minimum(runs[0] + runs[1], hi)
-    out = runs[:, s < e]
-    out[2] += (s - runs[0])[s < e]
-    out[0], out[1] = s[s < e], (e - s)[s < e]
+    if lo >= hi:
+        return runs[:, :0]
+    out = runs[:, np.searchsorted(runs[0] + runs[1], lo, "right"):
+               np.searchsorted(runs[0], hi)].copy()
+    if out.size:  # only the first and the last run can reach outside
+        cut = lo - int(out[0, 0])
+        if cut > 0:
+            out[:, 0] += (cut, -cut, cut, 0)
+        out[1, -1] = min(int(out[1, -1]), hi - int(out[0, -1]))
     return out
 
 
@@ -197,9 +199,8 @@ class DualTable:
             inside[3] = LEVEL[GPU]
         else:
             inside = np.empty((4, len(sizes)), dtype=np.int32)
+            inside[0] = np.cumsum(sizes) - sizes + lo
             inside[1], inside[2], inside[3] = sizes, starts, LEVEL[SYSTEM]
-            np.cumsum(inside[1], out=inside[0])
-            inside[0] += lo - inside[1]
         region.store(lo, hi, inside)
 
     def propagate(self, va_page: int, n_pages: int) -> int:

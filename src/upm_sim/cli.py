@@ -143,7 +143,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify":
-        report = harness.verify(profile, seed=args.seed)
+        try:
+            report = harness.verify(profile, seed=args.seed)
+        except _INPUT_ERRORS as exc:
+            print(f"upm-sim: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         for line in report.lines():
             print(line)
         return 2 if report.hard_failures else 0

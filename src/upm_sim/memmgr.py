@@ -60,19 +60,20 @@ group's store, refilled when empty from a 32- or 64-page run, or else
 from the next group that holds one.
 
 Frames go back through ``release_runs`` only, one call per release. A
-block that the call frees entirely (its runs plus the free pieces it
-already holds fill it) goes back whole, at its last run: its pieces
-leave the stores and it joins the released blocks. The other runs are
-freed one by one, in order: a run merges with its buddy only if free
-pieces tile the buddy entirely, the same ``_pieces_tiling`` test that
-finds the whole blocks, made before any piece leaves a store; at the
-first buddy that is not entirely free, the run joins its store and
-stops. So a merge that fails changes nothing, and no slot is put back in
-the pool call that deleted it. A slot that leaves the middle of a group
-stack is only marked deleted in the slot map; each stack is compacted
-once, at the end of the pool call. This is the state that freeing run by
-run gives, at a cost that grows with the runs and the free pieces of
-their blocks, not with the pool. A draw that cannot finish takes
+block whose released pages and free slots add up to the whole block goes
+back whole: free pieces and live runs never overlap, so they fill it. Its
+slots leave the stores and it goes back alive. The runs of every other
+block are freed one by one, in order: a run merges with its buddy only if
+free pieces tile the buddy entirely (``_pieces_tiling``, asked before any
+piece leaves a store); at the first buddy that is not entirely free, the
+run joins its store and stops. Such merges may make a block whole too.
+Every block made whole joins the released blocks in the order of its last
+run, as per-run release leaves them. A merge that fails changes nothing,
+and no slot is put back in the pool call that deleted it. A slot that
+leaves the middle of a group stack is only marked deleted in the slot
+map; each stack is compacted once, at the end of the pool call. This is
+the state that freeing run by run gives, at a cost that grows with the
+runs and their blocks, not with the pool. A draw that cannot finish takes
 nothing: each checks first, from counts, that the pool holds enough
 frames, blocks or batches, so a failed allocate or touch raises
 ``OutOfMemory`` before it changes the pool or the scatter generator, and
@@ -648,91 +649,49 @@ class FramePool:
 
         The pool ends in the state that freeing the runs one by one in
         order, each merged piece by piece with its free buddies, gives. A
-        block that the runs and the free pieces it already holds fill
-        entirely goes back whole: its pieces leave the stores, and it
-        joins the released blocks in the order of its last run. Per-run
-        release does the same, because a block cannot be whole before its
-        last run is freed, the merge then always assembles it, and merges
-        below a block never leave it. Runs in every other block merge one
-        by one, in order.
+        block is whole by count when its released pages and free slots add
+        up to the block: free pieces and live runs never overlap, so they
+        fill it. Its slots leave the stores and it goes back alive. The
+        runs of every other block merge one by one, in order, and may
+        make their block whole too. Every block made whole joins the
+        released blocks in the order of its last run, as per-run release
+        leaves them: a block cannot be whole before its last run is freed,
+        and merges below a block never leave it.
         """
         starts = np.asarray(starts, dtype=np.int64)
         if not len(starts):
             return
         sizes = np.broadcast_to(sizes, starts.shape)
-        bo, bp = self.block_order, self.block_pages
-        # Runs grouped by block, ascending within each.
-        at = np.argsort(starts, kind="stable")
-        s, e = starts[at], starts[at] + sizes[at]
-        base = s >> bo << bo
-        if np.any(e > base + bp):
+        bo = self.block_order
+        if np.any(starts + sizes > (starts >> bo << bo) + self.block_pages):
             raise ValueError("a released run crosses a block boundary")
         self.used_frames -= int(sizes.sum())
-        first = np.ones(len(s), dtype=bool)
-        first[1:] = base[1:] != base[:-1]
-        last = np.ones(len(s), dtype=bool)
-        last[:-1] = first[1:]
-        group = np.cumsum(first) - 1
-        # The pages of a block between its runs and after its last run.
-        prev_end = np.empty_like(s)
-        prev_end[1:] = e[:-1]
-        prev_end[first] = base[first]
-        head = s > prev_end
-        tail = last & (e < base + bp)
-        whole = self._claim_gaps(np.concatenate((prev_end[head], e[tail])),
-                                 np.concatenate((s[head], base[tail] + bp)),
-                                 np.concatenate((group[head], group[tail])),
-                                 int(group[-1]) + 1)
-        # Whole blocks, ordered by the index of their last run.
-        last_run = np.maximum.reduceat(at, np.flatnonzero(first))
-        blocks = (base[first] >> bo)[whole][np.argsort(last_run[whole])]
-        if len(blocks):
-            np.frombuffer(self._block_alive, dtype=np.uint8)[blocks] = 1
-            self._released.extend(blocks.tolist())
-        merge = np.empty(len(s), dtype=bool)
-        merge[at] = ~whole[group]
+        blocks, of_run = np.unique(starts >> bo, return_inverse=True)
+        slot_map = np.frombuffer(self._slot, dtype=np.uint8).reshape(
+            self.n_blocks, self.groups_n)
+        rows = slot_map[blocks]
+        free = rows == 1
+        whole = np.bincount(of_run, weights=sizes) + self.batch_pages \
+            * np.count_nonzero(free, axis=1) == self.block_pages
+        done = len(self._released)
+        if whole.any():
+            rows[free] = 2  # deleted; _compact drops them from the stacks
+            slot_map[blocks[whole]] = rows[whole]
+            self._dirty.update(
+                np.flatnonzero(free[whole].any(axis=0)).tolist())
+            np.frombuffer(self._block_alive, dtype=np.uint8)[
+                blocks[whole]] = 1
+            self._released.extend(blocks[whole].tolist())
+        merge = ~whole[of_run]
         for start, n in zip(starts[merge].tolist(), sizes[merge].tolist()):
             self._merge_run(start, n)
+        # Every block made whole, ordered by the index of its last run.
+        last_run = np.zeros(len(blocks), dtype=np.int64)
+        np.maximum.at(last_run, of_run, np.arange(len(starts)))
+        made = np.array(self._released[done:], dtype=np.int64)
+        key = last_run[np.searchsorted(blocks, made)]
+        self._released[done:] = made[np.argsort(key)].tolist()
         self._compact()
-
-    def _claim_gaps(self, lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
-                    n_groups: int) -> np.ndarray:
-        """Which of n_groups blocks have every gap [lo, hi) tiled by free
-        pieces; the pieces of those blocks leave the stores.
-
-        Gaps are mostly whole 16-page slots of split blocks (in the six
-        1 GiB usage-matrix releases, every gap is): their slots are looked
-        up in the slot map in one gather. Blocks with another gap or a
-        slot not free are probed piece by piece.
-        """
-        bto = self.batch_order
-        odd = ((lo | hi) & (self.batch_pages - 1)) != 0
-        n = np.where(odd, 0, (hi - lo) >> bto)
-        slots = _ranges(lo >> bto, n)  # of the whole-slot gaps
-        slot_map = np.frombuffer(self._slot, dtype=np.uint8)
-        probe = np.zeros(n_groups, dtype=bool)
-        probe[group[odd]] = True
-        probe[np.repeat(group, n)[slot_map[slots] != 1]] = True
-        whole = np.ones(n_groups, dtype=bool)
-        found = []
-        near = probe[group]
-        for a, b, g in zip(lo[near].tolist(), hi[near].tolist(),
-                           group[near].tolist()):
-            if whole[g]:
-                pieces = self._pieces_tiling(a, b)
-                if pieces is None:
-                    whole[g] = False
-                else:
-                    found.append((g, pieces))
-        for g, pieces in found:
-            if whole[g]:
-                for order, start in pieces:
-                    self._drop(order, start)
-        drop = slots[np.repeat(~probe[group], n)]
-        if len(drop):
-            slot_map[drop] = 2
-            self._dirty.update(range(self.groups_n))
-        return whole
 
     def _pieces_tiling(self, lo: int, hi: int) -> list | None:
         """(order, start) of the free pieces that tile [lo, hi) inside one

@@ -563,6 +563,18 @@ def test_cli_bad_profile_exit_one(tmp_path, capsys):
     assert cli.main(["verify", "--profile", str(path)]) == 1
 
 
+def test_cli_verify_out_of_memory_is_one_line(tmp_path, capsys):
+    # load_profile accepts a 1 GiB pool; verify's 4 GiB heap cannot fit.
+    path = tmp_path / "small.profile"
+    path.write_text(serialize_profile(builtin_mi300a())
+                    + "hbm_capacity = 1GiB\n")
+    assert cli.main(["verify", "--profile", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("upm-sim: OutOfMemory: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_overflowing_count_is_a_profile_error(tmp_path, capsys):
     path = tmp_path / "huge.profile"
     path.write_text("stacks = 1e400\n")

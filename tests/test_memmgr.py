@@ -695,6 +695,21 @@ def test_failed_buddy_merge_keeps_the_store_order():
     assert pool.take_batches([0]).tolist() == [0]
 
 
+@pytest.mark.parametrize("size", [2, 16, 40, 128])
+def test_release_rejects_a_run_that_crosses_a_block_boundary(size):
+    # A run that ends one page past its block is refused before the pool
+    # changes; the same run one page shorter goes back.
+    profile = replace(builtin_mi300a(), hbm_capacity=1 * MiB)
+    pool = FramePool(profile, np.random.SeedSequence(0))
+    end = int(pool.take_blocks(1)[0]) + pool.block_pages
+    before = pool_state(pool)
+    with pytest.raises(ValueError, match="crosses a block boundary"):
+        pool.release_runs([end - size + 1], size)
+    assert pool_state(pool) == before
+    pool.release_runs([end - size + 1], size - 1)
+    assert pool.used_frames == pool.block_pages - size + 1
+
+
 def _leak_a_free_slot(m, a, b):
     m.pool._pop(next(g for g, s in enumerate(m.pool._stacks) if len(s)))
 

@@ -23,11 +23,12 @@ def expand(region):
     return frames, states
 
 
-def brute_fragment(region, off, table, va_base, f_cap=12):
-    """Independent oracle: naive scan over every aligned power-of-two run."""
-    frames, state = expand(region)
+def brute_fragment(pages, off, table, va_base, f_cap=12):
+    """Independent oracle: naive scan over every aligned power-of-two run
+    of pages, a region's (frames, state) as expand gives them."""
+    frames, state = pages
     mapped = state >= LEVEL[table]
-    n = region.n_pages
+    n = len(frames)
     va = va_base + off
     best = 0
     for f in range(f_cap + 1):
@@ -148,10 +149,10 @@ def test_scattered_frames_leave_fragment_zero():
     frames = np.array([10, 5000, 321, 9999, 42, 77, 1234, 88])
     t.map_range(SYSTEM, base, frames)
     t.propagate(base, 8)
-    region, off = t._region_at(base)
+    pages = expand(t._region_at(base)[0])
     for i in range(8):
         assert fragment(t, base + i) == 0
-        assert brute_fragment(region, i, GPU, base) == 0
+        assert brute_fragment(pages, i, GPU, base) == 0
 
 
 def test_propagate_counts_and_idempotence():
@@ -186,11 +187,10 @@ def test_unmap_splits_runs():
     t.map_range(SYSTEM, base, np.arange(8192, 8192 + 16))
     t.propagate(base, 16)
     t.unmap_range(base + 8, 1)
-    region, _ = t._region_at(base)
-    assert expand(region)[1][8] == 0
+    pages = expand(t._region_at(base)[0])
+    assert pages[1][8] == 0
     for i in list(range(8)) + list(range(9, 16)):
-        assert fragment(t, base + i) == brute_fragment(
-            region, i, GPU, base)
+        assert fragment(t, base + i) == brute_fragment(pages, i, GPU, base)
 
 
 def test_fragment_oracle_random_maps():
@@ -226,11 +226,11 @@ def test_fragment_oracle_random_maps():
                     t.map_range(SYSTEM, base + int(seg_o[0]), seg_f)
                 except AlreadyMapped:
                     pass
-        region, _ = t._region_at(base)
-        mapped = np.nonzero(expand(region)[1][:n])[0]
+        pages = expand(t._region_at(base)[0])
+        mapped = np.nonzero(pages[1][:n])[0]
         for i in mapped:
             assert fragment(t, base + int(i), SYSTEM) == \
-                brute_fragment(region, int(i), SYSTEM, base), \
+                brute_fragment(pages, int(i), SYSTEM, base), \
                 f"page {i} of map with n={n}"
 
 

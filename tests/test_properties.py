@@ -49,14 +49,14 @@ def test_fragment_oracle_equivalence_thousand_mappings():
         t = DualTable(31)
         n = int(rng.integers(2, 96))
         base = random_mapping(rng, t, n)
-        region, _ = t._region_at(base)
+        pages = expand(t._region_at(base)[0])
         frags = fragments(t, SYSTEM, base, n)
-        mapped = np.nonzero(expand(region)[1][:n])[0]
+        mapped = np.nonzero(pages[1][:n])[0]
         sample = mapped if len(mapped) <= 6 else \
             rng.choice(mapped, size=6, replace=False)
         for off in sample:
             assert frags[off] == \
-                brute_fragment(region, int(off), SYSTEM, base)
+                brute_fragment(pages, int(off), SYSTEM, base)
             checked += 1
     assert checked > 2000
 
@@ -69,20 +69,21 @@ def test_fragment_oracle_large_mappings():
         base = t.reserve(n, align_pages=4096)
         start = int(rng.integers(0, 1 << 20)) & ~((1 << 12) - 1)
         t.map_range(SYSTEM, base, np.arange(start, start + n))
-        region, _ = t._region_at(base)
+        pages = expand(t._region_at(base)[0])
         frags = fragments(t, SYSTEM, base, n)
         for off in rng.integers(0, n, size=8):
             assert frags[off] == \
-                brute_fragment(region, int(off), SYSTEM, base, f_cap=12)
+                brute_fragment(pages, int(off), SYSTEM, base, f_cap=12)
 
 
 def assert_fragments_match_oracle(t, base, offsets, table, f_cap):
     region, _ = t._region_at(base)
-    mapped = expand(region)[1] >= LEVEL[table]
+    pages = expand(region)
+    mapped = pages[1] >= LEVEL[table]
     frags = fragments(t, table, base, region.n_pages)
     for off in offsets:
         off = int(off)
-        expected = brute_fragment(region, off, table, base, f_cap=f_cap) \
+        expected = brute_fragment(pages, off, table, base, f_cap=f_cap) \
             if mapped[off] else -1
         assert int(frags[off]) == expected, (table, off)
 
@@ -350,6 +351,20 @@ def pool_state(pool):
             pool._boot_left, pool._seq_next)
 
 
+def count_merged_blocks(pool) -> list:
+    """Wrap pool._merge_run to count the blocks it makes whole; the
+    one-entry list that holds the count."""
+    merge_run, merged = pool._merge_run, [0]
+
+    def counted(start, n_pages):
+        before = len(pool._released)
+        merge_run(start, n_pages)
+        merged[0] += len(pool._released) - before
+
+    pool._merge_run = counted
+    return merged
+
+
 def test_bulk_release_matches_per_run_release_random_op_sequences():
     # A 32 MiB pool (64 blocks) runs out of memory now and then; a failed
     # operation leaves the pool and the scatter stream as it found them.
@@ -359,19 +374,23 @@ def test_bulk_release_matches_per_run_release_random_op_sequences():
     profile = replace(profile, hbm_capacity=32 * MiB,
                       placement=replace(profile.placement,
                                         host_upfront_scatter_degree=0.0))
-    failed = 0
+    failed = merge_whole = 0
     for seq in range(16):
         rng = np.random.default_rng(5000 + seq)
         bulk = MemoryManager(profile, seed=seq)
         ref = per_run_release(MemoryManager(profile, seed=seq))
+        merged = count_merged_blocks(bulk.pool)
         live_bulk, live_ref = [], []
         state = pool_state(bulk.pool)
         for _ in range(150):
             op = random_op(rng, profile, live_bulk, tails=True)
             rng_state = bulk._scatter_rng.bit_generator.state
+            before_merges = merged[0]
             done = apply_op(bulk, live_bulk, op)
             assert apply_op(ref, live_ref, op) == done
             failed += not done
+            # Releases in which a merge, not the count, completes a block.
+            merge_whole += merged[0] > before_merges
             bulk.check()
             ref.check()
             before, state = state, pool_state(bulk.pool)
@@ -385,6 +404,26 @@ def test_bulk_release_matches_per_run_release_random_op_sequences():
             assert pool_state(bulk.pool) == pool_state(ref.pool)
         assert free_intervals(bulk.pool) == [(0, bulk.pool.total_frames)]
     assert failed > 50
+    assert merge_whole > 0
+
+
+def test_bulk_release_orders_merged_and_counted_blocks_by_last_run():
+    # One call releases two blocks. Block a is whole only with its 8-page
+    # free piece, below a slot, so its run merges into it; block b is
+    # whole by count with its free slot, and its last run comes after a's
+    # run. Per-run release frees a first, then b.
+    profile = replace(builtin_mi300a(), hbm_capacity=32 * MiB)
+    pools = [MemoryManager(profile, seed=4).pool,
+             per_run_release(MemoryManager(profile, seed=4)).pool]
+    for pool in pools:
+        a, b = pool.take_blocks(2).tolist()
+        pool.release_runs([a, b], [8, 16])
+        pool.release_runs([b + 16, a + 8, b + 64], [48, 120, 64])
+    bulk, ref = pools
+    assert pool_state(bulk) == pool_state(ref)
+    assert bulk._released[-2:] == [a >> bulk.block_order,
+                                   b >> bulk.block_order]
+    assert free_intervals(bulk) == [(0, bulk.total_frames)]
 
 
 def one_by_one(pool):

@@ -61,19 +61,19 @@ from the next group that holds one.
 
 Frames go back through ``release_runs`` only, one call per release. A
 block whose released pages and free slots add up to the whole block goes
-back whole: free pieces and live runs never overlap, so they fill it. Its
-slots leave the stores and it goes back alive. The runs of every other
-block are freed one by one, in order: a run merges with its buddy only if
-free pieces tile the buddy entirely (``_pieces_tiling``, asked before any
-piece leaves a store); at the first buddy that is not entirely free, the
-run joins its store and stops. Such merges may make a block whole too.
-Every block made whole joins the released blocks in the order of its last
-run, as per-run release leaves them. A merge that fails changes nothing,
-and no slot is put back in the pool call that deleted it. A slot that
-leaves the middle of a group stack is only marked deleted in the slot
-map; each stack is compacted once, at the end of the pool call. This is
-the state that freeing run by run gives, at a cost that grows with the
-runs and their blocks, not with the pool. A draw that cannot finish takes
+back whole, and its slots leave the stores: free pieces and live runs
+never overlap, so they fill it. The runs of every other block are freed
+one by one, in order: a run merges with its buddy only if free pieces
+tile the buddy entirely (``_pieces_tiling``, asked before any piece
+leaves a store); at the first buddy that is not entirely free, the run
+joins its store and stops. Such merges may make a block whole too. Every
+block made whole joins the released blocks in the order of its last run,
+as per-run release leaves them. A merge that fails changes nothing, and
+no slot is put back in the pool call that deleted it. A slot that leaves
+the middle of a group stack is only marked deleted in the slot map; each
+stack is compacted once, at the end of the pool call. This is the state
+that freeing run by run gives, at a cost that grows with the runs and
+their blocks, not with the pool. A draw that cannot finish takes
 nothing: each checks first, from counts, that the pool holds enough
 frames, blocks or batches, so a failed allocate or touch raises
 ``OutOfMemory`` before it changes the pool or the scatter generator, and
@@ -674,14 +674,11 @@ class FramePool:
         whole = np.bincount(of_run, weights=sizes) + self.batch_pages \
             * np.count_nonzero(free, axis=1) == self.block_pages
         done = len(self._released)
-        if whole.any():
-            rows[free] = 2  # deleted; _compact drops them from the stacks
-            slot_map[blocks[whole]] = rows[whole]
-            self._dirty.update(
-                np.flatnonzero(free[whole].any(axis=0)).tolist())
-            np.frombuffer(self._block_alive, dtype=np.uint8)[
-                blocks[whole]] = 1
-            self._released.extend(blocks[whole].tolist())
+        rows[free] = 2  # deleted; _compact drops them from the stacks
+        slot_map[blocks[whole]] = rows[whole]
+        self._dirty.update(np.flatnonzero(free[whole].any(axis=0)).tolist())
+        np.frombuffer(self._block_alive, dtype=np.uint8)[blocks[whole]] = 1
+        self._released.extend(blocks[whole].tolist())
         merge = ~whole[of_run]
         for start, n in zip(starts[merge].tolist(), sizes[merge].tolist()):
             self._merge_run(start, n)

@@ -234,8 +234,8 @@ def _bench_alloc(profile, seed, kind=tuple(AllocatorKind),
     for kind in kinds:
         for size in sizes:
             keys = {"kind": kind.value, "size": size}
-            a = alloc_time_model(profile, kind, size, profile.xnack)
-            f = free_time_model(profile, kind, size, profile.xnack)
+            a = alloc_time_model(profile, kind, size)
+            f = free_time_model(profile, kind, size)
             rows.append(_row("alloc", keys, "alloc_time", a * 1e9, "ns"))
             rows.append(_row("alloc", keys, "free_time", f * 1e9, "ns"))
             rows.append(_row("alloc", keys, "loop_time",
@@ -562,7 +562,7 @@ class _Measurements:
         return atomics_mod.throughput(self.profile, w)
 
     def alloc_time(self, kind: AllocatorKind, size: int) -> float:
-        return alloc_time_model(self.profile, kind, size, self.profile.xnack)
+        return alloc_time_model(self.profile, kind, size)
 
     @functools.cached_property
     def heap_chase_512mib(self) -> float:
@@ -605,7 +605,7 @@ def _free_alloc_crossover(m: _Measurements, kind: AllocatorKind,
     """1 when freeing costs less than allocating at every size in below
     and more at above, else 0."""
     def diff(size):
-        return free_time_model(m.profile, kind, size, m.profile.xnack) \
+        return free_time_model(m.profile, kind, size) \
             - m.alloc_time(kind, size)
 
     return float(all(diff(s) < 0 for s in below) and diff(above) > 0)

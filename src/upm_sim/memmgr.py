@@ -1082,8 +1082,8 @@ def _affine_by_pages(profile, size, flat_limit, flat_s, anchor_size, anchor_s):
     return flat_s + (_pages(profile, size) - p0) * slope
 
 
-def alloc_time_model(profile: MachineProfile, kind: AllocatorKind, size: int,
-                     xnack: bool) -> float:
+def alloc_time_model(profile: MachineProfile, kind: AllocatorKind,
+                     size: int) -> float:
     """Modeled allocation cost in seconds."""
     if size <= 0:
         raise ZeroSize(f"allocation size must be positive, got {size}")
@@ -1097,7 +1097,7 @@ def alloc_time_model(profile: MachineProfile, kind: AllocatorKind, size: int,
         return base + (size - m.libc_mmap_threshold) * slope
     if kind is AllocatorKind.STATIC_MANAGED:
         return m.static_const_us * 1e-6
-    if kind is AllocatorKind.MANAGED_UNIFIED and xnack:
+    if kind is AllocatorKind.MANAGED_UNIFIED and profile.xnack:
         return m.managed1_const_us * 1e-6
     small_us, gib_ms = {  # up front: flat, then affine in pages to 1 GiB
         AllocatorKind.DEVICE_UP_FRONT: (m.device_small_us, m.device_1gib_ms),
@@ -1111,28 +1111,28 @@ def alloc_time_model(profile: MachineProfile, kind: AllocatorKind, size: int,
                             small_us * 1e-6, GIB, gib_ms * 1e-3)
 
 
-def free_time_model(profile: MachineProfile, kind: AllocatorKind, size: int,
-                    xnack: bool) -> float:
+def free_time_model(profile: MachineProfile, kind: AllocatorKind,
+                    size: int) -> float:
     """Modeled deallocation cost in seconds."""
     if size <= 0:
         raise ZeroSize(f"allocation size must be positive, got {size}")
     m = profile.alloc_model
     GIB = 1 << 30
     if kind is AllocatorKind.LIBC_ON_DEMAND:
-        alloc = alloc_time_model(profile, kind, size, xnack)
+        alloc = alloc_time_model(profile, kind, size)
         if size <= m.libc_free_crossover:
             return alloc * m.libc_free_small_factor
         ratio = m.libc_free_slow_factor * \
             (size / (2 * m.libc_free_crossover)) ** 0.3
         return alloc * min(ratio, m.libc_free_cap)
     if kind is AllocatorKind.DEVICE_UP_FRONT:
-        alloc = alloc_time_model(profile, kind, size, xnack)
+        alloc = alloc_time_model(profile, kind, size)
         if size <= m.device_free_crossover:
             return alloc * m.device_free_small_factor
         ratio = m.device_free_cap * (size / (256 << 20)) ** 0.62
         return alloc * min(max(ratio, 1.05), m.device_free_cap)
     if kind in (AllocatorKind.PINNED_HOST, AllocatorKind.REGISTERED_HOST) or \
-            (kind is AllocatorKind.MANAGED_UNIFIED and not xnack):
+            (kind is AllocatorKind.MANAGED_UNIFIED and not profile.xnack):
         return _affine_by_pages(profile, size, m.upfront_granularity,
                                 m.pinned_free_small_us * 1e-6, GIB,
                                 m.pinned_free_1gib_ms * 1e-3)

@@ -1,11 +1,12 @@
 """Dual page tables with fragments computed on read.
 
 Two tables cover the same virtual space: the system table (CPU side) and
-the GPU table, which is a strict mirror subset kept in sync by explicit
-propagation. Every entry carries a 5-bit fragment field: fragment f means
-the entry's page lies inside a run of 2^f pages that is contiguous and
-2^f-aligned in both virtual and physical space, so a single TLB entry can
-cover the whole run.
+the GPU table, a strict mirror subset. ``map_range`` maps system entries
+only, from frames given as runs (``FrameRuns``); GPU entries come only
+from ``propagate``, which mirrors system entries. Every entry carries a
+5-bit fragment field: fragment f means the entry's page lies inside a run
+of 2^f pages that is contiguous and 2^f-aligned in both virtual and
+physical space, so a single TLB entry can cover the whole run.
 
 Fragments are computed on read, as a pure function of the stored runs,
 which keeps miss counting deterministic and order-independent. The rule
@@ -35,8 +36,8 @@ disjoint and exactly sized (16 B a run). State 1 maps a run in the system
 table only, 2 in both; a page is mapped in a table when its state reaches
 that table's ``LEVEL``, so a GPU entry without a system entry cannot be
 stored. The machine profile keeps frame numbers below 2^31 (validate
-rejects more frames), a reservation holds fewer pages than that, and
-``map_range`` rejects a frame outside that range.
+rejects more frames), a reservation holds fewer pages than that, and a
+``FrameRuns`` rejects a frame outside that range.
 """
 
 from __future__ import annotations
@@ -59,43 +60,26 @@ class Unmapped(Exception):
     pass
 
 
-class MirrorViolation(Exception):
-    """GPU-table mutation without a matching system entry."""
-
-
 # Frame numbers and page offsets, stored as int32, stay below this.
 FRAME_LIMIT = 1 << 31
 
 
 class FrameRuns:
     """A frame sequence as runs: sizes[i] consecutive frames from starts[i],
-    in order. len() is its page count, so map_range takes it wherever it
-    takes one frame a page."""
+    in order; len() is its page count. ValueError unless every run is
+    non-empty and every frame lies in [0, FRAME_LIMIT)."""
 
     def __init__(self, starts, sizes):
         self.starts = np.asarray(starts, dtype=np.int64)
         self.sizes = np.asarray(sizes, dtype=np.int64)
+        if len(self.starts) and not (
+                0 <= self.starts.min() and 0 < self.sizes.min()
+                and (self.starts + self.sizes).max() <= FRAME_LIMIT):
+            raise ValueError(f"frame runs must be non-empty and lie in "
+                             f"[0, {FRAME_LIMIT})")
 
     def __len__(self) -> int:
         return int(self.sizes.sum())
-
-
-def _frame_runs(frames) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, sizes) of the runs of frames, a FrameRuns or one frame a
-    page; ValueError unless every run is non-empty and every frame lies in
-    [0, FRAME_LIMIT)."""
-    if isinstance(frames, FrameRuns):
-        starts, sizes = frames.starts, frames.sizes
-    else:
-        frames = np.asarray(frames, dtype=np.int64)
-        # A run starts where a frame does not follow the one before.
-        at = np.flatnonzero(np.diff(frames, prepend=frames[:1] - 2) != 1)
-        starts, sizes = frames[at], np.diff(at, append=len(frames))
-    if len(starts) and not (0 <= starts.min() and 0 < sizes.min()
-                            and (starts + sizes).max() <= FRAME_LIMIT):
-        raise ValueError(f"frame runs must be non-empty and lie in "
-                         f"[0, {FRAME_LIMIT})")
-    return starts, sizes
 
 
 class _Region:
@@ -177,30 +161,20 @@ class DualTable:
 
     # -- mapping ------------------------------------------------------
 
-    def map_range(self, table: str, va_page: int, frames):
-        """Map [va_page, +len(frames)) to frames in one table. frames is a
-        FrameRuns or one frame a page, each in [0, FRAME_LIMIT)."""
-        starts, sizes = _frame_runs(frames)
-        region, lo, hi = self._range_at(va_page, int(sizes.sum()))
-        inside = _clip(region.runs, lo, hi)
-        if np.any(inside[3] >= LEVEL[table]):
+    def map_range(self, table: str, va_page: int, frames: FrameRuns):
+        """Map [va_page, +len(frames)) to frames in the system table; GPU
+        entries come only from propagate, so any other table is a
+        ValueError."""
+        if table != SYSTEM:
+            raise ValueError(f"map_range maps the {SYSTEM} table only; "
+                             f"{table} entries come from propagate")
+        sizes = frames.sizes
+        region, lo, hi = self._range_at(va_page, len(frames))
+        if _clip(region.runs, lo, hi).size:  # every stored run is mapped
             raise AlreadyMapped(f"page already mapped in {table} table")
-        if table == GPU:
-            if inside[1].sum() != hi - lo:
-                raise MirrorViolation("gpu entries only mirror system entries")
-            # Both sequences rise by one a page inside their runs, so they
-            # are equal iff, at every run start of either, the runs that
-            # hold it have the same frame less page offset.
-            mine, given = inside[0] - lo, np.cumsum(sizes) - sizes
-            at = np.union1d(mine, given)
-            i, j = (np.searchsorted(p, at, "right") - 1 for p in (mine, given))
-            if np.any(inside[2][i] - mine[i] != starts[j] - given[j]):
-                raise MirrorViolation("gpu frame differs from system entry")
-            inside[3] = LEVEL[GPU]
-        else:
-            inside = np.empty((4, len(sizes)), dtype=np.int32)
-            inside[0] = np.cumsum(sizes) - sizes + lo
-            inside[1], inside[2], inside[3] = sizes, starts, LEVEL[SYSTEM]
+        inside = np.empty((4, len(sizes)), dtype=np.int32)
+        inside[0] = np.cumsum(sizes) - sizes + lo
+        inside[1], inside[2], inside[3] = sizes, frames.starts, LEVEL[SYSTEM]
         region.store(lo, hi, inside)
 
     def propagate(self, va_page: int, n_pages: int) -> int:

@@ -15,8 +15,8 @@ operand and the operands' run bases rise within separate ranges, as
 they do for separate reservations: then every run misses exactly once
 per pass except those still resident from the pass before, and only the
 steps around the pass boundary go through the LRU. Other inputs, such
-as one array passed as several operands, are replayed in full; a
-capacity below the operand count is replayed page by page.
+as one array passed as several operands or a capacity below the operand
+count, replay the event steps, each weighted by its page count.
 """
 
 from __future__ import annotations
@@ -77,12 +77,6 @@ def _operand_runs(table: DualTable, va_base: int, n_pages: int):
     return offsets, bases
 
 
-def run_bases(table: DualTable, va_base: int, n_pages: int) -> np.ndarray:
-    """Per-page fragment-run base for a GPU-mapped range."""
-    offsets, bases = _operand_runs(table, va_base, n_pages)
-    return np.repeat(bases, np.diff(offsets, append=n_pages))
-
-
 def triad_misses(table: DualTable, arrays: list[tuple[int, int]],
                  iterations: int, capacity: int) -> int:
     """Total TLB misses of a streaming TRIAD over the given arrays.
@@ -96,38 +90,49 @@ def triad_misses(table: DualTable, arrays: list[tuple[int, int]],
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n = min(np_ for _, np_ in arrays)
-    if capacity < len(arrays):
-        return _replay([run_bases(table, vb, np_)[:n] for vb, np_ in arrays],
-                       iterations, capacity)
     runs = [_operand_runs(table, vb, np_) for vb, np_ in arrays]
     # Event compression: evaluate only where some operand changes run,
-    # at the sorted union of the operands' run offsets. Exact while the
-    # active runs all fit, because repeats within a segment hit and leave
-    # the rest of the LRU order untouched.
+    # at the sorted union of the operands' run offsets; between two events
+    # every page repeats the same run of each operand.
     idx = np.concatenate([offsets for offsets, _ in runs])
     idx = idx[idx < n]
     idx.sort()
     idx = idx[np.append(True, idx[1:] != idx[:-1])]
     events = [bases[np.searchsorted(offsets, idx, "right") - 1]
               for offsets, bases in runs]
-    # Fragment runs tile each range in address order, so an operand's
-    # bases only grow; the short count needs their ranges apart too.
-    spans = sorted((int(b[0]), int(b[-1])) for b in events)
-    if any(lo <= hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
-        return _replay(events, iterations, capacity)
-    return _boundary_count(events, iterations, capacity)
+    if capacity >= len(arrays):
+        # Fragment runs tile each range in address order, so an operand's
+        # bases only grow; the short count needs their ranges apart too.
+        spans = sorted((int(b[0]), int(b[-1])) for b in events)
+        if all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
+            return _boundary_count(events, iterations, capacity)
+    return _replay(events, np.diff(idx, append=n), iterations, capacity)
 
 
-def _replay(events: list[np.ndarray], iterations: int, capacity: int) -> int:
-    """Replay the interleaved run-base stream through a FragmentTlb."""
+def _replay(events: list[np.ndarray], pages: np.ndarray, iterations: int,
+            capacity: int) -> int:
+    """Replay the interleaved run-base stream through a FragmentTlb; event
+    step i stands for pages[i] pages, each accessing the same runs.
+
+    Later pages of a step miss as often as its second, which leaves the
+    LRU as the first left it: a step of at most capacity distinct runs
+    hits them all in the same order, and a larger one leaves its last
+    capacity distinct runs, in access order.
+    """
     tlb = FragmentTlb(capacity)
+    steps = list(zip(*(b.tolist() for b in events), pages.tolist()))
 
     def one_pass() -> int:
-        before = tlb.misses
-        for step in range(len(events[0])):
-            for b in events:
-                tlb.access_run(int(b[step]))
-        return tlb.misses - before
+        start = tlb.misses
+        for *keys, weight in steps:
+            for key in keys:
+                tlb.access_run(key)
+            if weight > 1:
+                before = tlb.misses
+                for key in keys:
+                    tlb.access_run(key)
+                tlb.misses += (weight - 2) * (tlb.misses - before)
+        return tlb.misses - start
 
     first = one_pass()
     if iterations == 1:

@@ -130,7 +130,7 @@ def test_zero_size_rejected():
     with pytest.raises(ZeroSize):
         m.allocate(K.LIBC_ON_DEMAND, 0)
     with pytest.raises(ZeroSize):
-        alloc_time_model(m.profile, K.LIBC_ON_DEMAND, 0, True)
+        alloc_time_model(m.profile, K.LIBC_ON_DEMAND, 0)
 
 
 def test_cpu_touch_produces_one_fault_per_fresh_page():
@@ -561,6 +561,23 @@ def test_scatter_degree_zero_is_sequential():
     assert expand(a.region)[0][0] == 0
 
 
+def test_scatter_degree_quarter_draws_scattered_groups():
+    # Every degree above 0 scatters: a CPU first touch takes the batches
+    # that take_batches gives for the groups the scatter generator draws
+    # with Zipf exponent scatter_zipf_scale * (1 - 0.25).
+    profile = with_degrees(builtin_mi300a(), cpu_touch_scatter_degree=0.25)
+    m, ref = MemoryManager(profile, seed=5), MemoryManager(profile, seed=5)
+    a = m.allocate(K.LIBC_ON_DEMAND, 1 * MiB)
+    m.touch(a, None, Agent.CPU)
+    pool = ref.pool
+    w = np.arange(1, pool.groups_n + 1, dtype=np.float64) \
+        ** -(profile.placement.scatter_zipf_scale * 0.75)
+    groups = ref._scatter_rng.choice(pool.groups_n, size=16, p=w / w.sum())
+    starts = a.frame_runs.array[0]
+    np.testing.assert_array_equal(starts, pool.take_batches(groups))
+    assert np.any(np.diff(starts) != pool.batch_pages)
+
+
 def test_sequential_draw_after_release_takes_lowest_free_block():
     # Blocks 0-2 go in order; block 0 is released before block 2, so the
     # released list alone would give block 2 first.
@@ -610,12 +627,12 @@ def test_usage_meminfo_matches_libnuma():
 
 def test_alloc_time_anchors():
     p = builtin_mi300a()
-    assert alloc_time_model(p, K.LIBC_ON_DEMAND, 32, True) == pytest.approx(14e-9)
-    assert alloc_time_model(p, K.LIBC_ON_DEMAND, 1 * GiB, True) == \
+    assert alloc_time_model(p, K.LIBC_ON_DEMAND, 32) == pytest.approx(14e-9)
+    assert alloc_time_model(p, K.LIBC_ON_DEMAND, 1 * GiB) == \
         pytest.approx(6e-6, rel=1e-6)
-    assert alloc_time_model(p, K.DEVICE_UP_FRONT, 16 * KiB, True) == \
+    assert alloc_time_model(p, K.DEVICE_UP_FRONT, 16 * KiB) == \
         pytest.approx(10e-6)
-    assert alloc_time_model(p, K.DEVICE_UP_FRONT, 1 * GiB, True) == \
+    assert alloc_time_model(p, K.DEVICE_UP_FRONT, 1 * GiB) == \
         pytest.approx(37e-3, rel=1e-6)
 
 
@@ -624,7 +641,8 @@ def test_alloc_time_monotone_non_decreasing():
     sizes = [2, 32, 4096, 64 * KiB, 1 * MiB, 64 * MiB, 1 * GiB]
     for kind in K:
         for xnack in (False, True):
-            times = [alloc_time_model(p, kind, s, xnack) for s in sizes]
+            times = [alloc_time_model(replace(p, xnack=xnack), kind, s)
+                     for s in sizes]
             if kind is K.MANAGED_UNIFIED and xnack:
                 assert len(set(times)) == 1  # constant, size-independent
             else:
@@ -633,8 +651,8 @@ def test_alloc_time_monotone_non_decreasing():
 
 def test_managed_replay_alloc_constant():
     p = builtin_mi300a()
-    t1 = alloc_time_model(p, K.MANAGED_UNIFIED, 32, True)
-    t2 = alloc_time_model(p, K.MANAGED_UNIFIED, 1 * GiB, True)
+    t1 = alloc_time_model(p, K.MANAGED_UNIFIED, 32)
+    t2 = alloc_time_model(p, K.MANAGED_UNIFIED, 1 * GiB)
     assert t1 == t2
 
 
@@ -642,20 +660,20 @@ def test_free_crossovers():
     p = builtin_mi300a()
 
     def diff(kind, size):
-        return free_time_model(p, kind, size, True) \
-            - alloc_time_model(p, kind, size, True)
+        return free_time_model(p, kind, size) \
+            - alloc_time_model(p, kind, size)
 
     assert diff(K.LIBC_ON_DEMAND, 8 * MiB) < 0
     assert diff(K.LIBC_ON_DEMAND, 16 * MiB) < 0
     assert diff(K.LIBC_ON_DEMAND, 32 * MiB) > 0
-    ratio32 = free_time_model(p, K.LIBC_ON_DEMAND, 32 * MiB, True) / \
-        alloc_time_model(p, K.LIBC_ON_DEMAND, 32 * MiB, True)
+    ratio32 = free_time_model(p, K.LIBC_ON_DEMAND, 32 * MiB) / \
+        alloc_time_model(p, K.LIBC_ON_DEMAND, 32 * MiB)
     assert 4.0 <= ratio32 <= 9.0
     assert diff(K.DEVICE_UP_FRONT, 1 * MiB) < 0
     assert diff(K.DEVICE_UP_FRONT, 2 * MiB) < 0
     assert diff(K.DEVICE_UP_FRONT, 4 * MiB) > 0
-    ratio256 = free_time_model(p, K.DEVICE_UP_FRONT, 256 * MiB, True) / \
-        alloc_time_model(p, K.DEVICE_UP_FRONT, 256 * MiB, True)
+    ratio256 = free_time_model(p, K.DEVICE_UP_FRONT, 256 * MiB) / \
+        alloc_time_model(p, K.DEVICE_UP_FRONT, 256 * MiB)
     assert ratio256 == pytest.approx(22.0, rel=0.01)
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from upm_sim.memmgr import _ranges
 from upm_sim.pagetable import (FRAME_LIMIT, GPU, LEVEL, SYSTEM,
-                               AlreadyMapped, DualTable, FrameRuns,
-                               MirrorViolation, Unmapped)
-from upm_sim.tlb import run_bases
+                               AlreadyMapped, DualTable, FrameRuns, Unmapped)
+from upm_sim.tlb import triad_misses
 
 
 def expand(region):
@@ -66,21 +65,22 @@ def fragments(t, table, va_page, n_pages):
     return out
 
 
+def frame_runs(frames):
+    """Frames given one a page, as the FrameRuns of their consecutive
+    stretches."""
+    frames = np.asarray(frames, dtype=np.int64)
+    at = np.flatnonzero(np.diff(frames, prepend=frames[:1] - 2) != 1)
+    return FrameRuns(frames[at], np.diff(at, append=len(frames)))
+
+
 def fresh_table():
     return DualTable(max_fragment=31)
-
-
-def fragment(t, va_page, table=GPU):
-    """The fragment field of a mapped page in one table."""
-    region, off = t._region_at(va_page)
-    assert expand(region)[1][off] >= LEVEL[table]
-    return int(fragments(t, table, va_page, 1)[0])
 
 
 def test_map_and_lookup_single_page():
     t = fresh_table()
     base = t.reserve(16)
-    t.map_range(SYSTEM, base, [4096])
+    t.map_range(SYSTEM, base, frame_runs([4096]))
     t.propagate(base, 1)
     region, off = t._region_at(base)
     frames, state = expand(region)
@@ -90,75 +90,87 @@ def test_map_and_lookup_single_page():
 def test_double_map_rejected():
     t = fresh_table()
     base = t.reserve(16)
-    t.map_range(SYSTEM, base, [100])
+    t.map_range(SYSTEM, base, frame_runs([100]))
     with pytest.raises(AlreadyMapped):
-        t.map_range(SYSTEM, base, [101])
+        t.map_range(SYSTEM, base, frame_runs([101]))
 
 
 def test_gpu_map_requires_system_entry():
+    # GPU entries come only from propagate, which needs system entries.
     t = fresh_table()
     base = t.reserve(16)
-    with pytest.raises(MirrorViolation):
-        t.map_range(GPU, base, [100])
+    with pytest.raises(ValueError, match="propagate"):
+        t.map_range(GPU, base, frame_runs([100]))
+    with pytest.raises(Unmapped):
+        t.propagate(base, 1)
+    assert t._region_at(base)[0].runs.shape == (4, 0)
 
 
 def test_gpu_mirror_frame_must_match():
+    # map_range cannot give a GPU entry a frame of its own: the GPU entry
+    # propagate makes holds the system entry's frame.
     t = fresh_table()
     base = t.reserve(16)
-    t.map_range(SYSTEM, base, [100])
-    with pytest.raises(MirrorViolation):
-        t.map_range(GPU, base, [101])
+    t.map_range(SYSTEM, base, frame_runs([100]))
+    with pytest.raises(ValueError, match="propagate"):
+        t.map_range(GPU, base, frame_runs([101]))
+    region, _ = t._region_at(base)
+    assert expand(region)[1][0] == LEVEL[SYSTEM]
+    t.propagate(base, 1)
+    frames, state = expand(region)
+    assert frames[0] == 100 and state[0] == LEVEL[GPU]
 
 
 def test_aligned_1024_run_gets_fragment_10():
     t = fresh_table()
     base = t.reserve(2048)
-    t.map_range(SYSTEM, base, np.arange(1 << 17, (1 << 17) + 1024))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(1 << 17, (1 << 17) + 1024)))
     t.propagate(base, 1024)
-    frags = {fragment(t, base + i) for i in range(1024)}
-    assert frags == {10}
-    assert {fragment(t, base + i, SYSTEM) for i in range(1024)} == {10}
+    assert set(fragments(t, GPU, base, 1024).tolist()) == {10}
+    assert set(fragments(t, SYSTEM, base, 1024).tolist()) == {10}
 
 
 def test_sixteen_page_aligned_run_gets_fragment_4():
     t = fresh_table()
     base = t.reserve(64)
-    t.map_range(SYSTEM, base, np.arange(1 << 12, (1 << 12) + 16))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(1 << 12, (1 << 12) + 16)))
     t.propagate(base, 16)
-    assert [fragment(t, base + i) for i in range(16)] == [4] * 16
+    assert fragments(t, GPU, base, 16).tolist() == [4] * 16
 
 
 def test_three_page_run_fragments():
     t = fresh_table()
     base = t.reserve(64)
-    t.map_range(SYSTEM, base, base + np.arange(3))  # delta 0, aligned start
+    # delta 0, aligned start
+    t.map_range(SYSTEM, base, frame_runs(base + np.arange(3)))
     t.propagate(base, 3)
-    assert [fragment(t, base + i) for i in range(3)] == [1, 1, 0]
+    assert fragments(t, GPU, base, 3).tolist() == [1, 1, 0]
 
 
 def test_isolated_page_fragment_zero():
     t = fresh_table()
     base = t.reserve(16)
-    t.map_range(SYSTEM, base + 3, [777])
-    assert fragment(t, base + 3, SYSTEM) == 0
+    t.map_range(SYSTEM, base + 3, frame_runs([777]))
+    assert fragments(t, SYSTEM, base, 16)[3] == 0
 
 
 def test_scattered_frames_leave_fragment_zero():
     t = fresh_table()
     base = t.reserve(64)
     frames = np.array([10, 5000, 321, 9999, 42, 77, 1234, 88])
-    t.map_range(SYSTEM, base, frames)
+    t.map_range(SYSTEM, base, frame_runs(frames))
     t.propagate(base, 8)
     pages = expand(t._region_at(base)[0])
+    frags = fragments(t, GPU, base, 8)
     for i in range(8):
-        assert fragment(t, base + i) == 0
+        assert frags[i] == 0
         assert brute_fragment(pages, i, GPU, base) == 0
 
 
 def test_propagate_counts_and_idempotence():
     t = fresh_table()
     base = t.reserve(256)
-    t.map_range(SYSTEM, base, np.arange(2048, 2048 + 100))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(2048, 2048 + 100)))
     assert t.propagate(base, 100) == 100
     assert t.propagate(base, 100) == 0
 
@@ -175,22 +187,23 @@ def test_fragment_partial_propagation_is_smaller():
     # system table's.
     t = fresh_table()
     base = t.reserve(64)
-    t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 16)))
     t.propagate(base, 8)
-    assert fragment(t, base, SYSTEM) == 4
-    assert fragment(t, base, GPU) == 3
+    assert fragments(t, SYSTEM, base, 64)[0] == 4
+    assert fragments(t, GPU, base, 64)[0] == 3
 
 
 def test_unmap_splits_runs():
     t = fresh_table()
     base = t.reserve(64)
-    t.map_range(SYSTEM, base, np.arange(8192, 8192 + 16))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(8192, 8192 + 16)))
     t.propagate(base, 16)
     t.unmap_range(base + 8, 1)
     pages = expand(t._region_at(base)[0])
     assert pages[1][8] == 0
+    frags = fragments(t, GPU, base, 64)
     for i in list(range(8)) + list(range(9, 16)):
-        assert fragment(t, base + i) == brute_fragment(pages, i, GPU, base)
+        assert frags[i] == brute_fragment(pages, i, GPU, base)
 
 
 def test_fragment_oracle_random_maps():
@@ -223,14 +236,15 @@ def test_fragment_oracle_random_maps():
         for seg_o, seg_f in zip(np.split(offs, cuts), np.split(frames, cuts)):
             if len(seg_o):
                 try:
-                    t.map_range(SYSTEM, base + int(seg_o[0]), seg_f)
+                    t.map_range(SYSTEM, base + int(seg_o[0]),
+                                frame_runs(seg_f))
                 except AlreadyMapped:
                     pass
         pages = expand(t._region_at(base)[0])
         mapped = np.nonzero(pages[1][:n])[0]
+        frags = fragments(t, SYSTEM, base, n)
         for i in mapped:
-            assert fragment(t, base + int(i), SYSTEM) == \
-                brute_fragment(pages, int(i), SYSTEM, base), \
+            assert frags[i] == brute_fragment(pages, int(i), SYSTEM, base), \
                 f"page {i} of map with n={n}"
 
 
@@ -243,9 +257,8 @@ def test_fragment_order_independence():
         t = fresh_table()
         base = t.reserve(64)
         for i in order:
-            t.map_range(SYSTEM, base + int(i), [frames[i]])
-        results.append([fragment(t, base + i, SYSTEM)
-                        for i in range(32)])
+            t.map_range(SYSTEM, base + int(i), frame_runs([frames[i]]))
+        results.append(fragments(t, SYSTEM, base, 32).tolist())
     assert results[0] == results[1] == results[2]
     assert results[0] == [5] * 32
 
@@ -253,21 +266,22 @@ def test_fragment_order_independence():
 def test_range_crossing_its_reservation_is_rejected():
     t = fresh_table()
     base = t.reserve(16)
-    t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 16)))
     t.propagate(base, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
         t.fragment_runs(GPU, base + 8, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
-        run_bases(t, base + 8, 16)
+        triad_misses(t, [(base + 8, 16)], 1, 1)
     with pytest.raises(Unmapped, match="crosses its reservation"):
         t.fragment_runs(SYSTEM, base + 8, 16)
-    assert run_bases(t, base + 8, 8).tolist() == [base] * 8
+    # The range inside the reservation lies in one fragment run.
+    assert triad_misses(t, [(base + 8, 8)], 1, 1) == 1
 
 
 def test_unmap_crossing_its_reservation_is_rejected():
     t = fresh_table()
     base = t.reserve(16)
-    t.map_range(SYSTEM, base, np.arange(4096, 4096 + 16))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 16)))
     t.propagate(base, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
         t.unmap_range(base + 8, 16)
@@ -286,8 +300,8 @@ def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
                         lambda self, *args: reads.append(args))
     t = fresh_table()
     base = t.reserve(64)
-    t.map_range(SYSTEM, base, np.arange(4096, 4096 + 32))
-    t.map_range(GPU, base, np.arange(4096, 4096 + 8))
+    t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 32)))
+    t.propagate(base, 8)
     t.propagate(base, 16)
     t.propagate(base, 32)
     t.unmap_range(base + 8, 4)
@@ -305,7 +319,7 @@ def test_region_footprint_per_page():
     try:
         before = tracemalloc.get_traced_memory()[0]
         base = t.reserve(n_pages)
-        t.map_range(SYSTEM, base, frames)
+        t.map_range(SYSTEM, base, FrameRuns([0], [n_pages]))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -332,13 +346,13 @@ def test_reserve_holds_at_most_5_bytes_a_page():
 def test_map_range_rejects_frames_outside_int32(bad):
     t = fresh_table()
     base = t.reserve(4)
-    with pytest.raises(ValueError):
-        t.map_range(SYSTEM, base, np.array([0, bad], dtype=np.int64))
-    with pytest.raises(ValueError):
-        t.map_range(SYSTEM, base, FrameRuns([bad - 1], [2]))
+    # The runs check themselves when built, so no bad run reaches a table.
+    for starts, sizes in (([0, bad], [1, 1]), ([bad - 1], [2]), ([0], [0])):
+        with pytest.raises(ValueError):
+            t.map_range(SYSTEM, base, FrameRuns(starts, sizes))
     region, _ = t._region_at(base)
     assert region.runs.shape == (4, 0)
-    t.map_range(SYSTEM, base, [FRAME_LIMIT - 2, FRAME_LIMIT - 1])
+    t.map_range(SYSTEM, base, FrameRuns([FRAME_LIMIT - 2], [2]))
     assert expand(region)[0][:2].tolist() == [FRAME_LIMIT - 2,
                                               FRAME_LIMIT - 1]
 
@@ -357,21 +371,17 @@ class PageTable:
         return slice(off, off + n)
 
     def map_range(self, table, off, frames):
-        if isinstance(frames, FrameRuns):
-            frames = _ranges(frames.starts, frames.sizes)
-        frames = np.asarray(frames, dtype=np.int64)
+        """Map frames, given one a page, in the system table; GPU entries
+        come only from propagate."""
         if len(frames) and not (frames.min() >= 0
                                 and frames.max() < FRAME_LIMIT):
             raise ValueError(frames)
+        if table != SYSTEM:
+            raise ValueError(table)
         sel = self._range(off, len(frames))
-        state = self.state[sel]
-        if np.any(state >= LEVEL[table]):
+        if self.state[sel].any():
             raise AlreadyMapped
-        if table == GPU and not (state.all()
-                                 and np.all(self.frames[sel] == frames)):
-            raise MirrorViolation
-        self.frames[sel] = frames
-        state[:] = LEVEL[table]
+        self.frames[sel], self.state[sel] = frames, LEVEL[SYSTEM]
 
     def propagate(self, off, n):
         state = self.state[self._range(off, n)]
@@ -409,22 +419,20 @@ class PageTable:
 
 
 def random_frames(rng, n):
-    """n frames as one array a page or as FrameRuns: consecutive stretches
-    from random starts, now and then outside [0, FRAME_LIMIT)."""
+    """(starts, sizes) of n frames in consecutive stretches from random
+    starts, now and then outside [0, FRAME_LIMIT)."""
     sizes = np.diff(np.unique(np.r_[0, rng.integers(0, n + 1, 3), n]))
     starts = rng.integers(0, 1 << 10, len(sizes)) << int(rng.integers(0, 5))
     if rng.random() < 0.05:
-        starts[-1] = rng.choice([-1, FRAME_LIMIT - 1])
-    if rng.random() < 0.5:
-        return FrameRuns(starts, sizes)
-    return _ranges(starts, sizes)
+        starts[-1:] = rng.choice([-1, FRAME_LIMIT - 1])
+    return starts, sizes
 
 
 def outcome(call):
     """What call returns, or the type of the table error it raises."""
     try:
         return call()
-    except (AlreadyMapped, MirrorViolation, Unmapped, ValueError) as exc:
+    except (AlreadyMapped, Unmapped, ValueError) as exc:
         return type(exc)
 
 
@@ -444,14 +452,14 @@ def test_run_table_matches_the_per_page_reference():
             off = int(rng.integers(-2, n + 2))
             size, state = int(rng.integers(0, 24)), int(rng.integers(0, 3))
             frames = random_frames(rng, size)
-            if op == "gpu" and rng.random() < 0.7:  # the system frames
-                frames = ref.frames[max(off, 0):max(off, 0) + size]
 
-            def call(table, va_base):
+            # The run table takes the frames as FrameRuns, which check
+            # themselves when built; the reference one frame a page.
+            def call(table, va_base, runs):
                 at = va_base + off
                 if op in ("map", "gpu"):
                     return table.map_range(GPU if op == "gpu" else SYSTEM,
-                                           at, frames)
+                                           at, runs(*frames))
                 if op == "state":
                     return (table.state_runs(at, size, state)
                             - va_base).tolist()
@@ -459,8 +467,8 @@ def test_run_table_matches_the_per_page_reference():
                     return table.propagate(at, size)
                 return table.unmap_range(at, size)
 
-            got, want = outcome(lambda: call(t, base)), outcome(
-                lambda: call(ref, 0))
+            got, want = outcome(lambda: call(t, base, FrameRuns)), outcome(
+                lambda: call(ref, 0, _ranges))
             assert got == want, (op, off, size)
             if isinstance(got, type):
                 errors.add(got)
@@ -470,4 +478,4 @@ def test_run_table_matches_the_per_page_reference():
                 for a, b in zip(t.fragment_runs(table, base, 1),
                                 ref.fragment_runs(table, base, min(cap, 7))):
                     np.testing.assert_array_equal(a, b)
-    assert errors == {AlreadyMapped, MirrorViolation, Unmapped, ValueError}
+    assert errors == {AlreadyMapped, Unmapped, ValueError}

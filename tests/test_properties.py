@@ -10,10 +10,11 @@ from upm_sim import harness, perf
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
 from upm_sim.memmgr import (Agent, AllocatorKind, FaultBatch, FramePool,
                             MemoryManager, OutOfMemory, Policy, classify)
-from upm_sim.pagetable import GPU, LEVEL, SYSTEM, AlreadyMapped, DualTable
+from upm_sim.pagetable import (GPU, LEVEL, SYSTEM, AlreadyMapped, DualTable,
+                               FrameRuns)
 from upm_sim.tlb import FragmentTlb
 from tests.test_pagetable import (brute_fragment, expand, fragments,
-                                  run_pages)
+                                  frame_runs, run_pages)
 
 K = AllocatorKind
 
@@ -35,7 +36,7 @@ def random_mapping(rng, t, n):
         else:
             frames = rng.integers(0, 1 << 15, size=run)
         try:
-            t.map_range(SYSTEM, base + off, frames)
+            t.map_range(SYSTEM, base + off, frame_runs(frames))
         except AlreadyMapped:
             pass
         off += run + int(rng.integers(0, 4))
@@ -68,7 +69,7 @@ def test_fragment_oracle_large_mappings():
         n = int(rng.integers(1 << 10, 1 << 12))
         base = t.reserve(n, align_pages=4096)
         start = int(rng.integers(0, 1 << 20)) & ~((1 << 12) - 1)
-        t.map_range(SYSTEM, base, np.arange(start, start + n))
+        t.map_range(SYSTEM, base, FrameRuns([start], [n]))
         pages = expand(t._region_at(base)[0])
         frags = fragments(t, SYSTEM, base, n)
         for off in rng.integers(0, n, size=8):
@@ -108,7 +109,7 @@ def test_fragment_oracle_gpu_table_after_partial_propagate_and_unmap():
         # A few frame jumps break the map into several runs.
         for cut in rng.integers(1, n, size=int(rng.integers(0, 4))):
             frames[cut:] += int(rng.integers(1, 64))
-        t.map_range(SYSTEM, base, frames)
+        t.map_range(SYSTEM, base, frame_runs(frames))
         lo = int(rng.integers(0, n - 1))
         hi = int(rng.integers(lo + 1, n + 1))
         t.propagate(base + lo, hi - lo)
@@ -137,7 +138,7 @@ def test_fragment_oracle_gpu_table_partial_mirror_then_complete():
         frames = np.arange(start, start + n)
         for cut in rng.integers(1, n, size=int(rng.integers(0, 4))):
             frames[cut:] += int(rng.integers(1, 64))
-        t.map_range(SYSTEM, base, frames)
+        t.map_range(SYSTEM, base, frame_runs(frames))
         lo = int(rng.integers(1, n - 1))
         hi = int(rng.integers(lo + 1, n))
         t.propagate(base + lo, hi - lo)
@@ -177,7 +178,7 @@ def test_fragment_oracle_across_recompute_chunks():
         frames[j:] += 1 << 18
     # The window starts 1000 pages into the reservation, so every 64 Ki
     # mark falls inside a large aligned block.
-    t.map_range(SYSTEM, base + 1000, frames)
+    t.map_range(SYSTEM, base + 1000, frame_runs(frames))
     t.propagate(base + 1000, n)
     edges = [k * chunk for k in range(4)] + jumps + [n]
     offsets = sorted({1000 + e + d for e in edges for d in (-2, -1, 0, 1)
@@ -223,7 +224,7 @@ def test_fragment_oracle_run_beyond_max_fragment_odd_delta(max_fragment):
         n = 5 * (1 << max_fragment) + 3
         base = t.reserve(n + 7, align_pages=512)
         delta = (2 * k + 3) << k
-        t.map_range(SYSTEM, base + 7, base + 7 + delta + np.arange(n))
+        t.map_range(SYSTEM, base + 7, FrameRuns([base + 7 + delta], [n]))
         t.propagate(base + 7, n)
         for table in (SYSTEM, GPU):
             assert_fragments_match_oracle(t, base, range(n + 7), table,

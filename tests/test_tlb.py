@@ -5,9 +5,9 @@ import pytest
 
 from upm_sim.machine import MiB, builtin_mi300a
 from upm_sim.memmgr import Agent, AllocatorKind, MemoryManager
-from upm_sim.pagetable import GPU, SYSTEM, DualTable, Unmapped
-from upm_sim.tlb import FragmentTlb, run_bases, triad_misses
-from tests.test_pagetable import fragments
+from upm_sim.pagetable import GPU, SYSTEM, DualTable, FrameRuns, Unmapped
+from upm_sim.tlb import FragmentTlb, triad_misses
+from tests.test_pagetable import fragments, frame_runs
 
 
 def lru_replay(accesses, capacity):
@@ -32,22 +32,29 @@ def table_with_runs(n_runs, run_pages, pa_stride):
     base = t.reserve(n_runs * run_pages, align_pages=max(512, run_pages))
     for i in range(n_runs):
         frames = np.arange(i * pa_stride, i * pa_stride + run_pages)
-        t.map_range(SYSTEM, base + i * run_pages, frames)
+        t.map_range(SYSTEM, base + i * run_pages, frame_runs(frames))
     t.propagate(base, n_runs * run_pages)
     return t, base
+
+
+def page_bases(t, va_base, pages):
+    """Each page's run base from the per-page fragments: its address with
+    the fragment's low bits cleared."""
+    frags = fragments(t, GPU, va_base, pages).astype(np.int64)
+    return (np.arange(va_base, va_base + pages) >> frags) << frags
 
 
 def accesses(t, base, pages, offsets, capacity):
     """Misses of a TLB of capacity over the pages base + offsets of a
     GPU-mapped range of pages."""
-    bases = run_bases(t, base, pages)
+    bases = page_bases(t, base, pages)
     tlb = FragmentTlb(capacity)
     return sum(0 if tlb.access_run(int(bases[v])) else 1 for v in offsets)
 
 
 def test_second_access_hits():
     t, base = table_with_runs(4, 16, 64)
-    bases = run_bases(t, base, 64)
+    bases = page_bases(t, base, 64)
     tlb = FragmentTlb(8)
     assert tlb.access_run(int(bases[0])) is False
     assert tlb.access_run(int(bases[0])) is True
@@ -57,9 +64,9 @@ def test_second_access_hits():
 def test_access_requires_gpu_mapping():
     t = DualTable(31)
     base = t.reserve(16)
-    t.map_range(SYSTEM, base, [99])
-    with pytest.raises(Unmapped):
-        run_bases(t, base, 1)
+    t.map_range(SYSTEM, base, frame_runs([99]))
+    with pytest.raises(Unmapped, match="not fully mapped in gpu table"):
+        triad_misses(t, [(base, 1)], 1, 1)
 
 
 def test_single_fragment_array_one_miss():
@@ -79,14 +86,14 @@ def test_sequential_sweep_64mib_2mib_runs():
     assert frags == {9}
     assert accesses(t, base, pages, range(pages), 32) == 32
     # brute-force LRU replay on the run-base stream agrees
-    bases = run_bases(t, base, pages)
+    bases = page_bases(t, base, pages)
     assert lru_replay([int(b) for b in bases], 32) == 32
 
 
 def test_lru_against_replay_oracle_random_streams():
     rng = np.random.default_rng(5)
     t, base = table_with_runs(32, 8, 32)
-    bases = run_bases(t, base, 32 * 8)
+    bases = page_bases(t, base, 32 * 8)
     for capacity in (1, 2, 4, 7):
         stream = rng.integers(0, 32 * 8, size=1500)
         misses = accesses(t, base, 32 * 8, stream, capacity)
@@ -123,7 +130,7 @@ def test_triad_single_fragment_arrays_three_misses():
     arrays = []
     for i in range(3):
         base = t.reserve(1)
-        t.map_range(SYSTEM, base, [1000 + i])
+        t.map_range(SYSTEM, base, frame_runs([1000 + i]))
         t.propagate(base, 1)
         arrays.append((base, 1))
     assert triad_misses(t, arrays, iterations=1, capacity=32) == 3
@@ -142,13 +149,13 @@ def test_triad_compressed_simulation_matches_page_replay():
         while off < pages:
             run = min(int(rng.integers(1, 16)), pages - off)
             start = int(rng.integers(0, 1 << 12))
-            t.map_range(SYSTEM, base + off, np.arange(start, start + run))
+            t.map_range(SYSTEM, base + off, FrameRuns([start], [run]))
             off += run
         t.propagate(base, pages)
         arrays.append((base, pages))
     for capacity in (2, 4, 32):
         expected_stream = []
-        bases = [run_bases(t, vb, np_) for vb, np_ in arrays]
+        bases = [page_bases(t, vb, np_) for vb, np_ in arrays]
         for p in range(pages):
             for b in bases:
                 expected_stream.append(int(b[p]))
@@ -180,7 +187,7 @@ def few_run_operand(rng, t, pages):
                              replace=False).tolist()) if pages > 1 else []
     for lo, hi in zip([0] + cuts, cuts + [pages]):
         start = int(rng.integers(1, 1 << 10)) << 9
-        t.map_range(SYSTEM, base + lo, np.arange(start, start + hi - lo))
+        t.map_range(SYSTEM, base + lo, FrameRuns([start], [hi - lo]))
     t.propagate(base, pages)
     return base, pages
 
@@ -196,18 +203,11 @@ def test_triad_misses_against_replay_oracle_random():
             arrays = [arrays[0]] * n_ops       # identical operands
         capacity = int(rng.integers(1, 65))
         iterations = int(rng.integers(1, 6))
-        bases = [run_bases(t, vb, np_) for vb, np_ in arrays]
+        bases = [page_bases(t, vb, np_) for vb, np_ in arrays]
         stream = [int(b[p]) for p in range(pages) for b in bases]
         expected = lru_replay(stream * iterations, capacity)
         assert triad_misses(t, arrays, iterations, capacity) == expected, \
             (n_ops, pages, capacity, iterations)
-
-
-def page_bases(t, va_base, pages):
-    """Each page's run base from the per-page fragments: its address with
-    the fragment's low bits cleared."""
-    frags = fragments(t, GPU, va_base, pages).astype(np.int64)
-    return (np.arange(va_base, va_base + pages) >> frags) << frags
 
 
 def test_triad_misses_on_sub_ranges_against_replay_oracle():
@@ -226,8 +226,6 @@ def test_triad_misses_on_sub_ranges_against_replay_oracle():
         capacity = int(rng.integers(1, 40))
         iterations = int(rng.integers(1, 5))
         bases = [page_bases(t, vb, np_) for vb, np_ in arrays]
-        for (vb, np_), b in zip(arrays, bases):
-            assert run_bases(t, vb, np_).tolist() == b.tolist()
         stream = [int(b[p]) for p in range(pages) for b in bases]
         expected = lru_replay(stream * iterations, capacity)
         assert triad_misses(t, arrays, iterations, capacity) == expected, \
@@ -239,11 +237,11 @@ def test_triad_misses_rejects_an_operand_page_not_gpu_mapped():
     arrays = []
     for _ in range(3):
         base = t.reserve(64)
-        t.map_range(SYSTEM, base, np.arange(1 << 12, (1 << 12) + 64))
+        t.map_range(SYSTEM, base, FrameRuns([1 << 12], [64]))
         t.propagate(base, 64)
         arrays.append((base, 64))
     hole = t.reserve(64)
-    t.map_range(SYSTEM, hole, np.arange(1 << 13, (1 << 13) + 64))
+    t.map_range(SYSTEM, hole, frame_runs(np.arange(1 << 13, (1 << 13) + 64)))
     t.propagate(hole, 20)
     t.propagate(hole + 21, 43)  # page 20 is mapped only in the system table
     for capacity in (1, 32):
@@ -277,3 +275,25 @@ def test_triad_misses_memory_per_operand_page():
         tracemalloc.stop()
     assert misses > 0
     assert (peak - base) / allocs[0].n_pages <= 16
+
+
+def test_small_capacity_counts_on_real_placements():
+    # Three CPU-touched, then GPU-touched 4 MiB heap arrays, placed as the
+    # TRIAD workset places them: capacities below, at and (for one array
+    # passed twice) above the operand count against the page-by-page LRU.
+    m = MemoryManager(builtin_mi300a(), seed=11)
+    allocs = [m.allocate(AllocatorKind.LIBC_ON_DEMAND, 4 * MiB)
+              for _ in range(3)]
+    for a in allocs:
+        m.touch(a, None, Agent.CPU)
+        m.touch(a, None, Agent.GPU)
+    arrays = [(a.va_base, a.n_pages) for a in allocs]
+    cases = [(arrays, capacity) for capacity in (1, 2, 3)]
+    cases.append(([arrays[0]] * 2, 2))
+    for ops, capacity in cases:
+        bases = [page_bases(m.table, vb, n) for vb, n in ops]
+        stream = [int(b) for step in zip(*bases) for b in step]
+        for iterations in (1, 3):
+            assert triad_misses(m.table, ops, iterations, capacity) == \
+                lru_replay(stream * iterations, capacity), \
+                (len(ops), capacity, iterations)

@@ -95,7 +95,9 @@ def triad_misses(table: DualTable, arrays: list[tuple[int, int]],
     # at the sorted union of the operands' run offsets; between two events
     # every page repeats the same run of each operand.
     idx = np.concatenate([offsets for offsets, _ in runs])
-    idx = np.unique(idx[idx < n])
+    idx = idx[idx < n]
+    idx.sort()
+    idx = idx[np.diff(idx, prepend=-1) != 0]
     events = [bases[np.searchsorted(offsets, idx, "right") - 1]
               for offsets, bases in runs]
     if capacity >= len(arrays):

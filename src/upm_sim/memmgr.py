@@ -69,9 +69,10 @@ leaves a store); at the first buddy that is not entirely free, the run
 joins its store and stops. Such merges may make a block whole too. Every
 block made whole joins the released blocks in the order of its last run,
 as per-run release leaves them. A merge that fails changes nothing, and
-no slot is put back in the pool call that deleted it. A slot that leaves
-the middle of a group stack is only marked deleted in the slot map; each
-stack is compacted once, at the end of the pool call. This is the state
+no slot is put back in the pool call that deleted it. The slot map holds
+1 for a slot in its group's stack and 0 for any other: a slot can leave
+the middle of a stack, and its entry stays there until the stack is
+compacted, once, at the end of the pool call. This is the state
 that freeing run by run gives, at a cost that grows with the runs and
 their blocks, not with the pool. A draw that cannot finish takes
 nothing: each checks first, from counts, that the pool holds enough
@@ -283,15 +284,6 @@ class Runs:
             self._buf[1, self.n:n] = sizes
         self.n = n
 
-    def push(self, start: int) -> None:
-        """Append one start to a stack of starts (rows=1), with a scalar
-        store in place of extend's slice when there is room."""
-        if self.n == self._buf.shape[1]:
-            self.extend((start,))
-        else:
-            self._buf[0, self.n] = start
-            self.n += 1
-
 
 class FramePool:
     """Free frames: whole blocks in an alive map, smaller runs in one dict
@@ -326,10 +318,11 @@ class FramePool:
         self._runs: dict[int, dict[int, None]] = {
             o: {} for o in range(self.block_order) if o != self.batch_order}
         # One stack of slot starts per group. The slot map holds a byte
-        # per slot: 1 if the slot is in its group's stack, 2 if it was
-        # deleted but its entry waits there for compaction, else 0. No
-        # slot is put back before that compaction, so a put pushes on
-        # top. A memoryview reads one slot as fast as a bytearray does.
+        # per slot: 1 if the slot is in its group's stack, else 0. A slot
+        # deleted from a stack's middle reads 0 at once, and its entry
+        # waits there for compaction; no slot is put back before that, so
+        # a put pushes on top. A memoryview reads one slot as fast as a
+        # bytearray does.
         self._stacks = [Runs(rows=1) for _ in range(self.groups_n)]
         self._slot = memoryview(np.zeros(self.n_blocks * self.groups_n,
                                          dtype=np.uint8))
@@ -353,14 +346,14 @@ class FramePool:
             self._runs[order][start] = None
             return
         i = start >> order
-        self._stacks[i % self.groups_n].push(start)
+        self._stacks[i % self.groups_n].extend((start,))
         self._slot[i] = 1
 
     def _drop(self, order: int, start: int):
         if order != self.batch_order:
             del self._runs[order][start]
         else:
-            self._slot[start >> order] = 2
+            self._slot[start >> order] = 0
             self._dirty.add((start >> order) % self.groups_n)
 
     def _pop(self, g: int) -> int:
@@ -377,9 +370,7 @@ class FramePool:
         for g in self._dirty:
             stack = self._stacks[g]
             at = stack.array[0] >> self.batch_order
-            live = slot[at] == 1
-            slot[at[~live]] = 0
-            kept = stack.array[0, live]
+            kept = stack.array[0, slot[at] == 1]
             stack.n = len(kept)
             stack.array[0] = kept
         self._dirty.clear()
@@ -669,13 +660,11 @@ class FramePool:
         blocks, of_run = np.unique(starts >> bo, return_inverse=True)
         slot_map = np.frombuffer(self._slot, dtype=np.uint8).reshape(
             self.n_blocks, self.groups_n)
-        rows = slot_map[blocks]
-        free = rows == 1
+        free = slot_map[blocks] == 1
         whole = np.bincount(of_run, weights=sizes) + self.batch_pages \
             * np.count_nonzero(free, axis=1) == self.block_pages
         done = len(self._released)
-        rows[free] = 2  # deleted; _compact drops them from the stacks
-        slot_map[blocks[whole]] = rows[whole]
+        slot_map[blocks[whole]] = 0  # _compact drops them from the stacks
         self._dirty.update(np.flatnonzero(free[whole].any(axis=0)).tolist())
         np.frombuffer(self._block_alive, dtype=np.uint8)[blocks[whole]] = 1
         self._released.extend(blocks[whole].tolist())
@@ -754,22 +743,29 @@ class FramePool:
 class Allocation:
     """One allocation: its page-table region until release; its frame runs
     in draw order, as int64 arrays; its first-touch reservations; and, from
-    its first CPU touch of up-front memory, one flag per CPU-visible chunk."""
+    its first CPU touch of up-front memory, one flag per CPU-visible chunk,
+    whose size follows the first touch's agent. live and mapped_pages are
+    read from the region."""
     id: int
     kind: AllocatorKind
     va_base: int                   # first virtual page number
     n_pages: int
     policy: Policy
-    live: bool = True
     region: pagetable._Region | None = field(default=None, repr=False)
     first_touch_agent: Agent | None = None
-    mapped_pages: int = 0
     frame_runs: Runs = field(default_factory=Runs, repr=False)
     # First frame reserved for each virtual batch / block, -1 if none yet.
     pending_cpu_batches: np.ndarray | None = field(default=None, repr=False)
     pending_gpu_blocks: np.ndarray | None = field(default=None, repr=False)
-    cpu_chunk_pages: int | None = None
     cpu_chunks_mapped: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def live(self) -> bool:
+        return self.region is not None
+
+    @property
+    def mapped_pages(self) -> int:
+        return int(self.region.runs[1].sum()) if self.live else 0
 
 
 def _expect(holds, invariant: str):
@@ -815,7 +811,6 @@ class MemoryManager:
                                  pagetable.FrameRuns(*alloc.frame_runs.array))
             if spec.gpu_access:
                 self.table.propagate(va_base, n_pages)
-            alloc.mapped_pages = n_pages
         self.allocations[alloc.id] = alloc
         return alloc
 
@@ -912,14 +907,14 @@ class MemoryManager:
     def _touch_up_front_cpu(self, alloc, lo, hi):
         # Device and host up-front memory becomes CPU-visible in coarse
         # chunks; after GPU first touch the mapping grain is finer.
-        if alloc.cpu_chunk_pages is None:
-            if alloc.first_touch_agent is Agent.GPU:
-                alloc.cpu_chunk_pages = self.profile.placement.gpu_init_cpu_map_pages
-            else:
-                alloc.cpu_chunk_pages = self._chunk_pages
-            alloc.cpu_chunks_mapped = np.zeros(
-                -(-alloc.n_pages // alloc.cpu_chunk_pages), dtype=bool)
-        grain, mapped = alloc.cpu_chunk_pages, alloc.cpu_chunks_mapped
+        if alloc.first_touch_agent is Agent.GPU:
+            grain = self.profile.placement.gpu_init_cpu_map_pages
+        else:
+            grain = self._chunk_pages
+        if alloc.cpu_chunks_mapped is None:
+            alloc.cpu_chunks_mapped = np.zeros(-(-alloc.n_pages // grain),
+                                               dtype=bool)
+        mapped = alloc.cpu_chunks_mapped
         c0, c1 = lo // grain, -(-hi // grain)
         fresh = np.flatnonzero(~mapped[c0:c1]) + c0
         mapped[c0:c1] = True
@@ -968,22 +963,19 @@ class MemoryManager:
             sizes[-1] -= -e % grain
             self.table.map_range(pagetable.SYSTEM, alloc.va_base + s,
                                  pagetable.FrameRuns(first, sizes))
-        alloc.mapped_pages += int((ends - starts).sum())
 
     # -- release & usage ---------------------------------------------------
 
     def release(self, alloc: Allocation):
         if not alloc.live:
             raise DoubleFree(f"allocation {alloc.id} already released")
-        alloc.live = False
         del self.allocations[alloc.id]
         self.table.unmap_range(alloc.va_base, alloc.n_pages)
-        self.table.free(alloc.va_base)
+        self.table.free(alloc.region)
         alloc.region = None
         self.pool.release_runs(*alloc.frame_runs.array)
         alloc.frame_runs = Runs()
         alloc.pending_cpu_batches = alloc.pending_gpu_blocks = None
-        alloc.mapped_pages = 0
 
     def usage_view(self, counter: UsageCounter) -> int:
         """Bytes used as seen by one of the memory-usage interfaces: the
@@ -1050,9 +1042,6 @@ class MemoryManager:
                        & ((state == 1) | (state == 2)))
                 and np.all(off[1:][follows] >= (off + n)[:-1][follows]),
                 "a region's runs overlap, leave it or are out of order")
-        mapped = np.bincount(holder, n, len(live)).astype(np.int64)
-        _expect(mapped.tolist() == [a.mapped_pages for a in live],
-                "mapped pages differ from the allocations' counters")
         # No frame is mapped twice, and each mapped run lies in one live
         # run of its own allocation: the table maps the runs an allocation
         # drew, or parts of them.

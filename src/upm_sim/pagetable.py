@@ -119,7 +119,6 @@ class DualTable:
 
     def __init__(self, max_fragment: int = 31):
         self.max_fragment = max_fragment
-        self._bases: list[int] = []
         self._regions: list[_Region] = []
         self._next_va = self._FIRST_VA_PAGE
 
@@ -132,18 +131,17 @@ class DualTable:
         base = -(-self._next_va // align_pages) * align_pages
         # Guard gap keeps fragments of distinct reservations from merging.
         self._next_va = base + n_pages + align_pages
-        # Bases only grow, so appending keeps them sorted.
-        self._bases.append(base)
+        # Bases only grow, so appending keeps the regions sorted.
         self._regions.append(_Region(base, n_pages))
         return base
 
-    def free(self, va_base: int):
-        """Drop the reservation based at va_base and its runs."""
-        idx = self._bases.index(va_base)
-        del self._bases[idx], self._regions[idx]
+    def free(self, region: _Region):
+        """Drop a reservation and its runs, given as its region."""
+        self._regions.remove(region)
 
     def _region_at(self, va_page: int) -> tuple[_Region, int]:
-        idx = bisect.bisect(self._bases, va_page) - 1
+        idx = bisect.bisect(self._regions, va_page,
+                            key=lambda r: r.va_base) - 1
         if idx >= 0:
             region = self._regions[idx]
             off = va_page - region.va_base

@@ -100,7 +100,7 @@ def triad_misses(table: DualTable, arrays: list[tuple[int, int]],
     idx = idx[np.diff(idx, prepend=-1) != 0]
     events = [bases[np.searchsorted(offsets, idx, "right") - 1]
               for offsets, bases in runs]
-    if capacity >= len(arrays):
+    if capacity >= len(arrays) and len(idx):
         # Fragment runs tile each range in address order, so an operand's
         # bases only grow; the short count needs their ranges apart too.
         spans = sorted((int(b[0]), int(b[-1])) for b in events)

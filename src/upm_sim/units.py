@@ -19,13 +19,19 @@ COUNT = "count"
 FLAG = "flag"
 SCALAR = "scalar"      # dimensionless
 
-# Each dimension's suffixes, scaled to the field's unit, and error noun.
-_SUFFIXES = {
+# Each numeric dimension: its suffixes, scaled to the field's unit; its
+# error noun; and, for a whole-number dimension, the message that rejects
+# a fraction (else None).
+_DIMENSIONS = {
     BYTES: ({"kib": 1024, "mib": 1024**2, "gib": 1024**3, "b": 1},
-            "byte value"),
-    RATE: ({"gbps": 1e9, "tbps": 1e12}, "rate value"),
-    TIME_NS: ({"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}, "latency value"),
-    TIME_US: ({"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}, "time value"),
+            "byte value", "byte value must be a whole number of bytes"),
+    RATE: ({"gbps": 1e9, "tbps": 1e12}, "rate value", None),
+    TIME_NS: ({"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}, "latency value",
+              None),
+    TIME_US: ({"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}, "time value",
+              None),
+    COUNT: ({}, "count", "count must be integral"),
+    SCALAR: ({}, "scalar", None),
 }
 
 
@@ -67,36 +73,24 @@ def parse_value(text: str, dimension: str):
         raise UnitError(f"bad number {num!r}") from exc
     if not math.isfinite(value):
         raise UnitError(f"number {num!r} is not finite")
-
-    if dimension in _SUFFIXES:
-        suffixes, noun = _SUFFIXES[dimension]
-        scale = suffixes.get(suffix) if suffix else 1
-        if scale is None:
-            raise UnitError(f"suffix {suffix!r} not valid for a {noun}")
-        value *= scale
-        if dimension != BYTES:
-            return value
-        if value != int(value):
-            raise UnitError(f"byte value must be a whole number of bytes, "
-                            f"got {text!r}")
-        return int(value)
-    if dimension == COUNT:
-        if suffix:
-            raise UnitError(f"suffix {suffix!r} not valid for a count")
-        if value != int(value):
-            raise UnitError(f"count must be integral, got {text!r}")
-        return int(value)
-    if dimension == SCALAR:
-        if suffix:
-            raise UnitError(f"suffix {suffix!r} not valid for a scalar")
+    if dimension not in _DIMENSIONS:
+        raise UnitError(f"unknown dimension {dimension!r}")
+    suffixes, noun, whole = _DIMENSIONS[dimension]
+    scale = suffixes.get(suffix) if suffix else 1
+    if scale is None:
+        raise UnitError(f"suffix {suffix!r} not valid for a {noun}")
+    value *= scale
+    if whole is None:
         return value
-    raise UnitError(f"unknown dimension {dimension!r}")
+    if value != int(value):
+        raise UnitError(f"{whole}, got {text!r}")
+    return int(value)
 
 
 def format_value(value, dimension: str) -> str:
     """Format a profile value for serialization. Inverse of parse_value."""
     if dimension == FLAG:
         return "1" if value else "0"
-    if dimension in (BYTES, COUNT):
+    if _DIMENSIONS[dimension][2]:
         return str(int(value))
     return repr(float(value))

@@ -5,9 +5,10 @@ place: `verify` text, the CSV of the latency, stream and usage grids, and
 the built-in profile document. The CSV of the other four grids (alloc,
 fault, atomics, memcpy) and the `verify` text at seed 7 live in
 tests/golden/. A second seed catches a measurement that ignores the seed.
-tests/golden/xnack0/ holds the alloc, usage and stream grids of the
-built-in profile with xnack off: managed memory placed up front, the
-xnack-off cost curves and the GPU rows that fault fatally on heap memory.
+tests/golden/xnack0/ holds the alloc, usage, stream, latency and fault
+grids of the built-in profile with xnack off: managed memory placed up
+front, the xnack-off cost curves and the GPU rows that fault fatally on
+heap memory (the AccessViolation rows of latency and fault).
 """
 
 from dataclasses import replace
@@ -42,7 +43,7 @@ def test_verify_text_at_seed_7_matches_golden(profile):
     *(pytest.param(GOLDEN, b, True, id=b)
       for b in ("alloc", "fault", "atomics", "memcpy")),
     *(pytest.param(GOLDEN / "xnack0", b, False, id=f"xnack0-{b}")
-      for b in ("alloc", "usage", "stream")),
+      for b in ("alloc", "usage", "stream", "latency", "fault")),
 ])
 def test_grid_csv_matches_golden(profile, directory, bench, xnack):
     profile = replace(profile, xnack=xnack)

@@ -190,6 +190,24 @@ def test_validate_capacity_orderings():
     assert any("capacity ordering" in v for v in validate(bad))
 
 
+@pytest.mark.parametrize("doc, violation", [
+    ("gpu.l1_latency = 500",
+     "gpu latencies: latency ordering (l1 < l2 < ic < hbm)"),
+    ("cpu.l3_capacity = 1GiB",
+     "cpu capacities: capacity ordering (l1 < l2 < l3 < ic)"),
+    ("interleave_granularity = 8KiB",
+     "interleave_granularity: must equal page_size"),
+    (f"hbm_capacity = {128 * GiB + 100}",
+     "hbm_capacity: must be a whole number of pages"),
+    ("placement.frame_block_pages = 8",
+     "placement.frame_block_pages: must be a multiple of kernel_batch_pages"),
+], ids=["gpu_latency", "cpu_capacity", "interleave", "hbm_pages", "block"])
+def test_load_profile_rejects_a_cross_field_violation(doc, violation):
+    with pytest.raises(ProfileValidationError) as err:
+        load_profile(doc)
+    assert violation in err.value.violations
+
+
 @pytest.mark.parametrize("doc", [
     "placement.frame_block_pages = 96\n",
     "placement.kernel_batch_pages = 12\n",

@@ -342,6 +342,14 @@ def test_reserve_holds_at_most_5_bytes_a_page():
     assert peak <= 5 * n_pages + 1024
 
 
+def test_reserve_rejects_a_range_past_int32():
+    t = fresh_table()
+    with pytest.raises(ValueError, match="under"):
+        t.reserve(FRAME_LIMIT)
+    assert t._regions == []
+    t.reserve(FRAME_LIMIT - 1, align_pages=1)
+
+
 @pytest.mark.parametrize("bad", [FRAME_LIMIT, -1])
 def test_map_range_rejects_frames_outside_int32(bad):
     t = fresh_table()

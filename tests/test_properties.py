@@ -624,9 +624,8 @@ def faults_page_by_page(m, a, lo, hi, agent):
         major = offs[~sys_mapped].tolist()
         kinds, pages = [1] * len(minor) + [2] * len(major), minor + major
     elif agent is Agent.CPU:
-        grain = a.cpu_chunk_pages or (
-            m.profile.placement.gpu_init_cpu_map_pages
-            if a.first_touch_agent is Agent.GPU else m._chunk_pages)
+        grain = (m.profile.placement.gpu_init_cpu_map_pages
+                 if a.first_touch_agent is Agent.GPU else m._chunk_pages)
         for c in range(lo // grain, -(-hi // grain)):
             if a.cpu_chunks_mapped is None or not a.cpu_chunks_mapped[c]:
                 kinds.append(0)

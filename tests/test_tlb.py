@@ -297,3 +297,11 @@ def test_small_capacity_counts_on_real_placements():
             assert triad_misses(m.table, ops, iterations, capacity) == \
                 lru_replay(stream * iterations, capacity), \
                 (len(ops), capacity, iterations)
+
+
+@pytest.mark.parametrize("capacity", [1, 32])
+def test_zero_page_operands_miss_nothing(capacity):
+    # Empty operands give no event step, below and at or above the
+    # operand count alike.
+    t, base = table_with_runs(1, 16, 64)
+    assert triad_misses(t, [(base, 0), (base, 0)], 2, capacity) == 0

@@ -34,18 +34,21 @@ The page table keeps frame runs: an up-front allocation maps the runs it
 drew with one ``map_range``, and a first touch maps each segment of
 unmapped pages with one ``map_range`` of the runs its reservations give.
 
-The pool keeps whole free blocks in a bytearray alive map. Released
-blocks, last-released first, then a boot-time permutation read from its
-end are the one source of blocks: ``_next_blocks`` takes the next k alive
-ones in a pass, and is asked only for blocks its caller has counted as
-alive. Sequential draws take the lowest alive block instead. The
-permutation is shared, read-only, by every pool of one seed and size, and
-only the latest is kept. Runs smaller than a block sit in one dict per
-order, 16-page runs (slots) in one int64 stack per channel group, and a
-one-byte slot map tells which slots the stacks hold. Every free frame is
-in the alive map or in one of these stores: a sequential draw leaves the
-rest of its block's slots in the group stores and takes the next slot
-from there while it is still free.
+The pool keeps whole free blocks in a bytearray alive map, and their
+count beside it. Released blocks, last-released first, then a boot-time
+permutation read from its end are the one source of blocks:
+``_next_blocks`` takes the next k alive ones in a pass, and is asked only
+for blocks its caller has counted as alive. Sequential draws take the
+lowest alive blocks instead. The permutation (``BootOrder``) is drawn
+from its end only as far as it is read, bit for bit as numpy shuffles;
+it is shared, read-only, by every pool of one seed and size, and only the
+latest is kept. Runs smaller than a block sit in one dict per order,
+16-page runs (slots) in one int32 stack per channel group, and a slot map
+with a one-byte row for each block that has been split tells which slots
+the stacks hold. The alive map is the one store sized by the capacity.
+Every free frame is in the alive map or in one of these stores: a
+sequential draw leaves the rest of its last block's slots in the group
+stores and takes the next slot from there while it is still free.
 
 All scattered batches of one placement are drawn in one ``take_batches``
 call, in closed form. A draw from an empty group first splits the next
@@ -72,9 +75,10 @@ as per-run release leaves them. A merge that fails changes nothing, and
 no slot is put back in the pool call that deleted it. The slot map holds
 1 for a slot in its group's stack and 0 for any other: a slot can leave
 the middle of a stack, and its entry stays there until the stack is
-compacted, once, at the end of the pool call. This is the state
-that freeing run by run gives, at a cost that grows with the runs and
-their blocks, not with the pool. A draw that cannot finish takes
+compacted, once, at the end of the pool call (the slots of a block gone
+back whole, and those deleted one by one). This is the state that freeing
+run by run gives, at a cost that grows with the runs and their blocks,
+not with the pool. A draw that cannot finish takes
 nothing: each checks first, from counts, that the pool holds enough
 frames, blocks or batches, so a failed allocate or touch raises
 ``OutOfMemory`` before it changes the pool or the scatter generator, and
@@ -242,24 +246,173 @@ _NO_FAULTS = (0, 0, 0), _NO_RUNS, _NO_RUNS
 # --------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1)
-def _boot_order(entropy: int, spawn_key: tuple, n_blocks: int) -> np.ndarray:
-    """Read-only boot-time block order of the pool seeded by
+def _boot_order(entropy: int, spawn_key: tuple, n_blocks: int) -> BootOrder:
+    """The boot-time block order of the pool seeded by
     SeedSequence(entropy, spawn_key). Every pool of one seed shares it;
     only the latest is kept, so a sweep over seeds keeps memory flat."""
-    ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
-    order = np.random.default_rng(ss).permutation(n_blocks)
-    order.flags.writeable = False
-    return order
+    return BootOrder(np.random.SeedSequence(entropy, spawn_key=spawn_key),
+                     n_blocks)
+
+
+class BootOrder:
+    """default_rng(ss).permutation(n), drawn from its end only as far as it
+    is read. It indexes and slices (step 1) like that array and hands out
+    read-only int32 views.
+
+    numpy shuffles arange(n) by Fisher-Yates from the end: step t swaps
+    entry i = n - 1 - t with entry j_t, drawn by masked rejection from the
+    bit generator's 32-bit halves, low half first (none for i = 0). Entry
+    i is final after step t, so the last k entries need only the first k
+    steps. Each extension goes on with the same stream: the halves drawn
+    past the last step are kept, and so are the steps' j, as the tail
+    itself and the few that differ from it.
+
+    Entry i takes the value at j_t, which is j_t itself unless an earlier
+    step wrote there: one with the same j, or one whose j is the i of an
+    entry of the tail. Only those rare steps are resolved, in one pass
+    over the steps they touch."""
+
+    def __init__(self, ss: np.random.SeedSequence, n: int):
+        self._n = n
+        self._bits = np.random.PCG64(ss)
+        self._halves = np.empty(0, dtype=np.uint32)  # drawn, not yet used
+        self._tail = np.empty(0, dtype=np.int32)     # order[::-1], so far
+        # The steps t whose j_t is not _tail[t], and those j_t.
+        self._odd = np.empty((2, 0), dtype=np.int32)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, at):
+        n = self._n
+        if isinstance(at, slice):
+            lo, hi, step = at.indices(n)
+            if step != 1:
+                raise ValueError("a boot order slice has step 1")
+            hi = max(lo, hi)
+            return self._read(n - lo)[n - hi:n - lo][::-1]
+        at = range(n)[at]
+        return int(self._read(n - at)[n - 1 - at])
+
+    def _read(self, k: int) -> np.ndarray:
+        """The read-only tail of at least k entries; it grows at least
+        twofold, and to at least 1,024 entries (each growth sorts it)."""
+        if k > len(self._tail):
+            self._grow(min(self._n, max(k, 2 * len(self._tail), 1024)))
+        return self._tail
+
+    def _grow(self, k: int):
+        """Draw the steps up to k and resolve their entries."""
+        n, done = self._n, len(self._tail)
+        j = np.concatenate((self._tail, self._draw(n - 1 - done, k - done)))
+        tail = j.copy()
+        j[self._odd[0]] = self._odd[1]
+        # The steps grouped by j, in order within a group.
+        bits = max(k - 1, 1).bit_length()
+        key = j.astype(np.int64)
+        key <<= bits
+        key |= np.arange(k)
+        key.sort()
+        by_j, step = key >> bits, key & ((1 << bits) - 1)
+        del key
+        # The rare steps: each j drawn more than once; each j that is an
+        # entry of the tail (the groups from n - k up), with the step whose
+        # i it is. In (j, step) order, and at their places in steps.
+        rare = np.zeros(k, dtype=bool)
+        again = np.flatnonzero(by_j[1:] == by_j[:-1])
+        rare[step[again]] = rare[step[again + 1]] = True
+        into = slice(int(np.searchsorted(by_j, n - k)), k)
+        rare[step[into]] = rare[n - 1 - by_j[into]] = True
+        keep = np.flatnonzero(rare[step])
+        by_j, step = by_j[keep], step[keep]
+        steps = np.flatnonzero(rare)
+        place = np.empty(k, dtype=np.int64)
+        place[steps] = np.arange(len(steps))
+        at = place[step]
+        # Replay the rare steps: each reads the value at j from the last
+        # earlier step with its j (prev), else j; each writes the value at
+        # its i, the value the last step with j = i wrote before it (src,
+        # followed to the first writer of the chain), else i.
+        same = by_j[1:] == by_j[:-1]
+        prev = np.full(len(at), -1)
+        s = np.flatnonzero(same)
+        prev[at[s + 1]] = at[s]
+        last = np.append(~same, True) & (by_j >= n - k)
+        writer, dst = at[last], place[n - 1 - by_j[last]]
+        src = np.where(writer == dst, prev[writer], writer)
+        ptr = np.arange(len(at))
+        ptr[dst[src >= 0]] = src[src >= 0]
+        moving = np.flatnonzero(ptr != np.arange(len(at)))
+        while len(moving):
+            ptr[moving] = ptr[ptr[moving]]
+            moving = moving[ptr[moving] != ptr[ptr[moving]]]
+        wrote = n - 1 - steps[ptr]
+        read = j[steps]
+        s = np.flatnonzero(prev >= 0)
+        read[s] = wrote[prev[s]]
+        s = np.flatnonzero(steps >= done)
+        tail[steps[s]] = read[s]
+        tail.flags.writeable = False
+        odd = steps[np.flatnonzero(tail[steps] != j[steps])]
+        self._tail, self._odd = tail, np.array((odd, j[odd]), dtype=np.int32)
+
+    def _draw(self, top: int, m: int) -> np.ndarray:
+        """j of the m steps from i = top down: numpy's random_interval(i),
+        a 32-bit half under the mask of i's bit length, drawn again while
+        it exceeds i; 0 for i = 0."""
+        out = np.zeros(m, dtype=np.int32)
+        s = 0
+        while s < m and top - s >= 1:
+            i = top - s
+            mask = (1 << i.bit_length()) - 1
+            end = min(m, s + i - (mask >> 1))  # the steps under this mask
+            while s < end:
+                # Half q goes to the step after the ones accepted before it:
+                # rejected iff it exceeds i - q + (rejected before q). Of
+                # the halves above i - q (the candidates), the c-th with
+                # excess d is rejected iff d + (candidates accepted before
+                # it) > c, so only those with d <= c can be accepted.
+                want = end - s
+                v = self._stream(want + (want >> 4) + 16) & np.uint32(mask)
+                above = i - np.arange(len(v))
+                cand = np.flatnonzero(v > above)
+                d = v[cand] - above[cand]
+                maybe = np.flatnonzero(d <= np.arange(len(cand)))
+                accepted = []
+                for c, dc in zip(maybe.tolist(), d[maybe].tolist()):
+                    if dc + len(accepted) <= c:
+                        accepted.append(c)
+                rejected = np.delete(cand, accepted)
+                # The halves up to the want-th accepted one are used.
+                used = want + int(np.searchsorted(
+                    rejected - np.arange(len(rejected)), want))
+                took = np.delete(v[:used], rejected[:used - want])
+                out[s:s + len(took)] = took
+                self._halves = self._halves[used:]
+                s += len(took)
+                i -= len(took)
+        return out
+
+    def _stream(self, count: int) -> np.ndarray:
+        """At least count unused 32-bit halves of the bit generator."""
+        short = count - len(self._halves)
+        if short > 0:
+            raw = self._bits.random_raw(-(-short // 2))
+            halves = np.empty(2 * len(raw), dtype=np.uint32)
+            halves[0::2] = raw & 0xFFFFFFFF
+            halves[1::2] = raw >> np.uint64(32)
+            self._halves = np.concatenate((self._halves, halves))
+        return self._halves
 
 
 class Runs:
-    """Frame runs in append order, as int64 rows grown by doubling: the
+    """Frame runs in append order, as rows of dtype grown by doubling: the
     starts, then (unless rows=1) the page counts. array is the (rows, n)
     view; iterating yields one tuple of Python ints per run, made by one
     tolist()."""
 
-    def __init__(self, rows: int = 2):
-        self.n, self._buf = 0, np.empty((rows, 0), dtype=np.int64)
+    def __init__(self, rows: int = 2, dtype=np.int64):
+        self.n, self._buf = 0, np.empty((rows, 0), dtype=dtype)
 
     def __len__(self) -> int:
         return self.n
@@ -276,7 +429,7 @@ class Runs:
         n = self.n + len(starts)
         if n > self._buf.shape[1]:
             grown = np.empty((len(self._buf), max(n, 2 * self.n)),
-                             dtype=np.int64)
+                             dtype=self._buf.dtype)
             grown[:, :self.n] = self.array
             self._buf = grown
         self._buf[0, self.n:n] = starts
@@ -286,10 +439,10 @@ class Runs:
 
 
 class FramePool:
-    """Free frames: whole blocks in an alive map, smaller runs in one dict
-    per order, 16-page slots in one int64 stack per channel group, each
-    in the order a dict would keep, and a slot map over all slots that
-    answers membership."""
+    """Free frames: whole blocks in an alive map beside their count,
+    smaller runs in one dict per order, and 16-page slots in one stack per
+    channel group, each in the order a dict would keep. A slot map with a
+    row for each block that has been split answers membership."""
 
     def __init__(self, profile: MachineProfile, ss: np.random.SeedSequence):
         self.block_pages = profile.placement.frame_block_pages
@@ -308,25 +461,31 @@ class FramePool:
         self.used_frames = 0
         # Boot-time free-list order is not address-sorted; a deterministic
         # shuffle stands in for it and keeps blocks non-adjacent. Blocks
-        # are drawn from its end; released blocks are drawn first, last
-        # released first.
+        # are drawn from its end, which is drawn only as far as it is read;
+        # released blocks are drawn first, last released first.
         self._boot_order = _boot_order(ss.entropy, ss.spawn_key,
                                        self.n_blocks)
         self._boot_left = self.n_blocks
         self._released: list[int] = []
         self._block_alive = bytearray(b"\x01") * self.n_blocks
+        self._alive_count = self.n_blocks
         self._runs: dict[int, dict[int, None]] = {
             o: {} for o in range(self.block_order) if o != self.batch_order}
-        # One stack of slot starts per group. The slot map holds a byte
-        # per slot: 1 if the slot is in its group's stack, else 0. A slot
-        # deleted from a stack's middle reads 0 at once, and its entry
-        # waits there for compaction; no slot is put back before that, so
-        # a put pushes on top. A memoryview reads one slot as fast as a
-        # bytearray does.
-        self._stacks = [Runs(rows=1) for _ in range(self.groups_n)]
-        self._slot = memoryview(np.zeros(self.n_blocks * self.groups_n,
-                                         dtype=np.uint8))
+        # One int32 stack of slot starts per group (frames fit the page
+        # table's int32). The slot map has a row of a byte per group for
+        # each block that has been split, in the order of first splits: 1
+        # if that slot is in its group's stack, else 0. _index holds
+        # block << 32 | row for those blocks, ascending. A block keeps its
+        # row; a block without one has no slot in a stack. A slot deleted
+        # from a stack's middle reads 0 at once, and its entry waits there
+        # for compaction, listed in _dropped unless its whole block went
+        # back; no slot is put back before that, so a put pushes on top.
+        self._stacks = [Runs(rows=1, dtype=np.int32)
+                        for _ in range(self.groups_n)]
+        self._index = np.empty(0, dtype=np.int64)
+        self._slots = np.empty((0, self.groups_n), dtype=np.uint8)
         self._dirty: set[int] = set()
+        self._dropped: list[int] = []
         # The slot after the last sequential draw, taken next if still free.
         self._seq_next: int | None = None
 
@@ -336,44 +495,102 @@ class FramePool:
 
     # -- internal stores -------------------------------------------------
 
+    def _row(self, block: int, add: bool = False) -> int:
+        """The slot-map row of block: -1 if it has none, unless add gives
+        it a new row of zeros."""
+        i, r = int(self._index.searchsorted(block << 32)), len(self._index)
+        hit = int(self._index[i]) if i < r else -1
+        if hit >> 32 == block:
+            return hit & 0xFFFFFFFF
+        if not add:
+            return -1
+        self._index = np.insert(self._index, i, (block << 32) | r)
+        self._hold_rows(r + 1)
+        return r
+
+    def _rows(self, blocks: np.ndarray, add: bool = False) -> np.ndarray:
+        """The slot-map row of each block, -1 where it has none, unless
+        add gives each of those (they are distinct) a new row of zeros."""
+        blocks = np.asarray(blocks, dtype=np.int64)
+        r, fresh = len(self._index), np.arange(len(blocks))
+        if not add:  # searchsorted is fastest on ascending blocks
+            hit = self._index[np.minimum(self._index.searchsorted(
+                blocks << 32), r - 1)] if r else np.full(len(blocks), -1)
+            return np.where(hit >> 32 == blocks, hit & 0xFFFFFFFF, -1)
+        # Most blocks are split for the first time: a new row each, unless
+        # the index then holds a block twice.
+        merged = np.sort(np.concatenate(
+            (self._index, np.sort((blocks << 32) | (r + fresh)))),
+            kind="stable")  # two sorted runs: a merge
+        if np.any(merged[1:] >> 32 == merged[:-1] >> 32):
+            rows = self._rows(blocks)
+            new = np.flatnonzero(rows < 0)
+            rows[new] = r + np.arange(len(new))
+            merged = np.sort(np.concatenate(
+                (self._index, (blocks[new] << 32) | rows[new])))
+        else:
+            rows = r + fresh
+        self._index = merged
+        self._hold_rows(len(merged))
+        return rows
+
+    def _hold_rows(self, rows: int):
+        """Make room in the slot map for rows rows, grown by doubling."""
+        if rows > len(self._slots):
+            grown = np.zeros((max(rows, 2 * len(self._slots)), self.groups_n),
+                             dtype=np.uint8)
+            grown[:len(self._slots)] = self._slots
+            self._slots = grown
+
     def _has(self, order: int, start: int) -> bool:
-        if order == self.batch_order:
-            return self._slot[start >> order] == 1
-        return start in self._runs[order]
+        if order != self.batch_order:
+            return start in self._runs[order]
+        r = self._row(start >> self.block_order)
+        return r >= 0 and self._slots[r, (start >> order) % self.groups_n] == 1
 
     def _put(self, order: int, start: int):
         if order != self.batch_order:
             self._runs[order][start] = None
             return
-        i = start >> order
-        self._stacks[i % self.groups_n].extend((start,))
-        self._slot[i] = 1
+        g = (start >> order) % self.groups_n
+        self._stacks[g].extend((start,))
+        row = self._row(start >> self.block_order, add=True)
+        self._slots[row, g] = 1
 
     def _drop(self, order: int, start: int):
         if order != self.batch_order:
             del self._runs[order][start]
         else:
-            self._slot[start >> order] = 0
-            self._dirty.add((start >> order) % self.groups_n)
+            g = (start >> order) % self.groups_n
+            self._slots[self._row(start >> self.block_order), g] = 0
+            self._dirty.add(g)
+            self._dropped.append(start)
 
     def _pop(self, g: int) -> int:
         """Remove and return the top slot of group g's stack."""
         stack = self._stacks[g]
         start = int(stack.array[0, -1])
         stack.n -= 1
-        self._slot[start >> self.batch_order] = 0
+        self._slots[self._row(start >> self.block_order), g] = 0
         return start
 
     def _compact(self):
-        """Drop the deleted entries of every stack that holds some."""
-        slot = np.frombuffer(self._slot, dtype=np.uint8)
+        """Drop the deleted entries of every stack that holds some: the
+        slots of whole free blocks, and the dropped ones."""
+        alive = np.frombuffer(self._block_alive, dtype=np.uint8)
+        dropped = np.sort(np.array(self._dropped, dtype=np.int64))
         for g in self._dirty:
             stack = self._stacks[g]
-            at = stack.array[0] >> self.batch_order
-            kept = stack.array[0, slot[at] == 1]
+            at = stack.array[0]
+            gone = alive[at >> self.block_order] != 0
+            if len(dropped):
+                gone |= dropped[np.minimum(np.searchsorted(dropped, at),
+                                           len(dropped) - 1)] == at
+            kept = at[~gone]
             stack.n = len(kept)
             stack.array[0] = kept
         self._dirty.clear()
+        self._dropped.clear()
 
     def _next_blocks(self, k: int) -> np.ndarray:
         """Take the next k free blocks, released ones (last first) before
@@ -385,6 +602,7 @@ class FramePool:
                                 self._boot_left, repeats=False)
         del self._released[rel:]
         self._boot_left = left
+        self._alive_count -= k
         return np.concatenate((got, boot))
 
     @staticmethod
@@ -410,7 +628,7 @@ class FramePool:
     def _take_run(self, order: int) -> int:
         """Remove and return one free run of 2^order pages (may split)."""
         if order >= self.block_order:
-            if self._block_alive.find(1) < 0:  # both block sources run out
+            if not self._alive_count:  # both block sources run out
                 self._released.clear()
                 self._boot_left = 0
                 raise OutOfMemory("no contiguous block available")
@@ -433,7 +651,7 @@ class FramePool:
             raise OutOfMemory(f"{n_pages} pages requested, "
                               f"{self.free_frames} free")
         runs = Runs()
-        k = min(n_pages >> self.block_order, self._alive_blocks())
+        k = min(n_pages >> self.block_order, self._alive_count)
         runs.extend(self._next_blocks(k) << self.block_order, self.block_pages)
         left = n_pages - k * self.block_pages
         while left:  # order 0 at the latest finds a free frame
@@ -476,7 +694,7 @@ class FramePool:
         prior[by_group] = np.arange(n) - first[in_group]
         split = np.maximum.accumulate(np.maximum(prior + 1 - depth[groups],
                                                  0))
-        k, alive = int(split.max(initial=0)), self._alive_blocks()
+        k, alive = int(split.max(initial=0)), self._alive_count
         if k > alive:
             if n > self.batch_room():
                 raise OutOfMemory(f"{n} batches requested, "
@@ -535,17 +753,18 @@ class FramePool:
         own &= key[1:] == key[:-1]
         hit, drawn = order[:-1][own], rest[order[1:][own] - m]
         del key, order, own, owner, pop_at, at, rest
-        slot_map = np.frombuffer(self._slot, dtype=np.uint8)
         tops = []
         for g, (stack, up, keep) in enumerate(zip(self._stacks,
                                                   taken.tolist(), kept)):
             tops.append(stack.array[0, stack.n - up:][::-1].copy())
             stack.n -= up
-            row = (blocks[keep] << bo) + (g << bto)
-            stack.extend(row)
-            slot_map[row >> bto] = 1
+            stack.extend((blocks[keep] << bo) + (g << bto))
         tops = np.concatenate(tops)
-        slot_map[tops >> bto] = 0
+        # The split blocks' rows hold the slots they pushed (adding rows
+        # replaces _slots, so first); the popped tops' slots read 0.
+        rows = self._rows(blocks, add=True)
+        self._slots[rows] = kept.T
+        self._slots[self._rows(tops >> bo), (tops >> bto) % gn] = 0
         # The split whose push each draw takes, else -1 for a top entry.
         push = np.where(direct, split - 1, -1)
         push[drawn] = j[hit]
@@ -577,10 +796,6 @@ class FramePool:
                          if self._stacks[g % self.groups_n].n)
         return self._pop(group)
 
-    def _alive_blocks(self) -> int:
-        return int(np.count_nonzero(np.frombuffer(self._block_alive,
-                                                  dtype=np.uint8)))
-
     def batch_room(self) -> int:
         """How many 16-page runs take_batches can draw: the slots in the
         group stores, those of every run between a slot and a block, and
@@ -589,48 +804,54 @@ class FramePool:
         return (sum(s.n for s in self._stacks)
                 + sum(len(self._runs[o]) << (o - bto)
                       for o in range(bto + 1, self.block_order))
-                + self.groups_n * self._alive_blocks())
+                + self.groups_n * self._alive_count)
 
     def take_blocks(self, count: int) -> np.ndarray:
         """The starts of count whole blocks (128 pages each)."""
-        alive = self._alive_blocks()
+        alive = self._alive_count
         if count > alive:
             raise OutOfMemory(f"{count} blocks requested, {alive} free")
         self.used_frames += count * self.block_pages
         return self._next_blocks(count) << self.block_order
 
     def take_batches_sequential(self, count: int) -> np.ndarray:
-        """count 16-page runs in ascending frame order."""
-        row = b""  # the slot map from _seq_next to its block's end
-        if self._seq_next is not None:
-            at = self._seq_next >> self.batch_order
-            row = self._slot[at:at - at % self.groups_n + self.groups_n]
-        room = len(row) - len(bytes(row).lstrip(b"\x01")) \
-            + self.groups_n * self._alive_blocks()
+        """count 16-page runs in ascending frame order: the slots after the
+        previous sequential draw while they are still free, then the
+        lowest free blocks in order. The slots of the last block that the
+        draw leaves go to the group stores, where every draw and merge can
+        reach them."""
+        gn, bo, bto = self.groups_n, self.block_order, self.batch_order
+        nxt, lead = self._seq_next, 0
+        if nxt is not None:  # the slot map from _seq_next to its block's end
+            g, row = (nxt >> bto) % gn, self._row(nxt >> bo)
+            free = self._slots[row, g:].tobytes()
+            lead = len(free) - len(free.lstrip(b"\x01"))
+        room = lead + gn * self._alive_count
         if count > room:
             raise OutOfMemory(f"{count} batches requested, {room} in order")
-        starts = np.array([self._take_sequential() for _ in range(count)],
-                          dtype=np.int64)
+        here, more = min(count, lead), max(count - lead, 0)
+        if here:
+            self._slots[row, g:g + here] = 0  # _compact drops them
+            self._dirty.update(range(g, g + here))
+            self._dropped.extend(range(nxt, nxt + (here << bto), 1 << bto))
+        blocks, b = [], -1
+        for _ in range(-(-more // gn)):
+            b = self._block_alive.find(1, b + 1)  # counted in room
+            self._block_alive[b] = 0
+            blocks.append(b)
+        self._alive_count -= len(blocks)
+        fresh = (np.array(blocks, dtype=np.int64)[:, None] << bo) \
+            + (np.arange(gn) << bto)
+        for start in fresh[-1, more % gn:].tolist() if more % gn else ():
+            self._put(bto, start)
+        starts = np.concatenate(((np.arange(here, dtype=np.int64) << bto)
+                                 + (nxt or 0), fresh.ravel()[:more]))
+        if count:
+            nxt = int(starts[-1]) + self.batch_pages
+            self._seq_next = nxt if nxt & (self.block_pages - 1) else None
         self._compact()
         self.used_frames += count * self.batch_pages
         return starts
-
-    def _take_sequential(self) -> int:
-        """The slot after the previous sequential draw if it is still free,
-        else the first slot of the lowest free block, whose other slots go
-        to the group stores, where every draw and merge can reach them."""
-        start = self._seq_next
-        if start is not None and self._has(self.batch_order, start):
-            self._drop(self.batch_order, start)
-        else:
-            b = self._block_alive.find(1)  # take_batches_sequential counted it
-            self._block_alive[b] = 0
-            start = b << self.block_order
-            for g in range(1, self.groups_n):
-                self._put(self.batch_order, start + (g << self.batch_order))
-        nxt = start + self.batch_pages
-        self._seq_next = nxt if nxt & (self.block_pages - 1) else None
-        return start
 
     # -- release -----------------------------------------------------------
 
@@ -658,15 +879,17 @@ class FramePool:
             raise ValueError("a released run crosses a block boundary")
         self.used_frames -= int(sizes.sum())
         blocks, of_run = np.unique(starts >> bo, return_inverse=True)
-        slot_map = np.frombuffer(self._slot, dtype=np.uint8).reshape(
-            self.n_blocks, self.groups_n)
-        free = slot_map[blocks] == 1
+        rows = self._rows(blocks)
+        split = rows >= 0  # a block never split has no free slot
+        free = np.zeros((len(blocks), self.groups_n), dtype=bool)
+        free[split] = self._slots[rows[split]] == 1
         whole = np.bincount(of_run, weights=sizes) + self.batch_pages \
             * np.count_nonzero(free, axis=1) == self.block_pages
         done = len(self._released)
-        slot_map[blocks[whole]] = 0  # _compact drops them from the stacks
+        self._slots[rows[whole & split]] = 0  # _compact drops them
         self._dirty.update(np.flatnonzero(free[whole].any(axis=0)).tolist())
         np.frombuffer(self._block_alive, dtype=np.uint8)[blocks[whole]] = 1
+        self._alive_count += int(np.count_nonzero(whole))
         self._released.extend(blocks[whole].tolist())
         merge = ~whole[of_run]
         for start, n in zip(starts[merge].tolist(), sizes[merge].tolist()):
@@ -719,6 +942,7 @@ class FramePool:
             order += 1
         b = start >> self.block_order
         self._block_alive[b] = 1
+        self._alive_count += 1
         self._released.append(b)
 
     def free_pieces(self) -> tuple[np.ndarray, np.ndarray]:
@@ -803,8 +1027,8 @@ class MemoryManager:
                 raise OutOfMemory(
                     f"{n_pages} pages needed, {self.pool.free_frames} free")
             self._place_up_front(alloc, n_pages)
-        va_base = alloc.va_base = self.table.reserve(n_pages, align_pages=512)
-        alloc.region = self.table._region_at(va_base)[0]
+        alloc.region = self.table.reserve(n_pages, align_pages=512)
+        va_base = alloc.va_base = alloc.region.va_base
         self._next_id += 1
         if spec.physical is Policy.UP_FRONT:
             self.table.map_range(pagetable.SYSTEM, va_base,
@@ -997,16 +1221,25 @@ class MemoryManager:
             + [a.frame_runs.array for a in live], axis=1)
         _expect(pool.used_frames == int(run_sizes.sum()),
                 "used frames differ from the live allocations' frame runs")
-        # First, so that a slot held twice is named as such.
-        slot_map = np.frombuffer(pool._slot, dtype=np.uint8)
-        stacks = [s.array[0] >> pool.batch_order for s in pool._stacks]
+        # First, so that a slot held twice is named as such: each stack
+        # holds its own group's slots, each slot is held once, and the 1s
+        # of the split blocks' rows are those slots.
+        stacks = [s.array[0] for s in pool._stacks]
         slots = np.concatenate(stacks)
         owner = np.repeat(np.arange(pool.groups_n), list(map(len, stacks)))
-        held = np.zeros_like(slot_map)
-        held[slots] = 1
-        _expect(np.array_equal(held, slot_map)
-                and np.count_nonzero(held) == len(slots)
-                and np.array_equal(slots % pool.groups_n, owner),
+        _expect(np.array_equal((slots >> pool.batch_order) % pool.groups_n,
+                               owner), "the slot map differs from the group "
+                "stores")
+        slots = np.sort(slots)
+        rows = pool._rows(slots >> pool.block_order)
+        held = np.zeros_like(pool._slots)
+        held[rows, (slots >> pool.batch_order) % pool.groups_n] = 1
+        index = pool._index
+        _expect(np.all(np.diff(index >> 32) > 0)
+                and np.array_equal(np.sort(index & 0xFFFFFFFF),
+                                   np.arange(len(index)))
+                and np.all(np.diff(slots) > 0) and np.all(rows >= 0)
+                and np.array_equal(held, pool._slots),
                 "the slot map differs from the group stores")
         free_starts, free_sizes = pool.free_pieces()
         _expect(int(free_sizes.sum()) == pool.free_frames,
@@ -1020,11 +1253,15 @@ class MemoryManager:
         alive = np.frombuffer(pool._block_alive, dtype=np.uint8)
         _expect(not alive[starts >> pool.block_order].any(),
                 "a free piece or a live run lies inside a whole free block")
-        # What makes _next_blocks and batch_room exact.
-        listed = np.zeros_like(alive)
-        listed[pool._released] = 1
-        listed[pool._boot_order[:pool._boot_left]] = 1
-        _expect(np.all(listed[alive != 0]),
+        # What makes _next_blocks and batch_room exact: the count, and a
+        # whole free block in the boot order's consumed tail (all of it
+        # once the cursor is at 0) is released.
+        _expect(pool._alive_count == np.count_nonzero(alive),
+                "the whole-block count differs from the alive map")
+        behind = np.flatnonzero(alive) if not pool._boot_left \
+            else pool._boot_order[pool._boot_left:]
+        released = set(pool._released)
+        _expect(all(b in released for b in behind[alive[behind] != 0].tolist()),
                 "a whole free block is neither released nor left to boot")
         at = np.argsort(starts)
         starts, ends, piece_owner = starts[at], ends[at], piece_owner[at]

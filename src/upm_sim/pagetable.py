@@ -124,16 +124,18 @@ class DualTable:
 
     # -- virtual space ------------------------------------------------
 
-    def reserve(self, n_pages: int, align_pages: int = 512) -> int:
-        """Reserve a fresh virtual range; returns its base page number."""
+    def reserve(self, n_pages: int, align_pages: int = 512) -> _Region:
+        """Reserve a fresh virtual range; returns its region, whose va_base
+        is its first page number."""
         if n_pages >= FRAME_LIMIT:
             raise ValueError(f"a reservation holds under {FRAME_LIMIT} pages")
         base = -(-self._next_va // align_pages) * align_pages
         # Guard gap keeps fragments of distinct reservations from merging.
         self._next_va = base + n_pages + align_pages
         # Bases only grow, so appending keeps the regions sorted.
-        self._regions.append(_Region(base, n_pages))
-        return base
+        region = _Region(base, n_pages)
+        self._regions.append(region)
+        return region
 
     def free(self, region: _Region):
         """Drop a reservation and its runs, given as its region."""

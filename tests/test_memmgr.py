@@ -6,8 +6,9 @@ import pytest
 
 from upm_sim.fault import FaultKind
 from upm_sim.machine import GiB, KiB, MiB, builtin_mi300a
-from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, DoubleFree,
-                            FramePool, MemoryManager, OutOfMemory, Policy,
+from upm_sim.memmgr import (AccessViolation, Agent, AllocatorKind, BootOrder,
+                            DoubleFree, FramePool, MemoryManager, OutOfMemory,
+                            Policy,
                             UsageCounter, UseAfterFree, ZeroSize, _ranges,
                             alloc_time_model, classify, free_time_model,
                             placement_key, placement_twin)
@@ -542,13 +543,62 @@ def test_managers_of_one_seed_share_a_read_only_boot_order():
     a, b = manager(seed=3), manager(seed=3)
     order = a.pool._boot_order
     assert b.pool._boot_order is order
-    assert not order.flags.writeable
+    # What the order hands out is read-only: its end, and the end a later
+    # read grows it to.
+    n = len(order)
+    end = order[n - 64:]
     with pytest.raises(ValueError):
-        order[0] = order[1]
+        end[0] = end[1]
+    longer = order[n - 4096:]
+    assert not longer.flags.writeable
+    np.testing.assert_array_equal(longer[-64:], end)
     # A draw moves each pool's own cursor, not the shared order.
     a.allocate(K.DEVICE_UP_FRONT, 1 * MiB)
     assert b.pool._boot_left == b.pool.n_blocks
-    assert not np.array_equal(manager(seed=4).pool._boot_order, order)
+    other = manager(seed=4).pool._boot_order
+    assert not np.array_equal(other[n - 64:], end)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 4096, 4097, 262_144])
+def test_boot_order_is_numpys_permutation_drawn_from_its_end(n):
+    # Grown in uneven steps up to all n entries, each extension goes on
+    # with the same 32-bit stream and gives what permutation(n) holds
+    # there. A numpy release that changes its shuffle fails here.
+    for seed in range(4):
+        ss = np.random.SeedSequence(seed, spawn_key=(0,))
+        want = np.random.default_rng(ss).permutation(n)
+        order, rng = BootOrder(ss, n), np.random.default_rng(seed)
+        k = 0
+        while k < n:
+            k = min(n, k + int(rng.integers(1, n // 3 + 2)))
+            order._grow(k)
+            np.testing.assert_array_equal(order[n - k:], want[n - k:])
+        assert order[0] == want[0] and order[-1] == want[-1]
+
+
+def test_a_4tib_pool_holds_its_alive_map_and_draws_what_it_reads():
+    # A byte a block is all that a pool sizes by capacity: 8 MiB of alive
+    # map at 4 TiB, where a full boot order and slot map held 142.6 MB.
+    profile = replace(builtin_mi300a(), hbm_capacity=4096 * GiB)
+    np.random.SeedSequence(0)  # import numpy.random before counting
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = MemoryManager(profile, seed=9)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    pool = m.pool
+    assert held <= 14.3e6
+    assert len(pool._boot_order._tail) == 0
+    # A 64 MiB first touch draws the boot order only as far as _scan's
+    # window: twice the blocks taken, and 16 more.
+    a = m.allocate(K.LIBC_ON_DEMAND, 64 * MiB)
+    m.touch(a, None, Agent.CPU)
+    m.check()
+    taken = pool.n_blocks - pool._boot_left
+    assert 0 < taken and len(pool._boot_order._tail) <= max(2 * taken + 16,
+                                                            1024)
 
 
 def with_degrees(profile, **degrees):
@@ -754,10 +804,10 @@ def _swap_a_whole_block_for_a_live_one(m, a, b):
 
 
 def _clear_a_slot_in_the_map(m, a, b):
-    # The slot stays in its group's stack; only the map loses it.
+    # The slot stays in its group's stack; only its block's row loses it.
     pool = m.pool
-    stack = next(s for s in pool._stacks if len(s))
-    pool._slot[int(stack.array[0, 0]) >> pool.batch_order] = 0
+    g, stack = next((g, s) for g, s in enumerate(pool._stacks) if len(s))
+    pool._slots[pool._row(int(stack.array[0, 0]) >> pool.block_order), g] = 0
 
 
 def _hold_a_slot_twice(m, a, b):
@@ -794,12 +844,14 @@ def _swap_two_runs(m, a, b):
     (_clear_a_slot_in_the_map, "slot map"),
     (_hold_a_slot_twice, "slot map"),
     (lambda m, a, b: setattr(m.pool, "_boot_left", 0), "left to boot"),
+    (lambda m, a, b: setattr(m.pool, "_alive_count", m.pool._alive_count - 1),
+     "whole-block count"),
     (_map_a_free_frame, "outside its allocation's runs"),
     (_map_a_frame_of_another_allocation, "mapped twice"),
     (_map_a_frame_twice, "mapped twice"),
     (_swap_two_runs, "out of order"),
 ], ids=["used", "leak", "overlap", "alive", "slot_map", "slot_twice",
-        "unlisted", "free_frame", "foreign_frame",
+        "unlisted", "count", "free_frame", "foreign_frame",
         "twice", "run_order"])
 def test_check_names_a_broken_invariant(damage, invariant):
     m = manager(seed=1)

@@ -79,17 +79,19 @@ def fresh_table():
 
 def test_map_and_lookup_single_page():
     t = fresh_table()
-    base = t.reserve(16)
+    reserved = t.reserve(16)
+    base = reserved.va_base
     t.map_range(SYSTEM, base, frame_runs([4096]))
     t.propagate(base, 1)
     region, off = t._region_at(base)
+    assert region is reserved  # reserve hands back the region it keeps
     frames, state = expand(region)
     assert state[off] == LEVEL[GPU] and frames[off] == 4096
 
 
 def test_double_map_rejected():
     t = fresh_table()
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     t.map_range(SYSTEM, base, frame_runs([100]))
     with pytest.raises(AlreadyMapped):
         t.map_range(SYSTEM, base, frame_runs([101]))
@@ -98,7 +100,7 @@ def test_double_map_rejected():
 def test_gpu_map_requires_system_entry():
     # GPU entries come only from propagate, which needs system entries.
     t = fresh_table()
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     with pytest.raises(ValueError, match="propagate"):
         t.map_range(GPU, base, frame_runs([100]))
     with pytest.raises(Unmapped):
@@ -110,7 +112,7 @@ def test_gpu_mirror_frame_must_match():
     # map_range cannot give a GPU entry a frame of its own: the GPU entry
     # propagate makes holds the system entry's frame.
     t = fresh_table()
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     t.map_range(SYSTEM, base, frame_runs([100]))
     with pytest.raises(ValueError, match="propagate"):
         t.map_range(GPU, base, frame_runs([101]))
@@ -123,7 +125,7 @@ def test_gpu_mirror_frame_must_match():
 
 def test_aligned_1024_run_gets_fragment_10():
     t = fresh_table()
-    base = t.reserve(2048)
+    base = t.reserve(2048).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(1 << 17, (1 << 17) + 1024)))
     t.propagate(base, 1024)
     assert set(fragments(t, GPU, base, 1024).tolist()) == {10}
@@ -132,7 +134,7 @@ def test_aligned_1024_run_gets_fragment_10():
 
 def test_sixteen_page_aligned_run_gets_fragment_4():
     t = fresh_table()
-    base = t.reserve(64)
+    base = t.reserve(64).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(1 << 12, (1 << 12) + 16)))
     t.propagate(base, 16)
     assert fragments(t, GPU, base, 16).tolist() == [4] * 16
@@ -140,7 +142,7 @@ def test_sixteen_page_aligned_run_gets_fragment_4():
 
 def test_three_page_run_fragments():
     t = fresh_table()
-    base = t.reserve(64)
+    base = t.reserve(64).va_base
     # delta 0, aligned start
     t.map_range(SYSTEM, base, frame_runs(base + np.arange(3)))
     t.propagate(base, 3)
@@ -149,14 +151,14 @@ def test_three_page_run_fragments():
 
 def test_isolated_page_fragment_zero():
     t = fresh_table()
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     t.map_range(SYSTEM, base + 3, frame_runs([777]))
     assert fragments(t, SYSTEM, base, 16)[3] == 0
 
 
 def test_scattered_frames_leave_fragment_zero():
     t = fresh_table()
-    base = t.reserve(64)
+    base = t.reserve(64).va_base
     frames = np.array([10, 5000, 321, 9999, 42, 77, 1234, 88])
     t.map_range(SYSTEM, base, frame_runs(frames))
     t.propagate(base, 8)
@@ -169,7 +171,7 @@ def test_scattered_frames_leave_fragment_zero():
 
 def test_propagate_counts_and_idempotence():
     t = fresh_table()
-    base = t.reserve(256)
+    base = t.reserve(256).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(2048, 2048 + 100)))
     assert t.propagate(base, 100) == 100
     assert t.propagate(base, 100) == 0
@@ -177,7 +179,7 @@ def test_propagate_counts_and_idempotence():
 
 def test_propagate_requires_system_mapping():
     t = fresh_table()
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     with pytest.raises(Unmapped):
         t.propagate(base, 4)
 
@@ -186,7 +188,7 @@ def test_fragment_partial_propagation_is_smaller():
     # GPU table mirrors a subset, so its fragments may be finer than the
     # system table's.
     t = fresh_table()
-    base = t.reserve(64)
+    base = t.reserve(64).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 16)))
     t.propagate(base, 8)
     assert fragments(t, SYSTEM, base, 64)[0] == 4
@@ -195,7 +197,7 @@ def test_fragment_partial_propagation_is_smaller():
 
 def test_unmap_splits_runs():
     t = fresh_table()
-    base = t.reserve(64)
+    base = t.reserve(64).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(8192, 8192 + 16)))
     t.propagate(base, 16)
     t.unmap_range(base + 8, 1)
@@ -211,7 +213,7 @@ def test_fragment_oracle_random_maps():
     for _ in range(60):
         t = fresh_table()
         n = int(rng.integers(4, 128))
-        base = t.reserve(n)
+        base = t.reserve(n).va_base
         # Random mix of contiguous runs and scatter, random alignment.
         offs = []
         frames = []
@@ -255,7 +257,7 @@ def test_fragment_order_independence():
     results = []
     for order in orders:
         t = fresh_table()
-        base = t.reserve(64)
+        base = t.reserve(64).va_base
         for i in order:
             t.map_range(SYSTEM, base + int(i), frame_runs([frames[i]]))
         results.append(fragments(t, SYSTEM, base, 32).tolist())
@@ -265,7 +267,7 @@ def test_fragment_order_independence():
 
 def test_range_crossing_its_reservation_is_rejected():
     t = fresh_table()
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 16)))
     t.propagate(base, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
@@ -280,7 +282,7 @@ def test_range_crossing_its_reservation_is_rejected():
 
 def test_unmap_crossing_its_reservation_is_rejected():
     t = fresh_table()
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 16)))
     t.propagate(base, 16)
     with pytest.raises(Unmapped, match="crosses its reservation"):
@@ -299,7 +301,7 @@ def test_map_propagate_and_unmap_read_no_fragments(monkeypatch):
     monkeypatch.setattr(DualTable, "fragment_runs",
                         lambda self, *args: reads.append(args))
     t = fresh_table()
-    base = t.reserve(64)
+    base = t.reserve(64).va_base
     t.map_range(SYSTEM, base, frame_runs(np.arange(4096, 4096 + 32)))
     t.propagate(base, 8)
     t.propagate(base, 16)
@@ -318,7 +320,7 @@ def test_region_footprint_per_page():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        base = t.reserve(n_pages)
+        base = t.reserve(n_pages).va_base
         t.map_range(SYSTEM, base, FrameRuns([0], [n_pages]))
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -353,7 +355,7 @@ def test_reserve_rejects_a_range_past_int32():
 @pytest.mark.parametrize("bad", [FRAME_LIMIT, -1])
 def test_map_range_rejects_frames_outside_int32(bad):
     t = fresh_table()
-    base = t.reserve(4)
+    base = t.reserve(4).va_base
     # The runs check themselves when built, so no bad run reaches a table.
     for starts, sizes in (([0, bad], [1, 1]), ([bad - 1], [2]), ([0], [0])):
         with pytest.raises(ValueError):
@@ -453,7 +455,7 @@ def test_run_table_matches_the_per_page_reference():
     for _ in range(60):
         cap = int(rng.choice([3, 31]))
         t, n = DualTable(cap), int(rng.integers(8, 80))
-        base = t.reserve(n, align_pages=int(rng.choice([1, 8, 512])))
+        base = t.reserve(n, align_pages=int(rng.choice([1, 8, 512]))).va_base
         region, ref = t._region_at(base)[0], PageTable(n)
         for _ in range(30):
             op = rng.choice(["map", "gpu", "propagate", "unmap", "state"])

@@ -26,7 +26,7 @@ def small_profile():
 
 def random_mapping(rng, t, n):
     """Map a random mix of contiguous runs and scattered frames."""
-    base = t.reserve(n)
+    base = t.reserve(n).va_base
     off = 0
     while off < n:
         run = min(int(rng.integers(1, 24)), n - off)
@@ -67,7 +67,7 @@ def test_fragment_oracle_large_mappings():
     for _ in range(20):
         t = DualTable(31)
         n = int(rng.integers(1 << 10, 1 << 12))
-        base = t.reserve(n, align_pages=4096)
+        base = t.reserve(n, align_pages=4096).va_base
         start = int(rng.integers(0, 1 << 20)) & ~((1 << 12) - 1)
         t.map_range(SYSTEM, base, FrameRuns([start], [n]))
         pages = expand(t._region_at(base)[0])
@@ -103,7 +103,7 @@ def test_fragment_oracle_gpu_table_after_partial_propagate_and_unmap():
     for _ in range(60):
         t = DualTable(31)
         n = int(rng.integers(64, 256))
-        base = t.reserve(n, align_pages=512)
+        base = t.reserve(n, align_pages=512).va_base
         start = int(rng.integers(0, 1 << 12)) << 4
         frames = np.arange(start, start + n)
         # A few frame jumps break the map into several runs.
@@ -133,7 +133,7 @@ def test_fragment_oracle_gpu_table_partial_mirror_then_complete():
     for _ in range(25):
         t = DualTable(31)
         n = int(rng.integers(64, 160))
-        base = t.reserve(n, align_pages=512)
+        base = t.reserve(n, align_pages=512).va_base
         start = int(rng.integers(0, 1 << 12)) << 4
         frames = np.arange(start, start + n)
         for cut in rng.integers(1, n, size=int(rng.integers(0, 4))):
@@ -169,7 +169,7 @@ def test_fragment_oracle_across_recompute_chunks():
     chunk = 1 << 16
     t = DualTable(31)
     n = 3 * chunk + 777
-    base = t.reserve(n + 1000, align_pages=1 << 18)
+    base = t.reserve(n + 1000, align_pages=1 << 18).va_base
     frames = np.arange(n, dtype=np.int64) + (5 << 18) + 1000
     # Two frame jumps make three runs, each starting inside a 64 Ki-page
     # stretch that an earlier run began.
@@ -222,7 +222,7 @@ def test_fragment_oracle_run_beyond_max_fragment_odd_delta(max_fragment):
     for k in range(max_fragment + 2):
         t = DualTable(max_fragment)
         n = 5 * (1 << max_fragment) + 3
-        base = t.reserve(n + 7, align_pages=512)
+        base = t.reserve(n + 7, align_pages=512).va_base
         delta = (2 * k + 3) << k
         t.map_range(SYSTEM, base + 7, FrameRuns([base + 7 + delta], [n]))
         t.propagate(base + 7, n)
@@ -346,10 +346,11 @@ def per_run_release(m):
 
 def pool_state(pool):
     """Everything a later draw can see: free set, used frames, each
-    store's keys in order, released blocks, cursors."""
+    store's keys in order, released blocks, the whole-block count,
+    cursors."""
     return (snapshot(pool), [list(d) for d in pool._runs.values()],
             [s.array[0].tolist() for s in pool._stacks], list(pool._released),
-            pool._boot_left, pool._seq_next)
+            pool._alive_count, pool._boot_left, pool._seq_next)
 
 
 def count_merged_blocks(pool) -> list:
@@ -437,18 +438,21 @@ def one_by_one(pool):
     smallest first, and else takes the next group's slot."""
     alive = pool._block_alive
 
+    def take(b):
+        alive[b] = 0
+        pool._alive_count -= 1
+        return b
+
     def pop_block():
         while pool._released:
             b = pool._released.pop()
             if alive[b]:
-                alive[b] = 0
-                return b
+                return take(b)
         while pool._boot_left:
             pool._boot_left -= 1
-            b = int(pool._boot_order[pool._boot_left])
+            b = pool._boot_order[pool._boot_left]
             if alive[b]:
-                alive[b] = 0
-                return b
+                return take(b)
         return None
 
     def next_blocks(k):
@@ -559,7 +563,7 @@ def test_whole_array_draws_match_one_by_one(block, batch):
             draw = random_draw(rng, pool, held)
             free = pool.free_frames
             room = sum(s.n for s in pool._stacks) \
-                + pool.groups_n * pool._alive_blocks()
+                + pool.groups_n * pool._alive_count
             got = apply_draw(pool, held, draw)
             assert apply_draw(ref, held_ref, draw) == got
             before, state = state, pool_state(pool)

@@ -29,7 +29,7 @@ def lru_replay(accesses, capacity):
 def table_with_runs(n_runs, run_pages, pa_stride):
     """Runs of run_pages with fragment log2(run_pages), spaced apart in PA."""
     t = DualTable(31)
-    base = t.reserve(n_runs * run_pages, align_pages=max(512, run_pages))
+    base = t.reserve(n_runs * run_pages, align_pages=max(512, run_pages)).va_base
     for i in range(n_runs):
         frames = np.arange(i * pa_stride, i * pa_stride + run_pages)
         t.map_range(SYSTEM, base + i * run_pages, frame_runs(frames))
@@ -63,7 +63,7 @@ def test_second_access_hits():
 
 def test_access_requires_gpu_mapping():
     t = DualTable(31)
-    base = t.reserve(16)
+    base = t.reserve(16).va_base
     t.map_range(SYSTEM, base, frame_runs([99]))
     with pytest.raises(Unmapped, match="not fully mapped in gpu table"):
         triad_misses(t, [(base, 1)], 1, 1)
@@ -129,7 +129,7 @@ def test_triad_single_fragment_arrays_three_misses():
     t = DualTable(31)
     arrays = []
     for i in range(3):
-        base = t.reserve(1)
+        base = t.reserve(1).va_base
         t.map_range(SYSTEM, base, frame_runs([1000 + i]))
         t.propagate(base, 1)
         arrays.append((base, 1))
@@ -144,7 +144,7 @@ def test_triad_compressed_simulation_matches_page_replay():
     rng = np.random.default_rng(3)
     pages = 64
     for _ in range(3):
-        base = t.reserve(pages)
+        base = t.reserve(pages).va_base
         off = 0
         while off < pages:
             run = min(int(rng.integers(1, 16)), pages - off)
@@ -182,7 +182,7 @@ def test_triad_cross_pass_reuse_when_reach_suffices():
 def few_run_operand(rng, t, pages):
     """Map pages in at most four stretches of aligned frames, so a pass
     touches only a few fragment runs; returns (va_base, pages)."""
-    base = t.reserve(pages, align_pages=512)
+    base = t.reserve(pages, align_pages=512).va_base
     cuts = sorted(rng.choice(np.arange(1, pages), size=min(3, pages - 1),
                              replace=False).tolist()) if pages > 1 else []
     for lo, hi in zip([0] + cuts, cuts + [pages]):
@@ -236,11 +236,11 @@ def test_triad_misses_rejects_an_operand_page_not_gpu_mapped():
     t = DualTable(31)
     arrays = []
     for _ in range(3):
-        base = t.reserve(64)
+        base = t.reserve(64).va_base
         t.map_range(SYSTEM, base, FrameRuns([1 << 12], [64]))
         t.propagate(base, 64)
         arrays.append((base, 64))
-    hole = t.reserve(64)
+    hole = t.reserve(64).va_base
     t.map_range(SYSTEM, hole, frame_runs(np.arange(1 << 13, (1 << 13) + 64)))
     t.propagate(hole, 20)
     t.propagate(hole + 21, 43)  # page 20 is mapped only in the system table

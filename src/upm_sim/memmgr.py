@@ -295,10 +295,11 @@ class BootOrder:
         return int(self._read(n - at)[n - 1 - at])
 
     def _read(self, k: int) -> np.ndarray:
-        """The read-only tail of at least k entries; it grows at least
-        twofold, and to at least 1,024 entries (each growth sorts it)."""
-        if k > len(self._tail):
-            self._grow(min(self._n, max(k, 2 * len(self._tail), 1024)))
+        """The read-only tail of at least k entries; it grows by half at
+        least, and to at least 1,024 entries (each growth sorts it)."""
+        done = len(self._tail)
+        if k > done:
+            self._grow(min(self._n, max(k, done + done // 2, 1024)))
         return self._tail
 
     def _grow(self, k: int):

@@ -63,9 +63,9 @@ def cold_latency(profile_path: str, seed: int) -> tuple[float, int]:
     child = subprocess.Popen(
         [sys.executable, "-c", code, "run", "latency", "--seed", str(seed),
          "--profile", profile_path], env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
+    _, status, usage = os.wait4(child.pid, 0)  # this child's own usage
     wall = time.perf_counter() - t0
-    child.returncode = os.waitstatus_to_exitcode(status)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped above
     if child.returncode:
         raise SystemExit(f"run latency exited with {child.returncode}")
     return wall, usage.ru_maxrss * 1024  # Linux reports KiB
